@@ -6,18 +6,18 @@ subcommand at the standard operating point.  Each subcommand writes one
 plot-ready report file (CSV rows or a JSON object with a ``meta`` block)
 and prints its headline numbers as ``name = value`` lines on stdout.
 
-Exit codes: 0 success, 2 configuration problem, 3 solver non-convergence
-(a ``*.diagnostic.txt`` file enumerating the failed grid points, each with
-the reason it failed where one is known, is written alongside the report
-path in that case).
-
-``TRICYCLE_THREADS`` caps the worker count used for the alpha sweeps.
+Exit codes: 0 success, 2 configuration problem (including durations too
+short for the slow-driving expansion, reported as ``PositivityError``), 3
+solver non-convergence (a ``*.diagnostic.txt`` file enumerating the failed
+grid points, each with the reason it failed where one is known, is written
+alongside the report path in that case).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,27 +26,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__, cycle, optimize, oracle, protocol, thermo
-from .errors import ConfigError, ConvergenceError
-from .protocol import TricycleConfig
+from .errors import ConfigError, ConvergenceError, PositivityError
+from .protocol import DEFAULT_CONFIG_VALUES, TricycleConfig
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_report", "main"]
 
-SUBCOMMANDS = (
-    "branch", "cycle", "ts-diagram", "sweep-times", "optimal-curve",
-    "alpha-sweep", "envelope", "time-allocation", "reversible-delta",
-    "oracle-check",
-)
-
 # key -> (kind, default); kind in {"float", "int", "str", "float?", "floats"}
 _KEYS = {
-    "T_c": ("float", 0.2),
-    "T_h": ("float", 1.0),
-    "T_p": ("float", 0.5),
-    "zeta_c": ("float", 2.0),
-    "zeta_h": ("float", 2.0),
-    "delta_c": ("float", 0.5333),
-    "gamma0": ("float", 1.0),
-    "alpha": ("float", 0.0),
+    **{key: ("float", default) for key, default in DEFAULT_CONFIG_VALUES.items()},
     "tau_c": ("float", 9.0),
     "tau_p": ("float", 11.0),
     "tau_h": ("float?", None),          # derived from energy balance when unset
@@ -93,12 +80,13 @@ class RunConfig:
             raise AttributeError(key) from None
 
     def tricycle(self):
-        v = self.values
-        return TricycleConfig(
-            T_c=v["T_c"], T_h=v["T_h"], T_p=v["T_p"],
-            zeta_c=v["zeta_c"], zeta_h=v["zeta_h"], delta_c=v["delta_c"],
-            gamma0=v["gamma0"], alpha=v["alpha"],
-        )
+        return TricycleConfig(**{key: self.values[key] for key in DEFAULT_CONFIG_VALUES})
+
+
+def _finite(key, value):
+    if not math.isfinite(value):
+        raise ConfigError(f"value for key {key!r} must be finite, got {value}")
+    return value
 
 
 def _parse_value(key, raw):
@@ -106,14 +94,16 @@ def _parse_value(key, raw):
     raw = raw.strip()
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(key, float(raw))
         if kind == "int":
             return int(raw)
         if kind == "float?":
-            return None if raw == "" else float(raw)
+            return None if raw == "" else _finite(key, float(raw))
         if kind == "floats":
-            return tuple(float(part) for part in raw.split(",") if part.strip())
+            return tuple(_finite(key, float(part)) for part in raw.split(",") if part.strip())
         return raw  # "str", "str?"
+    except ConfigError:  # a non-finite number, already explained
+        raise
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r} as {kind}") from None
 
@@ -226,26 +216,18 @@ def _write_atomic(path, text):
         raise
 
 
-def _workers():
-    raw = os.environ.get("TRICYCLE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"TRICYCLE_THREADS must be an integer, got {raw!r}") from None
-
-
-def _resolved_taus(rc, config, coeffs=None):
-    """(tau_c, tau_h, tau_p) with tau_h from the energy balance when unset."""
-    tau_c, tau_p = rc.tau_c, rc.tau_p
+def _resolved_taus(rc, config):
+    """Branch coefficients and (tau_c, tau_h, tau_p), with tau_h from the
+    energy balance when unset."""
+    coeffs = cycle.cycle_coefficients(config, rtol=rc.quad_rtol)
     tau_h = rc.tau_h
     if tau_h is None:
-        tau_h = optimize.balanced_tau_h(config, tau_c, tau_p, coeffs=coeffs)
-    return tau_c, tau_h, tau_p
+        tau_h = optimize.balanced_tau_h(config, rc.tau_c, rc.tau_p, coeffs=coeffs)
+    return coeffs, (rc.tau_c, tau_h, rc.tau_p)
 
 
 def _run_branch(rc, config):
-    coeffs = cycle.cycle_coefficients(config, rtol=rc.quad_rtol)
-    tau_c, tau_h, tau_p = _resolved_taus(rc, config, coeffs)
+    coeffs, (tau_c, tau_h, tau_p) = _resolved_taus(rc, config)
     metrics = cycle.evaluate_cycle(config, tau_c, tau_h, tau_p, coeffs=coeffs)
     rows = [
         (b.reservoir, b.tau, b.dS_eq, b.Sigma, b.Q0, b.Q1, b.Q)
@@ -256,8 +238,7 @@ def _run_branch(rc, config):
 
 
 def _run_cycle(rc, config):
-    coeffs = cycle.cycle_coefficients(config, rtol=rc.quad_rtol)
-    tau_c, tau_h, tau_p = _resolved_taus(rc, config, coeffs)
+    coeffs, (tau_c, tau_h, tau_p) = _resolved_taus(rc, config)
     m = cycle.evaluate_cycle(config, tau_c, tau_h, tau_p, coeffs=coeffs)
     psi_r = cycle.reversible_cop(config.T_c, config.T_h, config.T_p)
     columns = ["tau_c", "tau_h", "tau_p", "Q_c", "Q_h", "Q_p", "psi", "R",
@@ -270,8 +251,7 @@ def _run_cycle(rc, config):
 
 
 def _run_ts_diagram(rc, config):
-    coeffs = cycle.cycle_coefficients(config, rtol=rc.quad_rtol)
-    taus = _resolved_taus(rc, config, coeffs)
+    _, taus = _resolved_taus(rc, config)
     points = thermo.ts_trajectory(config, taus, rc.samples_per_branch)
     columns = ["reservoir", "s", "omega", "T_eff", "S"]
     rows = [(p.reservoir, p.s, p.omega, p.T_eff, p.S) for p in points]
@@ -284,13 +264,8 @@ def _run_sweep_times(rc, config):
     tp = np.linspace(rc.sweep_tau_p_min, rc.sweep_tau_p_max, rc.sweep_tau_p_points)
     sweep = optimize.free_time_sweep(config, tc, tp, coeffs=coeffs)
     columns = ["tau_c", "tau_p", "tau_h", "R"]
-    rows = []
-    for i, tau_c in enumerate(tc):
-        for j, tau_p in enumerate(tp):
-            th = sweep.tau_h[i, j]
-            rows.append((tau_c, tau_p,
-                         None if np.isnan(th) else th,
-                         None if np.isnan(sweep.R[i, j]) else sweep.R[i, j]))
+    rows = [(tau_c, tau_p, sweep.tau_h[i, j], sweep.R[i, j])  # NaN cells render as nan/null
+            for i, tau_c in enumerate(tc) for j, tau_p in enumerate(tp)]
     present = sweep.R[~np.isnan(sweep.R)]
     summary = {"R_max_on_grid": float(present.max()) if present.size else float("nan")}
     return columns, rows, summary
@@ -316,8 +291,7 @@ def _run_optimal_curve(rc, config):
 
 def _run_alpha_sweep(rc, config):
     grid = np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points)
-    result = optimize.alpha_sweep(config, alpha_grid=grid,
-                                  tau_c_grid=_tau_c_grid(rc), workers=_workers())
+    result = optimize.alpha_sweep(config, alpha_grid=grid, tau_c_grid=_tau_c_grid(rc))
     columns = list(optimize.AlphaRecord._fields)
     rows = [tuple(r) for r in result.rows]
     summary = {"alpha_chi": result.alpha_chi, "alpha_r": result.alpha_R,
@@ -340,7 +314,7 @@ def _run_envelope(rc, config):
         config, psi_grid=psi_grid,
         alpha_window=(rc.alpha_min, rc.alpha_max),
         alpha_points=rc.envelope_alpha_points,
-        tau_c_grid=_tau_c_grid(rc), workers=_workers(),
+        tau_c_grid=_tau_c_grid(rc),
     )
     columns = ["curve"] + list(optimize.SweepRecord._fields)
     rows = [("R",) + tuple(r) for r in result.r_curve]
@@ -351,15 +325,15 @@ def _run_envelope(rc, config):
 
 
 def _run_time_allocation(rc, config):
+    grid_tc = _tau_c_grid(rc)
     alpha_chi, alpha_r = rc.alpha_chi, rc.alpha_r
     if alpha_chi is None or alpha_r is None:
         sweep = optimize.alpha_sweep(
             config, alpha_grid=np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points),
-            tau_c_grid=_tau_c_grid(rc), workers=_workers(),
+            tau_c_grid=grid_tc,
         )
         alpha_chi = alpha_chi if alpha_chi is not None else sweep.alpha_chi
         alpha_r = alpha_r if alpha_r is not None else sweep.alpha_R
-    grid_tc = _tau_c_grid(rc)
     psi_R, _, _ = optimize.max_cooling_rate(
         replace(config, alpha=alpha_r), tau_c_grid=grid_tc)
     psi_chi, _, _ = optimize.max_figure_of_merit(
@@ -468,7 +442,7 @@ def main(argv=None):
         prog="qtricycle",
         description="Finite-time quantum tricycle performance sweeps.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(_RUNNERS))
     parser.add_argument("--config", default=None, help="path to key=value config file")
     parser.add_argument("--out", default=None, help="report output path")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
@@ -490,11 +464,11 @@ def main(argv=None):
         if args.format is not None:
             rc.values["format"] = args.format
         return run(args.subcommand, rc)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except PositivityError as exc:  # durations too short for the expansion
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import thermo
+from ._numerics import bisect
 from .errors import ConvergenceError
 from .thermo import BranchThermo
 
@@ -46,10 +46,6 @@ class CycleCoefficients:
     T: tuple  # (T_c, T_h, T_p)
     dS: tuple  # (dS_c, dS_h, dS_p)
     Sigma: tuple  # (Sigma_c, Sigma_h, Sigma_p)
-
-    def heat(self, reservoir_index, tau):
-        T = self.T[reservoir_index]
-        return T * (self.dS[reservoir_index] + self.Sigma[reservoir_index] / tau)
 
 
 def cycle_coefficients(config, rtol=1e-9):
@@ -81,27 +77,13 @@ class CycleMetrics:
     entropy_production: float
     valid: bool
 
-    @property
-    def heats(self):
-        return (self.cold.Q, self.hot.Q, self.pump.Q)
-
-    @property
-    def taus(self):
-        return (self.cold.tau, self.hot.tau, self.pump.tau)
-
 
 def _metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p):
-    taus = (tau_c, tau_h, tau_p)
-    parts = []
-    for i, (res, tau) in enumerate(zip("chp", taus)):
-        T = coeffs.T[i]
-        Q0 = T * coeffs.dS[i]
-        Q1 = T * coeffs.Sigma[i] / tau
-        parts.append(BranchThermo(
-            reservoir=res, dS_eq=coeffs.dS[i], Sigma=coeffs.Sigma[i],
-            Q0=Q0, Q1=Q1, Q=Q0 + Q1, tau=tau,
-        ))
-    cold, hot, pump = parts
+    cold, hot, pump = (
+        BranchThermo.from_coefficients(res, T, dS, Sigma, tau)
+        for res, T, dS, Sigma, tau in zip("chp", coeffs.T, coeffs.dS, coeffs.Sigma,
+                                          (tau_c, tau_h, tau_p))
+    )
     total_tau = tau_c + tau_h + tau_p
     R = cold.Q / total_tau
     valid = hot.Q > 0.0
@@ -139,11 +121,9 @@ def reversible_cop(T_c, T_h, T_p):
     return T_c * (T_h - T_p) / (T_h * (T_p - T_c))
 
 
-def zeroth_heat_sum(config, coeffs=None):
+def zeroth_heat_sum(config):
     """sum_v T_v dS_v: positive for an irreversible finite-time cycle,
     zero at the reversible amplitude."""
-    if coeffs is not None:
-        return float(np.dot(coeffs.T, coeffs.dS))
     branches = config.branches(1.0, 1.0, 1.0)
     return sum(b.temperature * thermo.branch_entropy_change(b) for b in branches)
 

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import bisect, minimize_scalar
 
 from . import cycle
+from ._numerics import bisect, golden
 from .errors import ConvergenceError
 
 __all__ = [
@@ -86,22 +85,23 @@ def balanced_tau_h(config, tau_c, tau_p, coeffs=None):
     """Hot-branch duration closing the energy balance Q_c + Q_h + Q_p = 0."""
     if coeffs is None:
         coeffs = cycle.cycle_coefficients(config)
-    tau_h = _balanced_tau_h(coeffs, tau_c, tau_p)
-    if tau_h is None:
+    tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
+    if not tau_h > 0.0:
         raise ValueError(
             f"no positive energy-balanced tau_h at tau_c={tau_c}, tau_p={tau_p}"
         )
-    return tau_h
+    return float(tau_h)
 
 
-def _balanced_tau_h(coeffs, tau_c, tau_p):
+def _energy_balance(coeffs, tau_c, tau_p):
+    """(tau_h, Q_c) with tau_h closing the energy balance, NaN where the balance
+    admits no positive tau_h.  Scalars or broadcastable arrays."""
     T_c, T_h, T_p = coeffs.T
     dS_c, dS_h, dS_p = coeffs.dS
     S_c, S_h, S_p = coeffs.Sigma
-    denom = T_p * (dS_p + S_p / tau_p) + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
-    if denom <= 0.0:
-        return None
-    return -T_h * S_h / denom
+    Q_c = T_c * (dS_c + S_c / tau_c)
+    denom = T_p * (dS_p + S_p / tau_p) + Q_c + T_h * dS_h
+    return -T_h * S_h / np.where(denom > 0.0, denom, np.nan), Q_c
 
 
 def stationarity_residual(coeffs, tau_c, tau_h, tau_p):
@@ -131,8 +131,8 @@ def solve_time_allocation(config, tau_c, coeffs=None,
 
     tau_p is scanned over a logarithmic grid, each sign change of the
     stationarity constraint is bisected to 1e-12 relative, and the surviving
-    (tau_h, tau_p > 0) solutions come back ordered by descending cooling
-    rate with the first marked principal.
+    (tau_h > 0) solutions come back ordered by descending cooling rate with
+    the first marked principal.
 
     Raises :class:`ConvergenceError` when the energy balance admits no
     positive tau_h anywhere in the scan range, or no root is bracketed.
@@ -143,32 +143,22 @@ def solve_time_allocation(config, tau_c, coeffs=None,
         coeffs = cycle.cycle_coefficients(config)
     _require_sign_structure(coeffs)
 
-    def f(tau_p):
-        tau_h = _balanced_tau_h(coeffs, tau_c, tau_p)
+    def f(tau_p):  # NaN where the energy balance is infeasible
+        tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
         return stationarity_residual(coeffs, tau_c, tau_h, tau_p)
 
     tau_ps = np.geomspace(tau_p_range[0], tau_p_range[1], scan_points)
-    vals = np.empty_like(tau_ps)
-    for i, tau_p in enumerate(tau_ps):
-        tau_h = _balanced_tau_h(coeffs, tau_c, tau_p)
-        vals[i] = (stationarity_residual(coeffs, tau_c, tau_h, tau_p)
-                   if tau_h is not None and tau_h > 0.0 else np.nan)
-    feasible = ~np.isnan(vals)
-    if not feasible.any():
+    vals = f(tau_ps)
+    if np.isnan(vals).all():
         raise ConvergenceError(
             f"energy balance infeasible for every scanned tau_p at tau_c={tau_c} "
             f"(likely delta_c at or below the reversible amplitude)"
         )
 
     solutions = []
-    for i in range(len(tau_ps) - 1):
-        a, b = vals[i], vals[i + 1]
-        if np.isnan(a) or np.isnan(b) or a * b > 0.0:
-            continue
+    for i in np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]:  # sign changes; NaN never compares
         tau_p = bisect(f, tau_ps[i], tau_ps[i + 1], xtol=1e-280, rtol=1e-12, maxiter=300)
-        tau_h = _balanced_tau_h(coeffs, tau_c, tau_p)
-        if tau_h is None or tau_h <= 0.0 or tau_p <= 0.0:
-            continue
+        tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)  # feasible: denom rises with tau_p
         metrics = cycle._metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p)
         residual_c = stationarity_residual(coeffs, tau_c, tau_h, tau_p)
         residual_e = -metrics.work_residual
@@ -305,33 +295,32 @@ def _refine_objective(coeffs, curve, key):
         sol = _principal_or_none(coeffs, math.exp(x))
         return -getattr(sol.metrics, key) if sol is not None else np.inf
 
-    try:
-        res = minimize_scalar(negated, bracket=(lo, math.log(recs[i].tau_c), hi),
-                              method="golden", options={"xtol": 1e-9})
-    except ValueError:
+    res = golden(negated, lo, math.log(recs[i].tau_c), hi, xtol=1e-9)
+    if res is None:
         return best_val, best_sol
-    sol = _principal_or_none(coeffs, math.exp(res.x))
+    sol = _principal_or_none(coeffs, math.exp(res[0]))
     if sol is not None and getattr(sol.metrics, key) > best_val:
         return getattr(sol.metrics, key), sol
     return best_val, best_sol
 
 
-def max_cooling_rate(config, tau_c_grid=None, coeffs=None):
-    """(psi at max R, max R, allocation) with golden-section refinement."""
+def _max_objective(config, key, tau_c_grid, coeffs):
+    """(psi at the maximum, refined maximum, allocation) of metric ``key``."""
     if coeffs is None:
         coeffs = cycle.cycle_coefficients(config)
     curve = optimal_curve(config, tau_c_grid=tau_c_grid, coeffs=coeffs)
-    value, sol = _refine_objective(coeffs, curve, "R")
+    value, sol = _refine_objective(coeffs, curve, key)
     return sol.metrics.psi, value, sol
+
+
+def max_cooling_rate(config, tau_c_grid=None, coeffs=None):
+    """(psi at max R, max R, allocation) with golden-section refinement."""
+    return _max_objective(config, "R", tau_c_grid, coeffs)
 
 
 def max_figure_of_merit(config, tau_c_grid=None, coeffs=None):
     """(psi at max chi, max chi, allocation) with golden-section refinement."""
-    if coeffs is None:
-        coeffs = cycle.cycle_coefficients(config)
-    curve = optimal_curve(config, tau_c_grid=tau_c_grid, coeffs=coeffs)
-    value, sol = _refine_objective(coeffs, curve, "chi")
-    return sol.metrics.psi, value, sol
+    return _max_objective(config, "chi", tau_c_grid, coeffs)
 
 
 class AlphaRecord(NamedTuple):
@@ -356,14 +345,19 @@ class AlphaSweepResult:
     skipped: list
 
 
+def _curve_at_alpha(config, alpha, tau_c_grid):
+    """(coefficients, optimal curve) of ``config`` at frequency exponent alpha."""
+    cfg = replace(config, alpha=float(alpha))
+    coeffs = cycle.cycle_coefficients(cfg)
+    return coeffs, optimal_curve(cfg, tau_c_grid=tau_c_grid, coeffs=coeffs)
+
+
 def _alpha_extrema(config, alpha, tau_c_grid=None):
     """Both refined objectives at one alpha.
 
     Raises :class:`ConvergenceError` if the sweep point fails.
     """
-    cfg = replace(config, alpha=float(alpha))
-    coeffs = cycle.cycle_coefficients(cfg)
-    curve = optimal_curve(cfg, tau_c_grid=tau_c_grid, coeffs=coeffs)
+    coeffs, curve = _curve_at_alpha(config, alpha, tau_c_grid)
     R_max, sol_R = _refine_objective(coeffs, curve, "R")
     chi_max, sol_chi = _refine_objective(coeffs, curve, "chi")
     return AlphaRecord(alpha=float(alpha), R_max=R_max, chi_max=chi_max,
@@ -371,18 +365,11 @@ def _alpha_extrema(config, alpha, tau_c_grid=None):
                        psi_at_chi_max=sol_chi.metrics.psi)
 
 
-def _map(fn, items, workers):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _refine_alpha(config, coarse_alpha, rows, key, tau_c_grid=None):
-    """Golden-section over alpha with the refined per-alpha objective."""
-    alphas = [r.alpha for r in rows]
-    i = alphas.index(coarse_alpha)
-    best = getattr(rows[i], key)
+def _refine_alpha(config, rows, key, tau_c_grid=None):
+    """(alpha, value): golden-section over alpha, around the row with the
+    largest ``key``, of the refined per-alpha objective."""
+    i = max(range(len(rows)), key=lambda j: getattr(rows[j], key))
+    coarse_alpha, best = rows[i].alpha, getattr(rows[i], key)
     if i == 0 or i == len(rows) - 1:
         return coarse_alpha, best
 
@@ -395,17 +382,13 @@ def _refine_alpha(config, coarse_alpha, rows, key, tau_c_grid=None):
             cache[a] = -getattr(rec, key) if rec is not None else np.inf
         return cache[a]
 
-    try:
-        res = minimize_scalar(negated, bracket=(alphas[i - 1], coarse_alpha, alphas[i + 1]),
-                              method="golden", options={"xtol": 1e-4})
-    except ValueError:
-        return coarse_alpha, best
-    if -res.fun > best:
-        return float(res.x), float(-res.fun)
+    res = golden(negated, rows[i - 1].alpha, coarse_alpha, rows[i + 1].alpha, xtol=1e-4)
+    if res is not None and -res[1] > best:
+        return float(res[0]), float(-res[1])
     return coarse_alpha, best
 
 
-def alpha_sweep(config, alpha_grid=None, tau_c_grid=None, workers=1):
+def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
     """Best R and chi per frequency exponent, plus the locations of their maxima.
 
     Failing grid points are skipped and listed in ``skipped`` as
@@ -420,20 +403,15 @@ def alpha_sweep(config, alpha_grid=None, tau_c_grid=None, workers=1):
        alpha_grid.max() > DEFAULT_ALPHA_WINDOW[1] + 1e-12:
         raise ValueError(f"alpha grid must stay within {DEFAULT_ALPHA_WINDOW}")
 
-    results = _map(lambda a: _attempt(_alpha_extrema, config, a, tau_c_grid=tau_c_grid),
-                   alpha_grid, workers)
+    results = [_attempt(_alpha_extrema, config, a, tau_c_grid=tau_c_grid) for a in alpha_grid]
     rows = [r for r, _ in results if r is not None]
     skipped = [(float(a), reason) for a, (r, reason) in zip(alpha_grid, results)
                if r is None]
     if not rows:
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
 
-    coarse_R = max(rows, key=lambda r: r.R_max)
-    coarse_chi = max(rows, key=lambda r: r.chi_max)
-    alpha_R, R_max = _refine_alpha(config, coarse_R.alpha, rows, "R_max",
-                                   tau_c_grid=tau_c_grid)
-    alpha_chi, chi_max = _refine_alpha(config, coarse_chi.alpha, rows, "chi_max",
-                                       tau_c_grid=tau_c_grid)
+    alpha_R, R_max = _refine_alpha(config, rows, "R_max", tau_c_grid=tau_c_grid)
+    alpha_chi, chi_max = _refine_alpha(config, rows, "chi_max", tau_c_grid=tau_c_grid)
     return AlphaSweepResult(rows=rows, alpha_chi=alpha_chi, alpha_R=alpha_R,
                             chi_max=chi_max, R_max=R_max, skipped=skipped)
 
@@ -461,7 +439,7 @@ def _interp_on_curve(records, psi):
 
 
 def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
-                   alpha_points=61, tau_c_grid=None, workers=1):
+                   alpha_points=61, tau_c_grid=None):
     """Upper envelopes of R(psi) and chi(psi) over the frequency exponent.
 
     For every target COP the best alpha is selected among ``alpha_points``
@@ -470,15 +448,9 @@ def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
     peaks come from refining the best alpha for each objective.
     """
     alphas = np.linspace(alpha_window[0], alpha_window[1], alpha_points)
-
-    def build(alpha):
-        cfg = replace(config, alpha=float(alpha))
-        coeffs = cycle.cycle_coefficients(cfg)
-        curve = optimal_curve(cfg, tau_c_grid=tau_c_grid, coeffs=coeffs)
-        return float(alpha), coeffs, curve.records
-
-    results = _map(lambda a: _attempt(build, a), alphas, workers)
-    built = [b for b, _ in results if b is not None]
+    results = [_attempt(_curve_at_alpha, config, a, tau_c_grid) for a in alphas]
+    built = [(float(a), res[0], res[1].records)
+             for a, (res, _) in zip(alphas, results) if res is not None]
     if not built:
         raise ConvergenceError(
             "no alpha in the window produced an optimal curve",
@@ -528,10 +500,8 @@ def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
             for a, _, recs in built]
     coarse_R = max(rows, key=lambda r: r.R_max)
     coarse_chi = max(rows, key=lambda r: r.chi_max)
-    alpha_R, _ = _refine_alpha(config, coarse_R.alpha, rows, "R_max",
-                               tau_c_grid=tau_c_grid)
-    alpha_chi, _ = _refine_alpha(config, coarse_chi.alpha, rows, "chi_max",
-                                 tau_c_grid=tau_c_grid)
+    alpha_R, _ = _refine_alpha(config, rows, "R_max", tau_c_grid=tau_c_grid)
+    alpha_chi, _ = _refine_alpha(config, rows, "chi_max", tau_c_grid=tau_c_grid)
     at_R, _ = _attempt(_alpha_extrema, config, alpha_R, tau_c_grid=tau_c_grid)
     at_chi, _ = _attempt(_alpha_extrema, config, alpha_chi, tau_c_grid=tau_c_grid)
     psi_R = at_R.psi_at_R_max if at_R is not None else coarse_R.psi_at_R_max
@@ -556,13 +526,12 @@ def time_allocation_profile(config, psi_grid, alpha, tau_c_grid=None):
     """Duration profile along the fixed-alpha optimal curve.
 
     The expected shape (total time increasing with the COP, both duration
-    ratios decreasing) is checked and any violation raised as a
-    RuntimeWarning so sweep output is never silently trusted; the caller
-    decides whether the shape is a hard requirement.
+    ratios decreasing) is checked between consecutive points, and each kind
+    of violation raises one RuntimeWarning giving its count and first psi
+    pair, so sweep output is never silently trusted; the caller decides
+    whether the shape is a hard requirement.
     """
-    cfg = replace(config, alpha=float(alpha))
-    coeffs = cycle.cycle_coefficients(cfg)
-    curve = optimal_curve(cfg, tau_c_grid=tau_c_grid, coeffs=coeffs)
+    coeffs, curve = _curve_at_alpha(config, alpha, tau_c_grid)
     records = curve.records
     psi_grid = np.asarray(psi_grid, dtype=float)
     unreachable = [float(p) for p in psi_grid
@@ -587,17 +556,20 @@ def time_allocation_profile(config, psi_grid, alpha, tau_c_grid=None):
             tau_c=sol.tau_c, tau_h=sol.tau_h, tau_p=sol.tau_p,
         ))
     tol = 1e-12
+    total_drops, ratio_rises = [], []
     for a, b in zip(points, points[1:]):
         if b.psi <= a.psi:
             continue  # duplicate targets
         if b.tau_total < a.tau_total * (1.0 - tol):
-            warnings.warn(
-                f"total time not increasing between psi={a.psi} and psi={b.psi}",
-                RuntimeWarning, stacklevel=2,
-            )
+            total_drops.append((a.psi, b.psi))
         if b.ratio_hp > a.ratio_hp * (1.0 + tol) or b.ratio_cp > a.ratio_cp * (1.0 + tol):
+            ratio_rises.append((a.psi, b.psi))
+    for what, pairs in (("total time not increasing", total_drops),
+                        ("duration ratios not decreasing", ratio_rises)):
+        if pairs:
             warnings.warn(
-                f"duration ratios not decreasing between psi={a.psi} and psi={b.psi}",
+                f"{what} between {len(pairs)} of {len(points) - 1} consecutive psi "
+                f"pairs, first between psi={pairs[0][0]} and psi={pairs[0][1]}",
                 RuntimeWarning, stacklevel=2,
             )
     return points
@@ -624,14 +596,8 @@ def free_time_sweep(config, tau_c_grid, tau_p_grid, coeffs=None):
         raise ValueError("duration grids must be positive")
     if coeffs is None:
         coeffs = cycle.cycle_coefficients(config)
-    R = np.full((tau_c_grid.size, tau_p_grid.size), np.nan)
-    tau_h = np.full_like(R, np.nan)
-    for i, tc in enumerate(tau_c_grid):
-        for j, tp in enumerate(tau_p_grid):
-            th = _balanced_tau_h(coeffs, tc, tp)
-            if th is None or th <= 0.0:
-                continue
-            tau_h[i, j] = th
-            R[i, j] = coeffs.heat(0, tc) / (tc + th + tp)
+    tc, tp = tau_c_grid[:, None], tau_p_grid[None, :]
+    tau_h, Q_c = _energy_balance(coeffs, tc, tp)
+    R = Q_c / (tc + tau_h + tp)
     return FreeSweepResult(tau_c_grid=tau_c_grid, tau_p_grid=tau_p_grid,
                            R=R, tau_h=tau_h)

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import lindblad, protocol
+from ._numerics import simpson
 from .errors import PositivityError
 
 __all__ = [
@@ -79,7 +79,7 @@ def default_steps(branch, tau):
     s = np.linspace(0.0, 1.0, 201)
     w = protocol.frequency(branch, s)
     n = lindblad.bose_occupation(branch.temperature, w)
-    g = branch.gamma0 * w ** branch.alpha
+    g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
     rate_max = float(np.max(g * (2.0 * n + 1.0)))
     steps = max(1000, int(np.ceil(50.0 * tau * rate_max)))
     return steps + (steps % 2)
@@ -150,9 +150,9 @@ def heat_via_trajectory(trajectory):
     branch = trajectory.branch
     w = np.asarray(trajectory.omegas, dtype=float)
     n = lindblad.bose_occupation(branch.temperature, w)
-    g = branch.gamma0 * w ** branch.alpha
+    g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
     p1 = trajectory.states[:, 0].real
     p0 = trajectory.states[:, 3].real
     dp1 = -g * (n + 1.0) * p1 + g * n * p0  # population row of L rho
     # Tr[H drho/dt] = (w/2)(dp1 - dp0) = w * dp1 since dp0 = -dp1
-    return float(simpson(w * dp1, x=trajectory.times))
+    return simpson(w * dp1, trajectory.tau / (trajectory.times.size - 1))

@@ -87,8 +87,9 @@ def derive_linked_params(T_c, T_h, T_p, zeta_c, zeta_h, delta_c):
 class TricycleConfig:
     """Full parameter set of the tricycle.
 
-    ``zeta_p``, ``delta_h`` and ``delta_p`` are always recomputed from the
-    independent parameters and never stored, so a config cannot drift into an
+    ``zeta_p``, ``delta_h`` and ``delta_p`` are derived from the independent
+    parameters once, at construction; they cannot be passed in, so a config
+    (including one made by ``dataclasses.replace``) cannot drift into an
     inconsistent state.
     """
 
@@ -100,27 +101,17 @@ class TricycleConfig:
     delta_c: float = DEFAULT_CONFIG_VALUES["delta_c"]
     gamma0: float = DEFAULT_CONFIG_VALUES["gamma0"]
     alpha: float = DEFAULT_CONFIG_VALUES["alpha"]
+    zeta_p: float = field(init=False, repr=False)
+    delta_h: float = field(init=False, repr=False)
+    delta_p: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        derive_linked_params(self.T_c, self.T_h, self.T_p,
-                             self.zeta_c, self.zeta_h, self.delta_c)
+        linked = derive_linked_params(self.T_c, self.T_h, self.T_p,
+                                      self.zeta_c, self.zeta_h, self.delta_c)
+        for name, value in zip(("zeta_p", "delta_h", "delta_p"), linked):
+            object.__setattr__(self, name, value)
         if self.gamma0 <= 0.0:
             raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
-
-    @property
-    def zeta_p(self):
-        return derive_linked_params(self.T_c, self.T_h, self.T_p,
-                                    self.zeta_c, self.zeta_h, self.delta_c)[0]
-
-    @property
-    def delta_h(self):
-        return derive_linked_params(self.T_c, self.T_h, self.T_p,
-                                    self.zeta_c, self.zeta_h, self.delta_c)[1]
-
-    @property
-    def delta_p(self):
-        return derive_linked_params(self.T_c, self.T_h, self.T_p,
-                                    self.zeta_c, self.zeta_h, self.delta_c)[2]
 
     def temperature(self, reservoir):
         return {"c": self.T_c, "h": self.T_h, "p": self.T_p}[reservoir]

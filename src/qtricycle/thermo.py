@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
-from scipy.special import xlogy
 
 from . import lindblad, protocol
 from .errors import ConvergenceError, PositivityError
@@ -84,9 +85,9 @@ def equilibrium_entropy(T, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(T <= 0.0) or np.any(omega <= 0.0):
         raise ValueError("equilibrium_entropy needs T > 0 and omega > 0")
-    e = np.exp(-omega / T)
-    p = e / (1.0 + e)
-    S = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+    x = omega / T
+    e = np.exp(-x)
+    S = x * (e / (1.0 + e)) + np.log1p(e)  # -p ln p - (1-p) ln(1-p) with ln p = -x - ln(1+e)
     return S if S.ndim else float(S)
 
 
@@ -98,12 +99,14 @@ def branch_entropy_change(branch):
     return equilibrium_entropy(T, w1) - equilibrium_entropy(T, w0)
 
 
-def _sigma_integrand(branch, s):
+def _relaxation_kernel(branch, s, power, scale=1.0):
+    """scale * omega'(s)**power * n(n+1) / (gamma (2n+1)^3): power 2 is the
+    Sigma integrand, power 1 with scale beta the population lag."""
     w = protocol.frequency(branch, s)
     wp = protocol.frequency_derivative(branch, s)
     n = lindblad.bose_occupation(branch.temperature, w)
-    g = branch.gamma0 * np.asarray(w) ** branch.alpha
-    return wp ** 2 * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
+    g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
+    return scale * wp ** power * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
 
 
 def sigma_coefficient(branch, rtol=1e-9):
@@ -114,7 +117,7 @@ def sigma_coefficient(branch, rtol=1e-9):
     """
     beta = branch.beta
     return -beta ** 2 * gauss_legendre_adaptive(
-        lambda s: _sigma_integrand(branch, s), rtol=rtol
+        lambda s: _relaxation_kernel(branch, s, 2), rtol=rtol
     )
 
 
@@ -130,19 +133,22 @@ class BranchThermo:
     Q: float
     tau: float
 
+    @classmethod
+    def from_coefficients(cls, reservoir, T, dS, Sigma, tau):
+        """Heat Q = Q0 + Q1 with Q0 = T dS_eq and Q1 = T Sigma / tau."""
+        Q0 = T * dS
+        Q1 = T * Sigma / tau
+        return cls(reservoir=reservoir, dS_eq=dS, Sigma=Sigma,
+                   Q0=Q0, Q1=Q1, Q=Q0 + Q1, tau=tau)
+
 
 def branch_heat(branch, tau, rtol=1e-9):
     """Heat exchanged with the reservoir over duration tau, split Q0 + Q1."""
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    dS = branch_entropy_change(branch)
-    Sigma = sigma_coefficient(branch, rtol=rtol)
-    T = branch.temperature
-    Q0 = T * dS
-    Q1 = T * Sigma / tau
-    return BranchThermo(
-        reservoir=branch.reservoir,
-        dS_eq=dS, Sigma=Sigma, Q0=Q0, Q1=Q1, Q=Q0 + Q1, tau=tau,
+    return BranchThermo.from_coefficients(
+        branch.reservoir, branch.temperature, branch_entropy_change(branch),
+        sigma_coefficient(branch, rtol=rtol), tau,
     )
 
 
@@ -153,11 +159,7 @@ def population_lag(branch, s):
     sign of omega'(s), so the state trails the equilibrium it is chasing.
     Array-friendly in s.
     """
-    w = protocol.frequency(branch, s)
-    wp = protocol.frequency_derivative(branch, s)
-    n = lindblad.bose_occupation(branch.temperature, w)
-    g = branch.gamma0 * np.asarray(w) ** branch.alpha
-    phi = branch.beta * wp * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
+    phi = _relaxation_kernel(branch, s, 1, scale=branch.beta)
     return phi if np.ndim(phi) else float(phi)
 
 
@@ -203,9 +205,8 @@ def effective_temperature(state, omega):
 
 def von_neumann_entropy(state):
     """Entropy -Tr[rho ln rho] of a two-level density matrix."""
-    evals = np.linalg.eigvalsh(state.matrix())
-    evals = np.clip(evals.real, 0.0, 1.0)
-    return float(-np.sum(xlogy(evals, evals)))
+    evals = np.clip(np.linalg.eigvalsh(state.matrix()).real, 0.0, 1.0)
+    return float(-sum(p * math.log(p) for p in evals if p > 0.0))
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,8 @@ def ts_trajectory(config, taus, samples_per_branch=201):
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
-    tau_c, tau_h, tau_p = taus
     points = []
-    for branch, tau in zip(config.branches(tau_c, tau_h, tau_p), (tau_c, tau_h, tau_p)):
+    for branch, tau in zip(config.branches(*taus), taus):
         for s in np.linspace(0.0, 1.0, samples_per_branch):
             state = perturbed_state(branch, s, tau)
             w = protocol.frequency(branch, float(s))

@@ -61,6 +61,10 @@ class TestParseConfig:
             parse_config("oracle_branch = q")
         with pytest.raises(ConfigError):
             parse_config("tau_c = -3")
+        for text in ("alpha = nan", "delta_c = inf", "tau_c = inf",
+                     "oracle_taus = 100,nan"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(text)
 
 
 class TestEmitReport:
@@ -209,6 +213,15 @@ class TestExitCodes:
         # no balanced tau_h exists below the reversible amplitude
         code = main(["cycle", "--set", "delta_c=0.3", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_too_short_duration_exits_2(self, tmp_path, capsys):
+        # the first-order state leaves [0, 1] on the cold branch at tau_c = 9
+        out = tmp_path / "ts.csv"
+        code = main(["ts-diagram", "--set", "delta_c=0.55", "--set", "alpha=1.3",
+                     "--out", str(out)])
+        assert code == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonconvergence_exits_3_with_diagnostic(self, tmp_path):
         out = tmp_path / "curve.csv"

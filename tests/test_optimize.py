@@ -240,6 +240,25 @@ class TestFreeTimeSweep:
         with pytest.raises(ValueError):
             free_time_sweep(config, np.array([-1.0]), np.array([1.0]))
 
+    def test_array_sweep_equals_scalar_loop(self, config, coeffs):
+        # the array form keeps the scalar operation order, so cells agree exactly
+        tc = np.geomspace(0.05, 60.0, 17)
+        tp = np.geomspace(0.5, 60.0, 13)
+        sweep = free_time_sweep(config, tc, tp, coeffs=coeffs)
+        (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
+        infeasible = 0
+        for i, c in enumerate(tc.tolist()):
+            for j, p in enumerate(tp.tolist()):
+                denom = T_p * (dS_p + S_p / p) + T_c * (dS_c + S_c / c) + T_h * dS_h
+                if denom <= 0.0:
+                    infeasible += 1
+                    assert np.isnan(sweep.tau_h[i, j]) and np.isnan(sweep.R[i, j])
+                    continue
+                tau_h = -T_h * S_h / denom
+                assert sweep.tau_h[i, j] == tau_h
+                assert sweep.R[i, j] == T_c * (dS_c + S_c / c) / (c + tau_h + p)
+        assert 0 < infeasible < tc.size * tp.size
+
 
 def test_stationarity_residual_matches_solution(config, coeffs):
     sol = solve_time_allocation(config, 9.0, coeffs=coeffs)[0]
