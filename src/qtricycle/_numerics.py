@@ -13,6 +13,7 @@ from .errors import ConvergenceError
 _RTOL = 4.0 * np.finfo(float).eps
 _GOLDEN_R = 0.61803399  # golden ratio conjugate, truncated to 8 digits
 _GOLDEN_C = 1.0 - _GOLDEN_R
+_GOLDEN_MAXITER = 5000
 
 
 def bisect(f, a, b, xtol, rtol=_RTOL, maxiter=100):
@@ -42,7 +43,7 @@ def bisect(f, a, b, xtol, rtol=_RTOL, maxiter=100):
     raise ConvergenceError(f"bisection did not converge in {maxiter} steps on [{a}, {b}]")
 
 
-def golden(f, a, b, c, xtol, maxiter=5000):
+def golden(f, a, b, c, xtol):
     """Golden-section minimum of f from the bracket a <= b <= c.
 
     Returns ``(x, f(x))``, or None when (a, b, c) is not a bracket, that is
@@ -57,7 +58,7 @@ def golden(f, a, b, c, xtol, maxiter=5000):
     else:
         x1, x2 = b - _GOLDEN_C * (b - a), b
     f1, f2 = f(x1), f(x2)
-    for _ in range(maxiter):
+    for _ in range(_GOLDEN_MAXITER):
         if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
             break
         if f2 < f1:

@@ -83,29 +83,26 @@ class RunConfig:
         return TricycleConfig(**{key: self.values[key] for key in DEFAULT_CONFIG_VALUES})
 
 
-def _finite(key, value):
-    if not math.isfinite(value):
-        raise ConfigError(f"value for key {key!r} must be finite, got {value}")
-    return value
-
-
 def _parse_value(key, raw):
     kind = _KEYS[key][0]
     raw = raw.strip()
     try:
         if kind == "float":
-            return _finite(key, float(raw))
-        if kind == "int":
+            value = float(raw)
+        elif kind == "int":
             return int(raw)
-        if kind == "float?":
-            return None if raw == "" else _finite(key, float(raw))
-        if kind == "floats":
-            return tuple(_finite(key, float(part)) for part in raw.split(",") if part.strip())
-        return raw  # "str", "str?"
-    except ConfigError:  # a non-finite number, already explained
-        raise
+        elif kind == "float?":
+            value = None if raw == "" else float(raw)
+        elif kind == "floats":
+            value = tuple(float(part) for part in raw.split(",") if part.strip())
+        else:
+            return raw  # "str", "str?"
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r} as {kind}") from None
+    numbers = value if isinstance(value, tuple) else (value,)
+    if any(x is not None and not math.isfinite(x) for x in numbers):
+        raise ConfigError(f"value for key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text, overrides=()):

@@ -98,7 +98,7 @@ def propagate(branch, tau, steps=None, initial=None):
     """RK4-integrate the branch dynamics from s=0 to s=1.
 
     Returns a :class:`BranchTrajectory` with ``steps + 1`` uniformly spaced
-    samples.  ``initial`` defaults to the Gibbs state at the initial
+    samples; ``steps`` must be even and at least 1000.  ``initial`` defaults to the Gibbs state at the initial
     splitting.  Raises :class:`PositivityError` if a population leaves
     [0, 1] by more than 1e-8 (step size too large).
     """
@@ -108,6 +108,8 @@ def propagate(branch, tau, steps=None, initial=None):
         steps = default_steps(branch, tau)
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000 for a trustworthy oracle, got {steps}")
+    if steps % 2:
+        raise ValueError(f"steps must be even for Simpson's rule on the heat, got {steps}")
     if initial is None:
         initial = lindblad.gibbs_state(branch.temperature, protocol.frequency(branch, 0.0))
     initial.validate()
@@ -143,7 +145,7 @@ def heat_via_trajectory(trajectory):
 
     The generator is applied to every stored sample (vectorized over the
     population block; coherences never contribute to Tr[H drho/dt]) and the
-    result Simpson-integrated over time.
+    result Simpson-integrated over the sample spacing of ``times``.
     """
     if len(trajectory.times) < 1000:
         raise ValueError("need at least 1000 samples for the heat integral")
@@ -155,4 +157,4 @@ def heat_via_trajectory(trajectory):
     p0 = trajectory.states[:, 3].real
     dp1 = -g * (n + 1.0) * p1 + g * n * p0  # population row of L rho
     # Tr[H drho/dt] = (w/2)(dp1 - dp0) = w * dp1 since dp0 = -dp1
-    return simpson(w * dp1, trajectory.tau / (trajectory.times.size - 1))
+    return simpson(w * dp1, trajectory.times[1] - trajectory.times[0])

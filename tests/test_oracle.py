@@ -117,6 +117,11 @@ class TestIntegratorContracts:
         with pytest.raises(ValueError):
             propagate(branch, 10.0, steps=500)
 
+    def test_odd_step_count_rejected(self):
+        branch = TricycleConfig().branch("c", 10.0)
+        with pytest.raises(ValueError, match="even"):
+            propagate(branch, 10.0, steps=1001)
+
     def test_unstable_step_size_reported(self):
         branch = TricycleConfig(gamma0=80.0).branch("c", 100.0)
         with pytest.raises(PositivityError):
@@ -137,3 +142,13 @@ class TestIntegratorContracts:
                              times=traj.times[:100], states=traj.states[:100])
         with pytest.raises(ValueError):
             heat_via_trajectory(clipped)
+
+    def test_heat_of_halves_adds_up(self):
+        # each half keeps its own times, so its spacing is not tau / (n - 1)
+        branch = TricycleConfig().branch("c", 10.0)
+        traj = propagate(branch, 10.0, steps=4000)
+        halves = [type(traj)(branch=branch, tau=traj.tau, times=traj.times[part],
+                             states=traj.states[part])
+                  for part in (slice(None, 2001), slice(2000, None))]
+        total = sum(heat_via_trajectory(half) for half in halves)
+        assert total == pytest.approx(heat_via_trajectory(traj), rel=1e-12)
