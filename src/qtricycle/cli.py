@@ -61,7 +61,6 @@ _KEYS = {
     "samples_per_branch": ("int", 201),
     "oracle_branch": ("str", "c"),
     "oracle_taus": ("floats", (100.0, 200.0, 400.0)),
-    "quad_rtol": ("float", 1e-9),
     "out": ("str?", None),
     "format": ("str", "csv"),
 }
@@ -216,7 +215,7 @@ def _write_atomic(path, text):
 def _resolved_taus(rc, config):
     """Branch coefficients and (tau_c, tau_h, tau_p), with tau_h from the
     energy balance when unset."""
-    coeffs = cycle.cycle_coefficients(config, rtol=rc.quad_rtol)
+    coeffs = cycle.cycle_coefficients(config)
     tau_h = rc.tau_h
     if tau_h is None:
         tau_h = optimize.balanced_tau_h(config, rc.tau_c, rc.tau_p, coeffs=coeffs)
@@ -256,7 +255,7 @@ def _run_ts_diagram(rc, config):
 
 
 def _run_sweep_times(rc, config):
-    coeffs = cycle.cycle_coefficients(config, rtol=rc.quad_rtol)
+    coeffs = cycle.cycle_coefficients(config)
     tc = np.linspace(rc.sweep_tau_c_min, rc.sweep_tau_c_max, rc.sweep_tau_c_points)
     tp = np.linspace(rc.sweep_tau_p_min, rc.sweep_tau_p_max, rc.sweep_tau_p_points)
     sweep = optimize.free_time_sweep(config, tc, tp, coeffs=coeffs)
@@ -273,15 +272,11 @@ def _tau_c_grid(rc):
 
 
 def _run_optimal_curve(rc, config):
-    coeffs = cycle.cycle_coefficients(config, rtol=rc.quad_rtol)
-    grid = _tau_c_grid(rc)
-    curve = optimize.optimal_curve(config, tau_c_grid=grid, coeffs=coeffs)
-    psi_R, R_max, _ = optimize.max_cooling_rate(config, tau_c_grid=grid, coeffs=coeffs)
-    psi_chi, chi_max, _ = optimize.max_figure_of_merit(config, tau_c_grid=grid, coeffs=coeffs)
+    curve, ext = optimize.curve_extrema(config, tau_c_grid=_tau_c_grid(rc))
     columns = list(optimize.SweepRecord._fields)
     rows = [tuple(r) for r in curve.records]
-    summary = {"psi_at_R_max": psi_R, "R_max": R_max,
-               "psi_at_chi_max": psi_chi, "chi_max": chi_max,
+    summary = {"psi_at_R_max": ext.psi_at_R_max, "R_max": ext.R_max,
+               "psi_at_chi_max": ext.psi_at_chi_max, "chi_max": ext.chi_max,
                "skipped_points": len(curve.skipped)}
     return columns, rows, summary
 
@@ -352,8 +347,7 @@ def _run_time_allocation(rc, config):
 def _run_reversible_delta(rc, config):
     grid = np.linspace(rc.delta_min, rc.delta_max, rc.delta_points)
     points = cycle.zeroth_heat_sum_curve(config, grid)
-    delta_c_r = cycle.reversible_amplitude(config, lo=rc.delta_min, hi=rc.delta_max,
-                                           scan_points=rc.delta_points)
+    delta_c_r = cycle.amplitude_root(config, points)
     columns = ["delta_c", "q0_sum"]
     rows = [tuple(p) for p in points]
     return columns, rows, {"delta_c_r": delta_c_r}
@@ -366,7 +360,7 @@ def _run_oracle_check(rc, config):
     worst = 0.0
     for tau in rc.oracle_taus:
         branch = config.branch(rc.oracle_branch, tau)
-        bt = thermo.branch_heat(branch, tau, rtol=rc.quad_rtol)
+        bt = thermo.branch_heat(branch, tau)
         traj = oracle.propagate(branch, tau)
         q = oracle.heat_via_trajectory(traj)
         abs_err = abs(q - bt.Q)

@@ -36,6 +36,7 @@ __all__ = [
     "zeroth_heat_sum",
     "zeroth_heat_sum_curve",
     "reversible_amplitude",
+    "amplitude_root",
 ]
 
 
@@ -140,25 +141,24 @@ def zeroth_heat_sum_curve(config, delta_c_grid):
 
 
 def reversible_amplitude(config, lo=0.01, hi=2.0, scan_points=400, xtol=1e-12):
-    """Cold-branch amplitude at which the quasi-static heats balance.
-
-    Scans delta_c over [lo, hi], brackets the sign change of sum_v T_v dS_v
-    and bisects it down to ``xtol`` (well below the 1e-8 the root needs, so
-    the residual of the heat sum itself is negligible).  Above the root the
-    sum is positive.
-    """
-    def f(dc):
-        return zeroth_heat_sum(replace(config, delta_c=float(dc)))
-
+    """Cold-branch amplitude at which the quasi-static heats balance, from a
+    ``scan_points`` scan of delta_c over [lo, hi].  Above it the sum is positive."""
     grid = np.linspace(lo, hi, scan_points)
-    vals = np.array([f(dc) for dc in grid])
+    return amplitude_root(config, zeroth_heat_sum_curve(config, grid), xtol=xtol)
+
+
+def amplitude_root(config, points, xtol=1e-12):
+    """Reversible amplitude from a :func:`zeroth_heat_sum_curve` scan: the first
+    sign change, bisected to ``xtol`` (well below the 1e-8 the root needs)."""
+    grid, vals = np.array(points).T
     idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     if idx.size == 0:
         raise ConvergenceError(
-            f"no sign change of sum_v Q_v^0 in delta_c on [{lo}, {hi}] "
+            f"no sign change of sum_v Q_v^0 in delta_c on [{grid[0]}, {grid[-1]}] "
             f"(endpoint values {vals[0]:.3e}, {vals[-1]:.3e})",
-            failed_points=[(float(g), float(v)) for g, v in zip(grid[::40], vals[::40])],
+            failed_points=points[::40],
         )
     i = int(idx[0])
-    root = bisect(f, grid[i], grid[i + 1], xtol=xtol)
+    root = bisect(lambda dc: zeroth_heat_sum(replace(config, delta_c=float(dc))),
+                  grid[i], grid[i + 1], xtol=xtol)
     return float(root)

@@ -9,16 +9,22 @@ constraint on the durations,
     dS_h tau_h^2/Sigma_h + dS_p tau_p^2/Sigma_p + dS_c tau_c^2/Sigma_c
         + 2 (tau_c + tau_h + tau_p) = 0,
 
-while the energy balance fixes tau_h in closed form,
+while the energy balance Q_c + Q_h + Q_p = 0 fixes tau_h in closed form,
 
-    tau_h = -T_h Sigma_h / [ T_p (dS_p + Sigma_p/tau_p)
-                           + T_c (dS_c + Sigma_c/tau_c) + T_h dS_h ].
+    tau_h = N tau_p / (K tau_p + M),    N = -T_h Sigma_h,  M = T_p Sigma_p,
+    K = T_p dS_p + T_c (dS_c + Sigma_c/tau_c) + T_h dS_h.
 
 With tau_c as the independent parameter, substituting the second relation
-into the first yields one equation F(tau_p) = 0 per tau_c; its roots, swept
-over tau_c, trace the optimal performance curves (R vs psi, chi vs psi).
-Everything downstream of the per-branch coefficients (dS, Sigma) is plain
-algebra, so sweeps are cheap once the three quadratures are done.
+into the first and multiplying by (K tau_p + M)^2 leaves one quartic in tau_p
+per tau_c (a_v = dS_v/Sigma_v, c0 = dS_c tau_c^2/Sigma_c + 2 tau_c):
+
+    a_p K^2 tau_p^4 + 2K (a_p M + K) tau_p^3 + (a_p M^2 + 4KM + c0 K^2
+        + a_h N^2 + 2NK) tau_p^2 + 2M (M + c0 K + N) tau_p + c0 M^2 = 0.
+
+Its real roots above -M/K (where tau_h > 0), swept over tau_c, trace the
+optimal performance curves (R vs psi, chi vs psi).  Everything downstream of
+the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
+once the three quadratures are done.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cycle
-from ._numerics import bisect, golden
+from ._numerics import golden
 from .errors import ConvergenceError
 
 __all__ = [
@@ -49,6 +55,7 @@ __all__ = [
     "optimal_curve",
     "max_cooling_rate",
     "max_figure_of_merit",
+    "curve_extrema",
     "alpha_sweep",
     "envelope_curve",
     "time_allocation_profile",
@@ -62,9 +69,6 @@ __all__ = [
 # default window.
 DEFAULT_TAU_C_GRID = np.geomspace(0.3, 3000.0, 120)
 DEFAULT_ALPHA_WINDOW = (-0.5, 1.5)
-
-_TAU_P_RANGE = (1e-2, 1e5)
-_TAU_P_SCAN_POINTS = 200
 
 
 def _require_sign_structure(coeffs):
@@ -125,17 +129,27 @@ class AllocationSolution:
     principal: bool = False
 
 
-def solve_time_allocation(config, tau_c, coeffs=None,
-                          tau_p_range=_TAU_P_RANGE, scan_points=_TAU_P_SCAN_POINTS):
+def _stationarity_quartic(coeffs, tau_c):
+    """(K, M, coefficients of the stationarity quartic, highest power first)."""
+    T_c, T_h, T_p = coeffs.T
+    dS_c, dS_h, dS_p = coeffs.dS
+    S_c, S_h, S_p = coeffs.Sigma
+    N, M = -T_h * S_h, T_p * S_p
+    K = T_p * dS_p + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
+    a_h, a_p = dS_h / S_h, dS_p / S_p
+    c0 = dS_c * tau_c ** 2 / S_c + 2 * tau_c
+    return K, M, (a_p * K ** 2, 2 * K * (a_p * M + K),
+                  a_p * M ** 2 + 4 * K * M + c0 * K ** 2 + a_h * N ** 2 + 2 * N * K,
+                  2 * M * (M + c0 * K + N), c0 * M ** 2)
+
+
+def solve_time_allocation(config, tau_c, coeffs=None):
     """All stationary allocations at the given cold-branch duration.
 
-    tau_p is scanned over a logarithmic grid, each sign change of the
-    stationarity constraint is bisected to 1e-12 relative, and the surviving
-    (tau_h > 0) solutions come back ordered by descending cooling rate with
-    the first marked principal.
-
-    Raises :class:`ConvergenceError` when the energy balance admits no
-    positive tau_h anywhere in the scan range, or no root is bracketed.
+    The real roots of the stationarity quartic above -M/K (tau_h > 0), each
+    polished by one Newton step, ordered by descending cooling rate with the
+    first marked principal.  Raises :class:`ConvergenceError` when the energy
+    balance admits no positive tau_h (K <= 0) or no root has one.
     """
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
@@ -143,25 +157,21 @@ def solve_time_allocation(config, tau_c, coeffs=None,
         coeffs = cycle.cycle_coefficients(config)
     _require_sign_structure(coeffs)
 
-    def f(tau_p):  # NaN where the energy balance is infeasible
-        tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
-        return stationarity_residual(coeffs, tau_c, tau_h, tau_p)
-
-    tau_ps = np.geomspace(tau_p_range[0], tau_p_range[1], scan_points)
-    vals = f(tau_ps)
-    if np.isnan(vals).all():
+    K, M, poly = _stationarity_quartic(coeffs, tau_c)
+    if not K > 0.0:
         raise ConvergenceError(
-            f"energy balance infeasible for every scanned tau_p at tau_c={tau_c} "
+            f"energy balance infeasible for every tau_p at tau_c={tau_c} "
             f"(likely delta_c at or below the reversible amplitude)"
         )
+    roots = np.roots(poly)
+    roots = roots[roots.imag == 0.0].real
+    roots -= np.polyval(poly, roots) / np.polyval(np.polyder(poly), roots)  # one Newton step
 
     solutions = []
-    for i in np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]:  # sign changes; NaN never compares
-        tau_p = bisect(f, tau_ps[i], tau_ps[i + 1], xtol=1e-280, rtol=1e-12, maxiter=300)
-        tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)  # feasible: denom rises with tau_p
+    for tau_p in np.sort(roots[roots > -M / K]).tolist():  # tau_h > 0 exactly here
+        tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
         metrics = cycle._metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p)
         residual_c = stationarity_residual(coeffs, tau_c, tau_h, tau_p)
-        residual_e = -metrics.work_residual
         total = tau_c + tau_h + tau_p
         if abs(residual_c) > 1e-8 * total:
             raise ConvergenceError(
@@ -171,14 +181,11 @@ def solve_time_allocation(config, tau_c, coeffs=None,
         solutions.append(AllocationSolution(
             tau_c=float(tau_c), tau_h=float(tau_h), tau_p=float(tau_p),
             residual_constraint=float(residual_c),
-            residual_energy=float(residual_e),
+            residual_energy=float(-metrics.work_residual),
             metrics=metrics,
         ))
     if not solutions:
-        raise ConvergenceError(
-            f"no stationary tau_p bracketed at tau_c={tau_c} over "
-            f"[{tau_p_range[0]}, {tau_p_range[1]}]"
-        )
+        raise ConvergenceError(f"no stationary tau_p with tau_h > 0 at tau_c={tau_c}")
     solutions.sort(key=lambda sol: -sol.metrics.R)
     solutions[0] = replace(solutions[0], principal=True)
     return solutions
@@ -206,11 +213,6 @@ def _principal(coeffs, tau_c):
             f"(valid={m.valid}, Q_c={m.cold.Q:.3e})"
         )
     return best
-
-
-def _principal_or_none(coeffs, tau_c):
-    """Principal refrigeration solution at tau_c, or None on any failure."""
-    return _attempt(_principal, coeffs, tau_c)[0]
 
 
 class SweepRecord(NamedTuple):
@@ -284,7 +286,7 @@ def _refine_objective(coeffs, curve, key):
     recs = sorted(curve.records, key=lambda r: r.tau_c)
     values = [getattr(r, key) for r in recs]
     i = int(np.argmax(values))
-    best_sol = _principal_or_none(coeffs, recs[i].tau_c)
+    best_sol = _attempt(_principal, coeffs, recs[i].tau_c)[0]
     best_val = values[i]
     if i == 0 or i == len(recs) - 1:
         return best_val, best_sol  # peak on the grid edge, nothing to bracket
@@ -292,13 +294,13 @@ def _refine_objective(coeffs, curve, key):
     lo, hi = math.log(recs[i - 1].tau_c), math.log(recs[i + 1].tau_c)
 
     def negated(x):
-        sol = _principal_or_none(coeffs, math.exp(x))
+        sol = _attempt(_principal, coeffs, math.exp(x))[0]
         return -getattr(sol.metrics, key) if sol is not None else np.inf
 
     res = golden(negated, lo, math.log(recs[i].tau_c), hi, xtol=1e-9)
     if res is None:
         return best_val, best_sol
-    sol = _principal_or_none(coeffs, math.exp(res[0]))
+    sol = _attempt(_principal, coeffs, math.exp(res[0]))[0]
     if sol is not None and getattr(sol.metrics, key) > best_val:
         return getattr(sol.metrics, key), sol
     return best_val, best_sol
@@ -352,17 +354,21 @@ def _curve_at_alpha(config, alpha, tau_c_grid):
     return coeffs, optimal_curve(cfg, tau_c_grid=tau_c_grid, coeffs=coeffs)
 
 
-def _alpha_extrema(config, alpha, tau_c_grid=None):
-    """Both refined objectives at one alpha.
-
-    Raises :class:`ConvergenceError` if the sweep point fails.
-    """
-    coeffs, curve = _curve_at_alpha(config, alpha, tau_c_grid)
+def curve_extrema(config, tau_c_grid=None, coeffs=None):
+    """(optimal curve, AlphaRecord of its refined R and chi maxima) from one curve."""
+    if coeffs is None:
+        coeffs = cycle.cycle_coefficients(config)
+    curve = optimal_curve(config, tau_c_grid=tau_c_grid, coeffs=coeffs)
     R_max, sol_R = _refine_objective(coeffs, curve, "R")
     chi_max, sol_chi = _refine_objective(coeffs, curve, "chi")
-    return AlphaRecord(alpha=float(alpha), R_max=R_max, chi_max=chi_max,
-                       psi_at_R_max=sol_R.metrics.psi,
-                       psi_at_chi_max=sol_chi.metrics.psi)
+    return curve, AlphaRecord(alpha=float(config.alpha), R_max=R_max, chi_max=chi_max,
+                              psi_at_R_max=sol_R.metrics.psi,
+                              psi_at_chi_max=sol_chi.metrics.psi)
+
+
+def _alpha_extrema(config, alpha, tau_c_grid=None):
+    """Both refined objectives at one alpha; raises ConvergenceError on failure."""
+    return curve_extrema(replace(config, alpha=float(alpha)), tau_c_grid)[1]
 
 
 def _refine_alpha(config, rows, key, tau_c_grid=None):
@@ -481,7 +487,7 @@ def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
             continue
         for best, out in ((best_r, r_curve), (best_chi, chi_curve)):
             _, alpha, coeffs, tau_c = best
-            sol = _principal_or_none(coeffs, tau_c)
+            sol = _attempt(_principal, coeffs, tau_c)[0]
             if sol is not None:
                 out.append(_record(alpha, sol))
     if skipped and len(skipped) == len(psi_grid):
@@ -545,7 +551,7 @@ def time_allocation_profile(config, psi_grid, alpha, tau_c_grid=None):
     points = []
     for psi in psi_grid:
         _, _, tau_c = _interp_on_curve(records, float(psi))
-        sol = _principal_or_none(coeffs, tau_c)
+        sol = _attempt(_principal, coeffs, tau_c)[0]
         if sol is None:
             raise ConvergenceError(f"allocation lost while refining psi={psi}")
         points.append(ProfilePoint(

@@ -89,3 +89,23 @@ def fixed_cop_times(coeffs, psi, tau_c):
     if tau_h <= 0.0 or tau_p <= 0.0:
         return None
     return tau_h, tau_p
+
+
+def stationarity_brackets(coeffs, tau_c, lo=1e-4, hi=1e9, points=200_001):
+    """(a, b) intervals on a dense log scan of tau_p where the stationarity
+    constraint changes sign with a positive balanced tau_h at both ends.
+
+    tau_h and the constraint are evaluated straight from their defining
+    formulas, point by point on the grid, with no polynomial in between.
+    """
+    T_c, T_h, T_p = coeffs.T
+    dS_c, dS_h, dS_p = coeffs.dS
+    S_c, S_h, S_p = coeffs.Sigma
+    tau_p = np.geomspace(lo, hi, points)
+    denom = T_p * (dS_p + S_p / tau_p) + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
+    tau_h = -T_h * S_h / np.where(denom > 0.0, denom, np.nan)
+    f = (dS_h * tau_h ** 2 / S_h + dS_p * tau_p ** 2 / S_p
+         + dS_c * tau_c ** 2 / S_c + 2.0 * (tau_c + tau_h + tau_p))
+    sign = np.sign(f)
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]  # NaN (tau_h <= 0) never brackets
+    return [(float(tau_p[i]), float(tau_p[i + 1])) for i in idx]

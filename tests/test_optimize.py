@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import fixed_cop_times
+from conftest import random_config
+from oracles import fixed_cop_times, stationarity_brackets
 from qtricycle import (
     ConvergenceError,
     TricycleConfig,
@@ -18,7 +19,7 @@ from qtricycle import (
     time_allocation_profile,
 )
 from qtricycle.cycle import CycleCoefficients
-from qtricycle.optimize import stationarity_residual
+from qtricycle.optimize import _stationarity_quartic, stationarity_residual
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,74 @@ class TestSolveTimeAllocation:
         a = solve_time_allocation(config, 9.0, coeffs=coeffs)
         b = solve_time_allocation(config, 9.0, coeffs=coeffs)
         assert a == b
+
+
+def _solved_cases(coeffs, rng, draws=24):
+    """(coeffs, tau_c, solutions) for the default config and random draws;
+    no solutions where the solver reports none."""
+    cases = [(coeffs, tau_c) for tau_c in (2.0, 9.0, 50.0, 400.0)]
+    for _ in range(draws):
+        co = cycle_coefficients(random_config(rng))
+        cases += [(co, tau_c) for tau_c in (2.0, 9.0, 50.0, 400.0)]
+    for co, tau_c in cases:
+        try:
+            yield co, tau_c, solve_time_allocation(None, tau_c, coeffs=co)
+        except ConvergenceError:
+            yield co, tau_c, []
+
+
+class TestStationarityQuartic:
+    """The closed-form roots against independent references."""
+
+    def test_roots_match_high_precision(self, coeffs, rng):
+        mp = pytest.importorskip("mpmath")
+        checked = 0
+        for co, tau_c, sols in _solved_cases(coeffs, rng):
+            with mp.workdps(50):
+                (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = (
+                    [mp.mpf(x) for x in group] for group in (co.T, co.dS, co.Sigma))
+                tc = mp.mpf(tau_c)
+
+                def F(tp):
+                    tau_h = -T_h * S_h / (T_p * (dS_p + S_p / tp)
+                                          + T_c * (dS_c + S_c / tc) + T_h * dS_h)
+                    return (dS_h * tau_h ** 2 / S_h + dS_p * tp ** 2 / S_p
+                            + dS_c * tc ** 2 / S_c + 2 * (tc + tau_h + tp))
+
+                for sol in sols:
+                    exact = mp.findroot(F, mp.mpf(sol.tau_p))
+                    assert abs(sol.tau_p - exact) <= 1e-14 * exact
+                    checked += 1
+        assert checked >= 20
+
+    def test_roots_are_the_sign_changes_of_a_dense_scan(self, coeffs, rng):
+        checked = 0
+        for co, tau_c, sols in _solved_cases(coeffs, rng):
+            brackets = stationarity_brackets(co, tau_c)
+            roots = sorted(sol.tau_p for sol in sols)
+            assert len(roots) == len(brackets)
+            for tau_p, (a, b) in zip(roots, brackets):
+                assert a <= tau_p <= b
+            checked += bool(roots)
+        assert checked >= 20
+
+    def test_coefficients_match_symbolic_expansion(self):
+        sp = pytest.importorskip("sympy")
+        T_c, T_h, T_p, tau_c, tau_p = sp.symbols("T_c T_h T_p tau_c tau_p", positive=True)
+        dS_c, dS_h, dS_p, S_c, S_h, S_p = sp.symbols("dS_c dS_h dS_p S_c S_h S_p")
+        symbolic = CycleCoefficients(T=(T_c, T_h, T_p), dS=(dS_c, dS_h, dS_p),
+                                     Sigma=(S_c, S_h, S_p))
+        # the energy balance and the stationarity constraint, written out afresh
+        denom = T_p * (dS_p + S_p / tau_p) + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
+        tau_h = -T_h * S_h / denom
+        F = (dS_h * tau_h ** 2 / S_h + dS_p * tau_p ** 2 / S_p + dS_c * tau_c ** 2 / S_c
+             + 2 * (tau_c + tau_h + tau_p))
+        expected = sp.Poly(sp.cancel(F * sp.expand(denom * tau_p) ** 2), tau_p).all_coeffs()
+        K, M, poly = _stationarity_quartic(symbolic, tau_c)
+        assert sp.expand(K * tau_p + M - denom * tau_p) == 0
+        assert len(expected) == len(poly) == 5
+        for want, got in zip(expected, poly):
+            assert sp.cancel(want - got) == 0
 
 
 class TestOptimalCurve:
