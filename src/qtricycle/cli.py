@@ -347,7 +347,7 @@ def _run_time_allocation(rc, config):
 def _run_reversible_delta(rc, config):
     grid = np.linspace(rc.delta_min, rc.delta_max, rc.delta_points)
     points = cycle.zeroth_heat_sum_curve(config, grid)
-    delta_c_r = cycle.amplitude_root(config, points)
+    delta_c_r = cycle._amplitude_root(config, points)
     columns = ["delta_c", "q0_sum"]
     rows = [tuple(p) for p in points]
     return columns, rows, {"delta_c_r": delta_c_r}

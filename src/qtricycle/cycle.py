@@ -36,7 +36,6 @@ __all__ = [
     "zeroth_heat_sum",
     "zeroth_heat_sum_curve",
     "reversible_amplitude",
-    "amplitude_root",
 ]
 
 
@@ -144,10 +143,10 @@ def reversible_amplitude(config, lo=0.01, hi=2.0, scan_points=400, xtol=1e-12):
     """Cold-branch amplitude at which the quasi-static heats balance, from a
     ``scan_points`` scan of delta_c over [lo, hi].  Above it the sum is positive."""
     grid = np.linspace(lo, hi, scan_points)
-    return amplitude_root(config, zeroth_heat_sum_curve(config, grid), xtol=xtol)
+    return _amplitude_root(config, zeroth_heat_sum_curve(config, grid), xtol=xtol)
 
 
-def amplitude_root(config, points, xtol=1e-12):
+def _amplitude_root(config, points, xtol=1e-12):
     """Reversible amplitude from a :func:`zeroth_heat_sum_curve` scan: the first
     sign change, bisected to ``xtol`` (well below the 1e-8 the root needs)."""
     grid, vals = np.array(points).T

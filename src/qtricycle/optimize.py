@@ -354,10 +354,9 @@ def _curve_at_alpha(config, alpha, tau_c_grid):
     return coeffs, optimal_curve(cfg, tau_c_grid=tau_c_grid, coeffs=coeffs)
 
 
-def curve_extrema(config, tau_c_grid=None, coeffs=None):
+def curve_extrema(config, tau_c_grid=None):
     """(optimal curve, AlphaRecord of its refined R and chi maxima) from one curve."""
-    if coeffs is None:
-        coeffs = cycle.cycle_coefficients(config)
+    coeffs = cycle.cycle_coefficients(config)
     curve = optimal_curve(config, tau_c_grid=tau_c_grid, coeffs=coeffs)
     R_max, sol_R = _refine_objective(coeffs, curve, "R")
     chi_max, sol_chi = _refine_objective(coeffs, curve, "chi")
