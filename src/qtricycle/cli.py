@@ -99,6 +99,8 @@ def _parse_value(key, raw):
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r} as {kind}") from None
     numbers = value if isinstance(value, tuple) else (value,)
+    if not numbers:
+        raise ConfigError(f"key {key!r} needs at least one number, got {raw!r}")
     if any(x is not None and not math.isfinite(x) for x in numbers):
         raise ConfigError(f"value for key {key!r} must be finite, got {raw!r}")
     return value
@@ -326,18 +328,17 @@ def _run_time_allocation(rc, config):
         )
         alpha_chi = alpha_chi if alpha_chi is not None else sweep.alpha_chi
         alpha_r = alpha_r if alpha_r is not None else sweep.alpha_R
-    psi_R, _, _ = optimize.max_cooling_rate(
-        replace(config, alpha=alpha_r), tau_c_grid=grid_tc)
-    psi_chi, _, _ = optimize.max_figure_of_merit(
-        replace(config, alpha=alpha_chi), tau_c_grid=grid_tc)
+    curve_R, ext_R = optimize.curve_extrema(replace(config, alpha=alpha_r), grid_tc)
+    curve_chi, ext_chi = optimize.curve_extrema(replace(config, alpha=alpha_chi), grid_tc)
+    psi_R, psi_chi = ext_R.psi_at_R_max, ext_chi.psi_at_chi_max
     lo, hi = sorted((psi_R, psi_chi))
     psi_grid = _psi_grid(rc, lo, hi)
     columns = ["alpha_label", "alpha", "psi", "tau_total", "ratio_hp",
                "ratio_cp", "tau_c", "tau_h", "tau_p"]
     rows = []
-    for label, alpha in (("alpha_chi", alpha_chi), ("alpha_R", alpha_r)):
-        for p in optimize.time_allocation_profile(config, psi_grid, alpha,
-                                                  tau_c_grid=grid_tc):
+    for label, alpha, curve in (("alpha_chi", alpha_chi, curve_chi),
+                                ("alpha_R", alpha_r, curve_R)):
+        for p in optimize._profile(curve, psi_grid):
             rows.append((label, alpha) + tuple(p))
     summary = {"alpha_chi": alpha_chi, "alpha_r": alpha_r,
                "psi_R": psi_R, "psi_chi": psi_chi}

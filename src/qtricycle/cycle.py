@@ -48,13 +48,13 @@ class CycleCoefficients:
     Sigma: tuple  # (Sigma_c, Sigma_h, Sigma_p)
 
 
-def cycle_coefficients(config, rtol=1e-9):
+def cycle_coefficients(config):
     """Compute (dS_eq, Sigma) for all three branches once per configuration."""
     branches = config.branches(1.0, 1.0, 1.0)
     return CycleCoefficients(
         T=tuple(b.temperature for b in branches),
         dS=tuple(thermo.branch_entropy_change(b) for b in branches),
-        Sigma=tuple(thermo.sigma_coefficient(b, rtol=rtol) for b in branches),
+        Sigma=tuple(thermo.sigma_coefficient(b) for b in branches),
     )
 
 
@@ -100,7 +100,7 @@ def _metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p):
     )
 
 
-def evaluate_cycle(config, tau_c, tau_h, tau_p, rtol=1e-9, coeffs=None):
+def evaluate_cycle(config, tau_c, tau_h, tau_p, coeffs=None):
     """Assemble the cycle metrics for an arbitrary duration triple.
 
     ``coeffs`` may carry precomputed :func:`cycle_coefficients` to avoid
@@ -110,7 +110,7 @@ def evaluate_cycle(config, tau_c, tau_h, tau_p, rtol=1e-9, coeffs=None):
         if tau <= 0.0:
             raise ValueError(f"{name} must be > 0, got {tau}")
     if coeffs is None:
-        coeffs = cycle_coefficients(config, rtol=rtol)
+        coeffs = cycle_coefficients(config)
     return _metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p)
 
 
@@ -139,16 +139,16 @@ def zeroth_heat_sum_curve(config, delta_c_grid):
     ]
 
 
-def reversible_amplitude(config, lo=0.01, hi=2.0, scan_points=400, xtol=1e-12):
+def reversible_amplitude(config, lo=0.01, hi=2.0, scan_points=400):
     """Cold-branch amplitude at which the quasi-static heats balance, from a
     ``scan_points`` scan of delta_c over [lo, hi].  Above it the sum is positive."""
     grid = np.linspace(lo, hi, scan_points)
-    return _amplitude_root(config, zeroth_heat_sum_curve(config, grid), xtol=xtol)
+    return _amplitude_root(config, zeroth_heat_sum_curve(config, grid))
 
 
-def _amplitude_root(config, points, xtol=1e-12):
+def _amplitude_root(config, points):
     """Reversible amplitude from a :func:`zeroth_heat_sum_curve` scan: the first
-    sign change, bisected to ``xtol`` (well below the 1e-8 the root needs)."""
+    sign change, bisected to 1e-12 (well below the 1e-8 the root needs)."""
     grid, vals = np.array(points).T
     idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     if idx.size == 0:
@@ -159,5 +159,5 @@ def _amplitude_root(config, points, xtol=1e-12):
         )
     i = int(idx[0])
     root = bisect(lambda dc: zeroth_heat_sum(replace(config, delta_c=float(dc))),
-                  grid[i], grid[i + 1], xtol=xtol)
+                  grid[i], grid[i + 1], xtol=1e-12)
     return float(root)

@@ -25,6 +25,11 @@ Its real roots above -M/K (where tau_h > 0), swept over tau_c, trace the
 optimal performance curves (R vs psi, chi vs psi).  Everything downstream of
 the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
 once the three quadratures are done.
+
+Every fixed-alpha result takes one path: :func:`optimal_curve` solves a curve
+and keeps its coefficients, :func:`curve_extrema` refines both maxima on it,
+and profiles and envelope points re-solve from the curve alone.  The alpha
+sweeps golden-section search alpha over one memoized refined record per alpha.
 """
 
 from __future__ import annotations
@@ -149,7 +154,8 @@ def solve_time_allocation(config, tau_c, coeffs=None):
     The real roots of the stationarity quartic above -M/K (tau_h > 0), each
     polished by one Newton step, ordered by descending cooling rate with the
     first marked principal.  Raises :class:`ConvergenceError` when the energy
-    balance admits no positive tau_h (K <= 0) or no root has one.
+    balance admits no positive tau_h (K <= 0), no root has one, or tau_c
+    overflows a quartic coefficient.
     """
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
@@ -157,7 +163,12 @@ def solve_time_allocation(config, tau_c, coeffs=None):
         coeffs = cycle.cycle_coefficients(config)
     _require_sign_structure(coeffs)
 
-    K, M, poly = _stationarity_quartic(coeffs, tau_c)
+    try:
+        K, M, poly = _stationarity_quartic(coeffs, tau_c)
+    except OverflowError:  # ** on a Python float raises where * gives inf
+        poly = (math.inf,)
+    if not all(map(math.isfinite, poly)):
+        raise ConvergenceError(f"stationarity quartic coefficients overflow at tau_c={tau_c}")
     if not K > 0.0:
         raise ConvergenceError(
             f"energy balance infeasible for every tau_p at tau_c={tau_c} "
@@ -235,22 +246,23 @@ def _record(alpha, sol):
 
 @dataclass(frozen=True)
 class CurveResult:
-    """Optimal performance curve and the grid points that failed to solve.
+    """Optimal performance curve, the grid points that failed to solve and
+    the branch coefficients it was solved with.
 
     ``skipped`` holds one ``(tau_c, reason)`` pair per failed grid point.
     """
 
     records: list
     skipped: list
+    coeffs: cycle.CycleCoefficients
 
 
-def optimal_curve(config, tau_c_grid=None, coeffs=None, min_points=10):
+def optimal_curve(config, tau_c_grid=None, coeffs=None):
     """Principal allocation per tau_c, sorted by COP.
 
     Grid points without a convergent refrigeration solution are skipped and
-    reported in ``skipped`` as ``(tau_c, reason)`` pairs; fewer than
-    ``min_points`` survivors is an error that carries the same pairs as its
-    ``failed_points``.
+    reported in ``skipped`` as ``(tau_c, reason)`` pairs; fewer than 10
+    survivors is an error that carries the same pairs as its ``failed_points``.
     """
     if tau_c_grid is None:
         tau_c_grid = DEFAULT_TAU_C_GRID
@@ -268,22 +280,21 @@ def optimal_curve(config, tau_c_grid=None, coeffs=None, min_points=10):
             skipped.append((float(tau_c), reason))
         else:
             records.append(_record(config.alpha if config is not None else np.nan, sol))
-    if len(records) < min_points:
+    if len(records) < 10:
         raise ConvergenceError(
             f"only {len(records)} of {tau_c_grid.size} grid points converged "
             f"(first failure: {skipped[0][1]})",
             failed_points=skipped,
         )
     records.sort(key=lambda r: r.psi)
-    return CurveResult(records=records, skipped=skipped)
+    return CurveResult(records=records, skipped=skipped, coeffs=coeffs)
 
 
-def _refine_objective(coeffs, curve, key):
-    """Golden-section refinement of max(record.key) over log tau_c.
-
-    Never returns less than the best grid record.
+def _refine_objective(curve, key):
+    """(value, allocation): golden-section refinement of max(record.key) over
+    log tau_c.  Never returns less than the best grid record.
     """
-    recs = sorted(curve.records, key=lambda r: r.tau_c)
+    coeffs, recs = curve.coeffs, sorted(curve.records, key=lambda r: r.tau_c)
     values = [getattr(r, key) for r in recs]
     i = int(np.argmax(values))
     best_sol = _attempt(_principal, coeffs, recs[i].tau_c)[0]
@@ -298,31 +309,22 @@ def _refine_objective(coeffs, curve, key):
         return -getattr(sol.metrics, key) if sol is not None else np.inf
 
     res = golden(negated, lo, math.log(recs[i].tau_c), hi, xtol=1e-9)
-    if res is None:
-        return best_val, best_sol
-    sol = _attempt(_principal, coeffs, math.exp(res[0]))[0]
+    sol = _attempt(_principal, coeffs, math.exp(res[0]))[0] if res is not None else None
     if sol is not None and getattr(sol.metrics, key) > best_val:
         return getattr(sol.metrics, key), sol
     return best_val, best_sol
 
 
-def _max_objective(config, key, tau_c_grid, coeffs):
-    """(psi at the maximum, refined maximum, allocation) of metric ``key``."""
-    if coeffs is None:
-        coeffs = cycle.cycle_coefficients(config)
-    curve = optimal_curve(config, tau_c_grid=tau_c_grid, coeffs=coeffs)
-    value, sol = _refine_objective(coeffs, curve, key)
-    return sol.metrics.psi, value, sol
-
-
 def max_cooling_rate(config, tau_c_grid=None, coeffs=None):
     """(psi at max R, max R, allocation) with golden-section refinement."""
-    return _max_objective(config, "R", tau_c_grid, coeffs)
+    R_max, sol = _refine_objective(optimal_curve(config, tau_c_grid, coeffs), "R")
+    return sol.metrics.psi, R_max, sol
 
 
 def max_figure_of_merit(config, tau_c_grid=None, coeffs=None):
     """(psi at max chi, max chi, allocation) with golden-section refinement."""
-    return _max_objective(config, "chi", tau_c_grid, coeffs)
+    chi_max, sol = _refine_objective(optimal_curve(config, tau_c_grid, coeffs), "chi")
+    return sol.metrics.psi, chi_max, sol
 
 
 class AlphaRecord(NamedTuple):
@@ -347,50 +349,46 @@ class AlphaSweepResult:
     skipped: list
 
 
-def _curve_at_alpha(config, alpha, tau_c_grid):
-    """(coefficients, optimal curve) of ``config`` at frequency exponent alpha."""
-    cfg = replace(config, alpha=float(alpha))
-    coeffs = cycle.cycle_coefficients(cfg)
-    return coeffs, optimal_curve(cfg, tau_c_grid=tau_c_grid, coeffs=coeffs)
-
-
 def curve_extrema(config, tau_c_grid=None):
     """(optimal curve, AlphaRecord of its refined R and chi maxima) from one curve."""
-    coeffs = cycle.cycle_coefficients(config)
-    curve = optimal_curve(config, tau_c_grid=tau_c_grid, coeffs=coeffs)
-    R_max, sol_R = _refine_objective(coeffs, curve, "R")
-    chi_max, sol_chi = _refine_objective(coeffs, curve, "chi")
+    curve = optimal_curve(config, tau_c_grid=tau_c_grid)
+    R_max, sol_R = _refine_objective(curve, "R")
+    chi_max, sol_chi = _refine_objective(curve, "chi")
     return curve, AlphaRecord(alpha=float(config.alpha), R_max=R_max, chi_max=chi_max,
                               psi_at_R_max=sol_R.metrics.psi,
                               psi_at_chi_max=sol_chi.metrics.psi)
 
 
-def _alpha_extrema(config, alpha, tau_c_grid=None):
-    """Both refined objectives at one alpha; raises ConvergenceError on failure."""
-    return curve_extrema(replace(config, alpha=float(alpha)), tau_c_grid)[1]
-
-
-def _refine_alpha(config, rows, key, tau_c_grid=None):
-    """(alpha, value): golden-section over alpha, around the row with the
-    largest ``key``, of the refined per-alpha objective."""
-    i = max(range(len(rows)), key=lambda j: getattr(rows[j], key))
-    coarse_alpha, best = rows[i].alpha, getattr(rows[i], key)
-    if i == 0 or i == len(rows) - 1:
-        return coarse_alpha, best
-
+def _alpha_extrema(config, tau_c_grid):
+    """Memoized ``alpha -> (refined AlphaRecord, None)``, or ``(None, reason)``
+    when :func:`curve_extrema` fails at that alpha."""
     cache = {}
 
-    def negated(a):
-        a = float(a)
-        if a not in cache:
-            rec, _ = _attempt(_alpha_extrema, config, a, tau_c_grid=tau_c_grid)
-            cache[a] = -getattr(rec, key) if rec is not None else np.inf
-        return cache[a]
+    def at(alpha):
+        alpha = float(alpha)
+        if alpha not in cache:
+            cache[alpha] = _attempt(
+                lambda: curve_extrema(replace(config, alpha=alpha), tau_c_grid)[1])
+        return cache[alpha]
 
-    res = golden(negated, rows[i - 1].alpha, coarse_alpha, rows[i + 1].alpha, xtol=1e-4)
-    if res is not None and -res[1] > best:
-        return float(res[0]), float(-res[1])
-    return coarse_alpha, best
+    return at
+
+
+def _refine_alpha(extrema, coarse, key):
+    """(alpha, refined AlphaRecord) maximizing ``key``: golden section over alpha
+    around the best of the ascending ``(alpha, value)`` pairs ``coarse`` (which
+    only choose the bracket, and must all refine) on ``extrema(alpha)``."""
+    i = max(range(len(coarse)), key=lambda j: coarse[j][1])
+    alpha = coarse[i][0]
+    if 0 < i < len(coarse) - 1:
+        def negated(a):
+            rec = extrema(a)[0]
+            return -getattr(rec, key) if rec is not None else np.inf
+
+        res = golden(negated, coarse[i - 1][0], alpha, coarse[i + 1][0], xtol=1e-4)
+        if res is not None and -res[1] > coarse[i][1]:
+            alpha = float(res[0])
+    return alpha, extrema(alpha)[0]
 
 
 def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
@@ -408,17 +406,19 @@ def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
        alpha_grid.max() > DEFAULT_ALPHA_WINDOW[1] + 1e-12:
         raise ValueError(f"alpha grid must stay within {DEFAULT_ALPHA_WINDOW}")
 
-    results = [_attempt(_alpha_extrema, config, a, tau_c_grid=tau_c_grid) for a in alpha_grid]
+    extrema = _alpha_extrema(config, tau_c_grid)
+    results = [extrema(a) for a in alpha_grid]
     rows = [r for r, _ in results if r is not None]
     skipped = [(float(a), reason) for a, (r, reason) in zip(alpha_grid, results)
                if r is None]
     if not rows:
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
 
-    alpha_R, R_max = _refine_alpha(config, rows, "R_max", tau_c_grid=tau_c_grid)
-    alpha_chi, chi_max = _refine_alpha(config, rows, "chi_max", tau_c_grid=tau_c_grid)
+    alpha_R, at_R = _refine_alpha(extrema, [(r.alpha, r.R_max) for r in rows], "R_max")
+    alpha_chi, at_chi = _refine_alpha(extrema, [(r.alpha, r.chi_max) for r in rows],
+                                      "chi_max")
     return AlphaSweepResult(rows=rows, alpha_chi=alpha_chi, alpha_R=alpha_R,
-                            chi_max=chi_max, R_max=R_max, skipped=skipped)
+                            chi_max=at_chi.chi_max, R_max=at_R.R_max, skipped=skipped)
 
 
 @dataclass(frozen=True)
@@ -437,10 +437,8 @@ def _interp_on_curve(records, psi):
     psis = np.array([r.psi for r in records])
     if not (psis[0] <= psi <= psis[-1]):
         return None
-    R = float(np.interp(psi, psis, [r.R for r in records]))
-    chi = float(np.interp(psi, psis, [r.chi for r in records]))
-    tau_c = float(np.interp(psi, psis, [r.tau_c for r in records]))
-    return R, chi, tau_c
+    return tuple(float(np.interp(psi, psis, [getattr(r, key) for r in records]))
+                 for key in ("R", "chi", "tau_c"))
 
 
 def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
@@ -453,9 +451,10 @@ def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
     peaks come from refining the best alpha for each objective.
     """
     alphas = np.linspace(alpha_window[0], alpha_window[1], alpha_points)
-    results = [_attempt(_curve_at_alpha, config, a, tau_c_grid) for a in alphas]
-    built = [(float(a), res[0], res[1].records)
-             for a, (res, _) in zip(alphas, results) if res is not None]
+    results = [_attempt(optimal_curve, replace(config, alpha=float(a)), tau_c_grid)
+               for a in alphas]
+    built = [(float(a), curve.coeffs, curve.records)
+             for a, (curve, _) in zip(alphas, results) if curve is not None]
     if not built:
         raise ConvergenceError(
             "no alpha in the window produced an optimal curve",
@@ -495,24 +494,17 @@ def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
             failed_points=skipped,
         )
 
-    # Peak COPs of the envelopes: refine alpha per objective, then read the
-    # peak psi off that alpha's own curve.
-    rows = [AlphaRecord(alpha=a,
-                        R_max=max(r.R for r in recs),
-                        chi_max=max(r.chi for r in recs),
-                        psi_at_R_max=max(recs, key=lambda r: r.R).psi,
-                        psi_at_chi_max=max(recs, key=lambda r: r.chi).psi)
-            for a, _, recs in built]
-    coarse_R = max(rows, key=lambda r: r.R_max)
-    coarse_chi = max(rows, key=lambda r: r.chi_max)
-    alpha_R, _ = _refine_alpha(config, rows, "R_max", tau_c_grid=tau_c_grid)
-    alpha_chi, _ = _refine_alpha(config, rows, "chi_max", tau_c_grid=tau_c_grid)
-    at_R, _ = _attempt(_alpha_extrema, config, alpha_R, tau_c_grid=tau_c_grid)
-    at_chi, _ = _attempt(_alpha_extrema, config, alpha_chi, tau_c_grid=tau_c_grid)
-    psi_R = at_R.psi_at_R_max if at_R is not None else coarse_R.psi_at_R_max
-    psi_chi = at_chi.psi_at_chi_max if at_chi is not None else coarse_chi.psi_at_chi_max
+    # Peak COPs of the envelopes: the unrefined per-alpha grid maxima bracket
+    # alpha (every built curve refines), and the peak psi is read off the
+    # refined record there.
+    extrema = _alpha_extrema(config, tau_c_grid)
+    coarse_R = [(a, max(r.R for r in recs)) for a, _, recs in built]
+    coarse_chi = [(a, max(r.chi for r in recs)) for a, _, recs in built]
+    _, at_R = _refine_alpha(extrema, coarse_R, "R_max")
+    _, at_chi = _refine_alpha(extrema, coarse_chi, "chi_max")
     return EnvelopeResult(r_curve=r_curve, chi_curve=chi_curve,
-                          psi_R=psi_R, psi_chi=psi_chi, skipped=skipped)
+                          psi_R=at_R.psi_at_R_max, psi_chi=at_chi.psi_at_chi_max,
+                          skipped=skipped)
 
 
 class ProfilePoint(NamedTuple):
@@ -536,8 +528,12 @@ def time_allocation_profile(config, psi_grid, alpha, tau_c_grid=None):
     pair, so sweep output is never silently trusted; the caller decides
     whether the shape is a hard requirement.
     """
-    coeffs, curve = _curve_at_alpha(config, alpha, tau_c_grid)
-    records = curve.records
+    return _profile(optimal_curve(replace(config, alpha=float(alpha)), tau_c_grid), psi_grid)
+
+
+def _profile(curve, psi_grid):
+    """:func:`time_allocation_profile` along an already built curve."""
+    coeffs, records = curve.coeffs, curve.records
     psi_grid = np.asarray(psi_grid, dtype=float)
     unreachable = [float(p) for p in psi_grid
                    if not (records[0].psi <= p <= records[-1].psi)]
@@ -575,7 +571,7 @@ def time_allocation_profile(config, psi_grid, alpha, tau_c_grid=None):
             warnings.warn(
                 f"{what} between {len(pairs)} of {len(points) - 1} consecutive psi "
                 f"pairs, first between psi={pairs[0][0]} and psi={pairs[0][1]}",
-                RuntimeWarning, stacklevel=2,
+                RuntimeWarning, stacklevel=3,  # at the caller of time_allocation_profile
             )
     return points
 

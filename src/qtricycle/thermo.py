@@ -109,16 +109,14 @@ def _relaxation_kernel(branch, s, power, scale=1.0):
     return scale * wp ** power * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
 
 
-def sigma_coefficient(branch, rtol=1e-9):
+def sigma_coefficient(branch):
     """Dissipation coefficient Sigma of the branch (always <= 0).
 
     One smooth quadrature; the integrand is manifestly nonnegative so the
     sign is exact by construction.
     """
     beta = branch.beta
-    return -beta ** 2 * gauss_legendre_adaptive(
-        lambda s: _relaxation_kernel(branch, s, 2), rtol=rtol
-    )
+    return -beta ** 2 * gauss_legendre_adaptive(lambda s: _relaxation_kernel(branch, s, 2))
 
 
 @dataclass(frozen=True)
@@ -142,13 +140,13 @@ class BranchThermo:
                    Q0=Q0, Q1=Q1, Q=Q0 + Q1, tau=tau)
 
 
-def branch_heat(branch, tau, rtol=1e-9):
+def branch_heat(branch, tau):
     """Heat exchanged with the reservoir over duration tau, split Q0 + Q1."""
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     return BranchThermo.from_coefficients(
         branch.reservoir, branch.temperature, branch_entropy_change(branch),
-        sigma_coefficient(branch, rtol=rtol), tau,
+        sigma_coefficient(branch), tau,
     )
 
 

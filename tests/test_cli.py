@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from qtricycle import optimize
 from qtricycle.cli import (
     ReportPayload,
     RunConfig,
@@ -64,6 +65,9 @@ class TestParseConfig:
         for text in ("alpha = nan", "delta_c = inf", "tau_c = inf",
                      "oracle_taus = 100,nan"):
             with pytest.raises(ConfigError, match="finite"):
+                parse_config(text)
+        for text in ("oracle_taus =", "oracle_taus = ,"):
+            with pytest.raises(ConfigError, match="at least one number"):
                 parse_config(text)
 
 
@@ -188,6 +192,20 @@ class TestSubcommands:
         labels = {line.split(",")[0] for line in lines[1:]}
         assert labels == {"alpha_chi", "alpha_R"}
 
+    def test_time_allocation_builds_each_curve_once(self, tmp_path, monkeypatch):
+        built = []
+        original = optimize.optimal_curve
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "optimal_curve", counting)
+        code, _ = run_cli(tmp_path, "time-allocation",
+                          "alpha_chi=0.6278", "alpha_r=0.9799", "psi_points=5")
+        assert code == 0
+        assert len(built) == 2
+
     def test_oracle_check_small(self, tmp_path):
         code, out = run_cli(tmp_path, "oracle-check", "oracle_taus=100")
         assert code == 0
@@ -230,6 +248,20 @@ class TestExitCodes:
         diagnostic = tmp_path / "curve.csv.diagnostic.txt"
         assert diagnostic.exists()
         assert "tau_c" in diagnostic.read_text() or "infeasible" in diagnostic.read_text()
+
+    def test_overflowing_grid_points_are_skipped(self, tmp_path):
+        # tau_c ** 2 overflows a float far up the grid; those points are skipped
+        code = main(["optimal-curve", "--set", "tau_c_max=1e200",
+                     "--out", str(tmp_path / "curve.csv")])
+        assert code == 0
+
+    def test_overflow_on_every_point_exits_3(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = main(["optimal-curve", "--set", "tau_c_min=1e-300",
+                     "--set", "tau_c_max=1e-200", "--out", str(out)])
+        assert code == 3
+        text = (tmp_path / "curve.csv.diagnostic.txt").read_text()
+        assert "overflow at tau_c=1e-300" in text
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from oracles import fixed_cop_times, stationarity_brackets
 from qtricycle import (
     ConvergenceError,
     TricycleConfig,
+    alpha_sweep,
     balanced_tau_h,
     cycle_coefficients,
     envelope_curve,
@@ -19,7 +22,7 @@ from qtricycle import (
     time_allocation_profile,
 )
 from qtricycle.cycle import CycleCoefficients
-from qtricycle.optimize import _stationarity_quartic, stationarity_residual
+from qtricycle.optimize import _stationarity_quartic, curve_extrema, stationarity_residual
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +222,29 @@ class TestObjectiveMaxima:
         for factor in (0.99, 1.01):
             neighbour = solve_time_allocation(config, sol.tau_c * factor, coeffs=coeffs)[0]
             assert neighbour.metrics.R <= R_max * (1.0 + 1e-9)
+
+
+class TestAlphaSweep:
+    @pytest.fixture(scope="module")
+    def sweep(self, config):
+        return alpha_sweep(config)
+
+    def test_refined_maxima_dominate_rows(self, sweep):
+        assert not sweep.skipped
+        assert sweep.R_max >= max(r.R_max for r in sweep.rows)
+        assert sweep.chi_max >= max(r.chi_max for r in sweep.rows)
+
+    def test_refined_alphas_stay_near_best_rows(self, sweep):
+        step = sweep.rows[1].alpha - sweep.rows[0].alpha
+        best_R = max(sweep.rows, key=lambda r: r.R_max)
+        best_chi = max(sweep.rows, key=lambda r: r.chi_max)
+        assert abs(sweep.alpha_R - best_R.alpha) <= step
+        assert abs(sweep.alpha_chi - best_chi.alpha) <= step
+
+    def test_maxima_are_the_records_at_the_refined_alphas(self, config, sweep):
+        assert sweep.R_max == curve_extrema(replace(config, alpha=sweep.alpha_R))[1].R_max
+        assert sweep.chi_max == \
+            curve_extrema(replace(config, alpha=sweep.alpha_chi))[1].chi_max
 
 
 class TestEnvelope:
