@@ -11,11 +11,14 @@ decay independently,
          [ 0,           0,    -g(n+1/2)+i w, 0    ],
          [ g(n+1),      0,          0,     -g n   ]]
 
-with g = gamma0 * omega**alpha and n the Bose occupation.  L is singular (the
-Gibbs state spans its kernel), so the generalized inverse used by the
-slow-driving expansion is the Drazin inverse: zero on the kernel, the plain
-inverse on the complement.  For this 4x4 block structure it is available in
-closed form, which :func:`drazin_inverse` returns.
+with g = gamma0 * omega**alpha and n the Bose occupation.  :func:`liouvillian`
+is array-valued: one call over a stack of splittings returns the stack of
+generators, which is how the brute-force integrator builds the stage
+generators of many steps at once.  L is singular (the Gibbs state spans its
+kernel), so the generalized inverse used by the slow-driving expansion is the
+Drazin inverse: zero on the kernel, the plain inverse on the complement.  For
+this 4x4 block structure it is available in closed form, which
+:func:`drazin_inverse` returns.
 """
 
 from __future__ import annotations
@@ -124,19 +127,24 @@ def gibbs_state(T, omega):
 
 
 def liouvillian(T, omega, gamma0, alpha):
-    """4x4 thermal generator at fixed (T, omega); see module docstring."""
+    """Thermal generator at (T, omega); see module docstring.
+
+    Array-valued in ``omega``: the result has shape ``omega.shape + (4, 4)``,
+    so a scalar splitting gives one 4x4 matrix and a stack of splittings a
+    stack of generators with the same entries, element for element.
+    """
+    omega = np.asarray(omega, dtype=float)
     n = bose_occupation(T, omega)
     g = damping_rate(gamma0, alpha, omega)
     half = g * (n + 0.5)
-    return np.array(
-        [
-            [-g * (n + 1.0), 0.0, 0.0, g * n],
-            [0.0, -half - 1j * omega, 0.0, 0.0],
-            [0.0, 0.0, -half + 1j * omega, 0.0],
-            [g * (n + 1.0), 0.0, 0.0, -g * n],
-        ],
-        dtype=complex,
-    )
+    L = np.zeros(omega.shape + (4, 4), dtype=complex)
+    L[..., 0, 0] = -g * (n + 1.0)
+    L[..., 0, 3] = g * n
+    L[..., 1, 1] = -half - 1j * omega
+    L[..., 2, 2] = -half + 1j * omega
+    L[..., 3, 0] = g * (n + 1.0)
+    L[..., 3, 3] = -g * n
+    return L
 
 
 def drazin_inverse(T, omega, gamma0, alpha):

@@ -113,12 +113,46 @@ def _energy_balance(coeffs, tau_c, tau_p):
     return -T_h * S_h / np.where(denom > 0.0, denom, np.nan), Q_c
 
 
-def stationarity_residual(coeffs, tau_c, tau_h, tau_p):
-    """Left side of the multiplier-free stationarity constraint."""
+def _stationarity_terms(coeffs, tau_c, tau_h, tau_p):
+    """The four terms of the multiplier-free stationarity constraint."""
     dS_c, dS_h, dS_p = coeffs.dS
     S_c, S_h, S_p = coeffs.Sigma
-    return (dS_h * tau_h ** 2 / S_h + dS_p * tau_p ** 2 / S_p
-            + dS_c * tau_c ** 2 / S_c + 2.0 * (tau_c + tau_h + tau_p))
+    return (dS_h * tau_h ** 2 / S_h, dS_p * tau_p ** 2 / S_p,
+            dS_c * tau_c ** 2 / S_c, 2.0 * (tau_c + tau_h + tau_p))
+
+
+def stationarity_residual(coeffs, tau_c, tau_h, tau_p):
+    """Left side of the multiplier-free stationarity constraint."""
+    return sum(_stationarity_terms(coeffs, tau_c, tau_h, tau_p))
+
+
+# Accepted |F| relative to the summed |terms| of F.  Accurate roots stay below
+# about 2.5e-11 of it (the rounding of the balanced tau_h's denominator
+# dominates); a root off by 1e-10 relative leaves a median 1e-10, so this
+# rejects wrong or unpolished roots, not every last-digits error.
+_RESIDUAL_RTOL = 1e-10
+
+
+def _checked_residual(coeffs, tau_c, tau_h, tau_p):
+    """Stationarity residual, or :class:`ConvergenceError` when it exceeds
+    ``_RESIDUAL_RTOL`` times the summed magnitudes of its terms."""
+    terms = _stationarity_terms(coeffs, tau_c, tau_h, tau_p)
+    residual = sum(terms)
+    limit = _RESIDUAL_RTOL * sum(map(abs, terms))
+    if abs(residual) > limit:
+        raise ConvergenceError(
+            f"stationarity residual {residual:.3e} too large at "
+            f"tau_c={tau_c} (limit {limit:.3e})"
+        )
+    return residual
+
+
+def _horner(coefficients, x):
+    """Polynomial value in plain floats, np.polyval's operation order."""
+    y = 0.0
+    for c in coefficients:
+        y = y * x + c
+    return y
 
 
 @dataclass(frozen=True)
@@ -154,8 +188,10 @@ def solve_time_allocation(config, tau_c, coeffs=None):
     The real roots of the stationarity quartic above -M/K (tau_h > 0), each
     polished by one Newton step, ordered by descending cooling rate with the
     first marked principal.  Raises :class:`ConvergenceError` when the energy
-    balance admits no positive tau_h (K <= 0), no root has one, or tau_c
-    overflows a quartic coefficient.
+    balance admits no positive tau_h (K <= 0), no root has one, a root misses
+    the stationarity constraint by more than ``_RESIDUAL_RTOL`` of its summed
+    term magnitudes, or tau_c overflows a quartic coefficient, its companion
+    matrix or a Newton update.
     """
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
@@ -174,21 +210,28 @@ def solve_time_allocation(config, tau_c, coeffs=None):
             f"energy balance infeasible for every tau_p at tau_c={tau_c} "
             f"(likely delta_c at or below the reversible amplitude)"
         )
+    # np.roots divides by the leading coefficient (a zero one it strips); plain
+    # floats overflow to inf here without the RuntimeWarning numpy would give
+    lead = poly[0]
+    if lead and not all(math.isfinite(c / lead) for c in poly[1:]):
+        raise ConvergenceError(
+            f"stationarity quartic companion matrix overflows at tau_c={tau_c}")
     roots = np.roots(poly)
-    roots = roots[roots.imag == 0.0].real
-    roots -= np.polyval(poly, roots) / np.polyval(np.polyder(poly), roots)  # one Newton step
+    derivative = [c * power for c, power in zip(poly, (4, 3, 2, 1))]
+    polished = []
+    for root in roots[roots.imag == 0.0].real.tolist():  # one Newton step each
+        slope = _horner(derivative, root)
+        root = root - _horner(poly, root) / slope if slope else math.nan
+        if not math.isfinite(root):
+            raise ConvergenceError(
+                f"stationarity quartic root has no finite Newton update at tau_c={tau_c}")
+        polished.append(root)
 
     solutions = []
-    for tau_p in np.sort(roots[roots > -M / K]).tolist():  # tau_h > 0 exactly here
+    for tau_p in sorted(r for r in polished if r > -M / K):  # tau_h > 0 exactly here
         tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
         metrics = cycle._metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p)
-        residual_c = stationarity_residual(coeffs, tau_c, tau_h, tau_p)
-        total = tau_c + tau_h + tau_p
-        if abs(residual_c) > 1e-8 * total:
-            raise ConvergenceError(
-                f"stationarity residual {residual_c:.3e} too large at "
-                f"tau_c={tau_c} (limit {1e-8 * total:.3e})"
-            )
+        residual_c = _checked_residual(coeffs, tau_c, tau_h, tau_p)
         solutions.append(AllocationSolution(
             tau_c=float(tau_c), tau_h=float(tau_h), tau_p=float(tau_p),
             residual_constraint=float(residual_c),

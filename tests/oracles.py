@@ -3,12 +3,13 @@
 These deliberately avoid the production shortcuts: the dissipation
 coefficient is evaluated from its defining trace expression with a
 finite-difference outer derivative and the full generalized-inverse matrix,
-and the Drazin inverse is rebuilt spectrally from an eigendecomposition.
+the Drazin inverse is rebuilt spectrally from an eigendecomposition, and the
+RK4 reference applies each stage generator to the state vector step by step.
 """
 
 import numpy as np
 
-from qtricycle import drazin_inverse, gibbs_state
+from qtricycle import PositivityError, drazin_inverse, gibbs_state, liouvillian
 from qtricycle.protocol import frequency, frequency_derivative
 from qtricycle.thermo import gauss_legendre_adaptive
 
@@ -109,3 +110,45 @@ def stationarity_brackets(coeffs, tau_c, lo=1e-4, hi=1e9, points=200_001):
     sign = np.sign(f)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]  # NaN (tau_h <= 0) never brackets
     return [(float(tau_p[i]), float(tau_p[i + 1])) for i in idx]
+
+
+def _generator(branch, s):
+    return liouvillian(
+        branch.temperature,
+        frequency(branch, s),
+        branch.gamma0,
+        branch.alpha,
+    )
+
+
+def rk4_reference(branch, tau, steps, initial):
+    """(steps + 1, 4) states of classic RK4 applied stage by stage.
+
+    The per-step loop of the integrator before it batched its step maps:
+    three 4x4 generators per step, each stage vector k formed explicitly,
+    and the same positivity check and message at the same step.
+    """
+    dt = tau / steps
+    times = np.linspace(0.0, tau, steps + 1)
+    states = np.empty((steps + 1, 4), dtype=complex)
+    rho = initial.as_array()
+    states[0] = rho
+    for i in range(steps):
+        # stage times as exact index fractions so s never leaves [0, 1]
+        L1 = _generator(branch, i / steps)
+        L2 = _generator(branch, (i + 0.5) / steps)
+        L4 = _generator(branch, (i + 1) / steps)
+        k1 = L1 @ rho
+        k2 = L2 @ (rho + 0.5 * dt * k1)
+        k3 = L2 @ (rho + 0.5 * dt * k2)
+        k4 = L4 @ (rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = rho[0].real
+        if p < -1e-8 or p > 1.0 + 1e-8:
+            raise PositivityError(
+                f"population {p} left [0, 1] beyond {1e-8} at "
+                f"t={times[i + 1]:.6g} on branch {branch.reservoir!r}: "
+                f"step size too large ({steps} steps for tau={tau})"
+            )
+        states[i + 1] = rho
+    return states

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,21 @@ class TestExitCodes:
         assert code == 3
         text = (tmp_path / "curve.csv.diagnostic.txt").read_text()
         assert "overflow at tau_c=1e-300" in text
+
+    @pytest.mark.parametrize("tau_c_min, tau_c_max", [("1.4e153", "8.9e153"),
+                                                      ("1e85", "1e154")])
+    def test_far_grid_skips_points_without_warnings(self, tmp_path, tau_c_min, tau_c_max):
+        # the quartic's coefficients stay finite here, but its companion matrix
+        # or its value at a root overflows; such points are skipped with a reason
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["optimal-curve", "--set", f"tau_c_min={tau_c_min}",
+                         "--set", f"tau_c_max={tau_c_max}", "--out", str(out)])
+        assert code in (0, 3)
+        diagnostic = tmp_path / "curve.csv.diagnostic.txt"
+        if code == 3:
+            assert "tau_c=" in diagnostic.read_text()
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

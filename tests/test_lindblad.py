@@ -101,6 +101,18 @@ class TestLiouvillian:
             L = liouvillian(T, w, g0, a)
             assert np.max(np.abs(L[0] + L[3])) < 1e-12
 
+    def test_stacked_call_equals_scalar_calls(self, rng):
+        T, _, g0, a = random_bath(rng)
+        omegas = rng.uniform(0.1, 5.0, size=(3, 7))
+        stacked = liouvillian(T, omegas, g0, a)
+        assert stacked.shape == (3, 7, 4, 4)
+        for idx in np.ndindex(omegas.shape):
+            single = liouvillian(T, float(omegas[idx]), g0, a)
+            assert single.shape == (4, 4)
+            assert np.array_equal(stacked[idx], single)
+            assert np.array_equal(np.signbit(stacked[idx].view(float)),
+                                  np.signbit(single.view(float)))
+
 
 class TestDrazinInverse:
     def test_matrix_entries(self, rng):

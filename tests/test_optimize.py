@@ -22,7 +22,13 @@ from qtricycle import (
     time_allocation_profile,
 )
 from qtricycle.cycle import CycleCoefficients
-from qtricycle.optimize import _stationarity_quartic, curve_extrema, stationarity_residual
+from qtricycle.optimize import (
+    _checked_residual,
+    _energy_balance,
+    _stationarity_quartic,
+    curve_extrema,
+    stationarity_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +102,37 @@ class TestSolveTimeAllocation:
         assert a == b
 
 
+class TestResidualContract:
+    """|F| is judged against the summed magnitudes of its own terms."""
+
+    @pytest.fixture(scope="class")
+    def large_tau_coeffs(self):
+        # draw 205 of the conftest seed: at tau_c = 50 its root tau_p = 61056.2
+        # is accurate to 5.7e-15, yet F's terms are about 2e9 and |F| = 0.083
+        rng = np.random.default_rng(20240817)
+        for _ in range(205):
+            random_config(rng)
+        return cycle_coefficients(random_config(rng))
+
+    def test_accurate_root_at_large_tau_accepted(self, large_tau_coeffs):
+        sols = solve_time_allocation(None, 50.0, coeffs=large_tau_coeffs)
+        big = [sol for sol in sols if sol.tau_p > 1e4]
+        assert len(big) == 1 and big[0].tau_p == pytest.approx(61056.2, rel=1e-6)
+        assert any(a <= big[0].tau_p <= b
+                   for a, b in stationarity_brackets(large_tau_coeffs, 50.0))
+
+    def test_root_perturbed_by_1e_10_rejected(self, coeffs, large_tau_coeffs):
+        for co, tau_c in ((coeffs, 9.0), (large_tau_coeffs, 50.0)):
+            for sol in solve_time_allocation(None, tau_c, coeffs=co):
+                assert _checked_residual(co, tau_c, sol.tau_h, sol.tau_p) == \
+                    sol.residual_constraint
+                for rel in (1e-10, -1e-10):
+                    tau_p = sol.tau_p * (1.0 + rel)
+                    tau_h, _ = _energy_balance(co, tau_c, tau_p)
+                    with pytest.raises(ConvergenceError, match="residual"):
+                        _checked_residual(co, tau_c, tau_h, tau_p)
+
+
 def _solved_cases(coeffs, rng, draws=24):
     """(coeffs, tau_c, solutions) for the default config and random draws;
     no solutions where the solver reports none."""
@@ -132,6 +169,20 @@ class TestStationarityQuartic:
                     exact = mp.findroot(F, mp.mpf(sol.tau_p))
                     assert abs(sol.tau_p - exact) <= 1e-14 * exact
                     checked += 1
+        assert checked >= 20
+
+    def test_newton_step_matches_numpy_polyval(self, coeffs, rng):
+        # the solver polishes in plain floats; numpy's Horner is the reference
+        checked = 0
+        for co, tau_c, sols in _solved_cases(coeffs, rng):
+            if not sols:
+                continue
+            K, M, poly = _stationarity_quartic(co, tau_c)
+            roots = np.roots(poly)
+            roots = roots[roots.imag == 0.0].real
+            roots -= np.polyval(poly, roots) / np.polyval(np.polyder(poly), roots)
+            assert sorted(sol.tau_p for sol in sols) == np.sort(roots[roots > -M / K]).tolist()
+            checked += 1
         assert checked >= 20
 
     def test_roots_are_the_sign_changes_of_a_dense_scan(self, coeffs, rng):

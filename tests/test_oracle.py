@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import rk4_reference
 from qtricycle import (
     DensityVector,
     PositivityError,
@@ -97,6 +101,16 @@ class TestIntegratorContracts:
         _, traj = cold_trajectory_200
         assert np.max(np.abs(traj.states[:, 1:3])) < 1e-14
 
+    def test_zero_coherence_stays_zero_under_unstable_rotation(self):
+        # weak damping: the default step resolves the relaxation, but w dt is
+        # about 17, far beyond RK4's stability bound for the rotating coherences
+        branch = TricycleConfig(gamma0=1e-3).branch("c", 1e5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = propagate(branch, 1e5)
+        assert np.all(traj.states[:, 1:3] == 0.0)
+        assert np.all(np.isfinite(traj.states))
+
     def test_coherence_decays_and_states_stay_physical(self):
         branch = TricycleConfig().branch("c", 40.0)
         initial = DensityVector(0.5, 0.2 + 0.0j, 0.2 - 0.0j, 0.5)
@@ -152,3 +166,40 @@ class TestIntegratorContracts:
                   for part in (slice(None, 2001), slice(2000, None))]
         total = sum(heat_via_trajectory(half) for half in halves)
         assert total == pytest.approx(heat_via_trajectory(traj), rel=1e-12)
+
+
+class TestAgainstStageByStageReference:
+    """The batched step maps against RK4 applied stage vector by stage vector."""
+
+    @pytest.mark.parametrize("reservoir", "chp")
+    def test_gibbs_start_at_tau_100(self, reservoir):
+        branch = TricycleConfig().branch(reservoir, 100.0)
+        traj = propagate(branch, 100.0)
+        initial = gibbs_state(branch.temperature, frequency(branch, 0.0))
+        ref = rk4_reference(branch, 100.0, len(traj.times) - 1, initial)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-13
+
+    def test_coherent_start(self):
+        branch = TricycleConfig().branch("c", 40.0)
+        initial = DensityVector(0.5, 0.2 + 0.1j, 0.2 - 0.1j, 0.5)
+        traj = propagate(branch, 40.0, initial=initial)
+        ref = rk4_reference(branch, 40.0, len(traj.times) - 1, initial)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-13
+        # rho01 runs on its own diagonal entry and stays the conjugate of rho10
+        assert np.max(np.abs(traj.states[:, 2] - np.conj(traj.states[:, 1]))) < 1e-15
+
+    def test_unstable_step_fails_at_the_same_time(self):
+        branch = TricycleConfig(gamma0=80.0).branch("c", 100.0)
+        initial = gibbs_state(branch.temperature, frequency(branch, 0.0))
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for run in (lambda: propagate(branch, 100.0, steps=1000),
+                        lambda: rk4_reference(branch, 100.0, 1000, initial)):
+                with pytest.raises(PositivityError) as info:
+                    run()
+                messages.append(str(info.value))
+        # same text, t= included, apart from the offending population's digits
+        assert "at t=0.5 " in messages[0]
+        assert re.sub(r"population \S+ ", "", messages[0]) == \
+            re.sub(r"population \S+ ", "", messages[1])
