@@ -5,6 +5,10 @@ comments); every key has a default, so the empty config runs each
 subcommand at the standard operating point.  Each subcommand writes one
 plot-ready report file (CSV rows or a JSON object with a ``meta`` block)
 and prints its headline numbers as ``name = value`` lines on stdout.
+``psi_points`` COPs from ``psi_min`` to ``psi_max`` make the psi grid of
+``time-allocation`` (a bound left unset is the peak COP of one of its two
+curves) and of ``envelope``, which takes both bounds or neither (then it
+picks its own 80-point grid).
 
 Exit codes: 0 success, 2 configuration problem (including durations too
 short for the slow-driving expansion, reported as ``PositivityError``), 3
@@ -301,9 +305,10 @@ def _psi_grid(rc, lo, hi):
 
 
 def _run_envelope(rc, config):
-    psi_grid = None
-    if rc.psi_min is not None and rc.psi_max is not None:
-        psi_grid = np.linspace(rc.psi_min, rc.psi_max, rc.psi_points)
+    bounds = (rc.psi_min, rc.psi_max)
+    if bounds.count(None) == 1:
+        raise ConfigError("envelope needs both psi_min and psi_max, or neither")
+    psi_grid = None if None in bounds else _psi_grid(rc, *bounds)
     result = optimize.envelope_curve(
         config, psi_grid=psi_grid,
         alpha_window=(rc.alpha_min, rc.alpha_max),
@@ -359,8 +364,8 @@ def _run_oracle_check(rc, config):
                "Q_total", "abs_err", "rel_err"]
     rows = []
     worst = 0.0
+    branch = config.branch(rc.oracle_branch)
     for tau in rc.oracle_taus:
-        branch = config.branch(rc.oracle_branch, tau)
         bt = thermo.branch_heat(branch, tau)
         traj = oracle.propagate(branch, tau)
         q = oracle.heat_via_trajectory(traj)

@@ -50,7 +50,7 @@ class CycleCoefficients:
 
 def cycle_coefficients(config):
     """Compute (dS_eq, Sigma) for all three branches once per configuration."""
-    branches = config.branches(1.0, 1.0, 1.0)
+    branches = config.branches()
     return CycleCoefficients(
         T=tuple(b.temperature for b in branches),
         dS=tuple(thermo.branch_entropy_change(b) for b in branches),
@@ -124,7 +124,7 @@ def reversible_cop(T_c, T_h, T_p):
 def zeroth_heat_sum(config):
     """sum_v T_v dS_v: positive for an irreversible finite-time cycle,
     zero at the reversible amplitude."""
-    branches = config.branches(1.0, 1.0, 1.0)
+    branches = config.branches()
     return sum(b.temperature * thermo.branch_entropy_change(b) for b in branches)
 
 

@@ -157,15 +157,14 @@ def _horner(coefficients, x):
 
 @dataclass(frozen=True)
 class AllocationSolution:
-    """One energy-balanced stationary duration triple."""
+    """One energy-balanced stationary duration triple; its energy residual is
+    ``-metrics.work_residual``."""
 
     tau_c: float
     tau_h: float
     tau_p: float
     residual_constraint: float
-    residual_energy: float
     metrics: cycle.CycleMetrics
-    principal: bool = False
 
 
 def _stationarity_quartic(coeffs, tau_c):
@@ -186,12 +185,15 @@ def solve_time_allocation(config, tau_c, coeffs=None):
     """All stationary allocations at the given cold-branch duration.
 
     The real roots of the stationarity quartic above -M/K (tau_h > 0), each
-    polished by one Newton step, ordered by descending cooling rate with the
-    first marked principal.  Raises :class:`ConvergenceError` when the energy
-    balance admits no positive tau_h (K <= 0), no root has one, a root misses
-    the stationarity constraint by more than ``_RESIDUAL_RTOL`` of its summed
-    term magnitudes, or tau_c overflows a quartic coefficient, its companion
-    matrix or a Newton update.
+    polished by one Newton step, ordered by descending cooling rate, so the
+    principal solution comes first.  A root without a finite Newton update,
+    or one that misses the stationarity constraint by more than
+    ``_RESIDUAL_RTOL`` of its summed term magnitudes (a spurious root at the
+    pole -M/K of the balanced tau_h), is dropped.  Raises
+    :class:`ConvergenceError` when the energy balance admits no positive
+    tau_h (K <= 0), tau_c overflows a quartic coefficient or its companion
+    matrix, or no root is left; the reason is then the first dropped root's,
+    if any.
     """
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
@@ -218,30 +220,32 @@ def solve_time_allocation(config, tau_c, coeffs=None):
             f"stationarity quartic companion matrix overflows at tau_c={tau_c}")
     roots = np.roots(poly)
     derivative = [c * power for c, power in zip(poly, (4, 3, 2, 1))]
-    polished = []
+    polished, dropped = [], []
     for root in roots[roots.imag == 0.0].real.tolist():  # one Newton step each
         slope = _horner(derivative, root)
         root = root - _horner(poly, root) / slope if slope else math.nan
-        if not math.isfinite(root):
-            raise ConvergenceError(
+        if math.isfinite(root):
+            polished.append(root)
+        else:
+            dropped.append(
                 f"stationarity quartic root has no finite Newton update at tau_c={tau_c}")
-        polished.append(root)
 
     solutions = []
     for tau_p in sorted(r for r in polished if r > -M / K):  # tau_h > 0 exactly here
         tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
-        metrics = cycle._metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p)
-        residual_c = _checked_residual(coeffs, tau_c, tau_h, tau_p)
+        residual_c, reason = _attempt(_checked_residual, coeffs, tau_c, tau_h, tau_p)
+        if reason is not None:
+            dropped.append(reason)
+            continue
         solutions.append(AllocationSolution(
             tau_c=float(tau_c), tau_h=float(tau_h), tau_p=float(tau_p),
             residual_constraint=float(residual_c),
-            residual_energy=float(-metrics.work_residual),
-            metrics=metrics,
+            metrics=cycle._metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p),
         ))
     if not solutions:
-        raise ConvergenceError(f"no stationary tau_p with tau_h > 0 at tau_c={tau_c}")
+        raise ConvergenceError(
+            dropped[0] if dropped else f"no stationary tau_p with tau_h > 0 at tau_c={tau_c}")
     solutions.sort(key=lambda sol: -sol.metrics.R)
-    solutions[0] = replace(solutions[0], principal=True)
     return solutions
 
 
@@ -335,27 +339,25 @@ def optimal_curve(config, tau_c_grid=None, coeffs=None):
 
 def _refine_objective(curve, key):
     """(value, allocation): golden-section refinement of max(record.key) over
-    log tau_c.  Never returns less than the best grid record.
+    log tau_c.  Never returns less than the best grid record; each allocation
+    is solved once, the best grid record's only when it is returned.
     """
     coeffs, recs = curve.coeffs, sorted(curve.records, key=lambda r: r.tau_c)
     values = [getattr(r, key) for r in recs]
     i = int(np.argmax(values))
-    best_sol = _attempt(_principal, coeffs, recs[i].tau_c)[0]
     best_val = values[i]
-    if i == 0 or i == len(recs) - 1:
-        return best_val, best_sol  # peak on the grid edge, nothing to bracket
+    if 0 < i < len(recs) - 1:  # a peak on the grid edge has nothing to bracket
+        solved = {}
 
-    lo, hi = math.log(recs[i - 1].tau_c), math.log(recs[i + 1].tau_c)
+        def negated(x):
+            sol = solved[x] = _attempt(_principal, coeffs, math.exp(x))[0]
+            return -getattr(sol.metrics, key) if sol is not None else np.inf
 
-    def negated(x):
-        sol = _attempt(_principal, coeffs, math.exp(x))[0]
-        return -getattr(sol.metrics, key) if sol is not None else np.inf
-
-    res = golden(negated, lo, math.log(recs[i].tau_c), hi, xtol=1e-9)
-    sol = _attempt(_principal, coeffs, math.exp(res[0]))[0] if res is not None else None
-    if sol is not None and getattr(sol.metrics, key) > best_val:
-        return getattr(sol.metrics, key), sol
-    return best_val, best_sol
+        res = golden(negated, math.log(recs[i - 1].tau_c), math.log(recs[i].tau_c),
+                     math.log(recs[i + 1].tau_c), xtol=1e-9)
+        if res is not None and -res[1] > best_val:
+            return -res[1], solved[res[0]]
+    return best_val, _attempt(_principal, coeffs, recs[i].tau_c)[0]
 
 
 def max_cooling_rate(config, tau_c_grid=None, coeffs=None):

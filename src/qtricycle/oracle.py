@@ -22,7 +22,6 @@ from ._numerics import simpson
 from .errors import PositivityError
 
 __all__ = [
-    "TrajectorySample",
     "BranchTrajectory",
     "default_steps",
     "propagate",
@@ -41,21 +40,11 @@ _CHUNK = 256
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    """State snapshot along an integrated branch."""
-
-    t: float
-    state: lindblad.DensityVector
-    omega: float
-    U: float  # mean energy Tr[H rho] = (omega/2)(rho11 - rho00)
-
-
-@dataclass(frozen=True)
 class BranchTrajectory:
     """Integrated trajectory plus the branch it belongs to.
 
-    ``states`` holds the raw (n_samples, 4) complex array; ``samples`` wraps
-    the same data as :class:`TrajectorySample` records.
+    ``states`` holds one (rho11, rho10, rho01, rho00) row per entry of
+    ``times``, in :meth:`lindblad.DensityVector.as_array` order.
     """
 
     branch: protocol.BranchProtocol
@@ -66,16 +55,6 @@ class BranchTrajectory:
     @property
     def omegas(self):
         return protocol.frequency(self.branch, self.times / self.tau)
-
-    @property
-    def samples(self):
-        omegas = self.omegas
-        out = []
-        for t, w, row in zip(self.times, omegas, self.states):
-            state = lindblad.DensityVector.from_array(row)
-            U = 0.5 * w * (row[0].real - row[3].real)
-            out.append(TrajectorySample(t=float(t), state=state, omega=float(w), U=U))
-        return out
 
 
 def default_steps(branch, tau):

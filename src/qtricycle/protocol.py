@@ -116,8 +116,9 @@ class TricycleConfig:
     def temperature(self, reservoir):
         return {"c": self.T_c, "h": self.T_h, "p": self.T_p}[reservoir]
 
-    def branch(self, reservoir, tau):
-        """Build the :class:`BranchProtocol` for one heat-exchange step."""
+    def branch(self, reservoir):
+        """Build the :class:`BranchProtocol` of one heat-exchange step; its
+        duration is passed to whatever evaluates the branch."""
         if reservoir not in RESERVOIRS:
             raise ConfigError(f"unknown reservoir {reservoir!r}, expected one of {RESERVOIRS}")
         if reservoir == "c":
@@ -131,14 +132,13 @@ class TricycleConfig:
             temperature=self.temperature(reservoir),
             delta=delta,
             zeta=zeta,
-            tau=tau,
             phase=phase,
             gamma0=self.gamma0,
             alpha=self.alpha,
         )
 
-    def branches(self, tau_c, tau_h, tau_p):
-        return (self.branch("c", tau_c), self.branch("h", tau_h), self.branch("p", tau_p))
+    def branches(self):
+        return tuple(self.branch(reservoir) for reservoir in RESERVOIRS)
 
 
 @dataclass(frozen=True)
@@ -148,22 +148,20 @@ class BranchProtocol:
     ``phase`` is "decreasing" for the cold and hot branches (drive cos(pi s))
     and "increasing" for the pump branch (drive cos(pi (1 - s))).  The bath
     coupling (gamma0, alpha) is carried along so branch-level quantities such
-    as the dissipation coefficient are self-contained.
+    as the dissipation coefficient are self-contained.  There is no duration:
+    the functions that evaluate a branch take tau and check it.
     """
 
     reservoir: str
     temperature: float
     delta: float
     zeta: float
-    tau: float
     phase: str
     gamma0: float
     alpha: float
     beta: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ConfigError(f"branch duration must be > 0, got {self.tau}")
         if self.phase not in ("decreasing", "increasing"):
             raise ConfigError(f"unknown phase {self.phase!r}")
         if self.zeta <= 1.0 or self.delta <= 0.0:
@@ -215,7 +213,7 @@ def quench_targets(config):
     and checks that each pair scales exactly by the corresponding temperature
     ratio (T_h/T_c, T_p/T_h, T_c/T_p), i.e. beta * omega is continuous.
     """
-    c, h, p = config.branches(1.0, 1.0, 1.0)
+    c, h, p = config.branches()
     pairs = (
         (frequency(c, 1.0), frequency(h, 0.0)),
         (frequency(h, 1.0), frequency(p, 0.0)),

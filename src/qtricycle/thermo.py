@@ -230,7 +230,7 @@ def ts_trajectory(config, taus, samples_per_branch=201):
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
     points = []
-    for branch, tau in zip(config.branches(*taus), taus):
+    for branch, tau in zip(config.branches(), taus, strict=True):
         for s in np.linspace(0.0, 1.0, samples_per_branch):
             state = perturbed_state(branch, s, tau)
             w = protocol.frequency(branch, float(s))

@@ -33,4 +33,5 @@ def random_config(rng):
 def random_branch(rng):
     config = random_config(rng)
     reservoir = ("c", "h", "p")[rng.integers(0, 3)]
-    return config.branch(reservoir, float(rng.uniform(1.0, 50.0)))
+    rng.uniform(1.0, 50.0)  # a duration, no longer used; drawn so later draws stay put
+    return config.branch(reservoir)

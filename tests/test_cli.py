@@ -207,6 +207,14 @@ class TestSubcommands:
         assert code == 0
         assert len(built) == 2
 
+    @pytest.mark.parametrize("bound", ["psi_min=0.05", "psi_max=0.1"])
+    def test_envelope_rejects_a_lone_psi_bound(self, tmp_path, capsys, bound):
+        code, out = run_cli(tmp_path, "envelope", bound)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "psi_min" in err and "psi_max" in err
+        assert not out.exists()
+
     def test_oracle_check_small(self, tmp_path):
         code, out = run_cli(tmp_path, "oracle-check", "oracle_taus=100")
         assert code == 0

@@ -24,12 +24,12 @@ def frozen_branch():
     # relative frequency sweep of 2e-10 around omega = 1: effectively a
     # constant generator while keeping the standard schedule machinery
     return TricycleConfig(T_c=0.5, T_h=1.0, T_p=0.7, zeta_c=1e10, zeta_h=1e10,
-                          delta_c=1e-10).branch("c", 5.0)
+                          delta_c=1e-10).branch("c")
 
 
 @pytest.fixture(scope="module")
 def cold_trajectory_200():
-    branch = TricycleConfig().branch("c", 200.0)
+    branch = TricycleConfig().branch("c")
     return branch, propagate(branch, 200.0)
 
 
@@ -54,7 +54,7 @@ class TestStationaryAndRelaxation:
 
 class TestSlowDriving:
     def test_tracks_instantaneous_equilibrium(self):
-        branch = TricycleConfig().branch("c", 500.0)
+        branch = TricycleConfig().branch("c")
         traj = propagate(branch, 500.0)
         final = traj.states[-1]
         target = gibbs_state(branch.temperature, frequency(branch, 1.0)).as_array()
@@ -67,10 +67,9 @@ class TestSlowDriving:
         assert abs(q - bt.Q) < 0.01 * abs(q)
 
     def test_neglected_term_decays_quadratically(self):
-        branch_factory = TricycleConfig().branch
+        branch = TricycleConfig().branch("c")
         errs = {}
         for tau in (100.0, 200.0):
-            branch = branch_factory("c", tau)
             q = heat_via_trajectory(propagate(branch, tau))
             bt = branch_heat(branch, tau)
             errs[tau] = abs(q - bt.Q)
@@ -80,7 +79,7 @@ class TestSlowDriving:
         # second-order remainder bound, all three default branches
         for res in "chp":
             for tau in (100.0, 200.0):
-                branch = TricycleConfig().branch(res, tau)
+                branch = TricycleConfig().branch(res)
                 traj = propagate(branch, tau)
                 stride = max(1, (len(traj.times) - 1) // 20)
                 worst = 0.0
@@ -104,7 +103,7 @@ class TestIntegratorContracts:
     def test_zero_coherence_stays_zero_under_unstable_rotation(self):
         # weak damping: the default step resolves the relaxation, but w dt is
         # about 17, far beyond RK4's stability bound for the rotating coherences
-        branch = TricycleConfig(gamma0=1e-3).branch("c", 1e5)
+        branch = TricycleConfig(gamma0=1e-3).branch("c")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             traj = propagate(branch, 1e5)
@@ -112,43 +111,45 @@ class TestIntegratorContracts:
         assert np.all(np.isfinite(traj.states))
 
     def test_coherence_decays_and_states_stay_physical(self):
-        branch = TricycleConfig().branch("c", 40.0)
+        branch = TricycleConfig().branch("c")
         initial = DensityVector(0.5, 0.2 + 0.0j, 0.2 - 0.0j, 0.5)
         traj = propagate(branch, 40.0, initial=initial)
         coh = np.abs(traj.states[:, 1])
         assert coh[-1] < 1e-8 * coh[0]
-        for sample in traj.samples[:: len(traj.times) // 10]:
-            sample.state.validate(atol=1e-10)
+        for row in traj.states[:: len(traj.times) // 10]:
+            DensityVector.from_array(row).validate(atol=1e-10)
 
     def test_default_step_rule(self):
-        branch = TricycleConfig().branch("c", 100.0)
+        branch = TricycleConfig().branch("c")
         steps = default_steps(branch, 100.0)
         assert steps >= 1000 and steps % 2 == 0
         assert steps >= 50 * 100.0  # fastest rate exceeds 1 here
 
     def test_step_floor_enforced(self):
-        branch = TricycleConfig().branch("c", 10.0)
+        branch = TricycleConfig().branch("c")
         with pytest.raises(ValueError):
             propagate(branch, 10.0, steps=500)
 
     def test_odd_step_count_rejected(self):
-        branch = TricycleConfig().branch("c", 10.0)
+        branch = TricycleConfig().branch("c")
         with pytest.raises(ValueError, match="even"):
             propagate(branch, 10.0, steps=1001)
 
     def test_unstable_step_size_reported(self):
-        branch = TricycleConfig(gamma0=80.0).branch("c", 100.0)
+        branch = TricycleConfig(gamma0=80.0).branch("c")
         with pytest.raises(PositivityError):
             propagate(branch, 100.0, steps=1000)
 
     def test_sample_records(self, cold_trajectory_200):
         branch, traj = cold_trajectory_200
-        samples = traj.samples[:3]
-        assert samples[0].t == 0.0
-        assert samples[0].omega == pytest.approx(frequency(branch, 0.0), rel=1e-14)
-        expected_U = 0.5 * samples[0].omega * (
-            samples[0].state.rho11.real - samples[0].state.rho00.real)
-        assert samples[0].U == pytest.approx(expected_U, rel=1e-12)
+        assert traj.times[0] == 0.0
+        assert traj.omegas[0] == pytest.approx(frequency(branch, 0.0), rel=1e-14)
+
+    def test_nonpositive_duration_rejected(self):
+        branch = TricycleConfig().branch("c")
+        for tau in (0.0, -2.0):
+            with pytest.raises(ValueError, match="tau must be > 0"):
+                propagate(branch, tau)
 
     def test_heat_needs_enough_samples(self, frozen_branch):
         traj = propagate(frozen_branch, 5.0)
@@ -159,7 +160,7 @@ class TestIntegratorContracts:
 
     def test_heat_of_halves_adds_up(self):
         # each half keeps its own times, so its spacing is not tau / (n - 1)
-        branch = TricycleConfig().branch("c", 10.0)
+        branch = TricycleConfig().branch("c")
         traj = propagate(branch, 10.0, steps=4000)
         halves = [type(traj)(branch=branch, tau=traj.tau, times=traj.times[part],
                              states=traj.states[part])
@@ -173,14 +174,14 @@ class TestAgainstStageByStageReference:
 
     @pytest.mark.parametrize("reservoir", "chp")
     def test_gibbs_start_at_tau_100(self, reservoir):
-        branch = TricycleConfig().branch(reservoir, 100.0)
+        branch = TricycleConfig().branch(reservoir)
         traj = propagate(branch, 100.0)
         initial = gibbs_state(branch.temperature, frequency(branch, 0.0))
         ref = rk4_reference(branch, 100.0, len(traj.times) - 1, initial)
         assert np.max(np.abs(traj.states - ref)) <= 1e-13
 
     def test_coherent_start(self):
-        branch = TricycleConfig().branch("c", 40.0)
+        branch = TricycleConfig().branch("c")
         initial = DensityVector(0.5, 0.2 + 0.1j, 0.2 - 0.1j, 0.5)
         traj = propagate(branch, 40.0, initial=initial)
         ref = rk4_reference(branch, 40.0, len(traj.times) - 1, initial)
@@ -189,7 +190,7 @@ class TestAgainstStageByStageReference:
         assert np.max(np.abs(traj.states[:, 2] - np.conj(traj.states[:, 1]))) < 1e-15
 
     def test_unstable_step_fails_at_the_same_time(self):
-        branch = TricycleConfig(gamma0=80.0).branch("c", 100.0)
+        branch = TricycleConfig(gamma0=80.0).branch("c")
         initial = gibbs_state(branch.temperature, frequency(branch, 0.0))
         messages = []
         with warnings.catch_warnings():

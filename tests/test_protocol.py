@@ -70,17 +70,17 @@ class TestLinkedParams:
 
 class TestFrequency:
     def test_cold_branch_endpoints(self, default_config):
-        b = default_config.branch("c", 9.0)
+        b = default_config.branch("c")
         assert frequency(b, 0.0) == pytest.approx(b.delta * (1 + b.zeta), rel=1e-14)
         assert frequency(b, 1.0) == pytest.approx(b.delta * (b.zeta - 1), rel=1e-14)
 
     def test_pump_branch_starts_low(self, default_config):
-        b = default_config.branch("p", 11.0)
+        b = default_config.branch("p")
         assert frequency(b, 0.0) == pytest.approx(b.delta * (b.zeta - 1), rel=1e-14)
         assert frequency(b, 1.0) == pytest.approx(b.delta * (b.zeta + 1), rel=1e-14)
 
     def test_domain(self, default_config):
-        b = default_config.branch("c", 9.0)
+        b = default_config.branch("c")
         with pytest.raises(ValueError):
             frequency(b, -0.01)
         with pytest.raises(ValueError):
@@ -92,23 +92,23 @@ class TestFrequency:
         for _ in range(30):
             cfg = random_config(rng)
             for res in "chp":
-                b = cfg.branch(res, 5.0)
+                b = cfg.branch(res)
                 w = frequency(b, np.linspace(0, 1, 257))
                 assert np.all(w > 0.0)
 
     def test_derivative_endpoints_and_midpoint(self, default_config):
         for res in "chp":
-            b = default_config.branch(res, 5.0)
+            b = default_config.branch(res)
             assert frequency_derivative(b, 0.0) == 0.0
             assert frequency_derivative(b, 1.0) == 0.0
-        c = default_config.branch("c", 9.0)
+        c = default_config.branch("c")
         assert frequency_derivative(c, 0.5) == pytest.approx(-np.pi * c.delta, rel=1e-14)
 
     def test_derivative_matches_finite_difference(self, rng):
         h = 1e-6
         for _ in range(100):
             cfg = random_config(rng)
-            b = cfg.branch(("c", "h", "p")[rng.integers(0, 3)], 5.0)
+            b = cfg.branch(("c", "h", "p")[rng.integers(0, 3)])
             s = float(rng.uniform(0.001, 0.999))
             fd = (frequency(b, s + h) - frequency(b, s - h)) / (2 * h)
             assert abs(frequency_derivative(b, s) - fd) < 1e-6
@@ -141,8 +141,4 @@ class TestQuenches:
 
 def test_branch_rejects_bad_inputs(default_config):
     with pytest.raises(ConfigError):
-        default_config.branch("x", 1.0)
-    with pytest.raises(ConfigError):
-        default_config.branch("c", 0.0)
-    with pytest.raises(ConfigError):
-        default_config.branch("c", -2.0)
+        default_config.branch("x")

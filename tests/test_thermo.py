@@ -58,19 +58,19 @@ class TestEquilibriumEntropy:
 
 class TestEntropyChange:
     def test_default_signs(self, default_config):
-        assert branch_entropy_change(default_config.branch("c", 9.0)) > 0.0
-        assert branch_entropy_change(default_config.branch("h", 9.0)) > 0.0
-        assert branch_entropy_change(default_config.branch("p", 11.0)) < 0.0
+        assert branch_entropy_change(default_config.branch("c")) > 0.0
+        assert branch_entropy_change(default_config.branch("h")) > 0.0
+        assert branch_entropy_change(default_config.branch("p")) < 0.0
 
     def test_nearly_frozen_schedule(self, default_config):
         # delta -> 0 freezes the endpoints, so the change collapses with it
         cfg = type(default_config)(delta_c=1e-10)
-        assert abs(branch_entropy_change(cfg.branch("c", 9.0))) < 1e-9
+        assert abs(branch_entropy_change(cfg.branch("c"))) < 1e-9
 
     def test_closure_around_cycle(self, rng):
         for _ in range(50):
             cfg = random_config(rng)
-            total = sum(branch_entropy_change(cfg.branch(r, 1.0)) for r in "chp")
+            total = sum(branch_entropy_change(cfg.branch(r)) for r in "chp")
             assert abs(total) < 1e-10
 
 
@@ -81,7 +81,7 @@ class TestSigmaCoefficient:
 
     def test_nearly_frozen_schedule_vanishes(self, default_config):
         cfg = type(default_config)(delta_c=1e-10)
-        assert abs(sigma_coefficient(cfg.branch("c", 9.0))) < 1e-12
+        assert abs(sigma_coefficient(cfg.branch("c"))) < 1e-12
 
     def test_against_direct_trace_integral(self, rng):
         # also exercised at scale by the acceptance suite
@@ -94,7 +94,7 @@ class TestSigmaCoefficient:
 
 class TestBranchHeat:
     def test_identities(self, default_config):
-        b = default_config.branch("c", 9.0)
+        b = default_config.branch("c")
         bt = branch_heat(b, 9.0)
         assert bt.Q0 == pytest.approx(b.temperature * bt.dS_eq, rel=1e-12)
         assert bt.Q1 == pytest.approx(b.temperature * bt.Sigma / 9.0, rel=1e-12)
@@ -102,12 +102,12 @@ class TestBranchHeat:
         assert bt.Q < bt.Q0  # finite-time correction always costs heat
 
     def test_quasistatic_limit(self, default_config):
-        bt = branch_heat(default_config.branch("c", 1.0), 1e9)
+        bt = branch_heat(default_config.branch("c"), 1e9)
         assert abs(bt.Q1) < 1e-8 * abs(bt.Q0)
         assert bt.Q == pytest.approx(bt.Q0, rel=1e-8)
 
     def test_inverse_duration_scaling(self, default_config):
-        b = default_config.branch("h", 8.0)
+        b = default_config.branch("h")
         assert branch_heat(b, 4.0).Q1 == 2.0 * branch_heat(b, 8.0).Q1
 
     def test_direct_first_order_heat(self, rng):
@@ -120,14 +120,14 @@ class TestBranchHeat:
 
     def test_domain(self, default_config):
         with pytest.raises(ValueError):
-            branch_heat(default_config.branch("c", 1.0), 0.0)
+            branch_heat(default_config.branch("c"), 0.0)
 
 
 class TestPerturbedState:
     def test_endpoints_are_thermal(self, default_config):
         from qtricycle.protocol import frequency
         for res, tau in (("c", 9.0), ("h", 7.0), ("p", 11.0)):
-            b = default_config.branch(res, tau)
+            b = default_config.branch(res)
             for s in (0.0, 1.0):
                 state = perturbed_state(b, s, tau)
                 ref = gibbs_state(b.temperature, frequency(b, s))
@@ -135,7 +135,7 @@ class TestPerturbedState:
 
     def test_lag_shrinks_as_inverse_duration(self, default_config):
         from qtricycle.protocol import frequency
-        b = default_config.branch("c", 1.0)
+        b = default_config.branch("c")
         ss = np.linspace(0.0, 1.0, 41)
 
         def max_gap(tau):
@@ -157,8 +157,14 @@ class TestPerturbedState:
             assert state.rho10 == 0.0 and state.rho01 == 0.0
             state.validate()
 
+    def test_domain(self, default_config):
+        b = default_config.branch("c")
+        for tau in (0.0, -2.0):
+            with pytest.raises(ValueError, match="tau must be > 0"):
+                perturbed_state(b, 0.5, tau)
+
     def test_too_fast_driving_reported(self, default_config):
-        b = default_config.branch("c", 1.0)
+        b = default_config.branch("c")
         with pytest.raises(PositivityError):
             perturbed_state(b, 0.9, 1e-4)
 
