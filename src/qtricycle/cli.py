@@ -165,6 +165,8 @@ class ReportPayload:
 
 
 def _fmt_cell(value):
+    if type(value) is float:  # most cells: skip the isinstance chain
+        return f"{value:.17e}"
     if value is None:
         return "nan"
     if isinstance(value, bool):
@@ -195,7 +197,7 @@ def emit_report(payload, fmt):
     """Render a payload as CSV rows or a single JSON object (byte-stable)."""
     if fmt == "csv":
         lines = [",".join(payload.columns)]
-        lines.extend(",".join(_fmt_cell(v) for v in row) for row in payload.rows)
+        lines.extend(",".join(map(_fmt_cell, row)) for row in payload.rows)
         return "\n".join(lines) + "\n"
     doc = {
         "meta": _json_safe({**payload.meta, "summary": payload.summary}),
@@ -266,8 +268,11 @@ def _run_sweep_times(rc, config):
     tp = np.linspace(rc.sweep_tau_p_min, rc.sweep_tau_p_max, rc.sweep_tau_p_points)
     sweep = optimize.free_time_sweep(config, tc, tp, coeffs=coeffs)
     columns = ["tau_c", "tau_p", "tau_h", "R"]
-    rows = [(tau_c, tau_p, sweep.tau_h[i, j], sweep.R[i, j])  # NaN cells render as nan/null
-            for i, tau_c in enumerate(tc) for j, tau_p in enumerate(tp)]
+    tp_list = tp.tolist()
+    rows = [(tau_c, tau_p, tau_h, R)  # NaN cells render as nan/null
+            for tau_c, h_row, R_row in zip(tc.tolist(), sweep.tau_h.tolist(),
+                                           sweep.R.tolist())
+            for tau_p, tau_h, R in zip(tp_list, h_row, R_row)]
     present = sweep.R[~np.isnan(sweep.R)]
     summary = {"R_max_on_grid": float(present.max()) if present.size else float("nan")}
     return columns, rows, summary
@@ -331,10 +336,15 @@ def _run_time_allocation(rc, config):
             config, alpha_grid=np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points),
             tau_c_grid=grid_tc,
         )
-        alpha_chi = alpha_chi if alpha_chi is not None else sweep.alpha_chi
-        alpha_r = alpha_r if alpha_r is not None else sweep.alpha_R
-    curve_R, ext_R = optimize.curve_extrema(replace(config, alpha=alpha_r), grid_tc)
-    curve_chi, ext_chi = optimize.curve_extrema(replace(config, alpha=alpha_chi), grid_tc)
+
+    def given(alpha):
+        return (alpha, *optimize.curve_extrema(replace(config, alpha=alpha), grid_tc))
+
+    # An alpha left unset takes the sweep's, whose curve the sweep already built.
+    alpha_r, curve_R, ext_R = (given(alpha_r) if alpha_r is not None
+                               else (sweep.alpha_R, *sweep.extrema_R))
+    alpha_chi, curve_chi, ext_chi = (given(alpha_chi) if alpha_chi is not None
+                                     else (sweep.alpha_chi, *sweep.extrema_chi))
     psi_R, psi_chi = ext_R.psi_at_R_max, ext_chi.psi_at_chi_max
     lo, hi = sorted((psi_R, psi_chi))
     psi_grid = _psi_grid(rc, lo, hi)
@@ -354,9 +364,7 @@ def _run_reversible_delta(rc, config):
     grid = np.linspace(rc.delta_min, rc.delta_max, rc.delta_points)
     points = cycle.zeroth_heat_sum_curve(config, grid)
     delta_c_r = cycle._amplitude_root(config, points)
-    columns = ["delta_c", "q0_sum"]
-    rows = [tuple(p) for p in points]
-    return columns, rows, {"delta_c_r": delta_c_r}
+    return ["delta_c", "q0_sum"], points, {"delta_c_r": delta_c_r}
 
 
 def _run_oracle_check(rc, config):

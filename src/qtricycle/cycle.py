@@ -14,17 +14,23 @@ coefficients (dS_eq, Sigma) and the three durations:
 No constraint is imposed here: the work residual -(Q_c + Q_h + Q_p) is
 reported as-is so free sweeps stay honest about their imbalance.  Enforcing
 energy balance belongs to :mod:`qtricycle.optimize`.
+
+The quasi-static sum sum_v T_v dS_v is array-valued in the cold amplitude:
+:func:`zeroth_heat_sum_curve` evaluates its whole grid as one expression, and
+:func:`zeroth_heat_sum` and the bisection of :func:`reversible_amplitude` call
+the same kernel at one amplitude.  Everything else takes one configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import thermo
 from ._numerics import bisect
 from .errors import ConvergenceError
+from .protocol import derive_linked_params
 from .thermo import BranchThermo
 
 __all__ = [
@@ -121,22 +127,43 @@ def reversible_cop(T_c, T_h, T_p):
     return T_c * (T_h - T_p) / (T_h * (T_p - T_c))
 
 
+def _zeroth_heat_sums(config, delta_c):
+    """sum_v T_v [S_eq(T_v, omega_v(1)) - S_eq(T_v, omega_v(0))] at each cold
+    amplitude of the array ``delta_c``, every other parameter from ``config``.
+
+    The hot and pump amplitudes are derive_linked_params' factors at unit
+    delta_c times delta_c, its own operation order, and the endpoint
+    splittings are delta (zeta + 1) and delta (zeta - 1) as ``frequency``
+    gives them (cos 0 = 1 and cos pi = -1 exactly), so each value equals the
+    sum of a config built at that amplitude bit for bit.
+    """
+    delta_c = np.asarray(delta_c, dtype=float)
+    zeta_p, per_h, per_p = derive_linked_params(
+        config.T_c, config.T_h, config.T_p, config.zeta_c, config.zeta_h, 1.0)
+    rows = (slice(None),) + (np.newaxis,) * delta_c.ndim  # c, h, p along axis 0
+    T = np.array([config.T_c, config.T_h, config.T_p])[rows]
+    delta = np.array([1.0, per_h, per_p])[rows] * delta_c
+    zeta = np.array([config.zeta_c, config.zeta_h, zeta_p])[rows]
+    S_wide = thermo.equilibrium_entropy(T, delta * (zeta + 1.0))
+    S_narrow = thermo.equilibrium_entropy(T, delta * (zeta - 1.0))
+    # c and h run from the wide splitting to the narrow one, p the other way
+    Q0 = np.array([1.0, 1.0, -1.0])[rows] * T * (S_narrow - S_wide)
+    return Q0[0] + Q0[1] + Q0[2]
+
+
 def zeroth_heat_sum(config):
     """sum_v T_v dS_v: positive for an irreversible finite-time cycle,
     zero at the reversible amplitude."""
-    branches = config.branches()
-    return sum(b.temperature * thermo.branch_entropy_change(b) for b in branches)
+    return float(_zeroth_heat_sums(config, config.delta_c))
 
 
 def zeroth_heat_sum_curve(config, delta_c_grid):
-    """(delta_c, sum_v Q_v^0) pairs over an ascending amplitude grid."""
+    """(delta_c, sum_v Q_v^0) pairs over an ascending amplitude grid, from one
+    array evaluation."""
     grid = np.asarray(delta_c_grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("delta_c grid must be positive and strictly ascending")
-    return [
-        (float(dc), zeroth_heat_sum(replace(config, delta_c=float(dc))))
-        for dc in grid
-    ]
+    return list(zip(grid.tolist(), _zeroth_heat_sums(config, grid).tolist()))
 
 
 def reversible_amplitude(config, lo=0.01, hi=2.0, scan_points=400):
@@ -158,6 +185,6 @@ def _amplitude_root(config, points):
             failed_points=points[::40],
         )
     i = int(idx[0])
-    root = bisect(lambda dc: zeroth_heat_sum(replace(config, delta_c=float(dc))),
-                  grid[i], grid[i + 1], xtol=1e-12)
+    root = bisect(lambda dc: _zeroth_heat_sums(config, dc), grid[i], grid[i + 1],
+                  xtol=1e-12)
     return float(root)

@@ -384,7 +384,11 @@ class AlphaRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class AlphaSweepResult:
-    """Per-alpha extrema; ``skipped`` holds ``(alpha, reason)`` pairs."""
+    """Per-alpha extrema; ``skipped`` holds ``(alpha, reason)`` pairs.
+
+    ``extrema_R`` and ``extrema_chi`` are the (curve, AlphaRecord) pairs of
+    :func:`curve_extrema` at ``alpha_R`` and ``alpha_chi``.
+    """
 
     rows: list
     alpha_chi: float
@@ -392,6 +396,8 @@ class AlphaSweepResult:
     chi_max: float
     R_max: float
     skipped: list
+    extrema_R: tuple
+    extrema_chi: tuple
 
 
 def curve_extrema(config, tau_c_grid=None):
@@ -405,30 +411,30 @@ def curve_extrema(config, tau_c_grid=None):
 
 
 def _alpha_extrema(config, tau_c_grid):
-    """Memoized ``alpha -> (refined AlphaRecord, None)``, or ``(None, reason)``
-    when :func:`curve_extrema` fails at that alpha."""
+    """Memoized ``alpha -> ((curve, refined AlphaRecord), None)``, or
+    ``(None, reason)`` when :func:`curve_extrema` fails at that alpha."""
     cache = {}
 
     def at(alpha):
         alpha = float(alpha)
         if alpha not in cache:
-            cache[alpha] = _attempt(
-                lambda: curve_extrema(replace(config, alpha=alpha), tau_c_grid)[1])
+            cache[alpha] = _attempt(curve_extrema, replace(config, alpha=alpha), tau_c_grid)
         return cache[alpha]
 
     return at
 
 
 def _refine_alpha(extrema, coarse, key):
-    """(alpha, refined AlphaRecord) maximizing ``key``: golden section over alpha
-    around the best of the ascending ``(alpha, value)`` pairs ``coarse`` (which
-    only choose the bracket, and must all refine) on ``extrema(alpha)``."""
+    """(alpha, (curve, refined AlphaRecord)) maximizing ``key``: golden section
+    over alpha around the best of the ascending ``(alpha, value)`` pairs
+    ``coarse`` (which only choose the bracket, and must all refine) on
+    ``extrema(alpha)``."""
     i = max(range(len(coarse)), key=lambda j: coarse[j][1])
     alpha = coarse[i][0]
     if 0 < i < len(coarse) - 1:
         def negated(a):
-            rec = extrema(a)[0]
-            return -getattr(rec, key) if rec is not None else np.inf
+            pair = extrema(a)[0]
+            return -getattr(pair[1], key) if pair is not None else np.inf
 
         res = golden(negated, coarse[i - 1][0], alpha, coarse[i + 1][0], xtol=1e-4)
         if res is not None and -res[1] > coarse[i][1]:
@@ -453,9 +459,9 @@ def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
 
     extrema = _alpha_extrema(config, tau_c_grid)
     results = [extrema(a) for a in alpha_grid]
-    rows = [r for r, _ in results if r is not None]
-    skipped = [(float(a), reason) for a, (r, reason) in zip(alpha_grid, results)
-               if r is None]
+    rows = [pair[1] for pair, _ in results if pair is not None]
+    skipped = [(float(a), reason) for a, (pair, reason) in zip(alpha_grid, results)
+               if pair is None]
     if not rows:
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
 
@@ -463,7 +469,8 @@ def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
     alpha_chi, at_chi = _refine_alpha(extrema, [(r.alpha, r.chi_max) for r in rows],
                                       "chi_max")
     return AlphaSweepResult(rows=rows, alpha_chi=alpha_chi, alpha_R=alpha_R,
-                            chi_max=at_chi.chi_max, R_max=at_R.R_max, skipped=skipped)
+                            chi_max=at_chi[1].chi_max, R_max=at_R[1].R_max,
+                            skipped=skipped, extrema_R=at_R, extrema_chi=at_chi)
 
 
 @dataclass(frozen=True)
@@ -545,8 +552,8 @@ def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
     extrema = _alpha_extrema(config, tau_c_grid)
     coarse_R = [(a, max(r.R for r in recs)) for a, _, recs in built]
     coarse_chi = [(a, max(r.chi for r in recs)) for a, _, recs in built]
-    _, at_R = _refine_alpha(extrema, coarse_R, "R_max")
-    _, at_chi = _refine_alpha(extrema, coarse_chi, "chi_max")
+    _, (_, at_R) = _refine_alpha(extrema, coarse_R, "R_max")
+    _, (_, at_chi) = _refine_alpha(extrema, coarse_chi, "chi_max")
     return EnvelopeResult(r_curve=r_curve, chi_curve=chi_curve,
                           psi_R=at_R.psi_at_R_max, psi_chi=at_chi.psi_at_chi_max,
                           skipped=skipped)

@@ -21,13 +21,20 @@ population shift:
     phi(s) = beta omega'(s) n(n+1) / (gamma (2n+1)^3).
 
 All integrals use composite Gauss-Legendre quadrature with panel doubling.
+
+Array-valued: :func:`equilibrium_entropy` (in T and omega),
+:func:`population_lag` (in s) and :func:`ts_trajectory`, which evaluates
+each branch's whole s-grid as one array expression.  :func:`perturbed_state`
+is the scalar view of that expression; :func:`effective_temperature` and
+:func:`von_neumann_entropy` take one state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import itertools
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,14 +106,26 @@ def branch_entropy_change(branch):
     return equilibrium_entropy(T, w1) - equilibrium_entropy(T, w0)
 
 
-def _relaxation_kernel(branch, s, power, scale=1.0):
+def _relaxation_kernel(branch, s, power, scale=1.0, cube=None):
     """scale * omega'(s)**power * n(n+1) / (gamma (2n+1)^3): power 2 is the
-    Sigma integrand, power 1 with scale beta the population lag."""
+    Sigma integrand, power 1 with scale beta the population lag.  ``cube``
+    replaces ``** 3`` for (2n+1)^3 when given."""
     w = protocol.frequency(branch, s)
     wp = protocol.frequency_derivative(branch, s)
     n = lindblad.bose_occupation(branch.temperature, w)
     g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
-    return scale * wp ** power * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
+    m = 2.0 * n + 1.0
+    m3 = m ** 3 if cube is None else cube(m)
+    return scale * wp ** power * n * (n + 1.0) / (g * m3)
+
+
+def _python_cube(x):
+    """x**3 by Python's float pow, element by element.  numpy's vectorized pow
+    differs from it in the last bit for a few percent of inputs, so this keeps
+    the array-valued lag equal, element for element, to its scalar values."""
+    if np.ndim(x) == 0:
+        return x ** 3
+    return np.array([v ** 3 for v in x.tolist()])
 
 
 def sigma_coefficient(branch):
@@ -155,10 +174,28 @@ def population_lag(branch, s):
 
     The perturbed state is rho_eq + (phi/tau) (1, 0, 0, -1); phi carries the
     sign of omega'(s), so the state trails the equilibrium it is chasing.
-    Array-friendly in s.
+    Array-valued in s, with each element equal to the scalar value at its s.
     """
-    phi = _relaxation_kernel(branch, s, 1, scale=branch.beta)
+    phi = _relaxation_kernel(branch, s, 1, scale=branch.beta, cube=_python_cube)
     return phi if np.ndim(phi) else float(phi)
+
+
+def _lagged_population(branch, s, tau):
+    """(omega, p): splitting and first-order excited population p_eq + phi/tau
+    at rescaled time s, array-valued in s.  p is not checked here."""
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    w = protocol.frequency(branch, s)
+    p_eq = lindblad.gibbs_state(branch.temperature, w).excited
+    return w, p_eq + population_lag(branch, s) / tau
+
+
+def _positivity_error(branch, p, s, tau):
+    return PositivityError(
+        f"perturbed excited population {p} outside [0, 1] on branch "
+        f"{branch.reservoir!r} at s={s}, tau={tau}: duration too short "
+        f"for the slow-driving expansion"
+    )
 
 
 def perturbed_state(branch, s, tau):
@@ -167,19 +204,12 @@ def perturbed_state(branch, s, tau):
     Coherences are exactly zero and the trace is exactly one; the correction
     only shifts populations.  Raises :class:`PositivityError` when the shift
     pushes a population outside [0, 1], which signals tau is too small for
-    the expansion to be trusted.
+    the expansion to be trusted.  The scalar view of the population that
+    :func:`ts_trajectory` evaluates over a whole branch at once.
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    w = protocol.frequency(branch, float(s))
-    p_eq = lindblad.gibbs_state(branch.temperature, w).excited
-    p = p_eq + population_lag(branch, float(s)) / tau
+    _, p = _lagged_population(branch, float(s), tau)
     if p < 0.0 or p > 1.0:
-        raise PositivityError(
-            f"perturbed excited population {p} outside [0, 1] on branch "
-            f"{branch.reservoir!r} at s={s}, tau={tau}: duration too short "
-            f"for the slow-driving expansion"
-        )
+        raise _positivity_error(branch, p, s, tau)
     return lindblad.DensityVector.from_populations(p)
 
 
@@ -207,8 +237,7 @@ def von_neumann_entropy(state):
     return float(-sum(p * math.log(p) for p in evals if p > 0.0))
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     """One sample of the temperature-entropy diagram."""
 
     T_eff: float
@@ -226,19 +255,32 @@ def ts_trajectory(config, taus, samples_per_branch=201):
     branches keep the populations (hence S) fixed while the splitting jumps
     by the temperature ratio, so consecutive branch endpoints line up
     vertically in the (S, T_eff) plane.
+
+    Each branch is one array expression over its s-grid: p = p_eq + phi/tau,
+    T_eff = omega / ln((1 - p)/p) (0.0 where p == 0, as
+    :func:`effective_temperature` gives) and S the binary entropy of p (the
+    :func:`von_neumann_entropy` of the diagonal state).  The first sample
+    with p outside [0, 1] raises :class:`PositivityError`, one with equal
+    populations ValueError.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
+    s = np.linspace(0.0, 1.0, samples_per_branch)
     points = []
     for branch, tau in zip(config.branches(), taus, strict=True):
-        for s in np.linspace(0.0, 1.0, samples_per_branch):
-            state = perturbed_state(branch, s, tau)
-            w = protocol.frequency(branch, float(s))
-            points.append(TrajectoryPoint(
-                T_eff=effective_temperature(state, w),
-                S=von_neumann_entropy(state),
-                reservoir=branch.reservoir,
-                s=float(s),
-                omega=w,
-            ))
+        w, p = _lagged_population(branch, s, tau)
+        q = 1.0 - p
+        outside = (p < 0.0) | (p > 1.0)
+        stop = np.flatnonzero(outside | (q == p))
+        if stop.size:
+            i = stop[0]
+            if outside[i]:
+                raise _positivity_error(branch, float(p[i]), s[i], tau)
+            raise ValueError("equal populations: effective temperature undefined")
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as in Python floats
+            T_eff = w / np.log(q / p)  # p == 0 gives ln(inf), so T_eff = 0.0
+            S = -(np.where(p > 0.0, p * np.log(p), 0.0)
+                  + np.where(q > 0.0, q * np.log(q), 0.0))
+        points.extend(map(TrajectoryPoint, T_eff.tolist(), S.tolist(),
+                          itertools.repeat(branch.reservoir), s.tolist(), w.tolist()))
     return points

@@ -35,3 +35,16 @@ def random_branch(rng):
     reservoir = ("c", "h", "p")[rng.integers(0, 3)]
     rng.uniform(1.0, 50.0)  # a duration, no longer used; drawn so later draws stay put
     return config.branch(reservoir)
+
+
+def light_draw(rng):
+    """(config, (tau_c, tau_h, tau_p), (delta_min, delta_max)) from the ranges
+    of the benchmark's ``light`` workload, at the default temperatures and
+    displacements."""
+    config = TricycleConfig(
+        delta_c=rng.uniform(0.5, 0.8),
+        gamma0=rng.uniform(1.0, 1.5),
+        alpha=rng.uniform(-0.5, 1.5),
+    )
+    taus = tuple(float(t) for t in rng.uniform(15.0, 60.0, 3))
+    return config, taus, (rng.uniform(0.01, 0.05), rng.uniform(1.9, 2.0))

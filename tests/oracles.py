@@ -5,13 +5,31 @@ coefficient is evaluated from its defining trace expression with a
 finite-difference outer derivative and the full generalized-inverse matrix,
 the Drazin inverse is rebuilt spectrally from an eigendecomposition, and the
 RK4 reference applies each stage generator to the state vector step by step.
+The zeroth-heat scan and the temperature-entropy trajectory are the per-point
+loops the package ran before it evaluated them as array expressions: one
+config and three branches per amplitude, one state per sample.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from qtricycle import PositivityError, drazin_inverse, gibbs_state, liouvillian
+from qtricycle import (
+    DensityVector,
+    PositivityError,
+    drazin_inverse,
+    gibbs_state,
+    liouvillian,
+)
 from qtricycle.protocol import frequency, frequency_derivative
-from qtricycle.thermo import gauss_legendre_adaptive
+from qtricycle.thermo import (
+    TrajectoryPoint,
+    branch_entropy_change,
+    effective_temperature,
+    gauss_legendre_adaptive,
+    population_lag,
+    von_neumann_entropy,
+)
 
 TRACELESS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex)
 
@@ -152,3 +170,55 @@ def rk4_reference(branch, tau, steps, initial):
             )
         states[i + 1] = rho
     return states
+
+
+def zeroth_heat_sum_reference(config):
+    """sum_v T_v dS_v from the config's three branches."""
+    branches = config.branches()
+    return sum(b.temperature * branch_entropy_change(b) for b in branches)
+
+
+def zeroth_heat_sum_curve_reference(config, delta_c_grid):
+    """(delta_c, sum_v Q_v^0) pairs: one config per amplitude."""
+    grid = np.asarray(delta_c_grid, dtype=float)
+    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("delta_c grid must be positive and strictly ascending")
+    return [
+        (float(dc), zeroth_heat_sum_reference(replace(config, delta_c=float(dc))))
+        for dc in grid
+    ]
+
+
+def perturbed_state_reference(branch, s, tau):
+    """First-order slow-driving state at one rescaled time s."""
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    w = frequency(branch, float(s))
+    p_eq = gibbs_state(branch.temperature, w).excited
+    p = p_eq + population_lag(branch, float(s)) / tau
+    if p < 0.0 or p > 1.0:
+        raise PositivityError(
+            f"perturbed excited population {p} outside [0, 1] on branch "
+            f"{branch.reservoir!r} at s={s}, tau={tau}: duration too short "
+            f"for the slow-driving expansion"
+        )
+    return DensityVector.from_populations(p)
+
+
+def ts_trajectory_reference(config, taus, samples_per_branch=201):
+    """Temperature-entropy samples, one perturbed state per sample."""
+    if samples_per_branch < 2:
+        raise ValueError("samples_per_branch must be >= 2")
+    points = []
+    for branch, tau in zip(config.branches(), taus, strict=True):
+        for s in np.linspace(0.0, 1.0, samples_per_branch):
+            state = perturbed_state_reference(branch, s, tau)
+            w = frequency(branch, float(s))
+            points.append(TrajectoryPoint(
+                T_eff=effective_temperature(state, w),
+                S=von_neumann_entropy(state),
+                reservoir=branch.reservoir,
+                s=float(s),
+                omega=w,
+            ))
+    return points

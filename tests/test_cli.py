@@ -207,6 +207,15 @@ class TestSubcommands:
         assert code == 0
         assert len(built) == 2
 
+        # Without given alphas the report reads both curves from the sweep,
+        # which builds one curve per alpha it visits.
+        built.clear()
+        code, _ = run_cli(tmp_path, "time-allocation", "psi_points=5")
+        assert code == 0
+        alphas = [config.alpha for config, *_ in built]
+        assert len(alphas) > 100
+        assert len(set(alphas)) == len(alphas)
+
     @pytest.mark.parametrize("bound", ["psi_min=0.05", "psi_max=0.1"])
     def test_envelope_rejects_a_lone_psi_bound(self, tmp_path, capsys, bound):
         code, out = run_cli(tmp_path, "envelope", bound)

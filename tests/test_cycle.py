@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_config
+from conftest import light_draw, random_config
+from oracles import zeroth_heat_sum_curve_reference, zeroth_heat_sum_reference
 from qtricycle import (
     ConvergenceError,
     TricycleConfig,
@@ -13,6 +16,9 @@ from qtricycle import (
     zeroth_heat_sum,
     zeroth_heat_sum_curve,
 )
+from qtricycle._numerics import bisect
+from qtricycle.protocol import frequency
+from qtricycle.thermo import branch_entropy_change, equilibrium_entropy
 
 PSI_R_DEFAULT = 1.0 / 3.0
 
@@ -139,3 +145,145 @@ class TestZerothHeatSumCurve:
             zeroth_heat_sum_curve(default_config, [0.5, 0.4])
         with pytest.raises(ValueError):
             zeroth_heat_sum_curve(default_config, [-0.1, 0.5])
+
+
+def amplitude_root_reference(config, points):
+    """The first sign change of a reference scan, bisected on the per-config sum."""
+    grid, vals = np.array(points).T
+    i = int(np.nonzero(vals[:-1] * vals[1:] < 0.0)[0][0])
+    return bisect(lambda dc: zeroth_heat_sum_reference(replace(config, delta_c=float(dc))),
+                  grid[i], grid[i + 1], xtol=1e-12)
+
+
+class TestZerothHeatSumArrayPath:
+    """The one-expression scan against the per-config loop it replaced."""
+
+    @staticmethod
+    def draws(rng):
+        for _ in range(8):
+            yield random_config(rng), np.linspace(0.01, 2.0, 400)
+        for _ in range(8):
+            config, _, (lo, hi) = light_draw(rng)
+            yield config, np.linspace(lo, hi, 400)
+
+    def test_scan_and_root_equal_the_per_config_loop(self, rng):
+        roots = 0
+        for config, grid in self.draws(rng):
+            points = zeroth_heat_sum_curve(config, grid)
+            reference = zeroth_heat_sum_curve_reference(config, grid)
+            assert points == reference  # exact: every delta_c and every sum
+            if any(a * b < 0.0 for (_, a), (_, b) in zip(reference, reference[1:])):
+                assert reversible_amplitude(config, grid[0], grid[-1], grid.size) == \
+                    amplitude_root_reference(config, reference)
+                roots += 1
+        assert roots >= 8
+
+    def test_single_point_equals_the_branch_sum(self, rng):
+        for _ in range(20):
+            config = random_config(rng)
+            value = zeroth_heat_sum(config)
+            assert type(value) is float
+            assert value == zeroth_heat_sum_reference(config)
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
+def entropy_mp(mp, x):
+    """Binary entropy of the thermal state at beta*omega = x."""
+    e = mp.exp(-x)
+    p = e / (1 + e)
+    return -(p * mp.log(p) + (1 - p) * mp.log(1 - p))
+
+
+def entropy_bound(mp, x):
+    """(S(x), rounding scale (1 + x) S(x)): a relative error eps in x moves S by
+    about x S'(x) eps, and |x S'(x)| <= (1 + x) S(x)."""
+    S = entropy_mp(mp, x)
+    return S, (1 + x) * S
+
+
+def zeroth_heat_sum_mp(mp, config, delta_c):
+    """(sum_v T_v dS_v, sum_v T_v of both endpoints' rounding scales) in mpmath,
+    the linked amplitudes derived in mpmath from the config's independent
+    parameters."""
+    T_c, T_h, T_p, z_c, z_h, d_c = map(mp.mpf, (config.T_c, config.T_h, config.T_p,
+                                                config.zeta_c, config.zeta_h, delta_c))
+    z_p = (1 + z_c * z_h) / (z_c + z_h)
+    d_h = T_h * (z_c - 1) / (T_c * (1 + z_h)) * d_c
+    d_p = T_p * (z_c + z_h) / (T_c * (1 + z_h)) * d_c
+    total = scale = 0
+    for T, d, z, sign in ((T_c, d_c, z_c, 1), (T_h, d_h, z_h, 1), (T_p, d_p, z_p, -1)):
+        (wide, wide_scale), (narrow, narrow_scale) = (
+            entropy_bound(mp, d * (z + 1) / T), entropy_bound(mp, d * (z - 1) / T))
+        total += sign * T * (narrow - wide)
+        scale += T * (wide_scale + narrow_scale)
+    return total, scale
+
+
+EPS = np.finfo(float).eps
+# beta*omega at the branch endpoints spans 0.009 .. 40 over these configs; the
+# last is delta_c = 2 at T_c = 0.2, whose cold branch starts at beta*omega = 40.
+MP_CONFIGS = [
+    *(TricycleConfig(delta_c=dc) for dc in (0.1, 0.2, 0.3492, 0.5333, 1.0, 2.0)),
+    TricycleConfig(T_c=0.3, T_p=0.6, T_h=1.5, zeta_c=1.2, zeta_h=1.2, delta_c=0.15),
+    TricycleConfig(zeta_c=3.0, zeta_h=2.5, delta_c=2.0),
+]
+
+
+class TestZerothHeatSumAgainstMpmath:
+    """50-digit references for the quasi-static heats and the reversible amplitude."""
+
+    def test_configs_span_the_beta_omega_range(self):
+        x = [d * (z + sign) / T for cfg in MP_CONFIGS
+             for T, d, z in zip((cfg.T_c, cfg.T_h, cfg.T_p),
+                                (cfg.delta_c, cfg.delta_h, cfg.delta_p),
+                                (cfg.zeta_c, cfg.zeta_h, cfg.zeta_p))
+             for sign in (-1.0, 1.0)]
+        assert min(x) <= 0.1 and max(x) >= 40.0 - 1e-12
+
+    def test_entropy_change_of_each_branch(self, mp):
+        for config in MP_CONFIGS:
+            for branch in config.branches():
+                T = branch.temperature
+                w0, w1 = (frequency(branch, s) for s in (0.0, 1.0))
+                (S0, scale0), (S1, scale1) = (entropy_bound(mp, mp.mpf(w) / mp.mpf(T))
+                                              for w in (w0, w1))
+                for w, S, scale in ((w0, S0, scale0), (w1, S1, scale1)):
+                    assert abs(equilibrium_entropy(T, w) - S) <= 4 * EPS * scale
+                dS = branch_entropy_change(branch)
+                assert abs(dS - (S1 - S0)) <= 4 * EPS * (scale0 + scale1)
+
+    def test_heat_sum(self, mp):
+        for config in MP_CONFIGS:
+            total, scale = zeroth_heat_sum_mp(mp, config, config.delta_c)
+            assert abs(zeroth_heat_sum(config) - total) <= 4 * EPS * scale
+
+    def test_heat_sum_next_to_the_root(self, mp, default_config):
+        # the sum cancels here, so the bound is absolute, on the size of its terms
+        root = reversible_amplitude(default_config)
+        grid = root * (1.0 + np.linspace(-1e-6, 1e-6, 41))
+        for dc, value in zeroth_heat_sum_curve(default_config, grid):
+            total, scale = zeroth_heat_sum_mp(mp, default_config, dc)
+            assert abs(value - total) <= 4 * EPS * scale
+
+    def test_reversible_amplitude(self, mp, rng):
+        configs = [TricycleConfig(), TricycleConfig(zeta_c=3.0, zeta_h=2.5)]
+        while len(configs) < 6:
+            config = random_config(rng)
+            try:
+                reversible_amplitude(config)
+            except ConvergenceError:
+                continue
+            configs.append(config)
+        for config in configs:
+            root = reversible_amplitude(config)
+            exact = mp.findroot(lambda dc: zeroth_heat_sum_mp(mp, config, dc)[0],
+                                (mp.mpf(root) * 0.99, mp.mpf(root) * 1.01),
+                                solver="anderson")
+            # bisection stops once its step is below 1e-12 + 4 eps * root
+            assert abs(root - exact) <= 2e-12 + 8 * EPS * exact

@@ -1,24 +1,29 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_branch, random_config
-from oracles import sigma_direct
+import oracles
+from conftest import light_draw, random_branch, random_config
+from oracles import sigma_direct, ts_trajectory_reference
 from qtricycle import (
     ConvergenceError,
     PositivityError,
+    TricycleConfig,
     branch_entropy_change,
     branch_heat,
     effective_temperature,
     equilibrium_entropy,
     gibbs_state,
+    lindblad,
     perturbed_state,
     sigma_coefficient,
     ts_trajectory,
     von_neumann_entropy,
 )
-from qtricycle.thermo import gauss_legendre_adaptive
+from qtricycle.protocol import frequency
+from qtricycle.thermo import gauss_legendre_adaptive, population_lag
 
 
 class TestQuadrature:
@@ -224,3 +229,82 @@ class TestTSTrajectory:
     def test_sample_count_validation(self, default_config):
         with pytest.raises(ValueError):
             ts_trajectory(default_config, (9.0, 10.0, 11.0), samples_per_branch=1)
+
+
+def ulps(a, b):
+    """Distance in units in the last place between float arrays of one sign."""
+    a, b = (np.asarray(x, dtype=float) for x in (a, b))
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestTSTrajectoryArrayPath:
+    """The per-branch array expression against the per-sample loop it replaced."""
+
+    @staticmethod
+    def draws(rng):
+        for _ in range(6):
+            config, taus, _ = light_draw(rng)
+            yield config, taus
+        for _ in range(6):
+            yield random_config(rng), tuple(float(t) for t in rng.uniform(15.0, 60.0, 3))
+
+    def test_cells_within_4_ulp_of_the_per_sample_loop(self, rng):
+        for config, taus in self.draws(rng):
+            points = ts_trajectory(config, taus)
+            reference = ts_trajectory_reference(config, taus)
+            assert [(p.reservoir, p.s, p.omega) for p in points] == \
+                [(p.reservoir, p.s, p.omega) for p in reference]
+            for key in ("T_eff", "S"):
+                assert ulps([getattr(p, key) for p in points],
+                            [getattr(p, key) for p in reference]).max() <= 4
+
+    def test_population_lag_is_elementwise_scalar(self, rng):
+        s = np.linspace(0.0, 1.0, 201)
+        for _ in range(10):
+            branch = random_branch(rng)
+            lag = population_lag(branch, s)
+            assert lag.tolist() == [population_lag(branch, float(x)) for x in s]
+
+    def test_positivity_error_matches_the_loop(self, rng):
+        for config, taus in self.draws(rng):
+            for v in range(3):
+                short = taus[:v] + (1e-4,) + taus[v + 1:]
+                with pytest.raises(PositivityError) as new:
+                    ts_trajectory(config, short)
+                with pytest.raises(PositivityError) as old:
+                    ts_trajectory_reference(config, short)
+                assert str(new.value) == str(old.value)
+                assert f"on branch {'chp'[v]!r} at s=0.005, tau=0.0001:" in str(new.value)
+
+    def test_zero_population_gives_zero_temperature(self):
+        # beta*omega > 745 at the branch ends, where p_eq underflows to 0
+        config, taus = TricycleConfig(delta_c=60.0), (1e8, 1e8, 1e8)
+        points = ts_trajectory(config, taus, samples_per_branch=11)
+        reference = ts_trajectory_reference(config, taus, samples_per_branch=11)
+        zero = [i for i, p in enumerate(reference) if p.T_eff == 0.0]
+        assert zero and [i for i, p in enumerate(points) if p.T_eff == 0.0] == zero
+        for key in ("T_eff", "S"):
+            assert ulps([getattr(p, key) for p in points],
+                        [getattr(p, key) for p in reference]).max() <= 4
+
+    @pytest.mark.parametrize("tau, error", [(30.0, ValueError), (1e-4, ValueError),
+                                            (1e-4, PositivityError)])
+    def test_first_offending_sample_decides(self, monkeypatch, default_config, tau, error):
+        # Equal populations at the start of the cold branch (or, for the last
+        # case, at its end, after the too-short duration has already failed).
+        gibbs = lindblad.gibbs_state
+        s_equal = 1.0 if error is PositivityError else 0.0
+        w_equal = frequency(default_config.branch("c"), s_equal)
+
+        def gibbs_with_equal_populations(T, w):
+            excited = np.where(np.asarray(w) == w_equal, 0.5, gibbs(T, w).excited)
+            return SimpleNamespace(excited=excited[()])
+
+        monkeypatch.setattr(lindblad, "gibbs_state", gibbs_with_equal_populations)
+        monkeypatch.setattr(oracles, "gibbs_state", gibbs_with_equal_populations)
+        taus = (tau, 30.0, 30.0)
+        with pytest.raises(error) as new:
+            ts_trajectory(default_config, taus, samples_per_branch=21)
+        with pytest.raises(error) as old:
+            ts_trajectory_reference(default_config, taus, samples_per_branch=21)
+        assert str(new.value) == str(old.value)
