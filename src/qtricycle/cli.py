@@ -41,28 +41,28 @@ _KEYS = {
     "tau_c": ("float", 9.0),
     "tau_p": ("float", 11.0),
     "tau_h": ("float?", None),          # derived from energy balance when unset
-    "tau_c_min": ("float", 0.3),
-    "tau_c_max": ("float", 3000.0),
-    "tau_c_points": ("int", 120),
+    "tau_c_min": ("float", optimize.DEFAULT_TAU_C_RANGE[0]),
+    "tau_c_max": ("float", optimize.DEFAULT_TAU_C_RANGE[1]),
+    "tau_c_points": ("int", optimize.DEFAULT_TAU_C_RANGE[2]),
     "sweep_tau_c_min": ("float", 1.0),
     "sweep_tau_c_max": ("float", 60.0),
     "sweep_tau_c_points": ("int", 60),
     "sweep_tau_p_min": ("float", 1.0),
     "sweep_tau_p_max": ("float", 60.0),
     "sweep_tau_p_points": ("int", 60),
-    "alpha_min": ("float", -0.5),
-    "alpha_max": ("float", 1.5),
-    "alpha_points": ("int", 101),
-    "envelope_alpha_points": ("int", 61),
+    "alpha_min": ("float", optimize.DEFAULT_ALPHA_WINDOW[0]),
+    "alpha_max": ("float", optimize.DEFAULT_ALPHA_WINDOW[1]),
+    "alpha_points": ("int", optimize.DEFAULT_ALPHA_POINTS),
+    "envelope_alpha_points": ("int", optimize.DEFAULT_ENVELOPE_ALPHA_POINTS),
     "psi_points": ("int", 40),
     "psi_min": ("float?", None),
     "psi_max": ("float?", None),
     "alpha_chi": ("float?", None),      # skip the alpha sweep when both given
     "alpha_r": ("float?", None),
-    "delta_min": ("float", 0.01),
-    "delta_max": ("float", 2.0),
-    "delta_points": ("int", 400),
-    "samples_per_branch": ("int", 201),
+    "delta_min": ("float", cycle.DEFAULT_DELTA_SCAN[0]),
+    "delta_max": ("float", cycle.DEFAULT_DELTA_SCAN[1]),
+    "delta_points": ("int", cycle.DEFAULT_DELTA_SCAN[2]),
+    "samples_per_branch": ("int", thermo.DEFAULT_SAMPLES_PER_BRANCH),
     "oracle_branch": ("str", "c"),
     "oracle_taus": ("floats", (100.0, 200.0, 400.0)),
     "out": ("str?", None),
@@ -141,8 +141,8 @@ def parse_config(text, overrides=()):
     rc.tricycle()  # surface invariant violations at parse time
     if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {values['format']!r}")
-    for key in ("tau_c", "tau_p"):
-        if values[key] <= 0.0:
+    for key in ("tau_c", "tau_p", "tau_c_min", "tau_c_max", "oracle_taus"):
+        if np.min(values[key]) <= 0.0:
             raise ConfigError(f"{key} must be > 0")
     if values["tau_h"] is not None and values["tau_h"] <= 0.0:
         raise ConfigError("tau_h must be > 0 when given")
@@ -330,32 +330,26 @@ def _run_envelope(rc, config):
 
 def _run_time_allocation(rc, config):
     grid_tc = _tau_c_grid(rc)
-    alpha_chi, alpha_r = rc.alpha_chi, rc.alpha_r
-    if alpha_chi is None or alpha_r is None:
+    if rc.alpha_chi is None or rc.alpha_r is None:
         sweep = optimize.alpha_sweep(
             config, alpha_grid=np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points),
             tau_c_grid=grid_tc,
         )
-
-    def given(alpha):
-        return (alpha, *optimize.curve_extrema(replace(config, alpha=alpha), grid_tc))
-
     # An alpha left unset takes the sweep's, whose curve the sweep already built.
-    alpha_r, curve_R, ext_R = (given(alpha_r) if alpha_r is not None
-                               else (sweep.alpha_R, *sweep.extrema_R))
-    alpha_chi, curve_chi, ext_chi = (given(alpha_chi) if alpha_chi is not None
-                                     else (sweep.alpha_chi, *sweep.extrema_chi))
+    curve_R, ext_R = (optimize.curve_extrema(replace(config, alpha=rc.alpha_r), grid_tc)
+                      if rc.alpha_r is not None else sweep.extrema_R)
+    curve_chi, ext_chi = (optimize.curve_extrema(replace(config, alpha=rc.alpha_chi), grid_tc)
+                          if rc.alpha_chi is not None else sweep.extrema_chi)
     psi_R, psi_chi = ext_R.psi_at_R_max, ext_chi.psi_at_chi_max
     lo, hi = sorted((psi_R, psi_chi))
     psi_grid = _psi_grid(rc, lo, hi)
     columns = ["alpha_label", "alpha", "psi", "tau_total", "ratio_hp",
                "ratio_cp", "tau_c", "tau_h", "tau_p"]
-    rows = []
-    for label, alpha, curve in (("alpha_chi", alpha_chi, curve_chi),
-                                ("alpha_R", alpha_r, curve_R)):
-        for p in optimize._profile(curve, psi_grid):
-            rows.append((label, alpha) + tuple(p))
-    summary = {"alpha_chi": alpha_chi, "alpha_r": alpha_r,
+    rows = [(label, ext.alpha) + tuple(p)
+            for label, ext, curve in (("alpha_chi", ext_chi, curve_chi),
+                                      ("alpha_R", ext_R, curve_R))
+            for p in optimize.time_allocation_profile(curve, psi_grid)]
+    summary = {"alpha_chi": ext_chi.alpha, "alpha_r": ext_R.alpha,
                "psi_R": psi_R, "psi_chi": psi_chi}
     return columns, rows, summary
 

@@ -44,6 +44,8 @@ __all__ = [
     "reversible_amplitude",
 ]
 
+DEFAULT_DELTA_SCAN = (0.01, 2.0, 400)  # (lo, hi, scan_points) of reversible_amplitude
+
 
 @dataclass(frozen=True)
 class CycleCoefficients:
@@ -166,7 +168,8 @@ def zeroth_heat_sum_curve(config, delta_c_grid):
     return list(zip(grid.tolist(), _zeroth_heat_sums(config, grid).tolist()))
 
 
-def reversible_amplitude(config, lo=0.01, hi=2.0, scan_points=400):
+def reversible_amplitude(config, lo=DEFAULT_DELTA_SCAN[0], hi=DEFAULT_DELTA_SCAN[1],
+                         scan_points=DEFAULT_DELTA_SCAN[2]):
     """Cold-branch amplitude at which the quasi-static heats balance, from a
     ``scan_points`` scan of delta_c over [lo, hi].  Above it the sum is positive."""
     grid = np.linspace(lo, hi, scan_points)

@@ -26,14 +26,16 @@ optimal performance curves (R vs psi, chi vs psi).  Everything downstream of
 the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
 once the three quadratures are done.
 
-Every fixed-alpha result takes one path: :func:`optimal_curve` solves a curve
-and keeps its coefficients, :func:`curve_extrema` refines both maxima on it,
-and profiles and envelope points re-solve from the curve alone.  The alpha
-sweeps golden-section search alpha over one memoized refined record per alpha.
+Every fixed-alpha curve comes from :func:`optimal_curve`; the alpha sweeps
+draw each curve and its refined maxima once from one memoized family.  One
+golden-section helper refines every maximum (over log tau_c and over alpha),
+and one array interpolation inverts curves at target COPs for the envelope
+and the profiles, which re-solve the allocation there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -65,15 +67,21 @@ __all__ = [
     "envelope_curve",
     "time_allocation_profile",
     "free_time_sweep",
+    "DEFAULT_TAU_C_RANGE",
     "DEFAULT_TAU_C_GRID",
     "DEFAULT_ALPHA_WINDOW",
+    "DEFAULT_ALPHA_POINTS",
+    "DEFAULT_ENVELOPE_ALPHA_POINTS",
 ]
 
-# tau_c sweep used when the caller does not supply a grid: wide enough to
-# cover the R peak and the large-time COP saturation for every alpha in the
-# default window.
-DEFAULT_TAU_C_GRID = np.geomspace(0.3, 3000.0, 120)
+# (first, last, points) of the geometric tau_c sweep used when the caller does
+# not supply a grid: wide enough to cover the R peak and the large-time COP
+# saturation for every alpha in the default window.
+DEFAULT_TAU_C_RANGE = (0.3, 3000.0, 120)
+DEFAULT_TAU_C_GRID = np.geomspace(*DEFAULT_TAU_C_RANGE)
 DEFAULT_ALPHA_WINDOW = (-0.5, 1.5)
+DEFAULT_ALPHA_POINTS = 101  # alpha_sweep's grid over the window
+DEFAULT_ENVELOPE_ALPHA_POINTS = 61  # fixed-alpha curves behind an envelope
 
 
 def _require_sign_structure(coeffs):
@@ -337,27 +345,35 @@ def optimal_curve(config, tau_c_grid=None, coeffs=None):
     return CurveResult(records=records, skipped=skipped, coeffs=coeffs)
 
 
+def _refine_max(f, xs, values, xtol):
+    """(x, f(x)) of the golden-section maximum of f (-inf where it fails) within
+    the grid neighbours of the first best of ``values``, f at the ascending
+    ``xs``; None when that point is on an edge, or no bracket or gain is found."""
+    i = int(np.argmax(values))
+    if 0 < i < len(values) - 1:
+        res = golden(lambda x: -f(x), xs[i - 1], xs[i], xs[i + 1], xtol=xtol)
+        if res is not None and -res[1] > values[i]:
+            return res[0], -res[1]
+    return None
+
+
 def _refine_objective(curve, key):
-    """(value, allocation): golden-section refinement of max(record.key) over
-    log tau_c.  Never returns less than the best grid record; each allocation
-    is solved once, the best grid record's only when it is returned.
-    """
+    """(value, allocation): max(record.key) over the curve, refined by
+    :func:`_refine_max` over log tau_c.  Each allocation is solved once, the
+    best grid record's only when it is returned."""
     coeffs, recs = curve.coeffs, sorted(curve.records, key=lambda r: r.tau_c)
     values = [getattr(r, key) for r in recs]
-    i = int(np.argmax(values))
-    best_val = values[i]
-    if 0 < i < len(recs) - 1:  # a peak on the grid edge has nothing to bracket
-        solved = {}
+    solved = {}
 
-        def negated(x):
-            sol = solved[x] = _attempt(_principal, coeffs, math.exp(x))[0]
-            return -getattr(sol.metrics, key) if sol is not None else np.inf
+    def value(x):
+        sol = solved[x] = _attempt(_principal, coeffs, math.exp(x))[0]
+        return getattr(sol.metrics, key) if sol is not None else -math.inf
 
-        res = golden(negated, math.log(recs[i - 1].tau_c), math.log(recs[i].tau_c),
-                     math.log(recs[i + 1].tau_c), xtol=1e-9)
-        if res is not None and -res[1] > best_val:
-            return -res[1], solved[res[0]]
-    return best_val, _attempt(_principal, coeffs, recs[i].tau_c)[0]
+    hit = _refine_max(value, [math.log(r.tau_c) for r in recs], values, xtol=1e-9)
+    if hit is not None:
+        return hit[1], solved[hit[0]]
+    best = recs[int(np.argmax(values))]
+    return getattr(best, key), _attempt(_principal, coeffs, best.tau_c)[0]
 
 
 def max_cooling_rate(config, tau_c_grid=None, coeffs=None):
@@ -400,46 +416,47 @@ class AlphaSweepResult:
     extrema_chi: tuple
 
 
+def _alpha_record(alpha, curve):
+    """AlphaRecord of the refined R and chi maxima on one curve."""
+    R_max, sol_R = _refine_objective(curve, "R")
+    chi_max, sol_chi = _refine_objective(curve, "chi")
+    return AlphaRecord(alpha=float(alpha), R_max=R_max, chi_max=chi_max,
+                       psi_at_R_max=sol_R.metrics.psi, psi_at_chi_max=sol_chi.metrics.psi)
+
+
 def curve_extrema(config, tau_c_grid=None):
     """(optimal curve, AlphaRecord of its refined R and chi maxima) from one curve."""
     curve = optimal_curve(config, tau_c_grid=tau_c_grid)
-    R_max, sol_R = _refine_objective(curve, "R")
-    chi_max, sol_chi = _refine_objective(curve, "chi")
-    return curve, AlphaRecord(alpha=float(config.alpha), R_max=R_max, chi_max=chi_max,
-                              psi_at_R_max=sol_R.metrics.psi,
-                              psi_at_chi_max=sol_chi.metrics.psi)
+    return curve, _alpha_record(config.alpha, curve)
 
 
-def _alpha_extrema(config, tau_c_grid):
-    """Memoized ``alpha -> ((curve, refined AlphaRecord), None)``, or
-    ``(None, reason)`` when :func:`curve_extrema` fails at that alpha."""
-    cache = {}
+def _curve_family(config, tau_c_grid):
+    """The fixed-alpha curves of ``config`` as two memoized functions of a float
+    alpha: ``curve(alpha) -> (CurveResult, None)`` and ``extrema(alpha) ->
+    ((that curve, its refined AlphaRecord), None)``, or ``(None, reason)``."""
+    @functools.cache
+    def curve(alpha):
+        return _attempt(optimal_curve, replace(config, alpha=alpha), tau_c_grid)
 
-    def at(alpha):
-        alpha = float(alpha)
-        if alpha not in cache:
-            cache[alpha] = _attempt(curve_extrema, replace(config, alpha=alpha), tau_c_grid)
-        return cache[alpha]
+    @functools.cache
+    def extrema(alpha):
+        built, reason = curve(alpha)
+        return (None, reason) if built is None else ((built, _alpha_record(alpha, built)), None)
 
-    return at
+    return curve, extrema
 
 
-def _refine_alpha(extrema, coarse, key):
-    """(alpha, (curve, refined AlphaRecord)) maximizing ``key``: golden section
-    over alpha around the best of the ascending ``(alpha, value)`` pairs
-    ``coarse`` (which only choose the bracket, and must all refine) on
-    ``extrema(alpha)``."""
-    i = max(range(len(coarse)), key=lambda j: coarse[j][1])
-    alpha = coarse[i][0]
-    if 0 < i < len(coarse) - 1:
-        def negated(a):
-            pair = extrema(a)[0]
-            return -getattr(pair[1], key) if pair is not None else np.inf
+def _refine_alpha(extrema, alphas, values, key):
+    """(curve, refined AlphaRecord) of the alpha maximizing ``key``: ``values`` at the
+    ascending ``alphas`` (which must all refine) only choose the bracket, and
+    :func:`_refine_max` searches ``extrema(alpha)`` within it."""
+    def value(alpha):
+        pair = extrema(alpha)[0]
+        return getattr(pair[1], key) if pair is not None else -math.inf
 
-        res = golden(negated, coarse[i - 1][0], alpha, coarse[i + 1][0], xtol=1e-4)
-        if res is not None and -res[1] > coarse[i][1]:
-            alpha = float(res[0])
-    return alpha, extrema(alpha)[0]
+    hit = _refine_max(value, alphas, values, xtol=1e-4)
+    alpha = hit[0] if hit is not None else alphas[int(np.argmax(values))]
+    return extrema(alpha)[0]
 
 
 def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
@@ -449,7 +466,7 @@ def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
     ``(alpha, reason)`` pairs.
     """
     if alpha_grid is None:
-        alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, 101)
+        alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, DEFAULT_ALPHA_POINTS)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 100:
         raise ValueError("alpha grid needs >= 100 points")
@@ -457,18 +474,18 @@ def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
        alpha_grid.max() > DEFAULT_ALPHA_WINDOW[1] + 1e-12:
         raise ValueError(f"alpha grid must stay within {DEFAULT_ALPHA_WINDOW}")
 
-    extrema = _alpha_extrema(config, tau_c_grid)
-    results = [extrema(a) for a in alpha_grid]
+    _, extrema = _curve_family(config, tau_c_grid)
+    results = [extrema(a) for a in alpha_grid.tolist()]
     rows = [pair[1] for pair, _ in results if pair is not None]
-    skipped = [(float(a), reason) for a, (pair, reason) in zip(alpha_grid, results)
+    skipped = [(a, reason) for a, (pair, reason) in zip(alpha_grid.tolist(), results)
                if pair is None]
     if not rows:
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
 
-    alpha_R, at_R = _refine_alpha(extrema, [(r.alpha, r.R_max) for r in rows], "R_max")
-    alpha_chi, at_chi = _refine_alpha(extrema, [(r.alpha, r.chi_max) for r in rows],
-                                      "chi_max")
-    return AlphaSweepResult(rows=rows, alpha_chi=alpha_chi, alpha_R=alpha_R,
+    alphas = [r.alpha for r in rows]
+    at_R = _refine_alpha(extrema, alphas, [r.R_max for r in rows], "R_max")
+    at_chi = _refine_alpha(extrema, alphas, [r.chi_max for r in rows], "chi_max")
+    return AlphaSweepResult(rows=rows, alpha_chi=at_chi[1].alpha, alpha_R=at_R[1].alpha,
                             chi_max=at_chi[1].chi_max, R_max=at_R[1].R_max,
                             skipped=skipped, extrema_R=at_R, extrema_chi=at_chi)
 
@@ -485,59 +502,52 @@ class EnvelopeResult:
 
 
 def _interp_on_curve(records, psi):
-    """Linear interpolation of (R, chi, tau_c) at the requested COP, or None."""
+    """Linear interpolation of (R, chi, tau_c) at the COPs ``psi`` (an array)
+    along records sorted by COP; NaN outside [first psi, last psi]."""
     psis = np.array([r.psi for r in records])
-    if not (psis[0] <= psi <= psis[-1]):
-        return None
-    return tuple(float(np.interp(psi, psis, [getattr(r, key) for r in records]))
-                 for key in ("R", "chi", "tau_c"))
+    return tuple(np.interp(psi, psis, [getattr(r, key) for r in records],
+                           left=np.nan, right=np.nan) for key in ("R", "chi", "tau_c"))
 
 
 def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
-                   alpha_points=61, tau_c_grid=None):
+                   alpha_points=DEFAULT_ENVELOPE_ALPHA_POINTS, tau_c_grid=None):
     """Upper envelopes of R(psi) and chi(psi) over the frequency exponent.
 
     For every target COP the best alpha is selected among ``alpha_points``
-    fixed-alpha optimal curves (each inverted by monotone interpolation);
-    the matching duration triple is then re-solved exactly.  The labeled
-    peaks come from refining the best alpha for each objective.
+    fixed-alpha optimal curves (each inverted by monotone interpolation; the
+    first of equal maxima wins); the matching duration triple is then
+    re-solved exactly.  The labeled peaks come from refining the best alpha
+    for each objective on the same memoized curves.
     """
-    alphas = np.linspace(alpha_window[0], alpha_window[1], alpha_points)
-    results = [_attempt(optimal_curve, replace(config, alpha=float(a)), tau_c_grid)
-               for a in alphas]
-    built = [(float(a), curve.coeffs, curve.records)
-             for a, (curve, _) in zip(alphas, results) if curve is not None]
+    curve, extrema = _curve_family(config, tau_c_grid)
+    alphas = np.linspace(alpha_window[0], alpha_window[1], alpha_points).tolist()
+    results = [curve(a) for a in alphas]
+    built = [(a, c) for a, (c, _) in zip(alphas, results) if c is not None]
     if not built:
         raise ConvergenceError(
             "no alpha in the window produced an optimal curve",
-            failed_points=[(float(a), reason) for a, (_, reason) in zip(alphas, results)],
+            failed_points=[(a, reason) for a, (_, reason) in zip(alphas, results)],
         )
 
     if psi_grid is None:
-        lo = min(recs[0].psi for _, _, recs in built)
-        hi = max(recs[-1].psi for _, _, recs in built)
+        lo = min(c.records[0].psi for _, c in built)
+        hi = max(c.records[-1].psi for _, c in built)
         span = hi - lo
         psi_grid = np.linspace(lo + 0.01 * span, hi - 0.01 * span, 80)
     psi_grid = np.asarray(psi_grid, dtype=float)
 
-    r_curve, chi_curve, skipped = [], [], []
-    for psi in psi_grid:
-        best_r, best_chi = None, None
-        for alpha, coeffs, recs in built:
-            hit = _interp_on_curve(recs, psi)
-            if hit is None:
-                continue
-            R, chi, tau_c = hit
-            if best_r is None or R > best_r[0]:
-                best_r = (R, alpha, coeffs, tau_c)
-            if best_chi is None or chi > best_chi[0]:
-                best_chi = (chi, alpha, coeffs, tau_c)
-        if best_r is None:
-            skipped.append(float(psi))
-            continue
-        for best, out in ((best_r, r_curve), (best_chi, chi_curve)):
-            _, alpha, coeffs, tau_c = best
-            sol = _attempt(_principal, coeffs, tau_c)[0]
+    # (alpha, psi) stacks; only the best alpha's point per psi is re-solved
+    R, chi, tau_c = map(np.array, zip(*(_interp_on_curve(c.records, psi_grid)
+                                         for _, c in built)))
+    reached = ~np.isnan(R).all(axis=0)
+    skipped = psi_grid[~reached].tolist()
+    best_R = np.nan_to_num(R, nan=-np.inf).argmax(axis=0)
+    best_chi = np.nan_to_num(chi, nan=-np.inf).argmax(axis=0)
+    r_curve, chi_curve = [], []
+    for j in np.flatnonzero(reached).tolist():
+        for k, out in ((best_R[j], r_curve), (best_chi[j], chi_curve)):
+            alpha, c = built[k]
+            sol = _attempt(_principal, c.coeffs, float(tau_c[k, j]))[0]
             if sol is not None:
                 out.append(_record(alpha, sol))
     if skipped and len(skipped) == len(psi_grid):
@@ -547,13 +557,12 @@ def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
         )
 
     # Peak COPs of the envelopes: the unrefined per-alpha grid maxima bracket
-    # alpha (every built curve refines), and the peak psi is read off the
-    # refined record there.
-    extrema = _alpha_extrema(config, tau_c_grid)
-    coarse_R = [(a, max(r.R for r in recs)) for a, _, recs in built]
-    coarse_chi = [(a, max(r.chi for r in recs)) for a, _, recs in built]
-    _, (_, at_R) = _refine_alpha(extrema, coarse_R, "R_max")
-    _, (_, at_chi) = _refine_alpha(extrema, coarse_chi, "chi_max")
+    # alpha, and the peak psi is read off the refined record there.
+    built_alphas = [a for a, _ in built]
+    _, at_R = _refine_alpha(extrema, built_alphas,
+                            [max(r.R for r in c.records) for _, c in built], "R_max")
+    _, at_chi = _refine_alpha(extrema, built_alphas,
+                              [max(r.chi for r in c.records) for _, c in built], "chi_max")
     return EnvelopeResult(r_curve=r_curve, chi_curve=chi_curve,
                           psi_R=at_R.psi_at_R_max, psi_chi=at_chi.psi_at_chi_max,
                           skipped=skipped)
@@ -571,8 +580,9 @@ class ProfilePoint(NamedTuple):
     tau_p: float
 
 
-def time_allocation_profile(config, psi_grid, alpha, tau_c_grid=None):
-    """Duration profile along the fixed-alpha optimal curve.
+def time_allocation_profile(curve, psi_grid):
+    """Duration profile along a fixed-alpha :class:`CurveResult`: each target
+    COP is inverted to tau_c as in :func:`envelope_curve` and re-solved there.
 
     The expected shape (total time increasing with the COP, both duration
     ratios decreasing) is checked between consecutive points, and each kind
@@ -580,15 +590,10 @@ def time_allocation_profile(config, psi_grid, alpha, tau_c_grid=None):
     pair, so sweep output is never silently trusted; the caller decides
     whether the shape is a hard requirement.
     """
-    return _profile(optimal_curve(replace(config, alpha=float(alpha)), tau_c_grid), psi_grid)
-
-
-def _profile(curve, psi_grid):
-    """:func:`time_allocation_profile` along an already built curve."""
     coeffs, records = curve.coeffs, curve.records
     psi_grid = np.asarray(psi_grid, dtype=float)
-    unreachable = [float(p) for p in psi_grid
-                   if not (records[0].psi <= p <= records[-1].psi)]
+    tau_c = _interp_on_curve(records, psi_grid)[2]
+    unreachable = psi_grid[np.isnan(tau_c)].tolist()
     if unreachable:
         raise ConvergenceError(
             f"COP targets outside the attainable range "
@@ -596,9 +601,8 @@ def _profile(curve, psi_grid):
             failed_points=unreachable,
         )
     points = []
-    for psi in psi_grid:
-        _, _, tau_c = _interp_on_curve(records, float(psi))
-        sol = _attempt(_principal, coeffs, tau_c)[0]
+    for psi, tc in zip(psi_grid.tolist(), tau_c.tolist()):
+        sol = _attempt(_principal, coeffs, tc)[0]
         if sol is None:
             raise ConvergenceError(f"allocation lost while refining psi={psi}")
         points.append(ProfilePoint(
@@ -608,22 +612,20 @@ def _profile(curve, psi_grid):
             ratio_cp=sol.tau_c / sol.tau_p,
             tau_c=sol.tau_c, tau_h=sol.tau_h, tau_p=sol.tau_p,
         ))
+    psi, total, hp, cp = (np.array([getattr(p, key) for p in points])
+                          for key in ("psi", "tau_total", "ratio_hp", "ratio_cp"))
+    rising = psi[1:] > psi[:-1]  # duplicate targets are not compared
     tol = 1e-12
-    total_drops, ratio_rises = [], []
-    for a, b in zip(points, points[1:]):
-        if b.psi <= a.psi:
-            continue  # duplicate targets
-        if b.tau_total < a.tau_total * (1.0 - tol):
-            total_drops.append((a.psi, b.psi))
-        if b.ratio_hp > a.ratio_hp * (1.0 + tol) or b.ratio_cp > a.ratio_cp * (1.0 + tol):
-            ratio_rises.append((a.psi, b.psi))
-    for what, pairs in (("total time not increasing", total_drops),
-                        ("duration ratios not decreasing", ratio_rises)):
-        if pairs:
+    for what, bad in (("total time not increasing", total[1:] < total[:-1] * (1.0 - tol)),
+                      ("duration ratios not decreasing",
+                       (hp[1:] > hp[:-1] * (1.0 + tol)) | (cp[1:] > cp[:-1] * (1.0 + tol)))):
+        pairs = np.flatnonzero(rising & bad)
+        if pairs.size:
+            a, b = psi[pairs[0]:pairs[0] + 2].tolist()
             warnings.warn(
-                f"{what} between {len(pairs)} of {len(points) - 1} consecutive psi "
-                f"pairs, first between psi={pairs[0][0]} and psi={pairs[0][1]}",
-                RuntimeWarning, stacklevel=3,  # at the caller of time_allocation_profile
+                f"{what} between {pairs.size} of {len(points) - 1} consecutive psi "
+                f"pairs, first between psi={a} and psi={b}",
+                RuntimeWarning, stacklevel=2,  # at the caller
             )
     return points
 

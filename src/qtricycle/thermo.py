@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+DEFAULT_SAMPLES_PER_BRANCH = 201  # of ts_trajectory
 
 
 def gauss_legendre_adaptive(f, rtol=1e-9, start_panels=64, max_panels=2 ** 16):
@@ -247,7 +248,7 @@ class TrajectoryPoint(NamedTuple):
     omega: float
 
 
-def ts_trajectory(config, taus, samples_per_branch=201):
+def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
     """Temperature-entropy samples along the full cycle, branch by branch.
 
     ``taus`` is the (tau_c, tau_h, tau_p) triple.  Within each branch the

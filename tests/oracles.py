@@ -222,3 +222,22 @@ def ts_trajectory_reference(config, taus, samples_per_branch=201):
                 omega=w,
             ))
     return points
+
+
+def profile_shape_warnings_reference(points):
+    """The shape-warning texts of a duration profile, one consecutive pair of
+    points at a time (pairs without a COP increase are not compared)."""
+    tol = 1e-12
+    total_drops, ratio_rises = [], []
+    for a, b in zip(points, points[1:]):
+        if b.psi <= a.psi:
+            continue
+        if b.tau_total < a.tau_total * (1.0 - tol):
+            total_drops.append((a.psi, b.psi))
+        if b.ratio_hp > a.ratio_hp * (1.0 + tol) or b.ratio_cp > a.ratio_cp * (1.0 + tol):
+            ratio_rises.append((a.psi, b.psi))
+    return [f"{what} between {len(pairs)} of {len(points) - 1} consecutive psi pairs, "
+            f"first between psi={pairs[0][0]} and psi={pairs[0][1]}"
+            for what, pairs in (("total time not increasing", total_drops),
+                                ("duration ratios not decreasing", ratio_rises))
+            if pairs]

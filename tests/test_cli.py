@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtricycle import optimize
+from qtricycle import optimize, oracle
 from qtricycle.cli import (
     ReportPayload,
     RunConfig,
@@ -295,6 +295,28 @@ class TestExitCodes:
         diagnostic = tmp_path / "curve.csv.diagnostic.txt"
         if code == 3:
             assert "tau_c=" in diagnostic.read_text()
+
+    @pytest.mark.parametrize("setting", ["tau_c_min=-1", "tau_c_min=0", "tau_c_max=-3000"])
+    def test_nonpositive_tau_c_bound_exits_2(self, tmp_path, capsys, setting):
+        # rejected at parse time: no numpy warning, no report
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["optimal-curve", "--set", setting, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {setting.split('=')[0]} must be > 0\n"
+        assert not out.exists()
+
+    def test_nonpositive_oracle_tau_exits_2_before_integrating(self, tmp_path, capsys,
+                                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "propagate", lambda *args: calls.append(args))
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle-check", "--set", "oracle_taus=100,-5", "--out", str(out)])
+        assert code == 2
+        assert "oracle_taus" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

@@ -1,10 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_config
-from oracles import fixed_cop_times, stationarity_brackets
+from oracles import fixed_cop_times, profile_shape_warnings_reference, stationarity_brackets
 from qtricycle import (
     ConvergenceError,
     TricycleConfig,
@@ -306,6 +307,33 @@ class TestObjectiveMaxima:
         curve_extrema(config)
         assert len(solved) <= 202
 
+    def test_refine_max_gains_or_returns_none(self, rng):
+        xs = np.linspace(0.0, 1.0, 11).tolist()
+
+        def peak(x):
+            return -(x - 0.33) ** 2
+
+        values = [peak(x) for x in xs]
+        x, value = optimize._refine_max(peak, xs, values, xtol=1e-9)
+        assert x == pytest.approx(0.33, abs=1e-6) and value > max(values)
+        # best point on an edge of the grid: nothing to bracket
+        assert optimize._refine_max(lambda x: x, xs, xs, xtol=1e-9) is None
+        assert optimize._refine_max(lambda x: -x, xs, [-x for x in xs], xtol=1e-9) is None
+        # f flat, or failing (-inf) everywhere: the bracket fails
+        assert optimize._refine_max(lambda x: 0.0, xs, values, xtol=1e-9) is None
+        assert optimize._refine_max(lambda x: -np.inf, xs, values, xtol=1e-9) is None
+        # grid values f never reaches: no gain, so no value below the best one
+        assert optimize._refine_max(peak, xs, [v + 1.0 for v in values], xtol=1e-9) is None
+        for _ in range(200):
+            center, width = rng.uniform(-0.2, 1.2), rng.uniform(0.05, 2.0)
+            values = (rng.normal(size=11) * 1e-3).tolist()
+
+            def bumpy(x):
+                return -abs(x - center) / width + 1e-3 * np.sin(40.0 * x)
+
+            hit = optimize._refine_max(bumpy, xs, values, xtol=1e-9)
+            assert hit is None or (hit[1] > max(values) and hit[1] == bumpy(hit[0]))
+
     def test_local_stationarity_of_refined_peak(self, config, coeffs):
         _, R_max, sol = max_cooling_rate(config, coeffs=coeffs)
         for factor in (0.99, 1.01):
@@ -350,6 +378,35 @@ class TestEnvelope:
                 member_R = float(np.interp(rec.psi, psis, [r.R for r in member]))
                 assert rec.R >= member_R * (1.0 - 1e-9)
 
+    def test_builds_each_curve_once(self, config, monkeypatch):
+        # the per-psi selection and the peak refinement share one memoized family
+        built = []
+        original = optimize.optimal_curve
+
+        def counting(cfg, *args, **kwargs):
+            built.append(cfg.alpha)
+            return original(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "optimal_curve", counting)
+        envelope_curve(config, alpha_points=5, psi_grid=np.linspace(0.06, 0.16, 9))
+        assert set(np.linspace(-0.5, 1.5, 5).tolist()) < set(built)  # grid, then golden
+        assert len(set(built)) == len(built)
+
+    def test_array_inversion_matches_scalar_interp(self, curve):
+        recs = curve.records
+        psis = np.array([r.psi for r in recs])
+        targets = np.concatenate([psis[:1], psis[-1:], psis[::7],
+                                  np.linspace(psis[0], psis[-1], 97)])
+        inverted = optimize._interp_on_curve(recs, targets)
+        for key, values in zip(("R", "chi", "tau_c"), inverted):
+            column = [getattr(r, key) for r in recs]
+            assert values[0] == column[0] and values[1] == column[-1]
+            for psi, value in zip(targets.tolist(), values.tolist()):
+                assert value == float(np.interp(psi, psis, column))
+        just_outside = [np.nextafter(psis[0], -np.inf), np.nextafter(psis[-1], np.inf)]
+        for values in optimize._interp_on_curve(recs, np.array(just_outside)):
+            assert np.isnan(values).all()
+
     def test_peak_ordering(self, small_envelope):
         assert small_envelope.psi_R <= small_envelope.psi_chi
 
@@ -360,11 +417,11 @@ class TestEnvelope:
 
 
 class TestTimeAllocationProfile:
-    def test_profile_shape(self, config):
+    def test_profile_shape(self, curve):
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)
-            points = time_allocation_profile(config, np.linspace(0.10, 0.14, 7), 0.0)
+            points = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
         totals = [p.tau_total for p in points]
         assert all(b > a for a, b in zip(totals, totals[1:]))
         hp = [p.ratio_hp for p in points]
@@ -373,14 +430,36 @@ class TestTimeAllocationProfile:
             assert np.isfinite(p.ratio_hp) and p.ratio_hp > 0
             assert np.isfinite(p.ratio_cp) and p.ratio_cp > 0
 
-    def test_shape_violation_warns(self, config):
+    def test_shape_violation_warns(self, curve):
         # tau_c/tau_p grows with the COP here, and the profile says so
         with pytest.warns(RuntimeWarning, match="ratios"):
-            time_allocation_profile(config, np.linspace(0.10, 0.14, 7), 0.0)
+            time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
 
-    def test_unreachable_target_reported(self, config):
+    def test_shape_warnings_match_pairwise_reference(self, curve, rng):
+        # random, unsorted and repeated COP targets on the default and random curves
+        curves, kinds = [curve], set()
+        for _ in range(8):
+            try:
+                curves.append(optimal_curve(random_config(rng)))
+            except ConvergenceError:
+                pass
+        for member in curves:
+            psis = [r.psi for r in member.records]
+            for size in (0, 1, 5, 9):
+                targets = rng.uniform(psis[0], psis[-1], size)
+                if size > 2:
+                    targets[1] = targets[0]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    points = time_allocation_profile(member, targets)
+                messages = [str(w.message) for w in caught]
+                assert messages == profile_shape_warnings_reference(points)
+                kinds.update(m.split(" between")[0] for m in messages)
+        assert kinds == {"total time not increasing", "duration ratios not decreasing"}
+
+    def test_unreachable_target_reported(self, curve):
         with pytest.raises(ConvergenceError):
-            time_allocation_profile(config, np.array([0.32]), 0.0)
+            time_allocation_profile(curve, np.array([0.32]))
 
 
 class TestFreeTimeSweep:
