@@ -10,6 +10,13 @@ and prints its headline numbers as ``name = value`` lines on stdout.
 curves) and of ``envelope``, which takes both bounds or neither (then it
 picks its own 80-point grid).
 
+Grids are checked at parse time by the rules of the library functions they
+feed: ``tau_c_points`` and ``alpha_points`` are at least
+``optimize.MIN_GRID_POINTS``, ``alpha_min`` and ``alpha_max`` lie within
+``optimize.DEFAULT_ALPHA_WINDOW`` (``alpha_chi`` and ``alpha_r`` are not grids),
+duration bounds are positive, 0 < ``delta_min`` < ``delta_max``, and the
+directory of ``out`` exists.
+
 Exit codes: 0 success, 2 configuration problem (including durations too
 short for the slow-driving expansion, reported as ``PositivityError``), 3
 solver non-convergence (a ``*.diagnostic.txt`` file enumerating the failed
@@ -141,16 +148,29 @@ def parse_config(text, overrides=()):
     rc.tricycle()  # surface invariant violations at parse time
     if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {values['format']!r}")
-    for key in ("tau_c", "tau_p", "tau_c_min", "tau_c_max", "oracle_taus"):
+    for key in ("tau_c", "tau_p", "tau_c_min", "tau_c_max", "sweep_tau_c_min",
+                "sweep_tau_c_max", "sweep_tau_p_min", "sweep_tau_p_max", "oracle_taus",
+                "delta_min"):
         if np.min(values[key]) <= 0.0:
             raise ConfigError(f"{key} must be > 0")
     if values["tau_h"] is not None and values["tau_h"] <= 0.0:
         raise ConfigError("tau_h must be > 0 when given")
-    for key in ("tau_c_points", "sweep_tau_c_points", "sweep_tau_p_points",
-                "alpha_points", "envelope_alpha_points", "psi_points",
-                "delta_points", "samples_per_branch"):
+    if values["delta_max"] <= values["delta_min"]:
+        raise ConfigError("delta_max must be > delta_min")
+    for key in ("sweep_tau_c_points", "sweep_tau_p_points", "envelope_alpha_points",
+                "psi_points", "delta_points", "samples_per_branch"):
         if values[key] < 2:
             raise ConfigError(f"{key} must be >= 2")
+    for key in ("tau_c_points", "alpha_points"):
+        if values[key] < optimize.MIN_GRID_POINTS:
+            raise ConfigError(f"{key} must be >= {optimize.MIN_GRID_POINTS}")
+    lo, hi = optimize.DEFAULT_ALPHA_WINDOW
+    for key in ("alpha_min", "alpha_max"):
+        if not lo <= values[key] <= hi:
+            raise ConfigError(f"{key} must lie within [{lo}, {hi}]")
+    out = values["out"]
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"out: directory of {out!r} does not exist")
     if values["oracle_branch"] not in ("c", "h", "p"):
         raise ConfigError("oracle_branch must be one of c, h, p")
     return rc
@@ -226,13 +246,13 @@ def _resolved_taus(rc, config):
     coeffs = cycle.cycle_coefficients(config)
     tau_h = rc.tau_h
     if tau_h is None:
-        tau_h = optimize.balanced_tau_h(config, rc.tau_c, rc.tau_p, coeffs=coeffs)
+        tau_h = optimize.balanced_tau_h(coeffs, rc.tau_c, rc.tau_p)
     return coeffs, (rc.tau_c, tau_h, rc.tau_p)
 
 
 def _run_branch(rc, config):
     coeffs, (tau_c, tau_h, tau_p) = _resolved_taus(rc, config)
-    metrics = cycle.evaluate_cycle(config, tau_c, tau_h, tau_p, coeffs=coeffs)
+    metrics = cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p)
     rows = [
         (b.reservoir, b.tau, b.dS_eq, b.Sigma, b.Q0, b.Q1, b.Q)
         for b in (metrics.cold, metrics.hot, metrics.pump)
@@ -243,7 +263,7 @@ def _run_branch(rc, config):
 
 def _run_cycle(rc, config):
     coeffs, (tau_c, tau_h, tau_p) = _resolved_taus(rc, config)
-    m = cycle.evaluate_cycle(config, tau_c, tau_h, tau_p, coeffs=coeffs)
+    m = cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p)
     psi_r = cycle.reversible_cop(config.T_c, config.T_h, config.T_p)
     columns = ["tau_c", "tau_h", "tau_p", "Q_c", "Q_h", "Q_p", "psi", "R",
                "chi", "work_residual", "entropy_production", "psi_r", "valid"]
@@ -263,10 +283,9 @@ def _run_ts_diagram(rc, config):
 
 
 def _run_sweep_times(rc, config):
-    coeffs = cycle.cycle_coefficients(config)
     tc = np.linspace(rc.sweep_tau_c_min, rc.sweep_tau_c_max, rc.sweep_tau_c_points)
     tp = np.linspace(rc.sweep_tau_p_min, rc.sweep_tau_p_max, rc.sweep_tau_p_points)
-    sweep = optimize.free_time_sweep(config, tc, tp, coeffs=coeffs)
+    sweep = optimize.free_time_sweep(cycle.cycle_coefficients(config), tc, tp)
     columns = ["tau_c", "tau_p", "tau_h", "R"]
     tp_list = tp.tolist()
     rows = [(tau_c, tau_p, tau_h, R)  # NaN cells render as nan/null
@@ -294,7 +313,7 @@ def _run_optimal_curve(rc, config):
 
 def _run_alpha_sweep(rc, config):
     grid = np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points)
-    result = optimize.alpha_sweep(config, alpha_grid=grid, tau_c_grid=_tau_c_grid(rc))
+    result = optimize.alpha_sweep(config, grid, _tau_c_grid(rc))
     columns = list(optimize.AlphaRecord._fields)
     rows = [tuple(r) for r in result.rows]
     summary = {"alpha_chi": result.alpha_chi, "alpha_r": result.alpha_R,
@@ -314,12 +333,8 @@ def _run_envelope(rc, config):
     if bounds.count(None) == 1:
         raise ConfigError("envelope needs both psi_min and psi_max, or neither")
     psi_grid = None if None in bounds else _psi_grid(rc, *bounds)
-    result = optimize.envelope_curve(
-        config, psi_grid=psi_grid,
-        alpha_window=(rc.alpha_min, rc.alpha_max),
-        alpha_points=rc.envelope_alpha_points,
-        tau_c_grid=_tau_c_grid(rc),
-    )
+    alphas = np.linspace(rc.alpha_min, rc.alpha_max, rc.envelope_alpha_points)
+    result = optimize.envelope_curve(config, psi_grid, alphas, _tau_c_grid(rc))
     columns = ["curve"] + list(optimize.SweepRecord._fields)
     rows = [("R",) + tuple(r) for r in result.r_curve]
     rows += [("chi",) + tuple(r) for r in result.chi_curve]
@@ -332,9 +347,7 @@ def _run_time_allocation(rc, config):
     grid_tc = _tau_c_grid(rc)
     if rc.alpha_chi is None or rc.alpha_r is None:
         sweep = optimize.alpha_sweep(
-            config, alpha_grid=np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points),
-            tau_c_grid=grid_tc,
-        )
+            config, np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points), grid_tc)
     # An alpha left unset takes the sweep's, whose curve the sweep already built.
     curve_R, ext_R = (optimize.curve_extrema(replace(config, alpha=rc.alpha_r), grid_tc)
                       if rc.alpha_r is not None else sweep.extrema_R)
@@ -357,7 +370,7 @@ def _run_time_allocation(rc, config):
 def _run_reversible_delta(rc, config):
     grid = np.linspace(rc.delta_min, rc.delta_max, rc.delta_points)
     points = cycle.zeroth_heat_sum_curve(config, grid)
-    delta_c_r = cycle._amplitude_root(config, points)
+    delta_c_r = cycle.reversible_amplitude(config, points)
     return ["delta_c", "q0_sum"], points, {"delta_c_r": delta_c_r}
 
 
@@ -457,11 +470,9 @@ def main(argv=None):
                     text = handle.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None
-        rc = parse_config(text, overrides=args.overrides)
-        if args.out is not None:
-            rc.values["out"] = args.out
-        if args.format is not None:
-            rc.values["format"] = args.format
+        given = (("out", args.out), ("format", args.format))
+        rc = parse_config(text, overrides=args.overrides + [
+            f"{key}={value}" for key, value in given if value is not None])
         return run(args.subcommand, rc)
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)

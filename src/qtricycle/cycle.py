@@ -3,7 +3,8 @@
 A cycle is three heat-exchange branches joined by instantaneous quenches that
 carry no duration and no heat.  Because the entropy changes telescope to zero
 around the loop, the cycle-level quantities reduce to the six per-branch
-coefficients (dS_eq, Sigma) and the three durations:
+coefficients (dS_eq, Sigma), computed once by :func:`cycle_coefficients`, and
+the three durations, which is all :func:`evaluate_cycle` takes:
 
     Q_v  = T_v (dS_v + Sigma_v / tau_v)
     psi  = Q_c / Q_h
@@ -16,9 +17,9 @@ reported as-is so free sweeps stay honest about their imbalance.  Enforcing
 energy balance belongs to :mod:`qtricycle.optimize`.
 
 The quasi-static sum sum_v T_v dS_v is array-valued in the cold amplitude:
-:func:`zeroth_heat_sum_curve` evaluates its whole grid as one expression, and
-:func:`zeroth_heat_sum` and the bisection of :func:`reversible_amplitude` call
-the same kernel at one amplitude.  Everything else takes one configuration.
+:func:`zeroth_heat_sum_curve` evaluates its whole grid as one expression,
+:func:`reversible_amplitude` bisects the first sign change of such a scan, and
+the bisection and :func:`zeroth_heat_sum` call the same kernel at one amplitude.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "reversible_amplitude",
 ]
 
-DEFAULT_DELTA_SCAN = (0.01, 2.0, 400)  # (lo, hi, scan_points) of reversible_amplitude
+DEFAULT_DELTA_SCAN = (0.01, 2.0, 400)  # (lo, hi, points) of reversible_amplitude's scan
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,11 @@ class CycleMetrics:
     valid: bool
 
 
-def _metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p):
+def evaluate_cycle(coeffs, tau_c, tau_h, tau_p):
+    """Cycle metrics of the coefficients ``coeffs`` for any duration triple."""
+    for name, tau in (("tau_c", tau_c), ("tau_h", tau_h), ("tau_p", tau_p)):
+        if tau <= 0.0:
+            raise ValueError(f"{name} must be > 0, got {tau}")
     cold, hot, pump = (
         BranchThermo.from_coefficients(res, T, dS, Sigma, tau)
         for res, T, dS, Sigma, tau in zip("chp", coeffs.T, coeffs.dS, coeffs.Sigma,
@@ -106,20 +111,6 @@ def _metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p):
         entropy_production=entropy_production,
         valid=valid,
     )
-
-
-def evaluate_cycle(config, tau_c, tau_h, tau_p, coeffs=None):
-    """Assemble the cycle metrics for an arbitrary duration triple.
-
-    ``coeffs`` may carry precomputed :func:`cycle_coefficients` to avoid
-    redundant quadrature in sweeps.
-    """
-    for name, tau in (("tau_c", tau_c), ("tau_h", tau_h), ("tau_p", tau_p)):
-        if tau <= 0.0:
-            raise ValueError(f"{name} must be > 0, got {tau}")
-    if coeffs is None:
-        coeffs = cycle_coefficients(config)
-    return _metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p)
 
 
 def reversible_cop(T_c, T_h, T_p):
@@ -168,26 +159,21 @@ def zeroth_heat_sum_curve(config, delta_c_grid):
     return list(zip(grid.tolist(), _zeroth_heat_sums(config, grid).tolist()))
 
 
-def reversible_amplitude(config, lo=DEFAULT_DELTA_SCAN[0], hi=DEFAULT_DELTA_SCAN[1],
-                         scan_points=DEFAULT_DELTA_SCAN[2]):
-    """Cold-branch amplitude at which the quasi-static heats balance, from a
-    ``scan_points`` scan of delta_c over [lo, hi].  Above it the sum is positive."""
-    grid = np.linspace(lo, hi, scan_points)
-    return _amplitude_root(config, zeroth_heat_sum_curve(config, grid))
-
-
-def _amplitude_root(config, points):
-    """Reversible amplitude from a :func:`zeroth_heat_sum_curve` scan: the first
-    sign change, bisected to 1e-12 (well below the 1e-8 the root needs)."""
-    grid, vals = np.array(points).T
+def reversible_amplitude(config, scan=None):
+    """Cold-branch amplitude at which the quasi-static heats balance; above it
+    the sum is positive.  The first sign change of a
+    :func:`zeroth_heat_sum_curve` scan (by default over ``DEFAULT_DELTA_SCAN``),
+    bisected to 1e-12 (well below the 1e-8 the root needs)."""
+    if scan is None:
+        scan = zeroth_heat_sum_curve(config, np.linspace(*DEFAULT_DELTA_SCAN))
+    grid, vals = np.array(scan).T
     idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     if idx.size == 0:
         raise ConvergenceError(
             f"no sign change of sum_v Q_v^0 in delta_c on [{grid[0]}, {grid[-1]}] "
             f"(endpoint values {vals[0]:.3e}, {vals[-1]:.3e})",
-            failed_points=points[::40],
+            failed_points=scan[::40],
         )
     i = int(idx[0])
-    root = bisect(lambda dc: _zeroth_heat_sums(config, dc), grid[i], grid[i + 1],
-                  xtol=1e-12)
-    return float(root)
+    return float(bisect(lambda dc: _zeroth_heat_sums(config, dc), grid[i], grid[i + 1],
+                        xtol=1e-12))

@@ -24,13 +24,15 @@ per tau_c (a_v = dS_v/Sigma_v, c0 = dS_c tau_c^2/Sigma_c + 2 tau_c):
 Its real roots above -M/K (where tau_h > 0), swept over tau_c, trace the
 optimal performance curves (R vs psi, chi vs psi).  Everything downstream of
 the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
-once the three quadratures are done.
+once the three quadratures are done; the algebra takes those coefficients
+(:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
 Every fixed-alpha curve comes from :func:`optimal_curve`; the alpha sweeps
 draw each curve and its refined maxima once from one memoized family.  One
 golden-section helper refines every maximum (over log tau_c and over alpha),
 and one array interpolation inverts curves at target COPs for the envelope
-and the profiles, which re-solve the allocation there.
+and the profiles, which re-solve the allocation there.  The grid rules
+(``MIN_GRID_POINTS``, ``DEFAULT_ALPHA_WINDOW``) live here; the CLI reads them.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ __all__ = [
     "DEFAULT_ALPHA_WINDOW",
     "DEFAULT_ALPHA_POINTS",
     "DEFAULT_ENVELOPE_ALPHA_POINTS",
+    "MIN_GRID_POINTS",
 ]
 
 # (first, last, points) of the geometric tau_c sweep used when the caller does
@@ -82,6 +85,7 @@ DEFAULT_TAU_C_GRID = np.geomspace(*DEFAULT_TAU_C_RANGE)
 DEFAULT_ALPHA_WINDOW = (-0.5, 1.5)
 DEFAULT_ALPHA_POINTS = 101  # alpha_sweep's grid over the window
 DEFAULT_ENVELOPE_ALPHA_POINTS = 61  # fixed-alpha curves behind an envelope
+MIN_GRID_POINTS = 100  # of a tau_c grid and of an alpha_sweep grid
 
 
 def _require_sign_structure(coeffs):
@@ -98,10 +102,8 @@ def _require_sign_structure(coeffs):
         )
 
 
-def balanced_tau_h(config, tau_c, tau_p, coeffs=None):
+def balanced_tau_h(coeffs, tau_c, tau_p):
     """Hot-branch duration closing the energy balance Q_c + Q_h + Q_p = 0."""
-    if coeffs is None:
-        coeffs = cycle.cycle_coefficients(config)
     tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
     if not tau_h > 0.0:
         raise ValueError(
@@ -189,7 +191,7 @@ def _stationarity_quartic(coeffs, tau_c):
                   2 * M * (M + c0 * K + N), c0 * M ** 2)
 
 
-def solve_time_allocation(config, tau_c, coeffs=None):
+def solve_time_allocation(coeffs, tau_c):
     """All stationary allocations at the given cold-branch duration.
 
     The real roots of the stationarity quartic above -M/K (tau_h > 0), each
@@ -199,14 +201,12 @@ def solve_time_allocation(config, tau_c, coeffs=None):
     ``_RESIDUAL_RTOL`` of its summed term magnitudes (a spurious root at the
     pole -M/K of the balanced tau_h), is dropped.  Raises
     :class:`ConvergenceError` when the energy balance admits no positive
-    tau_h (K <= 0), tau_c overflows a quartic coefficient or its companion
-    matrix, or no root is left; the reason is then the first dropped root's,
-    if any.
+    tau_h (K <= 0; the reason names the tau_c or delta_c bound that fails),
+    tau_c overflows a quartic coefficient or its companion matrix, or no root
+    is left; the reason is then the first dropped root's, if any.
     """
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
-    if coeffs is None:
-        coeffs = cycle.cycle_coefficients(config)
     _require_sign_structure(coeffs)
 
     try:
@@ -215,11 +215,13 @@ def solve_time_allocation(config, tau_c, coeffs=None):
         poly = (math.inf,)
     if not all(map(math.isfinite, poly)):
         raise ConvergenceError(f"stationarity quartic coefficients overflow at tau_c={tau_c}")
-    if not K > 0.0:
+    if not K > 0.0:  # K = sum_v T_v dS_v + T_c Sigma_c / tau_c
+        zeroth = sum(T * dS for T, dS in zip(coeffs.T, coeffs.dS))
+        cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = "
+                 f"{-coeffs.T[0] * coeffs.Sigma[0] / zeroth:.6g}" if zeroth > 0.0
+                 else "delta_c at or below the reversible amplitude")
         raise ConvergenceError(
-            f"energy balance infeasible for every tau_p at tau_c={tau_c} "
-            f"(likely delta_c at or below the reversible amplitude)"
-        )
+            f"energy balance infeasible for every tau_p at tau_c={tau_c} ({cause})")
     # np.roots divides by the leading coefficient (a zero one it strips); plain
     # floats overflow to inf here without the RuntimeWarning numpy would give
     lead = poly[0]
@@ -248,7 +250,7 @@ def solve_time_allocation(config, tau_c, coeffs=None):
         solutions.append(AllocationSolution(
             tau_c=float(tau_c), tau_h=float(tau_h), tau_p=float(tau_p),
             residual_constraint=float(residual_c),
-            metrics=cycle._metrics_from_coeffs(coeffs, tau_c, tau_h, tau_p),
+            metrics=cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p),
         ))
     if not solutions:
         raise ConvergenceError(
@@ -258,7 +260,7 @@ def solve_time_allocation(config, tau_c, coeffs=None):
 
 
 def _attempt(fn, *args, **kwargs):
-    """``(fn(...), None)``, or ``(None, reason)`` when fn raises ConvergenceError."""
+    """``(fn(...), None)``, or None and the reason when fn raises ConvergenceError."""
     try:
         return fn(*args, **kwargs), None
     except ConvergenceError as exc:
@@ -271,7 +273,7 @@ def _principal(coeffs, tau_c):
     Raises :class:`ConvergenceError` when the solver fails or its principal
     solution does not refrigerate.
     """
-    best = solve_time_allocation(None, tau_c, coeffs=coeffs)[0]
+    best = solve_time_allocation(coeffs, tau_c)[0]
     m = best.metrics
     if not m.valid or m.cold.Q <= 0.0:
         raise ConvergenceError(
@@ -312,7 +314,7 @@ class CurveResult:
     coeffs: cycle.CycleCoefficients
 
 
-def optimal_curve(config, tau_c_grid=None, coeffs=None):
+def optimal_curve(config, tau_c_grid=None):
     """Principal allocation per tau_c, sorted by COP.
 
     Grid points without a convergent refrigeration solution are skipped and
@@ -322,19 +324,18 @@ def optimal_curve(config, tau_c_grid=None, coeffs=None):
     if tau_c_grid is None:
         tau_c_grid = DEFAULT_TAU_C_GRID
     tau_c_grid = np.asarray(tau_c_grid, dtype=float)
-    if tau_c_grid.size < 100:
-        raise ValueError("tau_c grid needs >= 100 points")
+    if tau_c_grid.size < MIN_GRID_POINTS:
+        raise ValueError(f"tau_c grid needs >= {MIN_GRID_POINTS} points")
     if np.any(tau_c_grid <= 0.0):
         raise ValueError("tau_c grid must be positive")
-    if coeffs is None:
-        coeffs = cycle.cycle_coefficients(config)
+    coeffs = cycle.cycle_coefficients(config)
     records, skipped = [], []
     for tau_c in tau_c_grid:
         sol, reason = _attempt(_principal, coeffs, float(tau_c))
         if sol is None:
             skipped.append((float(tau_c), reason))
         else:
-            records.append(_record(config.alpha if config is not None else np.nan, sol))
+            records.append(_record(config.alpha, sol))
     if len(records) < 10:
         raise ConvergenceError(
             f"only {len(records)} of {tau_c_grid.size} grid points converged "
@@ -342,7 +343,7 @@ def optimal_curve(config, tau_c_grid=None, coeffs=None):
             failed_points=skipped,
         )
     records.sort(key=lambda r: r.psi)
-    return CurveResult(records=records, skipped=skipped, coeffs=coeffs)
+    return CurveResult(records, skipped, coeffs)
 
 
 def _refine_max(f, xs, values, xtol):
@@ -376,15 +377,15 @@ def _refine_objective(curve, key):
     return getattr(best, key), _attempt(_principal, coeffs, best.tau_c)[0]
 
 
-def max_cooling_rate(config, tau_c_grid=None, coeffs=None):
+def max_cooling_rate(config, tau_c_grid=None):
     """(psi at max R, max R, allocation) with golden-section refinement."""
-    R_max, sol = _refine_objective(optimal_curve(config, tau_c_grid, coeffs), "R")
+    R_max, sol = _refine_objective(optimal_curve(config, tau_c_grid), "R")
     return sol.metrics.psi, R_max, sol
 
 
-def max_figure_of_merit(config, tau_c_grid=None, coeffs=None):
+def max_figure_of_merit(config, tau_c_grid=None):
     """(psi at max chi, max chi, allocation) with golden-section refinement."""
-    chi_max, sol = _refine_objective(optimal_curve(config, tau_c_grid, coeffs), "chi")
+    chi_max, sol = _refine_objective(optimal_curve(config, tau_c_grid), "chi")
     return sol.metrics.psi, chi_max, sol
 
 
@@ -432,16 +433,16 @@ def curve_extrema(config, tau_c_grid=None):
 
 def _curve_family(config, tau_c_grid):
     """The fixed-alpha curves of ``config`` as two memoized functions of a float
-    alpha: ``curve(alpha) -> (CurveResult, None)`` and ``extrema(alpha) ->
-    ((that curve, its refined AlphaRecord), None)``, or ``(None, reason)``."""
+    alpha: ``curve(alpha)``, the :func:`_attempt` pair of its CurveResult, and
+    ``extrema(alpha)``, that curve and its refined AlphaRecord, or None."""
     @functools.cache
     def curve(alpha):
         return _attempt(optimal_curve, replace(config, alpha=alpha), tau_c_grid)
 
     @functools.cache
     def extrema(alpha):
-        built, reason = curve(alpha)
-        return (None, reason) if built is None else ((built, _alpha_record(alpha, built)), None)
+        built = curve(alpha)[0]
+        return None if built is None else (built, _alpha_record(alpha, built))
 
     return curve, extrema
 
@@ -451,12 +452,25 @@ def _refine_alpha(extrema, alphas, values, key):
     ascending ``alphas`` (which must all refine) only choose the bracket, and
     :func:`_refine_max` searches ``extrema(alpha)`` within it."""
     def value(alpha):
-        pair = extrema(alpha)[0]
+        pair = extrema(alpha)
         return getattr(pair[1], key) if pair is not None else -math.inf
 
     hit = _refine_max(value, alphas, values, xtol=1e-4)
     alpha = hit[0] if hit is not None else alphas[int(np.argmax(values))]
-    return extrema(alpha)[0]
+    return extrema(alpha)
+
+
+def _alpha_grid(alpha_grid, points, min_points=1):
+    """``alpha_grid`` as floats (None: ``points`` over the window); ValueError if invalid."""
+    if alpha_grid is None:
+        alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, points)
+    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    if alpha_grid.size < min_points:
+        raise ValueError(f"alpha grid needs >= {min_points} points")
+    lo, hi = DEFAULT_ALPHA_WINDOW
+    if not lo <= alpha_grid.min() <= alpha_grid.max() <= hi:
+        raise ValueError(f"alpha grid must stay within [{lo}, {hi}]")
+    return alpha_grid.tolist()
 
 
 def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
@@ -465,20 +479,11 @@ def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
     Failing grid points are skipped and listed in ``skipped`` as
     ``(alpha, reason)`` pairs.
     """
-    if alpha_grid is None:
-        alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, DEFAULT_ALPHA_POINTS)
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if alpha_grid.size < 100:
-        raise ValueError("alpha grid needs >= 100 points")
-    if alpha_grid.min() < DEFAULT_ALPHA_WINDOW[0] - 1e-12 or \
-       alpha_grid.max() > DEFAULT_ALPHA_WINDOW[1] + 1e-12:
-        raise ValueError(f"alpha grid must stay within {DEFAULT_ALPHA_WINDOW}")
-
-    _, extrema = _curve_family(config, tau_c_grid)
-    results = [extrema(a) for a in alpha_grid.tolist()]
-    rows = [pair[1] for pair, _ in results if pair is not None]
-    skipped = [(a, reason) for a, (pair, reason) in zip(alpha_grid.tolist(), results)
-               if pair is None]
+    alpha_grid = _alpha_grid(alpha_grid, DEFAULT_ALPHA_POINTS, MIN_GRID_POINTS)
+    curve, extrema = _curve_family(config, tau_c_grid)
+    results = [extrema(a) for a in alpha_grid]
+    rows = [pair[1] for pair in results if pair is not None]
+    skipped = [(a, curve(a)[1]) for a, pair in zip(alpha_grid, results) if pair is None]
     if not rows:
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
 
@@ -509,18 +514,18 @@ def _interp_on_curve(records, psi):
                            left=np.nan, right=np.nan) for key in ("R", "chi", "tau_c"))
 
 
-def envelope_curve(config, psi_grid=None, alpha_window=DEFAULT_ALPHA_WINDOW,
-                   alpha_points=DEFAULT_ENVELOPE_ALPHA_POINTS, tau_c_grid=None):
+def envelope_curve(config, psi_grid=None, alpha_grid=None, tau_c_grid=None):
     """Upper envelopes of R(psi) and chi(psi) over the frequency exponent.
 
-    For every target COP the best alpha is selected among ``alpha_points``
-    fixed-alpha optimal curves (each inverted by monotone interpolation; the
-    first of equal maxima wins); the matching duration triple is then
+    For every target COP the best alpha is selected among the fixed-alpha
+    optimal curves of ``alpha_grid`` (by default ``DEFAULT_ENVELOPE_ALPHA_POINTS``
+    across the window; each curve inverted by monotone interpolation, the
+    first of equal maxima winning); the matching duration triple is then
     re-solved exactly.  The labeled peaks come from refining the best alpha
     for each objective on the same memoized curves.
     """
     curve, extrema = _curve_family(config, tau_c_grid)
-    alphas = np.linspace(alpha_window[0], alpha_window[1], alpha_points).tolist()
+    alphas = _alpha_grid(alpha_grid, DEFAULT_ENVELOPE_ALPHA_POINTS)
     results = [curve(a) for a in alphas]
     built = [(a, c) for a, (c, _) in zip(alphas, results) if c is not None]
     if not built:
@@ -640,7 +645,7 @@ class FreeSweepResult:
     tau_h: np.ndarray
 
 
-def free_time_sweep(config, tau_c_grid, tau_p_grid, coeffs=None):
+def free_time_sweep(coeffs, tau_c_grid, tau_p_grid):
     """Cooling rate for every (tau_c, tau_p); tau_h closes the energy balance.
 
     Grid cells where no positive balanced tau_h exists are NaN.
@@ -649,8 +654,6 @@ def free_time_sweep(config, tau_c_grid, tau_p_grid, coeffs=None):
     tau_p_grid = np.asarray(tau_p_grid, dtype=float)
     if np.any(tau_c_grid <= 0.0) or np.any(tau_p_grid <= 0.0):
         raise ValueError("duration grids must be positive")
-    if coeffs is None:
-        coeffs = cycle.cycle_coefficients(config)
     tc, tp = tau_c_grid[:, None], tau_p_grid[None, :]
     tau_h, Q_c = _energy_balance(coeffs, tc, tp)
     R = Q_c / (tc + tau_h + tp)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtricycle import optimize, oracle
+from qtricycle import cli, optimize, oracle
 from qtricycle.cli import (
     ReportPayload,
     RunConfig,
@@ -70,6 +70,30 @@ class TestParseConfig:
         for text in ("oracle_taus =", "oracle_taus = ,"):
             with pytest.raises(ConfigError, match="at least one number"):
                 parse_config(text)
+
+    def test_grid_rules_read_the_library_constants(self):
+        least = optimize.MIN_GRID_POINTS
+        lo, hi = optimize.DEFAULT_ALPHA_WINDOW
+        rc = parse_config("", [f"tau_c_points={least}", f"alpha_points={least}",
+                               f"alpha_min={lo}", f"alpha_max={hi}"])
+        assert (rc.tau_c_points, rc.alpha_points, rc.alpha_min, rc.alpha_max) == \
+            (least, least, lo, hi)
+        for key in ("tau_c_points", "alpha_points"):
+            with pytest.raises(ConfigError, match=f"^{key} must be >= {least}$"):
+                parse_config("", [f"{key}={least - 1}"])
+        for key, value in (("alpha_min", lo - 1e-9), ("alpha_max", hi + 1e-9)):
+            with pytest.raises(ConfigError, match=f"^{key} must lie within"):
+                parse_config("", [f"{key}={value!r}"])
+
+    def test_given_alphas_are_not_grids(self):
+        # alpha_chi and alpha_r, like alpha itself, may lie outside the window
+        rc = parse_config("", ["alpha_chi=2.5", "alpha_r=-3", "alpha=1.8"])
+        assert (rc.alpha_chi, rc.alpha_r, rc.alpha) == (2.5, -3.0, 1.8)
+
+    def test_out_directory_must_exist(self, tmp_path):
+        assert parse_config("", [f"out={tmp_path / 'x.csv'}"]).out == str(tmp_path / "x.csv")
+        with pytest.raises(ConfigError, match="^out: directory .* does not exist$"):
+            parse_config("", [f"out={tmp_path / 'missing' / 'x.csv'}"])
 
 
 class TestEmitReport:
@@ -307,6 +331,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: {setting.split('=')[0]} must be > 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, setting", [
+        ("alpha-sweep", "alpha_points=50"),
+        ("time-allocation", "alpha_points=99"),
+        ("optimal-curve", "tau_c_points=50"),
+        ("envelope", "alpha_min=-2"),
+        ("envelope", "alpha_max=1.6"),
+        ("alpha-sweep", "alpha_min=-0.6"),
+        ("reversible-delta", "delta_min=0"),
+        ("reversible-delta", "delta_min=-0.1"),
+        ("reversible-delta", "delta_max=0.01"),
+        ("reversible-delta", "delta_max=0.005"),
+        ("sweep-times", "sweep_tau_c_min=0"),
+        ("sweep-times", "sweep_tau_c_max=-60"),
+        ("sweep-times", "sweep_tau_p_min=-1"),
+        ("sweep-times", "sweep_tau_p_max=0"),
+    ])
+    def test_grid_rules_exit_2_at_parse_time(self, tmp_path, capsys, monkeypatch,
+                                             subcommand, setting):
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, subcommand, lambda *args: calls.append(args))
+        out = tmp_path / "report.csv"
+        code = main([subcommand, "--set", setting, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {setting.split('=')[0]} ")
+        assert calls == [] and not out.exists()
+
+    def test_missing_out_directory_exits_2_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, "cycle", lambda *args: calls.append(args))
+        out = tmp_path / "no" / "such" / "x.csv"
+        code = main(["cycle", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: directory ") and "Traceback" not in err
+        assert calls == [] and not (tmp_path / "no").exists()
+
+    def test_out_and_format_flags_are_config_keys(self, tmp_path):
+        # the flags reach the report's echoed config, and win over --set
+        out = tmp_path / "cycle.json"
+        code = main(["cycle", "--set", "format=csv", "--set", f"out={tmp_path / 'x.csv'}",
+                     "--out", str(out), "--format", "json"])
+        assert code == 0
+        config = json.loads(out.read_text())["meta"]["config"]
+        assert (config["out"], config["format"]) == (str(out), "json")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_nonpositive_oracle_tau_exits_2_before_integrating(self, tmp_path, capsys,
                                                                 monkeypatch):

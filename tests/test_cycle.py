@@ -29,9 +29,9 @@ def default_coeffs():
 
 
 class TestEvaluateCycle:
-    def test_balanced_defaults(self, default_config, default_coeffs):
-        tau_h = balanced_tau_h(default_config, 9.0, 11.0, coeffs=default_coeffs)
-        m = evaluate_cycle(default_config, 9.0, tau_h, 11.0, coeffs=default_coeffs)
+    def test_balanced_defaults(self, default_coeffs):
+        tau_h = balanced_tau_h(default_coeffs, 9.0, 11.0)
+        m = evaluate_cycle(default_coeffs, 9.0, tau_h, 11.0)
         assert m.valid
         assert abs(m.work_residual) < 1e-8
         assert m.psi == pytest.approx(m.cold.Q / m.hot.Q, rel=1e-14)
@@ -41,12 +41,12 @@ class TestEvaluateCycle:
 
     def test_quasistatic_reversible_point(self, default_config):
         cfg = TricycleConfig(delta_c=reversible_amplitude(default_config))
-        m = evaluate_cycle(cfg, 1e9, 1e9, 1e9)
+        m = evaluate_cycle(cycle_coefficients(cfg), 1e9, 1e9, 1e9)
         assert abs(m.psi - PSI_R_DEFAULT) < 1e-4
 
-    def test_entropy_production_identity(self, default_coeffs, default_config):
+    def test_entropy_production_identity(self, default_coeffs):
         taus = (3.0, 17.0, 8.0)
-        m = evaluate_cycle(default_config, *taus, coeffs=default_coeffs)
+        m = evaluate_cycle(default_coeffs, *taus)
         direct = -sum(s / t for s, t in zip(default_coeffs.Sigma, taus))
         assert m.entropy_production == pytest.approx(direct, abs=1e-10)
 
@@ -58,10 +58,10 @@ class TestEvaluateCycle:
             tau_c = float(rng.uniform(2.0, 100.0))
             tau_p = float(rng.uniform(2.0, 100.0))
             try:
-                tau_h = balanced_tau_h(cfg, tau_c, tau_p, coeffs=coeffs)
+                tau_h = balanced_tau_h(coeffs, tau_c, tau_p)
             except ValueError:
                 continue
-            m = evaluate_cycle(cfg, tau_c, tau_h, tau_p, coeffs=coeffs)
+            m = evaluate_cycle(coeffs, tau_c, tau_h, tau_p)
             if not m.valid or m.cold.Q <= 0.0:
                 continue
             psi_r = reversible_cop(cfg.T_c, cfg.T_h, cfg.T_p)
@@ -69,16 +69,16 @@ class TestEvaluateCycle:
             assert m.entropy_production >= -1e-10
             checked += 1
 
-    def test_invalid_flag_when_hot_heat_reverses(self, default_config, default_coeffs):
+    def test_invalid_flag_when_hot_heat_reverses(self, default_coeffs):
         # tau_h below |Sigma_h|/dS_h makes Q_h negative
-        m = evaluate_cycle(default_config, 9.0, 0.5, 11.0, coeffs=default_coeffs)
+        m = evaluate_cycle(default_coeffs, 9.0, 0.5, 11.0)
         assert not m.valid
         assert np.isnan(m.psi) and np.isnan(m.chi)
         assert np.isfinite(m.R)
 
-    def test_rejects_nonpositive_durations(self, default_config):
+    def test_rejects_nonpositive_durations(self, default_coeffs):
         with pytest.raises(ValueError):
-            evaluate_cycle(default_config, 0.0, 1.0, 1.0)
+            evaluate_cycle(default_coeffs, 0.0, 1.0, 1.0)
 
 
 class TestReversibleCop:
@@ -118,7 +118,8 @@ class TestReversibleAmplitude:
 
     def test_no_bracket_reported(self, default_config):
         with pytest.raises(ConvergenceError):
-            reversible_amplitude(default_config, lo=0.5, hi=2.0)
+            reversible_amplitude(default_config, zeroth_heat_sum_curve(
+                default_config, np.linspace(0.5, 2.0, 400)))
 
     def test_random_configs_have_unique_root(self, rng):
         from dataclasses import replace
@@ -173,7 +174,7 @@ class TestZerothHeatSumArrayPath:
             reference = zeroth_heat_sum_curve_reference(config, grid)
             assert points == reference  # exact: every delta_c and every sum
             if any(a * b < 0.0 for (_, a), (_, b) in zip(reference, reference[1:])):
-                assert reversible_amplitude(config, grid[0], grid[-1], grid.size) == \
+                assert reversible_amplitude(config, points) == \
                     amplitude_root_reference(config, reference)
                 roots += 1
         assert roots >= 8

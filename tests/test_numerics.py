@@ -114,13 +114,13 @@ class TestGolden:
 
     def test_matches_reference_on_cooling_rate(self, sp_optimize, default_config):
         coeffs = cycle.cycle_coefficients(default_config)
-        curve = optimize.optimal_curve(default_config, coeffs=coeffs)
+        curve = optimize.optimal_curve(default_config)
         recs = sorted(curve.records, key=lambda r: r.tau_c)
         i = int(np.argmax([r.R for r in recs]))
         bracket = tuple(math.log(recs[j].tau_c) for j in (i - 1, i, i + 1))
 
         def negated_R(x):
-            return -optimize.solve_time_allocation(None, math.exp(x), coeffs=coeffs)[0].metrics.R
+            return -optimize.solve_time_allocation(coeffs, math.exp(x))[0].metrics.R
 
         x, fx = golden(negated_R, *bracket, xtol=1e-9)
         x_ref, f_ref = self.reference(sp_optimize, negated_R, bracket, 1e-9)

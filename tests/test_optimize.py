@@ -45,26 +45,26 @@ def coeffs(config):
 
 
 @pytest.fixture(scope="module")
-def curve(config, coeffs):
-    return optimal_curve(config, coeffs=coeffs)
+def curve(config):
+    return optimal_curve(config)
 
 
 class TestBalancedTauH:
-    def test_closes_energy_balance(self, config, coeffs):
-        tau_h = balanced_tau_h(config, 9.0, 11.0, coeffs=coeffs)
-        m = evaluate_cycle(config, 9.0, tau_h, 11.0, coeffs=coeffs)
+    def test_closes_energy_balance(self, coeffs):
+        tau_h = balanced_tau_h(coeffs, 9.0, 11.0)
+        m = evaluate_cycle(coeffs, 9.0, tau_h, 11.0)
         assert abs(m.work_residual) < 1e-12 * abs(m.cold.Q)
 
     def test_infeasible_below_reversible_amplitude(self):
         cfg = TricycleConfig(delta_c=0.3)  # below the reversible amplitude
         with pytest.raises(ValueError):
-            balanced_tau_h(cfg, 1e6, 1e6)
+            balanced_tau_h(cycle_coefficients(cfg), 1e6, 1e6)
 
 
 class TestSolveTimeAllocation:
-    def test_residuals_within_contract(self, config, coeffs):
+    def test_residuals_within_contract(self, coeffs):
         for tau_c in (2.0, 9.0, 50.0, 400.0):
-            sols = solve_time_allocation(config, tau_c, coeffs=coeffs)
+            sols = solve_time_allocation(coeffs, tau_c)
             assert all(s.tau_h > 0 and s.tau_p > 0 for s in sols)
             rates = [s.metrics.R for s in sols]
             assert rates == sorted(rates, reverse=True)
@@ -73,16 +73,16 @@ class TestSolveTimeAllocation:
                 assert abs(sol.residual_constraint) < 1e-8 * total
                 assert abs(sol.metrics.work_residual) < 1e-8 * abs(sol.metrics.cold.Q)
 
-    def test_first_order_stationarity_on_constraint_surface(self, config, coeffs):
+    def test_first_order_stationarity_on_constraint_surface(self, coeffs):
         # move along the fixed-COP, zero-work family and confirm R cannot gain
-        sol = solve_time_allocation(config, 9.0, coeffs=coeffs)[0]
+        sol = solve_time_allocation(coeffs, 9.0)[0]
         R0, psi0 = sol.metrics.R, sol.metrics.psi
         for eps in (-1e-4, 1e-4):
             tau_c = sol.tau_c * (1.0 + eps)
             times = fixed_cop_times(coeffs, psi0, tau_c)
             assert times is not None
             tau_h, tau_p = times
-            m = evaluate_cycle(config, tau_c, tau_h, tau_p, coeffs=coeffs)
+            m = evaluate_cycle(coeffs, tau_c, tau_h, tau_p)
             assert m.psi == pytest.approx(psi0, rel=1e-12)
             assert abs(m.work_residual) < 1e-12
             assert m.R <= R0 * (1.0 + 1e-6)
@@ -91,16 +91,51 @@ class TestSolveTimeAllocation:
         broken = CycleCoefficients(T=coeffs.T, dS=coeffs.dS,
                                    Sigma=(coeffs.Sigma[0], -coeffs.Sigma[1], coeffs.Sigma[2]))
         with pytest.raises(ConvergenceError):
-            solve_time_allocation(None, 9.0, coeffs=broken)
+            solve_time_allocation(broken, 9.0)
 
     def test_infeasible_amplitude_reported(self):
         cfg = TricycleConfig(delta_c=0.3)
         with pytest.raises(ConvergenceError):
-            solve_time_allocation(cfg, 9.0)
+            solve_time_allocation(cycle_coefficients(cfg), 9.0)
 
-    def test_deterministic(self, config, coeffs):
-        a = solve_time_allocation(config, 9.0, coeffs=coeffs)
-        b = solve_time_allocation(config, 9.0, coeffs=coeffs)
+    def test_infeasibility_reason_names_the_short_cold_branch(self, config, coeffs):
+        # K = sum_v T_v dS_v + T_c Sigma_c / tau_c: the default delta_c is above
+        # the reversible amplitude, so K <= 0 only below a cold-branch threshold
+        zeroth = sum(T * dS for T, dS in zip(coeffs.T, coeffs.dS))
+        threshold = coeffs.T[0] * abs(coeffs.Sigma[0]) / zeroth
+        assert zeroth > 0.0 and threshold == pytest.approx(0.6072, abs=1e-4)
+        with pytest.raises(ConvergenceError) as info:
+            solve_time_allocation(coeffs, 0.3)
+        assert str(info.value) == (
+            f"energy balance infeasible for every tau_p at tau_c=0.3 (tau_c must exceed "
+            f"T_c|Sigma_c| / sum_v T_v dS_v = {threshold:.6g})")
+        with pytest.raises(ConvergenceError, match="tau_c must exceed"):
+            solve_time_allocation(coeffs, threshold * (1.0 - 1e-6))
+        try:
+            solve_time_allocation(coeffs, threshold * (1.0 + 1e-6))
+        except ConvergenceError as exc:
+            assert "infeasible" not in str(exc)
+        # of the default curve's 20 skipped points, the 10 below it say so; the
+        # others have K > 0 but a principal solution that does not refrigerate
+        skipped = optimal_curve(config).skipped
+        below = [tau_c for tau_c, _ in skipped if tau_c < threshold]
+        assert len(skipped) == 20 and len(below) == 10
+        for tau_c, reason in skipped:
+            assert ("tau_c must exceed" in reason) == (tau_c < threshold)
+
+    def test_infeasibility_reason_names_the_amplitude(self):
+        coeffs = cycle_coefficients(TricycleConfig(delta_c=0.3))
+        assert sum(T * dS for T, dS in zip(coeffs.T, coeffs.dS)) < 0.0
+        for tau_c in (0.3, 9.0, 1e6):
+            with pytest.raises(ConvergenceError) as info:
+                solve_time_allocation(coeffs, tau_c)
+            assert str(info.value) == (
+                f"energy balance infeasible for every tau_p at tau_c={tau_c} "
+                f"(delta_c at or below the reversible amplitude)")
+
+    def test_deterministic(self, coeffs):
+        a = solve_time_allocation(coeffs, 9.0)
+        b = solve_time_allocation(coeffs, 9.0)
         assert a == b
 
 
@@ -117,7 +152,7 @@ class TestResidualContract:
         return cycle_coefficients(random_config(rng))
 
     def test_accurate_root_at_large_tau_accepted(self, large_tau_coeffs):
-        sols = solve_time_allocation(None, 50.0, coeffs=large_tau_coeffs)
+        sols = solve_time_allocation(large_tau_coeffs, 50.0)
         big = [sol for sol in sols if sol.tau_p > 1e4]
         assert len(big) == 1 and big[0].tau_p == pytest.approx(61056.2, rel=1e-6)
         assert any(a <= big[0].tau_p <= b
@@ -125,7 +160,7 @@ class TestResidualContract:
 
     def test_root_perturbed_by_1e_10_rejected(self, coeffs, large_tau_coeffs):
         for co, tau_c in ((coeffs, 9.0), (large_tau_coeffs, 50.0)):
-            for sol in solve_time_allocation(None, tau_c, coeffs=co):
+            for sol in solve_time_allocation(co, tau_c):
                 assert _checked_residual(co, tau_c, sol.tau_h, sol.tau_p) == \
                     sol.residual_constraint
                 for rel in (1e-10, -1e-10):
@@ -150,7 +185,7 @@ class TestResidualContract:
 
         monkeypatch.setattr(optimize, "_checked_residual", recording)
         for tau_c in np.geomspace(6e7, 1e9, 60).tolist():
-            sols = solve_time_allocation(None, tau_c, coeffs=coeffs)
+            sols = solve_time_allocation(coeffs, tau_c)
             assert sols
             for sol in sols:
                 assert _checked_residual(coeffs, tau_c, sol.tau_h, sol.tau_p) == \
@@ -167,7 +202,7 @@ def _solved_cases(coeffs, rng, draws=24):
         cases += [(co, tau_c) for tau_c in (2.0, 9.0, 50.0, 400.0)]
     for co, tau_c in cases:
         try:
-            yield co, tau_c, solve_time_allocation(None, tau_c, coeffs=co)
+            yield co, tau_c, solve_time_allocation(co, tau_c)
         except ConvergenceError:
             yield co, tau_c, []
 
@@ -260,36 +295,36 @@ class TestOptimalCurve:
         assert np.all(np.diff(rates[:peak + 1]) > 0)
         assert np.all(np.diff(rates[peak:]) < 0)
 
-    def test_skips_counted(self, config, coeffs):
+    def test_skips_counted(self, config):
         # grid extending into the non-refrigerating small-tau_c region
         grid = np.geomspace(0.05, 3000.0, 120)
-        result = optimal_curve(config, tau_c_grid=grid, coeffs=coeffs)
+        result = optimal_curve(config, tau_c_grid=grid)
         assert result.skipped
         assert len(result.records) + len(result.skipped) == 120
 
-    def test_grid_validation(self, config, coeffs):
+    def test_grid_validation(self, config):
         with pytest.raises(ValueError):
-            optimal_curve(config, tau_c_grid=np.geomspace(1, 100, 50), coeffs=coeffs)
+            optimal_curve(config, tau_c_grid=np.geomspace(1, 100, 50))
         with pytest.raises(ValueError):
-            optimal_curve(config, tau_c_grid=np.linspace(-1, 100, 120), coeffs=coeffs)
+            optimal_curve(config, tau_c_grid=np.linspace(-1, 100, 120))
 
-    def test_deterministic(self, config, coeffs, curve):
-        again = optimal_curve(config, coeffs=coeffs)
+    def test_deterministic(self, config, curve):
+        again = optimal_curve(config)
         assert again.records == curve.records
 
 
 class TestObjectiveMaxima:
-    def test_refinement_dominates_grid(self, config, coeffs, curve):
-        psi_R, R_max, sol = max_cooling_rate(config, coeffs=coeffs)
+    def test_refinement_dominates_grid(self, config, curve):
+        psi_R, R_max, sol = max_cooling_rate(config)
         assert R_max >= max(r.R for r in curve.records)
         assert sol.metrics.R == pytest.approx(R_max, rel=1e-12)
         total = sol.tau_c + sol.tau_h + sol.tau_p
         assert abs(sol.residual_constraint) < 1e-8 * total
         assert abs(sol.metrics.work_residual) < 1e-8 * abs(sol.metrics.cold.Q)
 
-    def test_figure_of_merit_peak_sits_right_of_rate_peak(self, config, coeffs):
-        psi_R, R_max, sol_R = max_cooling_rate(config, coeffs=coeffs)
-        psi_chi, chi_max, sol_chi = max_figure_of_merit(config, coeffs=coeffs)
+    def test_figure_of_merit_peak_sits_right_of_rate_peak(self, config):
+        psi_R, R_max, sol_R = max_cooling_rate(config)
+        psi_chi, chi_max, sol_chi = max_figure_of_merit(config)
         assert psi_chi > psi_R
         assert chi_max >= sol_R.metrics.chi
 
@@ -335,9 +370,9 @@ class TestObjectiveMaxima:
             assert hit is None or (hit[1] > max(values) and hit[1] == bumpy(hit[0]))
 
     def test_local_stationarity_of_refined_peak(self, config, coeffs):
-        _, R_max, sol = max_cooling_rate(config, coeffs=coeffs)
+        _, R_max, sol = max_cooling_rate(config)
         for factor in (0.99, 1.01):
-            neighbour = solve_time_allocation(config, sol.tau_c * factor, coeffs=coeffs)[0]
+            neighbour = solve_time_allocation(coeffs, sol.tau_c * factor)[0]
             assert neighbour.metrics.R <= R_max * (1.0 + 1e-9)
 
 
@@ -367,11 +402,11 @@ class TestAlphaSweep:
 class TestEnvelope:
     @pytest.fixture(scope="class")
     def small_envelope(self, config):
-        return envelope_curve(config, alpha_points=5,
+        return envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                               psi_grid=np.linspace(0.06, 0.16, 9))
 
-    def test_envelope_dominates_flat_bath_member(self, config, coeffs, small_envelope):
-        member = optimal_curve(config, coeffs=coeffs).records
+    def test_envelope_dominates_flat_bath_member(self, config, small_envelope):
+        member = optimal_curve(config).records
         psis = np.array([r.psi for r in member])
         for rec in small_envelope.r_curve:
             if psis[0] <= rec.psi <= psis[-1]:
@@ -388,7 +423,8 @@ class TestEnvelope:
             return original(cfg, *args, **kwargs)
 
         monkeypatch.setattr(optimize, "optimal_curve", counting)
-        envelope_curve(config, alpha_points=5, psi_grid=np.linspace(0.06, 0.16, 9))
+        envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
+                       psi_grid=np.linspace(0.06, 0.16, 9))
         assert set(np.linspace(-0.5, 1.5, 5).tolist()) < set(built)  # grid, then golden
         assert len(set(built)) == len(built)
 
@@ -407,12 +443,26 @@ class TestEnvelope:
         for values in optimize._interp_on_curve(recs, np.array(just_outside)):
             assert np.isnan(values).all()
 
+    def test_alpha_grid_stays_in_the_window(self, config, monkeypatch):
+        # the envelope and the alpha sweep share one check, made before any curve
+        built = []
+        monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
+        lo, hi = optimize.DEFAULT_ALPHA_WINDOW
+        for grid in ([-2.0, 0.0, 1.0], [0.0, np.nextafter(hi, np.inf)], []):
+            with pytest.raises(ValueError, match="alpha grid"):
+                envelope_curve(config, alpha_grid=grid)
+            with pytest.raises(ValueError, match="alpha grid"):
+                alpha_sweep(config, alpha_grid=grid)
+        with pytest.raises(ValueError, match=f">= {optimize.MIN_GRID_POINTS} points"):
+            alpha_sweep(config, alpha_grid=np.linspace(lo, hi, optimize.MIN_GRID_POINTS - 1))
+        assert built == []
+
     def test_peak_ordering(self, small_envelope):
         assert small_envelope.psi_R <= small_envelope.psi_chi
 
     def test_unattainable_cop_reported(self, config):
         with pytest.raises(ConvergenceError):
-            envelope_curve(config, alpha_points=5,
+            envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                            psi_grid=np.array([0.999]))
 
 
@@ -463,18 +513,18 @@ class TestTimeAllocationProfile:
 
 
 class TestFreeTimeSweep:
-    def test_interior_maximum(self, config, coeffs):
+    def test_interior_maximum(self, coeffs):
         tc = np.linspace(1.0, 60.0, 60)
         tp = np.linspace(1.0, 60.0, 60)
-        sweep = free_time_sweep(config, tc, tp, coeffs=coeffs)
+        sweep = free_time_sweep(coeffs, tc, tp)
         flat = np.nanargmax(sweep.R)
         i, j = np.unravel_index(flat, sweep.R.shape)
         assert 0 < i < len(tc) - 1 and 0 < j < len(tp) - 1
 
-    def test_single_humped_slice_through_optimum(self, config, coeffs):
+    def test_single_humped_slice_through_optimum(self, coeffs):
         tc = np.linspace(1.0, 60.0, 60)
         tp = np.linspace(1.0, 60.0, 60)
-        sweep = free_time_sweep(config, tc, tp, coeffs=coeffs)
+        sweep = free_time_sweep(coeffs, tc, tp)
         i, j = np.unravel_index(np.nanargmax(sweep.R), sweep.R.shape)
         slice_R = sweep.R[:, j]
         valid = ~np.isnan(slice_R)
@@ -483,31 +533,31 @@ class TestFreeTimeSweep:
         assert np.all(np.diff(vals[:peak + 1]) > 0)
         assert np.all(np.diff(vals[peak:]) < 0)
 
-    def test_present_entries_are_balanced(self, config, coeffs):
+    def test_present_entries_are_balanced(self, coeffs):
         tc = np.linspace(2.0, 20.0, 5)
         tp = np.linspace(2.0, 20.0, 5)
-        sweep = free_time_sweep(config, tc, tp, coeffs=coeffs)
+        sweep = free_time_sweep(coeffs, tc, tp)
         for i in range(len(tc)):
             for j in range(len(tp)):
                 if np.isnan(sweep.R[i, j]):
                     continue
-                m = evaluate_cycle(config, tc[i], sweep.tau_h[i, j], tp[j], coeffs=coeffs)
+                m = evaluate_cycle(coeffs, tc[i], sweep.tau_h[i, j], tp[j])
                 assert abs(m.work_residual) < 1e-8
                 assert m.R == pytest.approx(sweep.R[i, j], rel=1e-12)
 
-    def test_infeasible_cells_marked_absent(self, config, coeffs):
-        sweep = free_time_sweep(config, np.array([0.05]), np.array([5.0]), coeffs=coeffs)
+    def test_infeasible_cells_marked_absent(self, coeffs):
+        sweep = free_time_sweep(coeffs, np.array([0.05]), np.array([5.0]))
         assert np.isnan(sweep.R[0, 0]) and np.isnan(sweep.tau_h[0, 0])
 
     def test_grid_validation(self, config):
         with pytest.raises(ValueError):
             free_time_sweep(config, np.array([-1.0]), np.array([1.0]))
 
-    def test_array_sweep_equals_scalar_loop(self, config, coeffs):
+    def test_array_sweep_equals_scalar_loop(self, coeffs):
         # the array form keeps the scalar operation order, so cells agree exactly
         tc = np.geomspace(0.05, 60.0, 17)
         tp = np.geomspace(0.5, 60.0, 13)
-        sweep = free_time_sweep(config, tc, tp, coeffs=coeffs)
+        sweep = free_time_sweep(coeffs, tc, tp)
         (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
         infeasible = 0
         for i, c in enumerate(tc.tolist()):
@@ -523,7 +573,7 @@ class TestFreeTimeSweep:
         assert 0 < infeasible < tc.size * tp.size
 
 
-def test_stationarity_residual_matches_solution(config, coeffs):
-    sol = solve_time_allocation(config, 9.0, coeffs=coeffs)[0]
+def test_stationarity_residual_matches_solution(coeffs):
+    sol = solve_time_allocation(coeffs, 9.0)[0]
     assert stationarity_residual(coeffs, sol.tau_c, sol.tau_h, sol.tau_p) == \
         pytest.approx(sol.residual_constraint, abs=1e-15)

@@ -1,0 +1,49 @@
+"""Properties of the branch coefficients and the allocation solver over random
+configurations (``conftest.random_config``) and cold-branch durations.
+
+Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
+run is reproducible.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_config
+from qtricycle import ConvergenceError, cycle_coefficients, reversible_cop, solve_time_allocation
+from qtricycle.optimize import _checked_residual
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(max_examples=50, derandomize=True, deadline=None, database=None)
+configs = st.integers(0, 2 ** 32 - 1).map(lambda seed: random_config(np.random.default_rng(seed)))
+tau_cs = st.floats(math.log(0.3), math.log(3000.0)).map(math.exp)  # log-uniform
+
+
+@SETTINGS
+@hypothesis.given(configs)
+def test_dissipation_coefficients_are_negative(config):
+    assert all(sigma < 0.0 for sigma in cycle_coefficients(config).Sigma)
+
+
+@SETTINGS
+@hypothesis.given(configs, st.lists(tau_cs, min_size=1, max_size=5))
+def test_every_root_is_physical_and_within_the_residual_contract(config, taus):
+    coeffs = cycle_coefficients(config)
+    psi_r = reversible_cop(config.T_c, config.T_h, config.T_p)
+    for tau_c in taus:
+        try:
+            solutions = solve_time_allocation(coeffs, tau_c)
+        except ConvergenceError:
+            continue
+        for sol in solutions:
+            m = sol.metrics
+            assert m.entropy_production >= 0.0
+            if m.valid:
+                assert m.psi < psi_r
+            heats = (m.cold.Q, m.hot.Q, m.pump.Q)
+            assert abs(m.work_residual) <= 1e-12 * max(map(abs, heats))
+            assert _checked_residual(coeffs, tau_c, sol.tau_h, sol.tau_p) == \
+                sol.residual_constraint
