@@ -17,7 +17,6 @@ from .protocol import (
     derive_linked_params,
     frequency,
     frequency_derivative,
-    quench_targets,
 )
 from .lindblad import (
     DensityVector,
@@ -25,7 +24,6 @@ from .lindblad import (
     damping_rate,
     gibbs_state,
     liouvillian,
-    drazin_inverse,
 )
 from .thermo import (
     BranchThermo,
@@ -34,8 +32,6 @@ from .thermo import (
     sigma_coefficient,
     branch_heat,
     perturbed_state,
-    effective_temperature,
-    von_neumann_entropy,
     ts_trajectory,
 )
 from .oracle import propagate, heat_via_trajectory
@@ -66,12 +62,11 @@ from .errors import ConfigError, ConvergenceError, PositivityError
 __all__ = [
     "__version__",
     "TricycleConfig", "BranchProtocol", "derive_linked_params",
-    "frequency", "frequency_derivative", "quench_targets",
+    "frequency", "frequency_derivative",
     "DensityVector", "bose_occupation", "damping_rate", "gibbs_state",
-    "liouvillian", "drazin_inverse",
+    "liouvillian",
     "BranchThermo", "equilibrium_entropy", "branch_entropy_change",
-    "sigma_coefficient", "branch_heat", "perturbed_state",
-    "effective_temperature", "von_neumann_entropy", "ts_trajectory",
+    "sigma_coefficient", "branch_heat", "perturbed_state", "ts_trajectory",
     "propagate", "heat_via_trajectory",
     "CycleMetrics", "cycle_coefficients", "evaluate_cycle", "reversible_cop",
     "reversible_amplitude", "zeroth_heat_sum", "zeroth_heat_sum_curve",

@@ -42,7 +42,7 @@ from .protocol import DEFAULT_CONFIG_VALUES, TricycleConfig
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_report", "main"]
 
-# key -> (kind, default); kind in {"float", "int", "str", "float?", "floats"}
+# key -> (kind, default); kind in {"float", "int", "str", "float?", "str?", "floats"}
 _KEYS = {
     **{key: ("float", default) for key, default in DEFAULT_CONFIG_VALUES.items()},
     "tau_c": ("float", 9.0),

@@ -1,4 +1,4 @@
-"""Vectorized two-level dissipator: Liouvillian, Gibbs state, Drazin inverse.
+"""Vectorized two-level dissipator: Liouvillian and Gibbs state.
 
 The density matrix is flattened into the column (rho11, rho10, rho01, rho00)
 with index 1 the excited state.  In this basis the thermal generator at bath
@@ -14,11 +14,7 @@ decay independently,
 with g = gamma0 * omega**alpha and n the Bose occupation.  :func:`liouvillian`
 is array-valued: one call over a stack of splittings returns the stack of
 generators, which is how the brute-force integrator builds the stage
-generators of many steps at once.  L is singular (the Gibbs state spans its
-kernel), so the generalized inverse used by the slow-driving expansion is the
-Drazin inverse: zero on the kernel, the plain inverse on the complement.  For
-this 4x4 block structure it is available in closed form, which
-:func:`drazin_inverse` returns.
+generators of many steps at once.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ __all__ = [
     "damping_rate",
     "gibbs_state",
     "liouvillian",
-    "drazin_inverse",
 ]
 
 
@@ -50,13 +45,6 @@ class DensityVector:
         return np.array([self.rho11, self.rho10, self.rho01, self.rho00], dtype=complex)
 
     @classmethod
-    def from_array(cls, vec):
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (4,):
-            raise ValueError(f"expected a length-4 vector, got shape {vec.shape}")
-        return cls(*(complex(v) for v in vec))
-
-    @classmethod
     def from_populations(cls, excited):
         return cls(complex(excited), 0.0 + 0.0j, 0.0 + 0.0j, complex(1.0 - excited))
 
@@ -64,9 +52,6 @@ class DensityVector:
     def excited(self):
         """Excited-state population (real part of rho11)."""
         return self.rho11.real
-
-    def matrix(self):
-        return np.array([[self.rho11, self.rho10], [self.rho01, self.rho00]], dtype=complex)
 
     def validate(self, atol=1e-12):
         """Check trace, hermiticity and positivity; raise ValueError on failure."""
@@ -146,25 +131,3 @@ def liouvillian(T, omega, gamma0, alpha):
     L[..., 3, 3] = -g * n
     return L
 
-
-def drazin_inverse(T, omega, gamma0, alpha):
-    """Closed-form Drazin inverse of :func:`liouvillian`.
-
-    The population block maps the traceless direction (1, 0, 0, -1) to
-    -(1, 0, 0, -1) / (gamma (2n+1)) and annihilates the Gibbs state; the
-    coherence entries are the ordinary reciprocals of the (invertible)
-    coherence eigenvalues.
-    """
-    n = bose_occupation(T, omega)
-    g = damping_rate(gamma0, alpha, omega)
-    scale = g * (2.0 * n + 1.0) ** 2
-    half = g * (n + 0.5)
-    return np.array(
-        [
-            [-(n + 1.0) / scale, 0.0, 0.0, n / scale],
-            [0.0, 1.0 / (-half - 1j * omega), 0.0, 0.0],
-            [0.0, 0.0, 1.0 / (-half + 1j * omega), 0.0],
-            [(n + 1.0) / scale, 0.0, 0.0, -n / scale],
-        ],
-        dtype=complex,
-    )

@@ -59,7 +59,6 @@ __all__ = [
     "ProfilePoint",
     "FreeSweepResult",
     "balanced_tau_h",
-    "stationarity_residual",
     "solve_time_allocation",
     "optimal_curve",
     "max_cooling_rate",
@@ -129,11 +128,6 @@ def _stationarity_terms(coeffs, tau_c, tau_h, tau_p):
     S_c, S_h, S_p = coeffs.Sigma
     return (dS_h * tau_h ** 2 / S_h, dS_p * tau_p ** 2 / S_p,
             dS_c * tau_c ** 2 / S_c, 2.0 * (tau_c + tau_h + tau_p))
-
-
-def stationarity_residual(coeffs, tau_c, tau_h, tau_p):
-    """Left side of the multiplier-free stationarity constraint."""
-    return sum(_stationarity_terms(coeffs, tau_c, tau_h, tau_p))
 
 
 # Accepted |F| relative to the summed |terms| of F.  Accurate roots stay below

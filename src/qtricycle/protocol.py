@@ -32,7 +32,6 @@ __all__ = [
     "derive_linked_params",
     "frequency",
     "frequency_derivative",
-    "quench_targets",
     "DEFAULT_CONFIG_VALUES",
 ]
 
@@ -205,24 +204,3 @@ def frequency_derivative(branch, s):
         d = -d
     return d if d.ndim else float(d)
 
-
-def quench_targets(config):
-    """Frequency pairs across the three diabatic quenches.
-
-    Returns ((w_c(tau_c), w_h(0)), (w_h(tau_h), w_p(0)), (w_p(tau_p), w_c(0)))
-    and checks that each pair scales exactly by the corresponding temperature
-    ratio (T_h/T_c, T_p/T_h, T_c/T_p), i.e. beta * omega is continuous.
-    """
-    c, h, p = config.branches()
-    pairs = (
-        (frequency(c, 1.0), frequency(h, 0.0)),
-        (frequency(h, 1.0), frequency(p, 0.0)),
-        (frequency(p, 1.0), frequency(c, 0.0)),
-    )
-    ratios = (config.T_h / config.T_c, config.T_p / config.T_h, config.T_c / config.T_p)
-    for (w_end, w_start), ratio in zip(pairs, ratios):
-        if abs(w_start / w_end - ratio) > 1e-12 * ratio:
-            raise AssertionError(
-                f"quench continuity broken: {w_start} / {w_end} != {ratio}"
-            )
-    return pairs

@@ -25,14 +25,12 @@ All integrals use composite Gauss-Legendre quadrature with panel doubling.
 Array-valued: :func:`equilibrium_entropy` (in T and omega),
 :func:`population_lag` (in s) and :func:`ts_trajectory`, which evaluates
 each branch's whole s-grid as one array expression.  :func:`perturbed_state`
-is the scalar view of that expression; :func:`effective_temperature` and
-:func:`von_neumann_entropy` take one state.
+is the scalar view of that expression.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,39 +48,42 @@ __all__ = [
     "branch_heat",
     "perturbed_state",
     "population_lag",
-    "effective_temperature",
-    "von_neumann_entropy",
     "ts_trajectory",
     "TrajectoryPoint",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+QUADRATURE_RTOL = 1e-9
+QUADRATURE_START_PANELS = 64
+QUADRATURE_MAX_PANELS = 2 ** 16
 DEFAULT_SAMPLES_PER_BRANCH = 201  # of ts_trajectory
 
 
-def gauss_legendre_adaptive(f, rtol=1e-9, start_panels=64, max_panels=2 ** 16):
+def gauss_legendre_adaptive(f):
     """Integrate f over [0, 1] with composite 8-point Gauss-Legendre panels.
 
-    The panel count starts at ``start_panels`` and doubles until two
-    successive estimates agree to ``rtol`` relative (absolute floor 1e-300
-    guards the exactly-zero integrand).  ``f`` must accept an ndarray of
-    sample points and return the integrand values.
+    The panel count starts at ``QUADRATURE_START_PANELS`` and doubles until
+    two successive estimates agree to ``QUADRATURE_RTOL`` relative (absolute
+    floor 1e-300 guards the exactly-zero integrand), or raises
+    :class:`ConvergenceError` past ``QUADRATURE_MAX_PANELS``.  ``f`` must
+    accept an ndarray of sample points and return the integrand values.
     """
-    panels = start_panels
+    panels = QUADRATURE_START_PANELS
     prev = None
-    while panels <= max_panels:
+    while panels <= QUADRATURE_MAX_PANELS:
         edges = np.linspace(0.0, 1.0, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
         val = float(np.dot(np.asarray(f(s), dtype=float), w))
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
+        if prev is not None and abs(val - prev) <= QUADRATURE_RTOL * max(abs(val), 1e-300):
             return val
         prev = val
         panels *= 2
     raise ConvergenceError(
-        f"quadrature did not reach rtol={rtol} within {max_panels} panels"
+        f"quadrature did not reach rtol={QUADRATURE_RTOL} "
+        f"within {QUADRATURE_MAX_PANELS} panels"
     )
 
 
@@ -214,30 +215,6 @@ def perturbed_state(branch, s, tau):
     return lindblad.DensityVector.from_populations(p)
 
 
-def effective_temperature(state, omega):
-    """Temperature read off the population ratio, T = omega / ln(rho00/rho11).
-
-    Equal populations have no defined temperature (raises ValueError); an
-    inverted state (rho11 > rho00) comes back negative, which is the standard
-    flag for population inversion.
-    """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
-    p1 = state.rho11.real
-    p0 = state.rho00.real
-    if p1 <= 0.0:
-        return 0.0
-    if p0 == p1:
-        raise ValueError("equal populations: effective temperature undefined")
-    return omega / np.log(p0 / p1)
-
-
-def von_neumann_entropy(state):
-    """Entropy -Tr[rho ln rho] of a two-level density matrix."""
-    evals = np.clip(np.linalg.eigvalsh(state.matrix()).real, 0.0, 1.0)
-    return float(-sum(p * math.log(p) for p in evals if p > 0.0))
-
-
 class TrajectoryPoint(NamedTuple):
     """One sample of the temperature-entropy diagram."""
 
@@ -258,11 +235,11 @@ def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
     vertically in the (S, T_eff) plane.
 
     Each branch is one array expression over its s-grid: p = p_eq + phi/tau,
-    T_eff = omega / ln((1 - p)/p) (0.0 where p == 0, as
-    :func:`effective_temperature` gives) and S the binary entropy of p (the
-    :func:`von_neumann_entropy` of the diagonal state).  The first sample
-    with p outside [0, 1] raises :class:`PositivityError`, one with equal
-    populations ValueError.
+    T_eff = omega / ln((1 - p)/p), the temperature of the population ratio
+    (0.0 where p == 0), and S the binary entropy of p, which is the von
+    Neumann entropy of the diagonal state.  The first sample with p outside
+    [0, 1] raises :class:`PositivityError`, one with equal populations
+    ValueError.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")

@@ -14,6 +14,14 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def mp():
+    """mpmath at 50 digits; skips the test where mpmath is not installed."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
 def random_config(rng):
     """Valid configuration draw kept inside well-conditioned ranges
     (beta * omega stays below ~25 on every branch)."""

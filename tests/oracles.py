@@ -8,8 +8,13 @@ RK4 reference applies each stage generator to the state vector step by step.
 The zeroth-heat scan and the temperature-entropy trajectory are the per-point
 loops the package ran before it evaluated them as array expressions: one
 config and three branches per amplitude, one state per sample.
+
+The Drazin inverse, the effective temperature and the von Neumann entropy
+live here only: the package computes Sigma from its closed-form integrand
+and the T-S diagram from the populations, so no program path calls them.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +22,8 @@ import numpy as np
 from qtricycle import (
     DensityVector,
     PositivityError,
-    drazin_inverse,
+    bose_occupation,
+    damping_rate,
     gibbs_state,
     liouvillian,
 )
@@ -25,13 +31,61 @@ from qtricycle.protocol import frequency, frequency_derivative
 from qtricycle.thermo import (
     TrajectoryPoint,
     branch_entropy_change,
-    effective_temperature,
     gauss_legendre_adaptive,
     population_lag,
-    von_neumann_entropy,
 )
 
 TRACELESS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex)
+
+
+def drazin_inverse(T, omega, gamma0, alpha):
+    """Closed-form Drazin inverse of :func:`qtricycle.liouvillian`.
+
+    L is singular (the Gibbs state spans its kernel), so the generalized
+    inverse of the slow-driving expansion is the Drazin inverse: zero on the
+    kernel, the plain inverse on the complement.  The population block maps
+    the traceless direction (1, 0, 0, -1) to -(1, 0, 0, -1) / (gamma (2n+1))
+    and annihilates the Gibbs state; the coherence entries are the ordinary
+    reciprocals of the (invertible) coherence eigenvalues.
+    """
+    n = bose_occupation(T, omega)
+    g = damping_rate(gamma0, alpha, omega)
+    scale = g * (2.0 * n + 1.0) ** 2
+    half = g * (n + 0.5)
+    return np.array(
+        [
+            [-(n + 1.0) / scale, 0.0, 0.0, n / scale],
+            [0.0, 1.0 / (-half - 1j * omega), 0.0, 0.0],
+            [0.0, 0.0, 1.0 / (-half + 1j * omega), 0.0],
+            [(n + 1.0) / scale, 0.0, 0.0, -n / scale],
+        ],
+        dtype=complex,
+    )
+
+
+def effective_temperature(state, omega):
+    """Temperature read off the population ratio, T = omega / ln(rho00/rho11).
+
+    Equal populations have no defined temperature (raises ValueError); an
+    inverted state (rho11 > rho00) comes back negative, which is the standard
+    flag for population inversion.
+    """
+    if omega <= 0.0:
+        raise ValueError("omega must be > 0")
+    p1 = state.rho11.real
+    p0 = state.rho00.real
+    if p1 <= 0.0:
+        return 0.0
+    if p0 == p1:
+        raise ValueError("equal populations: effective temperature undefined")
+    return omega / np.log(p0 / p1)
+
+
+def von_neumann_entropy(state):
+    """Entropy -Tr[rho ln rho] of a two-level density matrix."""
+    matrix = np.array([[state.rho11, state.rho10], [state.rho01, state.rho00]], dtype=complex)
+    evals = np.clip(np.linalg.eigvalsh(matrix).real, 0.0, 1.0)
+    return float(-sum(p * math.log(p) for p in evals if p > 0.0))
 
 
 def _gibbs_derivative(branch, s):
@@ -52,7 +106,7 @@ def _lag_vector(branch, s):
     return D @ _gibbs_derivative(branch, s)
 
 
-def sigma_direct(branch, h=1e-5, rtol=1e-9):
+def sigma_direct(branch, h=1e-5):
     """Dissipation coefficient from the defining trace integral.
 
     The outer derivative of the lag vector is taken by central finite
@@ -72,7 +126,7 @@ def sigma_direct(branch, h=1e-5, rtol=1e-9):
             out[i] = 0.5 * w * (du[0].real - du[3].real)
         return out
 
-    return branch.beta * gauss_legendre_adaptive(integrand, rtol=rtol)
+    return branch.beta * gauss_legendre_adaptive(integrand)
 
 
 def spectral_drazin(L, rel_tol=1e-9):

@@ -187,13 +187,6 @@ class TestZerothHeatSumArrayPath:
             assert value == zeroth_heat_sum_reference(config)
 
 
-@pytest.fixture
-def mp():
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        yield mpmath
-
-
 def entropy_mp(mp, x):
     """Binary entropy of the thermal state at beta*omega = x."""
     e = mp.exp(-x)

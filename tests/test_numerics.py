@@ -49,7 +49,7 @@ def solver_constraint(config, tau_c):
 
     def F(tau_p):
         tau_h, _ = optimize._energy_balance(coeffs, tau_c, tau_p)
-        return optimize.stationarity_residual(coeffs, tau_c, tau_h, tau_p)
+        return sum(optimize._stationarity_terms(coeffs, tau_c, tau_h, tau_p))
 
     return F, np.geomspace(1e-2, 1e5, 200)
 

@@ -30,7 +30,6 @@ from qtricycle.optimize import (
     _stationarity_quartic,
     _stationarity_terms,
     curve_extrema,
-    stationarity_residual,
 )
 
 
@@ -549,9 +548,9 @@ class TestFreeTimeSweep:
         sweep = free_time_sweep(coeffs, np.array([0.05]), np.array([5.0]))
         assert np.isnan(sweep.R[0, 0]) and np.isnan(sweep.tau_h[0, 0])
 
-    def test_grid_validation(self, config):
+    def test_grid_validation(self, coeffs):
         with pytest.raises(ValueError):
-            free_time_sweep(config, np.array([-1.0]), np.array([1.0]))
+            free_time_sweep(coeffs, np.array([-1.0]), np.array([1.0]))
 
     def test_array_sweep_equals_scalar_loop(self, coeffs):
         # the array form keeps the scalar operation order, so cells agree exactly
@@ -575,5 +574,5 @@ class TestFreeTimeSweep:
 
 def test_stationarity_residual_matches_solution(coeffs):
     sol = solve_time_allocation(coeffs, 9.0)[0]
-    assert stationarity_residual(coeffs, sol.tau_c, sol.tau_h, sol.tau_p) == \
+    assert sum(_stationarity_terms(coeffs, sol.tau_c, sol.tau_h, sol.tau_p)) == \
         pytest.approx(sol.residual_constraint, abs=1e-15)

@@ -117,7 +117,7 @@ class TestIntegratorContracts:
         coh = np.abs(traj.states[:, 1])
         assert coh[-1] < 1e-8 * coh[0]
         for row in traj.states[:: len(traj.times) // 10]:
-            DensityVector.from_array(row).validate(atol=1e-10)
+            DensityVector(*row).validate(atol=1e-10)
 
     def test_default_step_rule(self):
         branch = TricycleConfig().branch("c")

@@ -1,5 +1,6 @@
-"""Properties of the branch coefficients and the allocation solver over random
-configurations (``conftest.random_config``) and cold-branch durations.
+"""Properties of the quenches, the branch coefficients and the allocation
+solver over random configurations (``conftest.random_config``) and cold-branch
+durations.
 
 Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
 run is reproducible.
@@ -11,7 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from qtricycle import ConvergenceError, cycle_coefficients, reversible_cop, solve_time_allocation
+from qtricycle import (
+    ConvergenceError,
+    cycle_coefficients,
+    frequency,
+    reversible_cop,
+    solve_time_allocation,
+)
 from qtricycle.optimize import _checked_residual
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -20,6 +27,18 @@ st = hypothesis.strategies
 SETTINGS = hypothesis.settings(max_examples=50, derandomize=True, deadline=None, database=None)
 configs = st.integers(0, 2 ** 32 - 1).map(lambda seed: random_config(np.random.default_rng(seed)))
 tau_cs = st.floats(math.log(0.3), math.log(3000.0)).map(math.exp)  # log-uniform
+
+
+@SETTINGS
+@hypothesis.given(configs)
+def test_quenches_keep_beta_omega_continuous(config):
+    c, h, p = config.branches()
+    product = 1.0
+    for end, start in ((c, h), (h, p), (p, c)):
+        w_end, w_start = frequency(end, 1.0), frequency(start, 0.0)
+        assert w_end / end.temperature == pytest.approx(w_start / start.temperature, rel=1e-12)
+        product *= w_start / w_end
+    assert product == pytest.approx(1.0, rel=1e-12)
 
 
 @SETTINGS

@@ -8,7 +8,6 @@ from qtricycle import (
     derive_linked_params,
     frequency,
     frequency_derivative,
-    quench_targets,
 )
 
 
@@ -114,9 +113,15 @@ class TestFrequency:
             assert abs(frequency_derivative(b, s) - fd) < 1e-6
 
 
+def quench_pairs(config):
+    """(end, start) splittings across the quenches c -> h, h -> p and p -> c."""
+    c, h, p = config.branches()
+    return tuple((frequency(a, 1.0), frequency(b, 0.0)) for a, b in ((c, h), (h, p), (p, c)))
+
+
 class TestQuenches:
     def test_default_ratios(self, default_config):
-        (wc1, wh0), (wh1, wp0), (wp1, wc0) = quench_targets(default_config)
+        (wc1, wh0), (wh1, wp0), (wp1, wc0) = quench_pairs(default_config)
         assert wh0 / wc1 == pytest.approx(5.0, rel=1e-13)
         assert wp0 / wh1 == pytest.approx(0.5, rel=1e-13)
         assert wc0 / wp1 == pytest.approx(0.4, rel=1e-13)
@@ -124,7 +129,7 @@ class TestQuenches:
     def test_ratio_product_telescopes(self, rng):
         for _ in range(30):
             cfg = random_config(rng)
-            pairs = quench_targets(cfg)
+            pairs = quench_pairs(cfg)
             product = 1.0
             for w_end, w_start in pairs:
                 product *= w_start / w_end
@@ -133,7 +138,7 @@ class TestQuenches:
     def test_beta_omega_continuous(self, rng):
         for _ in range(30):
             cfg = random_config(rng)
-            (wc1, wh0), (wh1, wp0), (wp1, wc0) = quench_targets(cfg)
+            (wc1, wh0), (wh1, wp0), (wp1, wc0) = quench_pairs(cfg)
             assert wc1 / cfg.T_c == pytest.approx(wh0 / cfg.T_h, rel=1e-12)
             assert wh1 / cfg.T_h == pytest.approx(wp0 / cfg.T_p, rel=1e-12)
             assert wp1 / cfg.T_p == pytest.approx(wc0 / cfg.T_c, rel=1e-12)

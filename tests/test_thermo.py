@@ -6,24 +6,27 @@ import pytest
 
 import oracles
 from conftest import light_draw, random_branch, random_config
-from oracles import sigma_direct, ts_trajectory_reference
+from oracles import (
+    effective_temperature,
+    sigma_direct,
+    ts_trajectory_reference,
+    von_neumann_entropy,
+)
 from qtricycle import (
     ConvergenceError,
     PositivityError,
     TricycleConfig,
     branch_entropy_change,
     branch_heat,
-    effective_temperature,
     equilibrium_entropy,
     gibbs_state,
     lindblad,
     perturbed_state,
     sigma_coefficient,
     ts_trajectory,
-    von_neumann_entropy,
 )
 from qtricycle.protocol import frequency
-from qtricycle.thermo import gauss_legendre_adaptive, population_lag
+from qtricycle.thermo import QUADRATURE_RTOL, gauss_legendre_adaptive, population_lag
 
 
 class TestQuadrature:
@@ -39,7 +42,8 @@ class TestQuadrature:
 
     def test_non_convergence_reported(self):
         with pytest.raises(ConvergenceError):
-            gauss_legendre_adaptive(lambda s: s, start_panels=128, max_panels=64)
+            # the estimate equals the sample count, so it doubles with every panel doubling
+            gauss_legendre_adaptive(lambda s: np.full(s.shape, float(s.size)))
 
 
 class TestEquilibriumEntropy:
@@ -95,6 +99,53 @@ class TestSigmaCoefficient:
             closed = sigma_coefficient(branch)
             direct = sigma_direct(branch)
             assert closed == pytest.approx(direct, rel=1e-6)
+
+
+def sigma_mp(mp, branch):
+    """(Sigma, mpmath's relative error estimate) of the branch's exact float
+    parameters at 50 digits.  With q = exp(-beta omega),
+    n(n+1)/(2n+1)^3 = q (1 - q)/(1 + q)^3.  The integrand is scaled by
+    exp(beta omega_min): mpmath's stopping rule is absolute, and the cold
+    branch at T_c = 0.01 has Sigma near 1e-42."""
+    T, d, z, g0, a = map(mp.mpf, (branch.temperature, branch.delta, branch.zeta,
+                                  branch.gamma0, branch.alpha))
+    sign = 1 if branch.phase == "decreasing" else -1
+    x_min = d * (z - 1) / T
+
+    def integrand(s):
+        w = d * (sign * mp.cos(mp.pi * s) + z)
+        q = mp.exp(-w / T)
+        return ((mp.pi * d * mp.sin(mp.pi * s)) ** 2 * mp.exp(x_min - w / T) * (1 - q)
+                / (g0 * w ** a * (1 + q) ** 3))
+
+    value, error = mp.quad(integrand, [0, mp.mpf(1) / 2, 1], error=True)
+    return -mp.exp(-x_min) * value / T ** 2, error / value
+
+
+# The default config, both edges of the alpha window, and beta*omega up to 300
+# (T_c = 0.01: the cold branch runs 300 -> 100, the pump 33 -> 300).
+SIGMA_MP_CONFIGS = [
+    TricycleConfig(),
+    TricycleConfig(alpha=-0.5),
+    TricycleConfig(alpha=1.5),
+    TricycleConfig(T_c=0.01, delta_c=1.0),
+]
+
+
+class TestSigmaAgainstMpmath:
+    """50-digit references for the dissipation coefficient Sigma."""
+
+    def test_configs_reach_large_beta_omega(self):
+        x = [frequency(b, s) / b.temperature
+             for b in SIGMA_MP_CONFIGS[-1].branches() for s in (0.0, 1.0)]
+        assert max(x) >= 300.0 - 1e-9
+
+    def test_within_the_quadrature_tolerance(self, mp):
+        for config in SIGMA_MP_CONFIGS:
+            for branch in config.branches():
+                exact, error = sigma_mp(mp, branch)
+                assert abs(error) < 1e-40
+                assert abs(sigma_coefficient(branch) - exact) <= QUADRATURE_RTOL * abs(exact)
 
 
 class TestBranchHeat:
