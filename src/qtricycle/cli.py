@@ -3,8 +3,11 @@
 Configuration is flat ``key = value`` text (one pair per line, ``#``
 comments); every key has a default, so the empty config runs each
 subcommand at the standard operating point.  Each subcommand writes one
-plot-ready report file (CSV rows or a JSON object with a ``meta`` block)
-and prints its headline numbers as ``name = value`` lines on stdout.
+plot-ready report file (CSV rows, or a JSON object whose ``meta`` block
+echoes the config and the summary) and prints that summary's headline
+numbers as ``name = value`` lines on stdout.  The rows are the library's
+records (:class:`~qtricycle.optimize.SweepRecord` and the like), whose field
+names are the report's columns.
 ``psi_points`` COPs from ``psi_min`` to ``psi_max`` make the psi grid of
 ``time-allocation`` (a bound left unset is the peak COP of one of its two
 curves) and of ``envelope``, which takes both bounds or neither (then it
@@ -176,14 +179,6 @@ def parse_config(text, overrides=()):
     return rc
 
 
-@dataclass(frozen=True)
-class ReportPayload:
-    columns: list
-    rows: list
-    meta: dict
-    summary: dict
-
-
 def _fmt_cell(value):
     if type(value) is float:  # most cells: skip the isinstance chain
         return f"{value:.17e}"
@@ -213,16 +208,17 @@ def _json_safe(value):
     return value
 
 
-def emit_report(payload, fmt):
-    """Render a payload as CSV rows or a single JSON object (byte-stable)."""
+def emit_report(columns, rows, meta, fmt):
+    """Render a report as CSV rows or as one JSON object with ``meta``,
+    ``columns`` and ``rows`` (byte-stable); CSV leaves ``meta`` out."""
     if fmt == "csv":
-        lines = [",".join(payload.columns)]
-        lines.extend(",".join(map(_fmt_cell, row)) for row in payload.rows)
+        lines = [",".join(columns)]
+        lines.extend(",".join(map(_fmt_cell, row)) for row in rows)
         return "\n".join(lines) + "\n"
     doc = {
-        "meta": _json_safe({**payload.meta, "summary": payload.summary}),
-        "columns": list(payload.columns),
-        "rows": [[_json_safe(v) for v in row] for row in payload.rows],
+        "meta": _json_safe(meta),
+        "columns": list(columns),
+        "rows": [[_json_safe(v) for v in row] for row in rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -277,9 +273,7 @@ def _run_cycle(rc, config):
 def _run_ts_diagram(rc, config):
     _, taus = _resolved_taus(rc, config)
     points = thermo.ts_trajectory(config, taus, rc.samples_per_branch)
-    columns = ["reservoir", "s", "omega", "T_eff", "S"]
-    rows = [(p.reservoir, p.s, p.omega, p.T_eff, p.S) for p in points]
-    return columns, rows, {"tau_h_used": taus[1]}
+    return thermo.TrajectoryPoint._fields, points, {"tau_h_used": taus[1]}
 
 
 def _run_sweep_times(rc, config):
@@ -303,23 +297,19 @@ def _tau_c_grid(rc):
 
 def _run_optimal_curve(rc, config):
     curve, ext = optimize.curve_extrema(config, tau_c_grid=_tau_c_grid(rc))
-    columns = list(optimize.SweepRecord._fields)
-    rows = [tuple(r) for r in curve.records]
     summary = {"psi_at_R_max": ext.psi_at_R_max, "R_max": ext.R_max,
                "psi_at_chi_max": ext.psi_at_chi_max, "chi_max": ext.chi_max,
                "skipped_points": len(curve.skipped)}
-    return columns, rows, summary
+    return optimize.SweepRecord._fields, curve.records, summary
 
 
 def _run_alpha_sweep(rc, config):
     grid = np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points)
     result = optimize.alpha_sweep(config, grid, _tau_c_grid(rc))
-    columns = list(optimize.AlphaRecord._fields)
-    rows = [tuple(r) for r in result.rows]
     summary = {"alpha_chi": result.alpha_chi, "alpha_r": result.alpha_R,
                "chi_max": result.chi_max, "R_max": result.R_max,
                "skipped_points": len(result.skipped)}
-    return columns, rows, summary
+    return optimize.AlphaRecord._fields, result.rows, summary
 
 
 def _psi_grid(rc, lo, hi):
@@ -335,9 +325,9 @@ def _run_envelope(rc, config):
     psi_grid = None if None in bounds else _psi_grid(rc, *bounds)
     alphas = np.linspace(rc.alpha_min, rc.alpha_max, rc.envelope_alpha_points)
     result = optimize.envelope_curve(config, psi_grid, alphas, _tau_c_grid(rc))
-    columns = ["curve"] + list(optimize.SweepRecord._fields)
-    rows = [("R",) + tuple(r) for r in result.r_curve]
-    rows += [("chi",) + tuple(r) for r in result.chi_curve]
+    columns = ("curve", *optimize.SweepRecord._fields)
+    rows = [(label, *r) for label, curve in (("R", result.r_curve), ("chi", result.chi_curve))
+            for r in curve]
     summary = {"psi_R": result.psi_R, "psi_chi": result.psi_chi,
                "skipped_points": len(result.skipped)}
     return columns, rows, summary
@@ -356,9 +346,8 @@ def _run_time_allocation(rc, config):
     psi_R, psi_chi = ext_R.psi_at_R_max, ext_chi.psi_at_chi_max
     lo, hi = sorted((psi_R, psi_chi))
     psi_grid = _psi_grid(rc, lo, hi)
-    columns = ["alpha_label", "alpha", "psi", "tau_total", "ratio_hp",
-               "ratio_cp", "tau_c", "tau_h", "tau_p"]
-    rows = [(label, ext.alpha) + tuple(p)
+    columns = ("alpha_label", "alpha", *optimize.ProfilePoint._fields)
+    rows = [(label, ext.alpha, *p)
             for label, ext, curve in (("alpha_chi", ext_chi, curve_chi),
                                       ("alpha_R", ext_R, curve_R))
             for p in optimize.time_allocation_profile(curve, psi_grid)]
@@ -440,9 +429,9 @@ def run(subcommand, rc, stdout=None):
         "version": __version__,
         "subcommand": subcommand,
         "config": dict(sorted(rc.values.items())),
+        "summary": summary,
     }
-    payload = ReportPayload(columns=columns, rows=rows, meta=meta, summary=summary)
-    _write_atomic(out_path, emit_report(payload, rc.format))
+    _write_atomic(out_path, emit_report(columns, rows, meta, rc.format))
     print(f"wrote {out_path} ({len(rows)} rows)", file=stdout)
     for key, value in summary.items():
         print(f"{key} = {_fmt_cell(value)}", file=stdout)

@@ -28,7 +28,10 @@ once the three quadratures are done; the algebra takes those coefficients
 (:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
 Every fixed-alpha curve comes from :func:`optimal_curve`; the alpha sweeps
-draw each curve and its refined maxima once from one memoized family.  One
+draw each curve and its refined maxima once from one memoized family.  Each
+curve point is one :class:`SweepRecord`, built where its principal allocation
+is solved; the refined maxima (:func:`max_cooling_rate`,
+:func:`max_figure_of_merit`), envelopes and profiles read records.  One
 golden-section helper refines every maximum (over log tau_c and over alpha),
 and one array interpolation inverts curves at target COPs for the envelope
 and the profiles, which re-solve the allocation there.  The grid rules
@@ -202,6 +205,7 @@ def solve_time_allocation(coeffs, tau_c):
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
     _require_sign_structure(coeffs)
+    tau_c = float(tau_c)
 
     try:
         K, M, poly = _stationarity_quartic(coeffs, tau_c)
@@ -236,16 +240,13 @@ def solve_time_allocation(coeffs, tau_c):
 
     solutions = []
     for tau_p in sorted(r for r in polished if r > -M / K):  # tau_h > 0 exactly here
-        tau_h, _ = _energy_balance(coeffs, tau_c, tau_p)
+        tau_h = float(_energy_balance(coeffs, tau_c, tau_p)[0])
         residual_c, reason = _attempt(_checked_residual, coeffs, tau_c, tau_h, tau_p)
         if reason is not None:
             dropped.append(reason)
             continue
         solutions.append(AllocationSolution(
-            tau_c=float(tau_c), tau_h=float(tau_h), tau_p=float(tau_p),
-            residual_constraint=float(residual_c),
-            metrics=cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p),
-        ))
+            tau_c, tau_h, tau_p, residual_c, cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p)))
     if not solutions:
         raise ConvergenceError(
             dropped[0] if dropped else f"no stationary tau_p with tau_h > 0 at tau_c={tau_c}")
@@ -261,22 +262,6 @@ def _attempt(fn, *args, **kwargs):
         return None, str(exc)
 
 
-def _principal(coeffs, tau_c):
-    """Principal refrigeration solution at tau_c.
-
-    Raises :class:`ConvergenceError` when the solver fails or its principal
-    solution does not refrigerate.
-    """
-    best = solve_time_allocation(coeffs, tau_c)[0]
-    m = best.metrics
-    if not m.valid or m.cold.Q <= 0.0:
-        raise ConvergenceError(
-            f"principal solution at tau_c={tau_c} does not refrigerate "
-            f"(valid={m.valid}, Q_c={m.cold.Q:.3e})"
-        )
-    return best
-
-
 class SweepRecord(NamedTuple):
     """One point of a performance curve."""
 
@@ -289,10 +274,20 @@ class SweepRecord(NamedTuple):
     tau_p: float
 
 
-def _record(alpha, sol):
-    m = sol.metrics
-    return SweepRecord(alpha=float(alpha), psi=m.psi, R=m.R, chi=m.chi,
-                       tau_c=sol.tau_c, tau_h=sol.tau_h, tau_p=sol.tau_p)
+def _principal(coeffs, alpha, tau_c):
+    """SweepRecord of the principal refrigeration solution at tau_c.
+
+    Raises :class:`ConvergenceError` when the solver fails or its principal
+    solution does not refrigerate.
+    """
+    best = solve_time_allocation(coeffs, tau_c)[0]
+    m = best.metrics
+    if not m.valid or m.cold.Q <= 0.0:
+        raise ConvergenceError(
+            f"principal solution at tau_c={tau_c} does not refrigerate "
+            f"(valid={m.valid}, Q_c={m.cold.Q:.3e})"
+        )
+    return SweepRecord(float(alpha), m.psi, m.R, m.chi, best.tau_c, best.tau_h, best.tau_p)
 
 
 @dataclass(frozen=True)
@@ -325,11 +320,11 @@ def optimal_curve(config, tau_c_grid=None):
     coeffs = cycle.cycle_coefficients(config)
     records, skipped = [], []
     for tau_c in tau_c_grid:
-        sol, reason = _attempt(_principal, coeffs, float(tau_c))
-        if sol is None:
+        record, reason = _attempt(_principal, coeffs, config.alpha, float(tau_c))
+        if record is None:
             skipped.append((float(tau_c), reason))
         else:
-            records.append(_record(config.alpha, sol))
+            records.append(record)
     if len(records) < 10:
         raise ConvergenceError(
             f"only {len(records)} of {tau_c_grid.size} grid points converged "
@@ -353,34 +348,29 @@ def _refine_max(f, xs, values, xtol):
 
 
 def _refine_objective(curve, key):
-    """(value, allocation): max(record.key) over the curve, refined by
-    :func:`_refine_max` over log tau_c.  Each allocation is solved once, the
-    best grid record's only when it is returned."""
-    coeffs, recs = curve.coeffs, sorted(curve.records, key=lambda r: r.tau_c)
+    """The SweepRecord maximizing ``key`` on the curve, refined by
+    :func:`_refine_max` over log tau_c; the best grid record itself when
+    refinement finds no gain.  Each golden evaluation is solved once."""
+    recs = sorted(curve.records, key=lambda r: r.tau_c)
     values = [getattr(r, key) for r in recs]
     solved = {}
 
     def value(x):
-        sol = solved[x] = _attempt(_principal, coeffs, math.exp(x))[0]
-        return getattr(sol.metrics, key) if sol is not None else -math.inf
+        rec = solved[x] = _attempt(_principal, curve.coeffs, recs[0].alpha, math.exp(x))[0]
+        return getattr(rec, key) if rec is not None else -math.inf
 
     hit = _refine_max(value, [math.log(r.tau_c) for r in recs], values, xtol=1e-9)
-    if hit is not None:
-        return hit[1], solved[hit[0]]
-    best = recs[int(np.argmax(values))]
-    return getattr(best, key), _attempt(_principal, coeffs, best.tau_c)[0]
+    return solved[hit[0]] if hit is not None else recs[int(np.argmax(values))]
 
 
 def max_cooling_rate(config, tau_c_grid=None):
-    """(psi at max R, max R, allocation) with golden-section refinement."""
-    R_max, sol = _refine_objective(optimal_curve(config, tau_c_grid), "R")
-    return sol.metrics.psi, R_max, sol
+    """SweepRecord of the maximum cooling rate, with golden-section refinement."""
+    return _refine_objective(optimal_curve(config, tau_c_grid), "R")
 
 
 def max_figure_of_merit(config, tau_c_grid=None):
-    """(psi at max chi, max chi, allocation) with golden-section refinement."""
-    chi_max, sol = _refine_objective(optimal_curve(config, tau_c_grid), "chi")
-    return sol.metrics.psi, chi_max, sol
+    """SweepRecord of the maximum figure of merit, with golden-section refinement."""
+    return _refine_objective(optimal_curve(config, tau_c_grid), "chi")
 
 
 class AlphaRecord(NamedTuple):
@@ -413,10 +403,9 @@ class AlphaSweepResult:
 
 def _alpha_record(alpha, curve):
     """AlphaRecord of the refined R and chi maxima on one curve."""
-    R_max, sol_R = _refine_objective(curve, "R")
-    chi_max, sol_chi = _refine_objective(curve, "chi")
-    return AlphaRecord(alpha=float(alpha), R_max=R_max, chi_max=chi_max,
-                       psi_at_R_max=sol_R.metrics.psi, psi_at_chi_max=sol_chi.metrics.psi)
+    at_R, at_chi = _refine_objective(curve, "R"), _refine_objective(curve, "chi")
+    return AlphaRecord(alpha=float(alpha), R_max=at_R.R, chi_max=at_chi.chi,
+                       psi_at_R_max=at_R.psi, psi_at_chi_max=at_chi.psi)
 
 
 def curve_extrema(config, tau_c_grid=None):
@@ -546,9 +535,9 @@ def envelope_curve(config, psi_grid=None, alpha_grid=None, tau_c_grid=None):
     for j in np.flatnonzero(reached).tolist():
         for k, out in ((best_R[j], r_curve), (best_chi[j], chi_curve)):
             alpha, c = built[k]
-            sol = _attempt(_principal, c.coeffs, float(tau_c[k, j]))[0]
-            if sol is not None:
-                out.append(_record(alpha, sol))
+            record = _attempt(_principal, c.coeffs, alpha, float(tau_c[k, j]))[0]
+            if record is not None:
+                out.append(record)
     if skipped and len(skipped) == len(psi_grid):
         raise ConvergenceError(
             "no requested COP is attained by any alpha in the window",
@@ -601,15 +590,15 @@ def time_allocation_profile(curve, psi_grid):
         )
     points = []
     for psi, tc in zip(psi_grid.tolist(), tau_c.tolist()):
-        sol = _attempt(_principal, coeffs, tc)[0]
-        if sol is None:
+        rec = _attempt(_principal, coeffs, records[0].alpha, tc)[0]
+        if rec is None:
             raise ConvergenceError(f"allocation lost while refining psi={psi}")
         points.append(ProfilePoint(
-            psi=sol.metrics.psi,
-            tau_total=sol.tau_c + sol.tau_h + sol.tau_p,
-            ratio_hp=sol.tau_h / sol.tau_p,
-            ratio_cp=sol.tau_c / sol.tau_p,
-            tau_c=sol.tau_c, tau_h=sol.tau_h, tau_p=sol.tau_p,
+            psi=rec.psi,
+            tau_total=rec.tau_c + rec.tau_h + rec.tau_p,
+            ratio_hp=rec.tau_h / rec.tau_p,
+            ratio_cp=rec.tau_c / rec.tau_p,
+            tau_c=rec.tau_c, tau_h=rec.tau_h, tau_p=rec.tau_p,
         ))
     psi, total, hp, cp = (np.array([getattr(p, key) for p in points])
                           for key in ("psi", "tau_total", "ratio_hp", "ratio_cp"))

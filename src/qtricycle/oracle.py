@@ -101,7 +101,8 @@ def propagate(branch, tau, steps=None, initial=None):
     samples; ``steps`` must be even and at least 1000.  ``initial`` defaults
     to the Gibbs state at the initial splitting.  Raises
     :class:`PositivityError` if a population leaves [0, 1] by more than 1e-8
-    (step size too large).
+    (step size too large), and ValueError if tau / steps is not positive
+    (tau <= 0, or a tau so small that the step underflows to 0).
 
     The generator depends on s only, so the steps are taken _CHUNK at a time:
     one :func:`lindblad.liouvillian` call gives every stage generator of the
@@ -124,6 +125,8 @@ def propagate(branch, tau, steps=None, initial=None):
     initial.validate()
 
     dt = tau / steps
+    if not dt > 0.0:
+        raise ValueError(f"tau={tau} too small: its step tau/{steps} underflows to 0")
     times = np.linspace(0.0, tau, steps + 1)
     states = np.empty((steps + 1, 4), dtype=complex)
     states[0] = initial.as_array()

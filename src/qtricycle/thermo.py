@@ -216,13 +216,13 @@ def perturbed_state(branch, s, tau):
 
 
 class TrajectoryPoint(NamedTuple):
-    """One sample of the temperature-entropy diagram."""
+    """One sample of the temperature-entropy diagram (the ts-diagram row)."""
 
-    T_eff: float
-    S: float
     reservoir: str
     s: float
     omega: float
+    T_eff: float
+    S: float
 
 
 def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
@@ -259,6 +259,6 @@ def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
             T_eff = w / np.log(q / p)  # p == 0 gives ln(inf), so T_eff = 0.0
             S = -(np.where(p > 0.0, p * np.log(p), 0.0)
                   + np.where(q > 0.0, q * np.log(q), 0.0))
-        points.extend(map(TrajectoryPoint, T_eff.tolist(), S.tolist(),
-                          itertools.repeat(branch.reservoir), s.tolist(), w.tolist()))
+        points.extend(map(TrajectoryPoint, itertools.repeat(branch.reservoir),
+                          s.tolist(), w.tolist(), T_eff.tolist(), S.tolist()))
     return points

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,7 +9,6 @@ import pytest
 
 from qtricycle import cli, optimize, oracle
 from qtricycle.cli import (
-    ReportPayload,
     RunConfig,
     emit_report,
     main,
@@ -99,27 +99,25 @@ class TestParseConfig:
 class TestEmitReport:
     @pytest.fixture
     def payload(self):
-        return ReportPayload(
-            columns=["name", "x"],
-            rows=[("a", 0.1), ("b", float("nan"))],
-            meta={"tool": "qtricycle", "version": "test", "config": {"T_c": 0.2}},
-            summary={"best": 0.1},
-        )
+        """(columns, rows, meta) of a two-row report."""
+        return (["name", "x"], [("a", 0.1), ("b", float("nan"))],
+                {"tool": "qtricycle", "version": "test", "config": {"T_c": 0.2},
+                 "summary": {"best": 0.1}})
 
     def test_csv_shape_and_precision(self, payload):
-        text = emit_report(payload, "csv")
+        text = emit_report(*payload, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "name,x"
         assert lines[1].split(",")[1] == f"{0.1:.17e}"
         assert lines[2].split(",")[1] == "nan"
 
     def test_byte_stable(self, payload):
-        assert emit_report(payload, "csv") == emit_report(payload, "csv")
-        assert emit_report(payload, "json") == emit_report(payload, "json")
+        assert emit_report(*payload, "csv") == emit_report(*payload, "csv")
+        assert emit_report(*payload, "json") == emit_report(*payload, "json")
 
     def test_json_round_trips_csv_values(self, payload):
-        doc = json.loads(emit_report(payload, "json"))
-        csv_lines = emit_report(payload, "csv").strip().split("\n")[1:]
+        doc = json.loads(emit_report(*payload, "json"))
+        csv_lines = emit_report(*payload, "csv").strip().split("\n")[1:]
         for row, line in zip(doc["rows"], csv_lines):
             parsed = line.split(",")[1]
             if row[1] is None:
@@ -128,7 +126,7 @@ class TestEmitReport:
                 assert abs(float(parsed) - row[1]) <= 1e-15 * abs(row[1])
 
     def test_json_meta_echoes_config(self, payload):
-        doc = json.loads(emit_report(payload, "json"))
+        doc = json.loads(emit_report(*payload, "json"))
         assert doc["meta"]["config"]["T_c"] == 0.2
         assert doc["meta"]["summary"]["best"] == 0.1
 
@@ -389,9 +387,75 @@ class TestExitCodes:
         assert "oracle_taus" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    def test_underflowing_oracle_step_exits_2(self, tmp_path, capsys):
+        # a positive tau whose RK4 step tau / steps underflows to 0.0
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle-check", "--set", "oracle_taus=5e-324", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "underflows to 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")
         text_a = first.read_text()
         os.unlink(first)
         _, second = run_cli(tmp_path, "branch")
         assert second.read_text() == text_a
+
+
+# One cheap run of every subcommand: given alphas skip time-allocation's sweep,
+# so alpha-sweep's minimum grid dominates the cost.
+CHEAP_SETTINGS = ["alpha_chi=0.6278", "alpha_r=0.9799", "envelope_alpha_points=5",
+                  "oracle_taus=100", "sweep_tau_c_points=6", "sweep_tau_p_points=6",
+                  "delta_points=20", "psi_points=5", "samples_per_branch=11",
+                  "tau_c_points=100", "alpha_points=100"]
+
+
+def cells_agree(text, value):
+    """A CSV cell and the JSON value of the same cell say the same thing."""
+    if value is None:
+        return text == "nan"
+    if isinstance(value, bool):  # before int: bool subclasses int
+        return text == str(value).lower()
+    if isinstance(value, (str, int)):
+        return text == str(value)
+    return float(text) == value
+
+
+class TestReportsThroughBothEmitters:
+    def test_csv_and_json_agree_on_every_report(self, tmp_path, monkeypatch):
+        seen = set()
+        for subcommand, runner in list(cli._RUNNERS.items()):
+            produced = []
+
+            def capture(rc, config, runner=runner, produced=produced):
+                produced.append(runner(rc, config))
+                return produced[-1]
+
+            monkeypatch.setitem(cli._RUNNERS, subcommand, capture)
+            out = tmp_path / f"{subcommand}.json"
+            stdout = io.StringIO()
+            rc = parse_config("", CHEAP_SETTINGS + [f"out={out}", "format=json"])
+            assert run(subcommand, rc, stdout=stdout) == 0
+            [(columns, rows, summary)] = produced  # one computation per subcommand
+
+            doc = json.loads(out.read_text())
+            csv_lines = emit_report(columns, rows, doc["meta"], "csv").splitlines()
+            assert csv_lines[0].split(",") == doc["columns"] == list(columns)
+            assert len(csv_lines) - 1 == len(doc["rows"]) == len(rows) > 0
+            for line, row in zip(csv_lines[1:], doc["rows"]):
+                cells = line.split(",")
+                assert len(cells) == len(row), subcommand
+                for text, value in zip(cells, row):
+                    assert cells_agree(text, value), (subcommand, text, value)
+                    seen.add(type(value))
+
+            printed = stdout.getvalue().splitlines()
+            assert printed[0] == f"wrote {out} ({len(rows)} rows)"
+            lines = dict(line.split(" = ", 1) for line in printed[1:])
+            assert list(lines) == list(summary)
+            assert set(lines) == set(doc["meta"]["summary"])
+            for key, text in lines.items():
+                assert cells_agree(text, doc["meta"]["summary"][key]), (subcommand, key)
+        assert seen == {str, float, int, bool, type(None)}

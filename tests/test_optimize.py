@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from dataclasses import replace
 
@@ -313,23 +314,26 @@ class TestOptimalCurve:
 
 
 class TestObjectiveMaxima:
-    def test_refinement_dominates_grid(self, config, curve):
-        psi_R, R_max, sol = max_cooling_rate(config)
+    def test_refinement_dominates_grid(self, config, coeffs, curve):
+        rec = max_cooling_rate(config)
+        R_max = rec.R
         assert R_max >= max(r.R for r in curve.records)
+        sol = solve_time_allocation(coeffs, rec.tau_c)[0]
+        assert (sol.metrics.psi, sol.metrics.chi, sol.tau_h, sol.tau_p) == \
+            (rec.psi, rec.chi, rec.tau_h, rec.tau_p)
         assert sol.metrics.R == pytest.approx(R_max, rel=1e-12)
         total = sol.tau_c + sol.tau_h + sol.tau_p
         assert abs(sol.residual_constraint) < 1e-8 * total
         assert abs(sol.metrics.work_residual) < 1e-8 * abs(sol.metrics.cold.Q)
 
-    def test_figure_of_merit_peak_sits_right_of_rate_peak(self, config):
-        psi_R, R_max, sol_R = max_cooling_rate(config)
-        psi_chi, chi_max, sol_chi = max_figure_of_merit(config)
-        assert psi_chi > psi_R
-        assert chi_max >= sol_R.metrics.chi
+    def test_figure_of_merit_peak_sits_right_of_rate_peak(self, config, coeffs):
+        at_R, at_chi = max_cooling_rate(config), max_figure_of_merit(config)
+        assert at_chi.psi > at_R.psi
+        assert at_chi.chi >= solve_time_allocation(coeffs, at_R.tau_c)[0].metrics.chi
 
     def test_refinement_reuses_its_solves(self, config, monkeypatch):
         # golden's best point comes from its own evaluations, and the best grid
-        # record is solved only when it is returned
+        # record is returned as it is, never solved again
         solved = []
         original = optimize.solve_time_allocation
 
@@ -369,10 +373,46 @@ class TestObjectiveMaxima:
             assert hit is None or (hit[1] > max(values) and hit[1] == bumpy(hit[0]))
 
     def test_local_stationarity_of_refined_peak(self, config, coeffs):
-        _, R_max, sol = max_cooling_rate(config)
+        rec = max_cooling_rate(config)
         for factor in (0.99, 1.01):
-            neighbour = solve_time_allocation(coeffs, sol.tau_c * factor)[0]
-            assert neighbour.metrics.R <= R_max * (1.0 + 1e-9)
+            neighbour = solve_time_allocation(coeffs, rec.tau_c * factor)[0]
+            assert neighbour.metrics.R <= rec.R * (1.0 + 1e-9)
+
+
+class TestPythonScalars:
+    """Solver metrics and curve records hold Python floats and bools, not numpy
+    scalars, so reports take the plain-float path."""
+
+    @staticmethod
+    def numeric_fields(obj):
+        if isinstance(obj, tuple):  # the NamedTuple records
+            items = obj._asdict().items()
+        else:
+            items = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        for name, value in items:
+            if dataclasses.is_dataclass(value):
+                yield from TestPythonScalars.numeric_fields(value)
+            elif not isinstance(value, str):
+                yield name, value
+
+    def test_every_numeric_field_is_a_python_scalar(self, config, coeffs, curve):
+        envelope = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
+                                  psi_grid=np.linspace(0.06, 0.16, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            profile = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+        objects = [*solve_time_allocation(coeffs, 9.0), *curve.records,
+                   curve_extrema(config)[1], max_cooling_rate(config),
+                   max_figure_of_merit(config), *envelope.r_curve, *envelope.chi_curve,
+                   *profile]
+        checked = 0
+        for obj in objects:
+            for name, value in self.numeric_fields(obj):
+                assert type(value) is (bool if name == "valid" else float), \
+                    (type(obj).__name__, name, type(value))
+                checked += 1
+        assert checked > 500
+        assert all(type(x) is float for x in (envelope.psi_R, envelope.psi_chi))
 
 
 class TestAlphaSweep:

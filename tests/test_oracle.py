@@ -151,6 +151,14 @@ class TestIntegratorContracts:
             with pytest.raises(ValueError, match="tau must be > 0"):
                 propagate(branch, tau)
 
+    def test_underflowing_step_rejected(self):
+        # tau > 0, but tau / steps rounds to 0.0, so no step would advance the state
+        branch = TricycleConfig().branch("c")
+        for tau, steps in ((5e-324, None), (1e-320, 100_000)):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                propagate(branch, tau, steps)
+        assert heat_via_trajectory(propagate(branch, 1e-320)) != 0.0
+
     def test_heat_needs_enough_samples(self, frozen_branch):
         traj = propagate(frozen_branch, 5.0)
         clipped = type(traj)(branch=traj.branch, tau=traj.tau,
