@@ -1,46 +1,16 @@
-"""Scalar root-finding, 1-D minimisation and Simpson quadrature.
+"""Scalar 1-D minimisation and Simpson quadrature.
 
-``bisect`` and ``golden`` keep the iterates and stopping tests of the usual
-library versions bit for bit (``tests/test_numerics.py`` checks this).
+``golden`` keeps the iterates and stopping test of the usual library version
+bit for bit (``tests/test_numerics.py`` checks this).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError
-
-_RTOL = 4.0 * np.finfo(float).eps
 _GOLDEN_R = 0.61803399  # golden ratio conjugate, truncated to 8 digits
 _GOLDEN_C = 1.0 - _GOLDEN_R
 _GOLDEN_MAXITER = 5000
-
-
-def bisect(f, a, b, xtol, rtol=_RTOL, maxiter=100):
-    """Root of f in [a, b], where f(a) and f(b) differ in sign.
-
-    Halves the step from ``a`` until f vanishes at the midpoint or the step
-    drops below ``xtol + rtol * |midpoint|``.  Raises ValueError without a
-    sign change and :class:`ConvergenceError` after ``maxiter`` halvings.
-    """
-    a, b = float(a), float(b)
-    fa, fb = f(a), f(b)
-    if fa * fb > 0.0:
-        raise ValueError(f"f(a) and f(b) must have different signs on [{a}, {b}]")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    dm = b - a
-    for _ in range(maxiter):
-        dm *= 0.5
-        xm = a + dm
-        fm = f(xm)
-        if fm * fa >= 0.0:
-            a = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
-    raise ConvergenceError(f"bisection did not converge in {maxiter} steps on [{a}, {b}]")
 
 
 def golden(f, a, b, c, xtol):

@@ -198,7 +198,9 @@ def _json_safe(value):
         return bool(value)
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        return None if (np.isnan(v) or np.isinf(v)) else v
+        if np.isinf(v):  # CSV's spelling; NaN stays null
+            return "inf" if v > 0.0 else "-inf"
+        return None if np.isnan(v) else v
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (tuple, list, np.ndarray)):
@@ -248,13 +250,8 @@ def _resolved_taus(rc, config):
 
 def _run_branch(rc, config):
     coeffs, (tau_c, tau_h, tau_p) = _resolved_taus(rc, config)
-    metrics = cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p)
-    rows = [
-        (b.reservoir, b.tau, b.dS_eq, b.Sigma, b.Q0, b.Q1, b.Q)
-        for b in (metrics.cold, metrics.hot, metrics.pump)
-    ]
-    columns = ["reservoir", "tau", "dS_eq", "Sigma", "Q0", "Q1", "Q"]
-    return columns, rows, {"tau_h_used": tau_h}
+    m = cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p)
+    return thermo.BranchThermo._fields, [m.cold, m.hot, m.pump], {"tau_h_used": tau_h}
 
 
 def _run_cycle(rc, config):
@@ -395,14 +392,6 @@ _RUNNERS = {
 }
 
 
-def _failed_point_line(point):
-    """``  <point>: <reason>`` for a (point, reason) pair, ``  <point>`` otherwise."""
-    if isinstance(point, tuple):
-        point, reason = point
-        return f"  {point}: {reason}"
-    return f"  {point}"
-
-
 def run(subcommand, rc, stdout=None):
     """Execute one subcommand; write the report; print summary lines.
 
@@ -419,7 +408,7 @@ def run(subcommand, rc, stdout=None):
         lines = [f"subcommand: {subcommand}", f"error: {exc}"]
         if exc.failed_points:
             lines.append("failed grid points:")
-            lines.extend(_failed_point_line(point) for point in exc.failed_points)
+            lines.extend(f"  {point}: {reason}" for point, reason in exc.failed_points)
         _write_atomic(diagnostic, "\n".join(lines) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         print(f"diagnostic written to {diagnostic}", file=sys.stderr)

@@ -18,8 +18,9 @@ energy balance belongs to :mod:`qtricycle.optimize`.
 
 The quasi-static sum sum_v T_v dS_v is array-valued in the cold amplitude:
 :func:`zeroth_heat_sum_curve` evaluates its whole grid as one expression,
-:func:`reversible_amplitude` bisects the first sign change of such a scan, and
-the bisection and :func:`zeroth_heat_sum` call the same kernel at one amplitude.
+:func:`reversible_amplitude` refines the first sign change of such a scan with
+one such expression per pass, and :func:`zeroth_heat_sum` calls the same kernel
+at one amplitude.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import thermo
-from ._numerics import bisect
 from .errors import ConvergenceError
 from .protocol import derive_linked_params
 from .thermo import BranchThermo
@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_DELTA_SCAN = (0.01, 2.0, 400)  # (lo, hi, points) of reversible_amplitude's scan
+_ROOT_POINTS = 65  # per refinement pass: 64 sub-cells of the current cell
+_ROOT_XTOL, _ROOT_RTOL = 1e-12, 4.0 * np.finfo(float).eps
+_ROOT_MAXITER = 20  # passes; each shrinks the cell 64-fold
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,9 @@ def reversible_amplitude(config, scan=None):
     """Cold-branch amplitude at which the quasi-static heats balance; above it
     the sum is positive.  The first sign change of a
     :func:`zeroth_heat_sum_curve` scan (by default over ``DEFAULT_DELTA_SCAN``),
-    bisected to 1e-12 (well below the 1e-8 the root needs)."""
+    refined to 1e-12 (well below the 1e-8 the root needs): each pass evaluates
+    the sum on ``_ROOT_POINTS`` points of the current cell and keeps the first
+    sub-cell whose ends change sign or touch zero."""
     if scan is None:
         scan = zeroth_heat_sum_curve(config, np.linspace(*DEFAULT_DELTA_SCAN))
     grid, vals = np.array(scan).T
@@ -172,8 +177,18 @@ def reversible_amplitude(config, scan=None):
         raise ConvergenceError(
             f"no sign change of sum_v Q_v^0 in delta_c on [{grid[0]}, {grid[-1]}] "
             f"(endpoint values {vals[0]:.3e}, {vals[-1]:.3e})",
-            failed_points=scan[::40],
+            failed_points=[(dc, f"sum_v Q_v^0 = {q:.3e}, no sign change")
+                           for dc, q in scan[::40]],
         )
-    i = int(idx[0])
-    return float(bisect(lambda dc: _zeroth_heat_sums(config, dc), grid[i], grid[i + 1],
-                        xtol=1e-12))
+    a, b = grid[idx[0]], grid[idx[0] + 1]
+    for _ in range(_ROOT_MAXITER):
+        x = np.linspace(a, b, _ROOT_POINTS)
+        sign = np.sign(_zeroth_heat_sums(config, x))
+        # x holds the cell's own ends, so some sub-cell changes sign or touches zero
+        j = int(np.argmax(sign[:-1] * sign[1:] <= 0.0))
+        a, b = x[j], x[j + 1]
+        mid = 0.5 * (a + b)
+        if b - a < _ROOT_XTOL + _ROOT_RTOL * abs(mid):
+            return float(mid)
+    raise ConvergenceError(f"reversible amplitude not refined in {_ROOT_MAXITER} passes "
+                           f"on [{a}, {b}]")

@@ -9,8 +9,8 @@ class ConvergenceError(RuntimeError):
     """An iterative routine (quadrature refinement, root bracketing) did not converge.
 
     ``failed_points`` optionally lists the grid points that could not be solved,
-    so callers can report them in diagnostics.  An entry is either a bare
-    point or a ``(point, reason)`` pair giving why that point failed.
+    so callers can report them in diagnostics, as ``(point, reason)`` pairs
+    whose reason is text saying why that point failed.
     """
 
     def __init__(self, message, failed_points=None):

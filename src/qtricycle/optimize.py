@@ -541,7 +541,7 @@ def envelope_curve(config, psi_grid=None, alpha_grid=None, tau_c_grid=None):
     if skipped and len(skipped) == len(psi_grid):
         raise ConvergenceError(
             "no requested COP is attained by any alpha in the window",
-            failed_points=skipped,
+            failed_points=[(psi, "not attained by any alpha's curve") for psi in skipped],
         )
 
     # Peak COPs of the envelopes: the unrefined per-alpha grid maxima bracket
@@ -572,21 +572,21 @@ def time_allocation_profile(curve, psi_grid):
     """Duration profile along a fixed-alpha :class:`CurveResult`: each target
     COP is inverted to tau_c as in :func:`envelope_curve` and re-solved there.
 
-    The expected shape (total time increasing with the COP, both duration
-    ratios decreasing) is checked between consecutive points, and each kind
-    of violation raises one RuntimeWarning giving its count and first psi
-    pair, so sweep output is never silently trusted; the caller decides
-    whether the shape is a hard requirement.
+    The expected shape (total time increasing with the COP, tau_h/tau_p
+    falling and tau_c/tau_p rising) is checked between consecutive points,
+    and each kind of violation raises one RuntimeWarning giving its count and
+    first psi pair, so sweep output is never silently trusted; the caller
+    decides whether the shape is a hard requirement.
     """
     coeffs, records = curve.coeffs, curve.records
     psi_grid = np.asarray(psi_grid, dtype=float)
     tau_c = _interp_on_curve(records, psi_grid)[2]
     unreachable = psi_grid[np.isnan(tau_c)].tolist()
     if unreachable:
+        span = f"[{records[0].psi:.4f}, {records[-1].psi:.4f}]"
         raise ConvergenceError(
-            f"COP targets outside the attainable range "
-            f"[{records[0].psi:.4f}, {records[-1].psi:.4f}]",
-            failed_points=unreachable,
+            f"COP targets outside the attainable range {span}",
+            failed_points=[(psi, f"outside {span}") for psi in unreachable],
         )
     points = []
     for psi, tc in zip(psi_grid.tolist(), tau_c.tolist()):
@@ -605,8 +605,8 @@ def time_allocation_profile(curve, psi_grid):
     rising = psi[1:] > psi[:-1]  # duplicate targets are not compared
     tol = 1e-12
     for what, bad in (("total time not increasing", total[1:] < total[:-1] * (1.0 - tol)),
-                      ("duration ratios not decreasing",
-                       (hp[1:] > hp[:-1] * (1.0 + tol)) | (cp[1:] > cp[:-1] * (1.0 + tol)))):
+                      ("tau_h/tau_p not falling or tau_c/tau_p not rising",
+                       (hp[1:] > hp[:-1] * (1.0 + tol)) | (cp[1:] < cp[:-1] * (1.0 - tol)))):
         pairs = np.flatnonzero(rising & bad)
         if pairs.size:
             a, b = psi[pairs[0]:pairs[0] + 2].tolist()

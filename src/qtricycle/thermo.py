@@ -31,7 +31,6 @@ is the scalar view of that expression.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -108,26 +107,14 @@ def branch_entropy_change(branch):
     return equilibrium_entropy(T, w1) - equilibrium_entropy(T, w0)
 
 
-def _relaxation_kernel(branch, s, power, scale=1.0, cube=None):
+def _relaxation_kernel(branch, s, power, scale=1.0):
     """scale * omega'(s)**power * n(n+1) / (gamma (2n+1)^3): power 2 is the
-    Sigma integrand, power 1 with scale beta the population lag.  ``cube``
-    replaces ``** 3`` for (2n+1)^3 when given."""
+    Sigma integrand, power 1 with scale beta the population lag."""
     w = protocol.frequency(branch, s)
     wp = protocol.frequency_derivative(branch, s)
     n = lindblad.bose_occupation(branch.temperature, w)
     g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
-    m = 2.0 * n + 1.0
-    m3 = m ** 3 if cube is None else cube(m)
-    return scale * wp ** power * n * (n + 1.0) / (g * m3)
-
-
-def _python_cube(x):
-    """x**3 by Python's float pow, element by element.  numpy's vectorized pow
-    differs from it in the last bit for a few percent of inputs, so this keeps
-    the array-valued lag equal, element for element, to its scalar values."""
-    if np.ndim(x) == 0:
-        return x ** 3
-    return np.array([v ** 3 for v in x.tolist()])
+    return scale * wp ** power * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
 
 
 def sigma_coefficient(branch):
@@ -140,17 +127,17 @@ def sigma_coefficient(branch):
     return -beta ** 2 * gauss_legendre_adaptive(lambda s: _relaxation_kernel(branch, s, 2))
 
 
-@dataclass(frozen=True)
-class BranchThermo:
-    """Thermodynamic summary of one branch at a given duration."""
+class BranchThermo(NamedTuple):
+    """Thermodynamic summary of one branch at a given duration (the branch
+    report's row, in its column order)."""
 
     reservoir: str
+    tau: float
     dS_eq: float
     Sigma: float
     Q0: float
     Q1: float
     Q: float
-    tau: float
 
     @classmethod
     def from_coefficients(cls, reservoir, T, dS, Sigma, tau):
@@ -176,10 +163,11 @@ def population_lag(branch, s):
 
     The perturbed state is rho_eq + (phi/tau) (1, 0, 0, -1); phi carries the
     sign of omega'(s), so the state trails the equilibrium it is chasing.
-    Array-valued in s, with each element equal to the scalar value at its s.
+    Array-valued in s; a scalar s is evaluated as a one-element array, so each
+    element equals the scalar value at its s.
     """
-    phi = _relaxation_kernel(branch, s, 1, scale=branch.beta, cube=_python_cube)
-    return phi if np.ndim(phi) else float(phi)
+    phi = _relaxation_kernel(branch, np.atleast_1d(s), 1, scale=branch.beta)
+    return phi if np.ndim(s) else float(phi[0])
 
 
 def _lagged_population(branch, s, tau):

@@ -303,6 +303,20 @@ class TestExitCodes:
         text = (tmp_path / "curve.csv.diagnostic.txt").read_text()
         assert "overflow at tau_c=1e-300" in text
 
+    def test_scan_without_root_lists_points_with_reasons(self, tmp_path):
+        out = tmp_path / "delta.csv"
+        code = main(["reversible-delta", "--set", "delta_min=1.0", "--set", "delta_max=2.0",
+                     "--out", str(out)])
+        assert code == 3
+        lines = (tmp_path / "delta.csv.diagnostic.txt").read_text().splitlines()
+        points = lines[lines.index("failed grid points:") + 1:]
+        assert len(points) == 10  # every 40th of the 400 scan points
+        assert points[0] == "  1.0: sum_v Q_v^0 = 1.868e-01, no sign change"
+        for line in points:
+            point, reason = line.split(": ", 1)
+            assert float(point) >= 1.0
+            assert reason.startswith("sum_v Q_v^0 = ") and reason.endswith(", no sign change")
+
     @pytest.mark.parametrize("tau_c_min, tau_c_max", [("1.4e153", "8.9e153"),
                                                       ("1e85", "1e154")])
     def test_far_grid_skips_points_without_warnings(self, tmp_path, tau_c_min, tau_c_max):
@@ -413,7 +427,8 @@ CHEAP_SETTINGS = ["alpha_chi=0.6278", "alpha_r=0.9799", "envelope_alpha_points=5
 
 
 def cells_agree(text, value):
-    """A CSV cell and the JSON value of the same cell say the same thing."""
+    """A CSV cell and the JSON value of the same cell say the same thing (JSON
+    spells an infinite cell as CSV does, as a string)."""
     if value is None:
         return text == "nan"
     if isinstance(value, bool):  # before int: bool subclasses int
@@ -425,18 +440,21 @@ def cells_agree(text, value):
 
 class TestReportsThroughBothEmitters:
     def test_csv_and_json_agree_on_every_report(self, tmp_path, monkeypatch):
-        seen = set()
-        for subcommand, runner in list(cli._RUNNERS.items()):
+        seen, infinite = set(), set()
+        runners = dict(cli._RUNNERS)
+        # every report, then a cycle whose subnormal tau_c overflows Q_c to -inf
+        cases = [(name, []) for name in runners] + [("cycle", ["tau_c=1e-320", "tau_h=5"])]
+        for k, (subcommand, settings) in enumerate(cases):
             produced = []
 
-            def capture(rc, config, runner=runner, produced=produced):
+            def capture(rc, config, runner=runners[subcommand], produced=produced):
                 produced.append(runner(rc, config))
                 return produced[-1]
 
             monkeypatch.setitem(cli._RUNNERS, subcommand, capture)
-            out = tmp_path / f"{subcommand}.json"
+            out = tmp_path / f"{k}-{subcommand}.json"
             stdout = io.StringIO()
-            rc = parse_config("", CHEAP_SETTINGS + [f"out={out}", "format=json"])
+            rc = parse_config("", CHEAP_SETTINGS + settings + [f"out={out}", "format=json"])
             assert run(subcommand, rc, stdout=stdout) == 0
             [(columns, rows, summary)] = produced  # one computation per subcommand
 
@@ -450,6 +468,8 @@ class TestReportsThroughBothEmitters:
                 for text, value in zip(cells, row):
                     assert cells_agree(text, value), (subcommand, text, value)
                     seen.add(type(value))
+                    if value in ("inf", "-inf"):
+                        infinite.add(value)
 
             printed = stdout.getvalue().splitlines()
             assert printed[0] == f"wrote {out} ({len(rows)} rows)"
@@ -459,3 +479,4 @@ class TestReportsThroughBothEmitters:
             for key, text in lines.items():
                 assert cells_agree(text, doc["meta"]["summary"][key]), (subcommand, key)
         assert seen == {str, float, int, bool, type(None)}
+        assert infinite == {"inf", "-inf"}

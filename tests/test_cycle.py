@@ -16,11 +16,12 @@ from qtricycle import (
     zeroth_heat_sum,
     zeroth_heat_sum_curve,
 )
-from qtricycle._numerics import bisect
+from qtricycle import cycle
 from qtricycle.protocol import frequency
 from qtricycle.thermo import branch_entropy_change, equilibrium_entropy
 
 PSI_R_DEFAULT = 1.0 / 3.0
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,19 @@ class TestReversibleAmplitude:
             reversible_amplitude(default_config, zeroth_heat_sum_curve(
                 default_config, np.linspace(0.5, 2.0, 400)))
 
+    def test_default_root_takes_few_kernel_calls(self, default_config, monkeypatch):
+        calls = []
+        kernel = cycle._zeroth_heat_sums
+        monkeypatch.setattr(cycle, "_zeroth_heat_sums",
+                            lambda *args: calls.append(args) or kernel(*args))
+        reversible_amplitude(default_config)
+        assert len(calls) <= 8  # the scan and one array pass per 64-fold shrink
+
+    def test_refinement_cap_reported(self, default_config, monkeypatch):
+        monkeypatch.setattr(cycle, "_ROOT_MAXITER", 3)
+        with pytest.raises(ConvergenceError, match="not refined in 3 passes"):
+            reversible_amplitude(default_config)
+
     def test_random_configs_have_unique_root(self, rng):
         from dataclasses import replace
         for _ in range(5):
@@ -149,11 +163,19 @@ class TestZerothHeatSumCurve:
 
 
 def amplitude_root_reference(config, points):
-    """The first sign change of a reference scan, bisected on the per-config sum."""
+    """The first sign change of a reference scan, refined on the per-config sum:
+    64 equal sub-cells per pass, keeping the first whose ends change sign or
+    touch zero, until the cell is below 1e-12 + 4 eps * its midpoint."""
     grid, vals = np.array(points).T
     i = int(np.nonzero(vals[:-1] * vals[1:] < 0.0)[0][0])
-    return bisect(lambda dc: zeroth_heat_sum_reference(replace(config, delta_c=float(dc))),
-                  grid[i], grid[i + 1], xtol=1e-12)
+    a, b = grid[i], grid[i + 1]
+    while True:
+        x = np.linspace(a, b, 65)
+        f = [zeroth_heat_sum_reference(replace(config, delta_c=float(dc))) for dc in x]
+        j = next(k for k in range(64) if np.sign(f[k]) * np.sign(f[k + 1]) <= 0.0)
+        a, b = x[j], x[j + 1]
+        if b - a < 1e-12 + 4 * EPS * abs(0.5 * (a + b)):
+            return 0.5 * (a + b)
 
 
 class TestZerothHeatSumArrayPath:
@@ -219,7 +241,6 @@ def zeroth_heat_sum_mp(mp, config, delta_c):
     return total, scale
 
 
-EPS = np.finfo(float).eps
 # beta*omega at the branch endpoints spans 0.009 .. 40 over these configs; the
 # last is delta_c = 2 at T_c = 0.2, whose cold branch starts at beta*omega = 40.
 MP_CONFIGS = [
@@ -279,5 +300,5 @@ class TestZerothHeatSumAgainstMpmath:
             exact = mp.findroot(lambda dc: zeroth_heat_sum_mp(mp, config, dc)[0],
                                 (mp.mpf(root) * 0.99, mp.mpf(root) * 1.01),
                                 solver="anderson")
-            # bisection stops once its step is below 1e-12 + 4 eps * root
+            # refinement stops once its cell is below 1e-12 + 4 eps * root
             assert abs(root - exact) <= 2e-12 + 8 * EPS * exact

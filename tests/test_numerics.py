@@ -1,17 +1,16 @@
 """Reference checks for the package's own scalar numerics.
 
-The bisection and golden-section helpers must reproduce the iterates of
-``scipy.optimize.bisect`` and ``minimize_scalar(method="golden")`` bit for
-bit; those comparisons skip when scipy is absent.  Simpson and the
-equilibrium entropy are checked against exact and 50-digit ``mpmath``
-values (the latter skip without mpmath).
+The golden-section helper must reproduce the iterates of
+``scipy.optimize.minimize_scalar(method="golden")`` bit for bit; those
+comparisons skip when scipy is absent.  Simpson and the equilibrium entropy
+are checked against exact and 50-digit ``mpmath`` values (the latter skip
+without mpmath).
 """
 
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 
 import qtricycle
 from qtricycle import cycle, optimize
-from qtricycle._numerics import bisect, golden, simpson
+from qtricycle._numerics import golden, simpson
 from qtricycle.thermo import equilibrium_entropy
 
 
@@ -43,55 +42,8 @@ def entropy_reference():
     return reference, mpmath.mpf
 
 
-def solver_constraint(config, tau_c):
-    """The allocation solver's F(tau_p) at fixed tau_c, and its scan grid."""
-    coeffs = cycle.cycle_coefficients(config)
-
-    def F(tau_p):
-        tau_h, _ = optimize._energy_balance(coeffs, tau_c, tau_p)
-        return sum(optimize._stationarity_terms(coeffs, tau_c, tau_h, tau_p))
-
-    return F, np.geomspace(1e-2, 1e5, 200)
-
-
 def assert_same_float(a, b):
     assert float(a).hex() == float(b).hex()
-
-
-class TestBisect:
-    @pytest.mark.parametrize("f, a, b, kwargs", [
-        (lambda x: x * x - 2.0, 0.0, 2.0, {"xtol": 1e-12}),
-        (lambda x: math.cos(x) - x, 0.0, 1.0, {"xtol": 1e-14, "rtol": 1e-15}),
-        (lambda x: math.exp(x) - 5.0, -1.0, 3.0, {"xtol": 1e-280, "rtol": 1e-12,
-                                                 "maxiter": 300}),
-        (lambda x: x ** 3, -1.0, 3.0, {"xtol": 1e-12}),  # second midpoint is the root
-    ])
-    def test_matches_reference_on_smooth_functions(self, sp_optimize, f, a, b, kwargs):
-        assert_same_float(bisect(f, a, b, **kwargs), sp_optimize.bisect(f, a, b, **kwargs))
-
-    def test_matches_reference_on_solver_constraint(self, sp_optimize, default_config):
-        F, grid = solver_constraint(default_config, 9.0)
-        vals = np.array([F(t) for t in grid])
-        brackets = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-        assert brackets.size >= 1
-        for i in brackets:
-            kwargs = {"xtol": 1e-280, "rtol": 1e-12, "maxiter": 300}
-            ours = bisect(F, grid[i], grid[i + 1], **kwargs)
-            assert_same_float(ours, sp_optimize.bisect(F, grid[i], grid[i + 1], **kwargs))
-            assert abs(F(ours)) <= 1e-8 * ours
-
-    def test_matches_reference_on_heat_sum(self, sp_optimize, default_config):
-        def f(dc):
-            return cycle.zeroth_heat_sum(replace(default_config, delta_c=float(dc)))
-
-        assert_same_float(bisect(f, 0.3, 0.4, xtol=1e-12),
-                          sp_optimize.bisect(f, 0.3, 0.4, xtol=1e-12))
-
-    def test_endpoint_roots_and_sign_error(self):
-        assert bisect(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
-        assert bisect(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == 1.0
-        with pytest.raises(ValueError, match="different signs"):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
 
 
 class TestGolden:

@@ -390,7 +390,7 @@ class TestPythonScalars:
         else:
             items = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
         for name, value in items:
-            if dataclasses.is_dataclass(value):
+            if dataclasses.is_dataclass(value) or isinstance(value, tuple):
                 yield from TestPythonScalars.numeric_fields(value)
             elif not isinstance(value, str):
                 yield name, value
@@ -398,9 +398,7 @@ class TestPythonScalars:
     def test_every_numeric_field_is_a_python_scalar(self, config, coeffs, curve):
         envelope = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                                   psi_grid=np.linspace(0.06, 0.16, 9))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            profile = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+        profile = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
         objects = [*solve_time_allocation(coeffs, 9.0), *curve.records,
                    curve_extrema(config)[1], max_cooling_rate(config),
                    max_figure_of_merit(config), *envelope.r_curve, *envelope.chi_curve,
@@ -500,17 +498,15 @@ class TestEnvelope:
         assert small_envelope.psi_R <= small_envelope.psi_chi
 
     def test_unattainable_cop_reported(self, config):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                            psi_grid=np.array([0.999]))
+        assert err.value.failed_points == [(0.999, "not attained by any alpha's curve")]
 
 
 class TestTimeAllocationProfile:
     def test_profile_shape(self, curve):
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            points = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+        points = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
         totals = [p.tau_total for p in points]
         assert all(b > a for a, b in zip(totals, totals[1:]))
         hp = [p.ratio_hp for p in points]
@@ -519,10 +515,13 @@ class TestTimeAllocationProfile:
             assert np.isfinite(p.ratio_hp) and p.ratio_hp > 0
             assert np.isfinite(p.ratio_cp) and p.ratio_cp > 0
 
-    def test_shape_violation_warns(self, curve):
-        # tau_c/tau_p grows with the COP here, and the profile says so
-        with pytest.warns(RuntimeWarning, match="ratios"):
-            time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+    def test_default_profile_has_the_expected_shape(self, curve):
+        # tau_c/tau_p grows with the COP here, as the shape check expects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            points = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+        cp = [p.ratio_cp for p in points]
+        assert all(b > a for a, b in zip(cp, cp[1:]))
 
     def test_shape_warnings_match_pairwise_reference(self, curve, rng):
         # random, unsorted and repeated COP targets on the default and random curves
@@ -544,11 +543,14 @@ class TestTimeAllocationProfile:
                 messages = [str(w.message) for w in caught]
                 assert messages == profile_shape_warnings_reference(points)
                 kinds.update(m.split(" between")[0] for m in messages)
-        assert kinds == {"total time not increasing", "duration ratios not decreasing"}
+        assert kinds == {"total time not increasing",
+                         "tau_h/tau_p not falling or tau_c/tau_p not rising"}
 
     def test_unreachable_target_reported(self, curve):
-        with pytest.raises(ConvergenceError):
-            time_allocation_profile(curve, np.array([0.32]))
+        with pytest.raises(ConvergenceError) as err:
+            time_allocation_profile(curve, np.array([0.12, 0.32]))
+        [(psi, reason)] = err.value.failed_points
+        assert psi == 0.32 and reason.startswith("outside [")
 
 
 class TestFreeTimeSweep:
