@@ -17,8 +17,8 @@ Grids are checked at parse time by the rules of the library functions they
 feed: ``tau_c_points`` and ``alpha_points`` are at least
 ``optimize.MIN_GRID_POINTS``, ``alpha_min`` and ``alpha_max`` lie within
 ``optimize.DEFAULT_ALPHA_WINDOW`` (``alpha_chi`` and ``alpha_r`` are not grids),
-duration bounds are positive, 0 < ``delta_min`` < ``delta_max``, and the
-directory of ``out`` exists.
+durations and their bounds are at least the smallest normal float,
+0 < ``delta_min`` < ``delta_max``, and the directory of ``out`` exists.
 
 Exit codes: 0 success, 2 configuration problem (including durations too
 short for the slow-driving expansion, reported as ``PositivityError``), 3
@@ -151,13 +151,18 @@ def parse_config(text, overrides=()):
     rc.tricycle()  # surface invariant violations at parse time
     if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {values['format']!r}")
-    for key in ("tau_c", "tau_p", "tau_c_min", "tau_c_max", "sweep_tau_c_min",
-                "sweep_tau_c_max", "sweep_tau_p_min", "sweep_tau_p_max", "oracle_taus",
-                "delta_min"):
-        if np.min(values[key]) <= 0.0:
+    for key in ("tau_c", "tau_p", "tau_h", "tau_c_min", "tau_c_max", "sweep_tau_c_min",
+                "sweep_tau_c_max", "sweep_tau_p_min", "sweep_tau_p_max", "oracle_taus"):
+        if values[key] is None:  # tau_h unset
+            continue
+        least = np.min(values[key])
+        if least <= 0.0:
             raise ConfigError(f"{key} must be > 0")
-    if values["tau_h"] is not None and values["tau_h"] <= 0.0:
-        raise ConfigError("tau_h must be > 0 when given")
+        if least < sys.float_info.min:  # a subnormal's reciprocal overflows
+            raise ConfigError(f"{key} must be at least {sys.float_info.min!r}, "
+                              "the smallest normal float")
+    if values["delta_min"] <= 0.0:
+        raise ConfigError("delta_min must be > 0")
     if values["delta_max"] <= values["delta_min"]:
         raise ConfigError("delta_max must be > delta_min")
     for key in ("sweep_tau_c_points", "sweep_tau_p_points", "envelope_alpha_points",
@@ -179,31 +184,21 @@ def parse_config(text, overrides=()):
     return rc
 
 
+# Report cells are str, int, float or bool; meta adds None, tuples and dicts.
 def _fmt_cell(value):
-    if type(value) is float:  # most cells: skip the isinstance chain
+    if type(value) is float:
         return f"{value:.17e}"
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17e}"
     return str(value)
 
 
 def _json_safe(value):
-    if isinstance(value, (bool, np.bool_)):  # before int: bool subclasses int
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if np.isinf(v):  # CSV's spelling; NaN stays null
-            return "inf" if v > 0.0 else "-inf"
-        return None if np.isnan(v) else v
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (tuple, list, np.ndarray)):
+    if type(value) is float:
+        if math.isinf(value):  # CSV's spelling; NaN stays null
+            return "inf" if value > 0.0 else "-inf"
+        return None if math.isnan(value) else value
+    if isinstance(value, (tuple, list)):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}

@@ -41,9 +41,6 @@ class DensityVector:
     rho01: complex
     rho00: complex
 
-    def as_array(self):
-        return np.array([self.rho11, self.rho10, self.rho01, self.rho00], dtype=complex)
-
     @classmethod
     def from_populations(cls, excited):
         return cls(complex(excited), 0.0 + 0.0j, 0.0 + 0.0j, complex(1.0 - excited))

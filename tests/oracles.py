@@ -12,6 +12,8 @@ config and three branches per amplitude, one state per sample.
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
 and the T-S diagram from the populations, so no program path calls them.
+Neither does any path flatten a density vector: the integrator carries the
+populations only, so the 4-column form of :func:`as_array` lives here too.
 """
 
 import math
@@ -36,6 +38,12 @@ from qtricycle.thermo import (
 )
 
 TRACELESS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex)
+
+
+def as_array(rho):
+    """A :class:`DensityVector` as the column (rho11, rho10, rho01, rho00)
+    that :func:`liouvillian` acts on."""
+    return np.array([rho.rho11, rho.rho10, rho.rho01, rho.rho00], dtype=complex)
 
 
 def drazin_inverse(T, omega, gamma0, alpha):
@@ -198,12 +206,13 @@ def rk4_reference(branch, tau, steps, initial):
 
     The per-step loop of the integrator before it batched its step maps:
     three 4x4 generators per step, each stage vector k formed explicitly,
-    and the same positivity check and message at the same step.
+    and the same positivity check and message at the same step.  Columns 0
+    and 3 are the populations the integrator carries.
     """
     dt = tau / steps
     times = np.linspace(0.0, tau, steps + 1)
     states = np.empty((steps + 1, 4), dtype=complex)
-    rho = initial.as_array()
+    rho = as_array(initial)
     states[0] = rho
     for i in range(steps):
         # stage times as exact index fractions so s never leaves [0, 1]

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -402,13 +403,49 @@ class TestExitCodes:
         assert calls == [] and not out.exists()
 
     def test_underflowing_oracle_step_exits_2(self, tmp_path, capsys):
-        # a positive tau whose RK4 step tau / steps underflows to 0.0
+        # a positive tau whose RK4 step tau / steps underflows to 0.0: the
+        # parse-time duration floor rejects it before propagate's own check
         out = tmp_path / "oracle.csv"
         code = main(["oracle-check", "--set", "oracle_taus=5e-324", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "underflows to 0" in err and "Traceback" not in err
+        assert err.startswith("config error: oracle_taus must be at least ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, key, settings", [
+        ("cycle", "tau_c", "tau_c=1e-320 tau_h=5"),
+        ("cycle", "tau_h", "tau_h=1e-320"),
+        ("branch", "tau_p", "tau_p=4e-310"),
+        ("oracle-check", "oracle_taus", "oracle_taus=100,1e-320"),
+        ("ts-diagram", "tau_c", "tau_c=1e-320"),
+        ("optimal-curve", "tau_c_min", "tau_c_min=1e-320"),
+        ("optimal-curve", "tau_c_max", "tau_c_max=1e-320"),
+        ("sweep-times", "sweep_tau_c_min", "sweep_tau_c_min=1e-320"),
+        ("sweep-times", "sweep_tau_c_max", "sweep_tau_c_max=1e-320"),
+        ("sweep-times", "sweep_tau_p_min", "sweep_tau_p_min=1e-320"),
+        ("sweep-times", "sweep_tau_p_max", "sweep_tau_p_max=1e-320"),
+    ])
+    def test_subnormal_duration_exits_2_at_parse_time(self, tmp_path, capsys,
+                                                      subcommand, key, settings):
+        # the reciprocal of a subnormal duration overflows into +-inf heats, an
+        # infinite residual or a numpy warning
+        out = tmp_path / "report.csv"
+        args = [subcommand, "--out", str(out)]
+        for setting in settings.split():
+            args += ["--set", setting]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {key} must be at least {sys.float_info.min!r}, "
+            "the smallest normal float\n")
+        assert not out.exists()
+
+    def test_smallest_normal_duration_parses(self):
+        for key in ("tau_c", "tau_p", "tau_h", "tau_c_min", "sweep_tau_c_min",
+                    "sweep_tau_p_min", "oracle_taus"):
+            parse_config("", [f"{key}={sys.float_info.min!r}"])
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")
@@ -438,13 +475,27 @@ def cells_agree(text, value):
     return float(text) == value
 
 
+def assert_csv_and_json_agree(columns, rows, text, doc):
+    """Assert that CSV ``text`` and JSON ``doc`` render the same report;
+    returns the types of the JSON cells."""
+    csv_lines = text.splitlines()
+    assert csv_lines[0].split(",") == doc["columns"] == list(columns)
+    assert len(csv_lines) - 1 == len(doc["rows"]) == len(rows) > 0
+    seen = set()
+    for line, row in zip(csv_lines[1:], doc["rows"]):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for text, value in zip(cells, row):
+            assert cells_agree(text, value), (text, value)
+            seen.add(type(value))
+    return seen
+
+
 class TestReportsThroughBothEmitters:
     def test_csv_and_json_agree_on_every_report(self, tmp_path, monkeypatch):
-        seen, infinite = set(), set()
+        seen = set()
         runners = dict(cli._RUNNERS)
-        # every report, then a cycle whose subnormal tau_c overflows Q_c to -inf
-        cases = [(name, []) for name in runners] + [("cycle", ["tau_c=1e-320", "tau_h=5"])]
-        for k, (subcommand, settings) in enumerate(cases):
+        for k, subcommand in enumerate(runners):
             produced = []
 
             def capture(rc, config, runner=runners[subcommand], produced=produced):
@@ -454,22 +505,20 @@ class TestReportsThroughBothEmitters:
             monkeypatch.setitem(cli._RUNNERS, subcommand, capture)
             out = tmp_path / f"{k}-{subcommand}.json"
             stdout = io.StringIO()
-            rc = parse_config("", CHEAP_SETTINGS + settings + [f"out={out}", "format=json"])
+            rc = parse_config("", CHEAP_SETTINGS + [f"out={out}", "format=json"])
             assert run(subcommand, rc, stdout=stdout) == 0
             [(columns, rows, summary)] = produced  # one computation per subcommand
+            # the emitters handle Python scalars only: no None or numpy cells
+            for row in rows:
+                assert {type(v) for v in row} <= {str, int, float, bool}, subcommand
+            assert {type(v) for v in summary.values()} <= {int, float}, subcommand
+            for value in rc.values.values():
+                parts = value if type(value) is tuple else (value,)
+                assert {type(v) for v in parts} <= {str, int, float, type(None)}
 
             doc = json.loads(out.read_text())
-            csv_lines = emit_report(columns, rows, doc["meta"], "csv").splitlines()
-            assert csv_lines[0].split(",") == doc["columns"] == list(columns)
-            assert len(csv_lines) - 1 == len(doc["rows"]) == len(rows) > 0
-            for line, row in zip(csv_lines[1:], doc["rows"]):
-                cells = line.split(",")
-                assert len(cells) == len(row), subcommand
-                for text, value in zip(cells, row):
-                    assert cells_agree(text, value), (subcommand, text, value)
-                    seen.add(type(value))
-                    if value in ("inf", "-inf"):
-                        infinite.add(value)
+            text = emit_report(columns, rows, doc["meta"], "csv")
+            seen |= assert_csv_and_json_agree(columns, rows, text, doc)
 
             printed = stdout.getvalue().splitlines()
             assert printed[0] == f"wrote {out} ({len(rows)} rows)"
@@ -479,4 +528,13 @@ class TestReportsThroughBothEmitters:
             for key, text in lines.items():
                 assert cells_agree(text, doc["meta"]["summary"][key]), (subcommand, key)
         assert seen == {str, float, int, bool, type(None)}
-        assert infinite == {"inf", "-inf"}
+
+    def test_infinite_cells_agree(self):
+        # JSON spells an infinite cell as CSV does, and a NaN cell as null
+        columns = ["a", "b", "c", "d"]
+        rows = [(1.5, math.inf, -math.inf, math.nan)]
+        doc = json.loads(emit_report(columns, rows, {"x": math.inf}, "json"))
+        text = emit_report(columns, rows, {}, "csv")
+        assert assert_csv_and_json_agree(columns, rows, text, doc) == {float, str, type(None)}
+        assert doc["rows"] == [[1.5, "inf", "-inf", None]]
+        assert doc["meta"] == {"x": "inf"}

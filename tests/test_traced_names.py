@@ -10,7 +10,14 @@ import pytest
 
 import qtricycle
 import qtricycle.cli  # noqa: F401  (the tracer reads the cli module off the package)
-from qtricycle import TricycleConfig, cycle_coefficients, solve_time_allocation
+from qtricycle import (
+    TricycleConfig,
+    cycle_coefficients,
+    optimal_curve,
+    propagate,
+    solve_time_allocation,
+)
+from qtricycle.cli import emit_report
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +42,23 @@ def test_allocation_attrs_read_the_solver_result(tracing):
     attrs = tracing._allocation_attrs(result)
     assert attrs["roots"] == len(result)
     assert attrs["useful"] in (0, 1)
+
+
+def test_every_result_reader_reads_a_real_result(tracing):
+    # a reader that no longer fits its function's result would fail only in a
+    # traced benchmark run; the solver's reader is checked above
+    config = TricycleConfig()
+    curve = optimal_curve(config)
+    report = emit_report(["a", "b"], [(1.0, "c")], {}, "csv")
+    results = {
+        "optimize.solve_time_allocation": solve_time_allocation(cycle_coefficients(config), 9.0),
+        "optimize.optimal_curve": curve,
+        "oracle.propagate": propagate(config.branch("c"), 10.0, steps=1000),
+        "cli.emit_report": report,
+    }
+    assert set(results) == set(tracing.RESULT_ATTRS)
+    attrs = {name: read(results[name]) for name, read in tracing.RESULT_ATTRS.items()}
+    assert attrs["optimize.optimal_curve"] == {"skipped": len(curve.skipped)}
+    assert curve.skipped  # the default grid skips points: a real count, not 0
+    assert attrs["oracle.propagate"] == {"steps": 1000}
+    assert attrs["cli.emit_report"] == {"bytes": len(report.encode())}
