@@ -19,7 +19,6 @@ from .protocol import (
     frequency_derivative,
 )
 from .lindblad import (
-    DensityVector,
     bose_occupation,
     damping_rate,
     gibbs_state,
@@ -63,8 +62,7 @@ __all__ = [
     "__version__",
     "TricycleConfig", "BranchProtocol", "derive_linked_params",
     "frequency", "frequency_derivative",
-    "DensityVector", "bose_occupation", "damping_rate", "gibbs_state",
-    "liouvillian",
+    "bose_occupation", "damping_rate", "gibbs_state", "liouvillian",
     "BranchThermo", "equilibrium_entropy", "branch_entropy_change",
     "sigma_coefficient", "branch_heat", "perturbed_state", "ts_trajectory",
     "propagate", "heat_via_trajectory",

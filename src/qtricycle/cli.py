@@ -21,10 +21,11 @@ durations and their bounds are at least the smallest normal float,
 0 < ``delta_min`` < ``delta_max``, and the directory of ``out`` exists.
 
 Exit codes: 0 success, 2 configuration problem (including durations too
-short for the slow-driving expansion, reported as ``PositivityError``), 3
-solver non-convergence (a ``*.diagnostic.txt`` file enumerating the failed
-grid points, each with the reason it failed where one is known, is written
-alongside the report path in that case).
+short for the slow-driving expansion, reported as ``PositivityError``, too
+long for the oracle's step limit, or giving an infinite cell in ``branch``
+or ``cycle``), 3 solver non-convergence (a ``*.diagnostic.txt`` file
+enumerating the failed grid points, each with the reason it failed where one
+is known, is written alongside the report path in that case).
 """
 
 from __future__ import annotations
@@ -243,10 +244,18 @@ def _resolved_taus(rc, config):
     return coeffs, (rc.tau_c, tau_h, rc.tau_p)
 
 
+def _reject_infinite(taus, rows):
+    """ConfigError naming the durations if a cell is +-inf; NaN passes."""
+    if any(type(v) is float and math.isinf(v) for row in rows for v in row):
+        raise ConfigError("durations tau_c={!r}, tau_h={!r}, tau_p={!r} give an "
+                          "infinite heat or cycle metric".format(*taus))
+
+
 def _run_branch(rc, config):
-    coeffs, (tau_c, tau_h, tau_p) = _resolved_taus(rc, config)
-    m = cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p)
-    return thermo.BranchThermo._fields, [m.cold, m.hot, m.pump], {"tau_h_used": tau_h}
+    coeffs, taus = _resolved_taus(rc, config)
+    m = cycle.evaluate_cycle(coeffs, *taus)
+    _reject_infinite(taus, [m.cold, m.hot, m.pump])
+    return thermo.BranchThermo._fields, [m.cold, m.hot, m.pump], {"tau_h_used": taus[1]}
 
 
 def _run_cycle(rc, config):
@@ -257,6 +266,7 @@ def _run_cycle(rc, config):
                "chi", "work_residual", "entropy_production", "psi_r", "valid"]
     rows = [(tau_c, tau_h, tau_p, m.cold.Q, m.hot.Q, m.pump.Q, m.psi, m.R,
              m.chi, m.work_residual, m.entropy_production, psi_r, m.valid)]
+    _reject_infinite((tau_c, tau_h, tau_p), rows)
     summary = {"psi": m.psi, "R": m.R, "chi": m.chi,
                "work_residual": m.work_residual}
     return columns, rows, summary

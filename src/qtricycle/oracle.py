@@ -1,15 +1,13 @@
 """Brute-force integration of the time-dependent master equation.
 
 This module is the independent check on the slow-driving expansion: it
-propagates the Lindblad dynamics drho/dt = L(t) rho with classic fixed-step
-RK4 and evaluates the heat as Int Tr[H(t) drho/dt] dt by Simpson's rule over
-the stored samples.  L is block diagonal and the heat reads only the excited
-population, so only the real population block is integrated.  As L depends
-on time, never on rho, each RK4 step is the linear map
-M = I + dt/6 (L1 + 2 K2 + 2 K3 + K4) with K2 = L2 (I + dt/2 L1),
-K3 = L2 (I + dt/2 K2), K4 = L4 (I + dt K3), built in batches of steps.
-Nothing here shares a code path with the closed-form Q0/Q1 formulas beyond
-the generator matrix itself.
+propagates the population pair p = (rho11, rho00) under dp/dt = L(t) p with
+classic fixed-step RK4 and evaluates the heat as Int omega(t) dp11/dt dt by
+Simpson's rule over the stored samples.  As L depends on time, never on p,
+each RK4 step is the linear map M = I + dt/6 (L1 + 2 K2 + 2 K3 + K4) with
+K2 = L2 (I + dt/2 L1), K3 = L2 (I + dt/2 K2), K4 = L4 (I + dt K3), built in
+batches of steps.  Nothing here shares a code path with the closed-form Q0/Q1
+formulas beyond the generator matrix itself.
 """
 
 from __future__ import annotations
@@ -33,11 +31,16 @@ __all__ = [
 # outside [0, 1]; anything beyond this signals too coarse a step.
 _POSITIVITY_TOL = 1e-8
 
-# Steps whose stage generators are built and combined in one batch.  The
-# (2 * _CHUNK + 1, 4, 4) complex generator stack, about 130 kB, is the largest
-# temporary whatever the step count.  On a 2-core x86_64 host, 512 ran the
-# oracle benchmark about 10% faster but raised its peak RSS by 0.5 MB more.
+# Steps whose stage generators are built and combined in one batch, so the
+# (2 * _CHUNK + 1, 2, 2) generator stack, about 16 kB, stays small whatever the
+# step count.  512 ran the oracle benchmark about 10% faster on a 2-core x86_64
+# host (then with 4x4 generators) but raised its peak RSS by 0.5 MB more.
 _CHUNK = 256
+
+# Largest step count propagate accepts, about 100 MB of samples.  It covers
+# tau = 3000, the default tau_c grid's top, on every branch of the benchmark's
+# model ranges (at most 3.31 M steps there).
+_MAX_STEPS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -81,30 +84,23 @@ def _rk4_map(A1, A2, A4, dt):
     return one + (dt / 6.0) * (A1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def _population_blocks(branch, s):
-    """Real (n, 2, 2) population blocks, in (rho11, rho00) order, of the
-    generator at the rescaled times ``s``."""
-    L = lindblad.liouvillian(branch.temperature, protocol.frequency(branch, s),
-                             branch.gamma0, branch.alpha)
-    return L[:, ::3, ::3].real.copy()
-
-
 def propagate(branch, tau, steps=None, initial=None):
     """RK4-integrate the branch populations from s=0 to s=1.
 
     Returns a :class:`BranchTrajectory` with ``steps + 1`` uniformly spaced
-    samples; ``steps`` must be even and at least 1000.  ``initial``, a
-    validated :class:`lindblad.DensityVector`, defaults to the Gibbs state at
-    the initial splitting; its coherences are decoupled and not carried.  Raises
+    samples; ``steps`` must be even, at least 1000 and at most ``_MAX_STEPS``.
+    ``initial``, the pair (rho11, rho00) with unit trace and entries in [0, 1]
+    to 1e-12, defaults to the Gibbs pair at the initial splitting.  Raises
     :class:`PositivityError` if a population leaves [0, 1] by more than 1e-8
-    (step size too large), and ValueError if tau / steps is not positive
+    (step size too large), and ValueError for a bad ``initial`` or step count
+    (before anything is allocated) and if tau / steps is not positive
     (tau <= 0, or a tau so small that the step underflows to 0).
 
     The generator depends on s only, so the steps are taken _CHUNK at a time:
-    one :func:`lindblad.liouvillian` call gives every stage generator of the
-    chunk at s = j / (2 steps), the exact stage times i/steps and
+    one :func:`lindblad.liouvillian` call gives every 2x2 stage generator of
+    the chunk at s = j / (2 steps), the exact stage times i/steps and
     (i + 1/2)/steps, and the chunk's RK4 maps are formed as a batch, then
-    applied step by step with the positivity check.
+    applied to the pair step by step with the positivity check.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -114,21 +110,28 @@ def propagate(branch, tau, steps=None, initial=None):
         raise ValueError(f"steps must be >= 1000 for a trustworthy oracle, got {steps}")
     if steps % 2:
         raise ValueError(f"steps must be even for Simpson's rule on the heat, got {steps}")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{steps} steps for tau={tau} on branch {branch.reservoir!r} "
+                         f"exceed the oracle's limit of {_MAX_STEPS}")
     if initial is None:
         initial = lindblad.gibbs_state(branch.temperature, protocol.frequency(branch, 0.0))
-    initial.validate()
+    p1, p0 = (float(p) for p in initial)
+    if abs(p1 + p0 - 1.0) > 1e-12:
+        raise ValueError(f"trace violated: rho11 + rho00 = {p1 + p0}")
+    if not (-1e-12 <= p1 <= 1.0 + 1e-12 and -1e-12 <= p0 <= 1.0 + 1e-12):
+        raise ValueError(f"initial populations ({p1}, {p0}) outside [0, 1]")
 
     dt = tau / steps
     if not dt > 0.0:
         raise ValueError(f"tau={tau} too small: its step tau/{steps} underflows to 0")
     times = np.linspace(0.0, tau, steps + 1)
     states = np.empty((steps + 1, 2))
-    p1, p0 = initial.rho11.real, initial.rho00.real
     states[0] = p1, p0
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
         s = np.arange(2 * start, 2 * stop + 1) / (2 * steps)
-        P = _population_blocks(branch, s)
+        P = lindblad.liouvillian(branch.temperature, protocol.frequency(branch, s),
+                                 branch.gamma0, branch.alpha)
         M = _rk4_map(P[:-1:2], P[1::2], P[2::2], dt)
         populations = []
         for i, (m00, m01, m10, m11) in enumerate(M.reshape(-1, 4).tolist(), start + 1):
@@ -145,11 +148,10 @@ def propagate(branch, tau, steps=None, initial=None):
 
 
 def heat_via_trajectory(trajectory):
-    """Heat absorbed from the reservoir, Int Tr[H(t) L(t) rho(t)] dt.
+    """Heat absorbed from the reservoir, Int Tr[H(t) d rho/dt] dt.
 
-    The population row of the generator is applied to every stored sample
-    (coherences never contribute to Tr[H drho/dt]) and the result
-    Simpson-integrated over the sample spacing of ``times``.
+    The excited row of the generator is applied to every stored pair and
+    omega * dp11/dt Simpson-integrated over the sample spacing of ``times``.
     """
     if len(trajectory.times) < 1000:
         raise ValueError("need at least 1000 samples for the heat integral")
@@ -158,6 +160,6 @@ def heat_via_trajectory(trajectory):
     n = lindblad.bose_occupation(branch.temperature, w)
     g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
     p1, p0 = trajectory.states.T
-    dp1 = -g * (n + 1.0) * p1 + g * n * p0  # population row of L rho
+    dp1 = -g * (n + 1.0) * p1 + g * n * p0  # excited row of L p
     # Tr[H drho/dt] = (w/2)(dp1 - dp0) = w * dp1 since dp0 = -dp1
     return simpson(w * dp1, trajectory.times[1] - trajectory.times[0])

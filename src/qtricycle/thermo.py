@@ -11,13 +11,13 @@ where the dissipation coefficient is the rescaled-time integral
 
     Sigma = -beta^2 * Int_0^1 ds  omega'(s)^2 n(n+1) / (gamma (2n+1)^3) <= 0.
 
-This closed form follows from integrating Tr[H d/ds(L^-1 d rho_eq/ds)] by
-parts; the boundary terms vanish because the schedules have zero slope at the
-endpoints.  The first-order state itself lags the instantaneous Gibbs state
-by (1/tau) L^-1 d rho_eq/ds, which for the thermal generator is a pure
-population shift:
+With p = (rho11, rho00) the population pair, the only state the heat reads,
+and L its thermal generator (:mod:`qtricycle.lindblad`), this closed form
+follows from integrating omega d/ds (L^-1 dp_eq/ds)_11 by parts; the boundary
+terms vanish because the schedules have zero slope at the endpoints.  The
+first-order pair lags the instantaneous Gibbs pair by (1/tau) L^-1 dp_eq/ds:
 
-    rho(s) = rho_eq(s) + (phi(s)/tau) * (1, 0, 0, -1),
+    p(s)   = p_eq(s) + (phi(s)/tau) * (1, -1),
     phi(s) = beta omega'(s) n(n+1) / (gamma (2n+1)^3).
 
 All integrals use composite Gauss-Legendre quadrature with panel doubling.
@@ -161,8 +161,8 @@ def branch_heat(branch, tau):
 def population_lag(branch, s):
     """First-order excited-population lag phi(s) (before division by tau).
 
-    The perturbed state is rho_eq + (phi/tau) (1, 0, 0, -1); phi carries the
-    sign of omega'(s), so the state trails the equilibrium it is chasing.
+    The perturbed pair is p_eq + (phi/tau) (1, -1); phi carries the sign of
+    omega'(s), so the state trails the equilibrium it is chasing.
     Array-valued in s; a scalar s is evaluated as a one-element array, so each
     element equals the scalar value at its s.
     """
@@ -176,7 +176,7 @@ def _lagged_population(branch, s, tau):
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     w = protocol.frequency(branch, s)
-    p_eq = lindblad.gibbs_state(branch.temperature, w).excited
+    p_eq = lindblad.gibbs_state(branch.temperature, w)[..., 0]
     return w, p_eq + population_lag(branch, s) / tau
 
 
@@ -189,18 +189,18 @@ def _positivity_error(branch, p, s, tau):
 
 
 def perturbed_state(branch, s, tau):
-    """First-order slow-driving state at rescaled time s.
+    """First-order excited population p_eq + phi/tau at rescaled time s, a
+    float; the ground population is 1 - p.
 
-    Coherences are exactly zero and the trace is exactly one; the correction
-    only shifts populations.  Raises :class:`PositivityError` when the shift
-    pushes a population outside [0, 1], which signals tau is too small for
-    the expansion to be trusted.  The scalar view of the population that
-    :func:`ts_trajectory` evaluates over a whole branch at once.
+    Raises :class:`PositivityError` when the shift pushes p outside [0, 1],
+    which signals tau is too small for the expansion to be trusted.  The
+    scalar view of the population that :func:`ts_trajectory` evaluates over a
+    whole branch at once.
     """
-    _, p = _lagged_population(branch, float(s), tau)
+    p = float(_lagged_population(branch, float(s), tau)[1])
     if p < 0.0 or p > 1.0:
         raise _positivity_error(branch, p, s, tau)
-    return lindblad.DensityVector.from_populations(p)
+    return p
 
 
 class TrajectoryPoint(NamedTuple):
@@ -225,7 +225,7 @@ def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
     Each branch is one array expression over its s-grid: p = p_eq + phi/tau,
     T_eff = omega / ln((1 - p)/p), the temperature of the population ratio
     (0.0 where p == 0), and S the binary entropy of p, which is the von
-    Neumann entropy of the diagonal state.  The first sample with p outside
+    Neumann entropy of the pair (p, 1 - p).  The first sample with p outside
     [0, 1] raises :class:`PositivityError`, one with equal populations
     ValueError.
     """

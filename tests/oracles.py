@@ -12,8 +12,12 @@ config and three branches per amplitude, one state per sample.
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
 and the T-S diagram from the populations, so no program path calls them.
-Neither does any path flatten a density vector: the integrator carries the
-populations only, so the 4-column form of :func:`as_array` lives here too.
+The package's state is the population pair (rho11, rho00), on which
+:func:`qtricycle.liouvillian` acts.  The whole density matrix, flattened to
+the column (rho11, rho10, rho01, rho00) by :func:`density_column`, and the
+generator on it, :func:`full_liouvillian` with its coherence entries, live
+here: the Drazin checks, :func:`sigma_direct` and :func:`rk4_reference` use
+them, so that coherences never feeding the populations stays tested.
 """
 
 import math
@@ -22,12 +26,10 @@ from dataclasses import replace
 import numpy as np
 
 from qtricycle import (
-    DensityVector,
     PositivityError,
     bose_occupation,
     damping_rate,
     gibbs_state,
-    liouvillian,
 )
 from qtricycle.protocol import frequency, frequency_derivative
 from qtricycle.thermo import (
@@ -40,14 +42,46 @@ from qtricycle.thermo import (
 TRACELESS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex)
 
 
-def as_array(rho):
-    """A :class:`DensityVector` as the column (rho11, rho10, rho01, rho00)
-    that :func:`liouvillian` acts on."""
-    return np.array([rho.rho11, rho.rho10, rho.rho01, rho.rho00], dtype=complex)
+def density_column(populations, rho10=0.0):
+    """The density matrix with the pair ``populations`` = (rho11, rho00) on
+    its diagonal and coherence ``rho10``, as the column (rho11, rho10, rho01,
+    rho00) that :func:`full_liouvillian` acts on."""
+    rho11, rho00 = populations
+    return np.array([rho11, rho10, np.conj(rho10), rho00], dtype=complex)
+
+
+def full_liouvillian(T, omega, gamma0, alpha):
+    """Thermal generator on the whole density column, coherences included.
+
+    Block diagonal: the populations relax at rate gamma * (2n + 1) toward the
+    Gibbs pair, and the coherences rotate and decay on their own,
+
+        L = [[-g(n+1),      0,          0,      g n   ],
+             [ 0,     -g(n+1/2)-i w,    0,       0    ],
+             [ 0,           0,    -g(n+1/2)+i w, 0    ],
+             [ g(n+1),      0,          0,     -g n   ]]
+
+    with g = gamma0 * omega**alpha.  Built from :func:`bose_occupation` and
+    :func:`damping_rate` alone, not from :func:`qtricycle.liouvillian`, whose
+    2x2 generator is this matrix's population corner.  Array-valued in
+    ``omega``: the result has shape ``omega.shape + (4, 4)``.
+    """
+    omega = np.asarray(omega, dtype=float)
+    n = bose_occupation(T, omega)
+    g = damping_rate(gamma0, alpha, omega)
+    half = g * (n + 0.5)
+    L = np.zeros(omega.shape + (4, 4), dtype=complex)
+    L[..., 0, 0] = -g * (n + 1.0)
+    L[..., 0, 3] = g * n
+    L[..., 1, 1] = -half - 1j * omega
+    L[..., 2, 2] = -half + 1j * omega
+    L[..., 3, 0] = g * (n + 1.0)
+    L[..., 3, 3] = -g * n
+    return L
 
 
 def drazin_inverse(T, omega, gamma0, alpha):
-    """Closed-form Drazin inverse of :func:`qtricycle.liouvillian`.
+    """Closed-form Drazin inverse of :func:`full_liouvillian`.
 
     L is singular (the Gibbs state spans its kernel), so the generalized
     inverse of the slow-driving expansion is the Drazin inverse: zero on the
@@ -71,8 +105,8 @@ def drazin_inverse(T, omega, gamma0, alpha):
     )
 
 
-def effective_temperature(state, omega):
-    """Temperature read off the population ratio, T = omega / ln(rho00/rho11).
+def effective_temperature(populations, omega):
+    """Temperature read off the pair (rho11, rho00), T = omega / ln(rho00/rho11).
 
     Equal populations have no defined temperature (raises ValueError); an
     inverted state (rho11 > rho00) comes back negative, which is the standard
@@ -80,8 +114,7 @@ def effective_temperature(state, omega):
     """
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
-    p1 = state.rho11.real
-    p0 = state.rho00.real
+    p1, p0 = (float(p) for p in populations)
     if p1 <= 0.0:
         return 0.0
     if p0 == p1:
@@ -89,9 +122,9 @@ def effective_temperature(state, omega):
     return omega / np.log(p0 / p1)
 
 
-def von_neumann_entropy(state):
-    """Entropy -Tr[rho ln rho] of a two-level density matrix."""
-    matrix = np.array([[state.rho11, state.rho10], [state.rho01, state.rho00]], dtype=complex)
+def von_neumann_entropy(column):
+    """Entropy -Tr[rho ln rho] of a two-level density column."""
+    matrix = np.reshape(column, (2, 2))  # rows (rho11, rho10) and (rho01, rho00)
     evals = np.clip(np.linalg.eigvalsh(matrix).real, 0.0, 1.0)
     return float(-sum(p * math.log(p) for p in evals if p > 0.0))
 
@@ -193,7 +226,7 @@ def stationarity_brackets(coeffs, tau_c, lo=1e-4, hi=1e9, points=200_001):
 
 
 def _generator(branch, s):
-    return liouvillian(
+    return full_liouvillian(
         branch.temperature,
         frequency(branch, s),
         branch.gamma0,
@@ -206,13 +239,14 @@ def rk4_reference(branch, tau, steps, initial):
 
     The per-step loop of the integrator before it batched its step maps:
     three 4x4 generators per step, each stage vector k formed explicitly,
-    and the same positivity check and message at the same step.  Columns 0
-    and 3 are the populations the integrator carries.
+    and the same positivity check and message at the same step.  ``initial``
+    is a density column; columns 0 and 3 of the result are the population
+    pair the integrator carries.
     """
     dt = tau / steps
     times = np.linspace(0.0, tau, steps + 1)
     states = np.empty((steps + 1, 4), dtype=complex)
-    rho = as_array(initial)
+    rho = np.array(initial, dtype=complex)
     states[0] = rho
     for i in range(steps):
         # stage times as exact index fractions so s never leaves [0, 1]
@@ -253,11 +287,11 @@ def zeroth_heat_sum_curve_reference(config, delta_c_grid):
 
 
 def perturbed_state_reference(branch, s, tau):
-    """First-order slow-driving state at one rescaled time s."""
+    """First-order excited population at one rescaled time s."""
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     w = frequency(branch, float(s))
-    p_eq = gibbs_state(branch.temperature, w).excited
+    p_eq = float(gibbs_state(branch.temperature, w)[0])
     p = p_eq + population_lag(branch, float(s)) / tau
     if p < 0.0 or p > 1.0:
         raise PositivityError(
@@ -265,7 +299,7 @@ def perturbed_state_reference(branch, s, tau):
             f"{branch.reservoir!r} at s={s}, tau={tau}: duration too short "
             f"for the slow-driving expansion"
         )
-    return DensityVector.from_populations(p)
+    return p
 
 
 def ts_trajectory_reference(config, taus, samples_per_branch=201):
@@ -275,11 +309,11 @@ def ts_trajectory_reference(config, taus, samples_per_branch=201):
     points = []
     for branch, tau in zip(config.branches(), taus, strict=True):
         for s in np.linspace(0.0, 1.0, samples_per_branch):
-            state = perturbed_state_reference(branch, s, tau)
+            p = perturbed_state_reference(branch, s, tau)
             w = frequency(branch, float(s))
             points.append(TrajectoryPoint(
-                T_eff=effective_temperature(state, w),
-                S=von_neumann_entropy(state),
+                T_eff=effective_temperature((p, 1.0 - p), w),
+                S=von_neumann_entropy(density_column((p, 1.0 - p))),
                 reservoir=branch.reservoir,
                 s=float(s),
                 omega=w,

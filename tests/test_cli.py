@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -446,6 +447,44 @@ class TestExitCodes:
         for key in ("tau_c", "tau_p", "tau_h", "tau_c_min", "sweep_tau_c_min",
                     "sweep_tau_p_min", "oracle_taus"):
             parse_config("", [f"{key}={sys.float_info.min!r}"])
+
+    @pytest.mark.parametrize("subcommand, settings", [
+        ("cycle", "tau_c=1e-300 tau_h=5"),             # chi = psi * R overflows
+        ("cycle", "tau_c=2.3e-308 tau_h=5"),
+        ("branch", "tau_c=2.3e-308 tau_h=5 gamma0=1e-3"),  # Q1 = T Sigma / tau overflows
+    ])
+    def test_infinite_heat_or_metric_exits_2(self, tmp_path, capsys, subcommand, settings):
+        out = tmp_path / "report.csv"
+        args = [subcommand, "--out", str(out)]
+        for setting in settings.split():
+            args += ["--set", setting]
+        assert main(args) == 2
+        tau_c = settings.split()[0].split("=")[1]
+        assert capsys.readouterr().err == (
+            f"config error: durations tau_c={float(tau_c)!r}, tau_h=5.0, tau_p=11.0 "
+            "give an infinite heat or cycle metric\n")
+        assert not out.exists()
+
+    def test_invalid_cycle_keeps_its_nan_metrics(self, tmp_path):
+        # Q_h < 0: psi and chi are NaN, not infinite, and the report is written
+        code, out = run_cli(tmp_path, "cycle", "tau_h=0.3")
+        assert code == 0
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (row["psi"], row["chi"], row["valid"]) == ("nan", "nan", "false")
+
+    def test_oracle_step_limit_exits_2_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        tracemalloc.start()
+        try:
+            code = main(["oracle-check", "--set", "oracle_taus=1e9", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: 57468528940 steps for "
+                                                  "tau=1000000000.0 on branch 'c' exceed ")
+        assert not out.exists() and peak < 2 ** 22
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

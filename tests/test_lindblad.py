@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import as_array, drazin_inverse, spectral_drazin
+from oracles import density_column, drazin_inverse, full_liouvillian, spectral_drazin
 from qtricycle import (
-    DensityVector,
     bose_occupation,
     damping_rate,
     gibbs_state,
@@ -58,21 +57,35 @@ class TestDampingRate:
 class TestGibbsState:
     def test_unit_occupation_point(self):
         state = gibbs_state(1.0, math.log(2.0))
-        assert state.rho11.real == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert state.rho00.real == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert state.rho10 == 0.0
+        assert state.shape == (2,) and state.dtype == np.float64
+        assert state[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert state[1] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_ground_state_limit(self):
         state = gibbs_state(1e-3, 1.0)
-        assert state.rho11.real < 1e-300
-        assert state.rho00.real == pytest.approx(1.0, abs=1e-15)
+        assert state[0] < 1e-300
+        assert state[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_excited_population_identity(self, rng):
         for _ in range(100):
             T, w, _, _ = random_bath(rng)
-            state = gibbs_state(T, w)
-            assert abs(state.rho11.real - 1.0 / (math.exp(w / T) + 1.0)) < 1e-14
-            state.validate()
+            p1, p0 = gibbs_state(T, w)
+            assert abs(p1 - 1.0 / (math.exp(w / T) + 1.0)) < 1e-14
+            assert abs(p1 + p0 - 1.0) <= 1e-12 and 0.0 <= p1 <= p0 <= 1.0
+
+    def test_stacked_call_equals_scalar_calls(self, rng):
+        T = float(rng.uniform(0.1, 2.0))
+        omegas = rng.uniform(0.1, 5.0, size=(3, 7))
+        stacked = gibbs_state(T, omegas)
+        assert stacked.shape == (3, 7, 2)
+        for idx in np.ndindex(omegas.shape):
+            assert np.array_equal(stacked[idx], gibbs_state(T, float(omegas[idx])))
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestLiouvillian:
@@ -81,36 +94,67 @@ class TestLiouvillian:
         n = bose_occupation(T, w)
         g = damping_rate(g0, a, w)
         L = liouvillian(T, w, g0, a)
+        assert L.shape == (2, 2) and L.dtype == np.float64
         assert L[0, 0] == pytest.approx(-g * (n + 1.0), rel=1e-14)
-        assert L[0, 3] == pytest.approx(g * n, rel=1e-14)
-        assert L[3, 0] == pytest.approx(g * (n + 1.0), rel=1e-14)
-        assert L[3, 3] == pytest.approx(-g * n, rel=1e-14)
-        assert L[1, 1] == pytest.approx(-g * (n + 0.5) - 1j * w, rel=1e-14)
-        assert L[2, 2] == pytest.approx(-g * (n + 0.5) + 1j * w, rel=1e-14)
+        assert L[0, 1] == pytest.approx(g * n, rel=1e-14)
+        assert L[1, 0] == pytest.approx(g * (n + 1.0), rel=1e-14)
+        assert L[1, 1] == pytest.approx(-g * n, rel=1e-14)
 
     def test_annihilates_gibbs(self, rng):
         for _ in range(50):
             T, w, g0, a = random_bath(rng)
-            resid = liouvillian(T, w, g0, a) @ as_array(gibbs_state(T, w))
+            resid = liouvillian(T, w, g0, a) @ gibbs_state(T, w)
             assert np.max(np.abs(resid)) < 1e-12
 
     def test_trace_preservation(self, rng):
         for _ in range(50):
             T, w, g0, a = random_bath(rng)
             L = liouvillian(T, w, g0, a)
-            assert np.max(np.abs(L[0] + L[3])) < 1e-12
+            assert np.max(np.abs(L[0] + L[1])) < 1e-12
 
     def test_stacked_call_equals_scalar_calls(self, rng):
         T, _, g0, a = random_bath(rng)
         omegas = rng.uniform(0.1, 5.0, size=(3, 7))
         stacked = liouvillian(T, omegas, g0, a)
-        assert stacked.shape == (3, 7, 4, 4)
+        assert stacked.shape == (3, 7, 2, 2)
         for idx in np.ndindex(omegas.shape):
             single = liouvillian(T, float(omegas[idx]), g0, a)
-            assert single.shape == (4, 4)
-            assert np.array_equal(stacked[idx], single)
-            assert np.array_equal(np.signbit(stacked[idx].view(float)),
-                                  np.signbit(single.view(float)))
+            assert single.shape == (2, 2)
+            assert_bitwise_equal(stacked[idx], single)
+
+    def test_population_corner_of_the_full_generator(self, rng):
+        # bit for bit, signs of zeros included, against the 4x4 reference
+        # built independently, over random baths and one stacked call; at the
+        # last bath n underflows to 0 (omega/T > 745), so -g n is -0.0
+        baths = [random_bath(rng) for _ in range(50)] + [(1e-3, 1.0, 0.7, 0.5)]
+        for T, w, g0, a in baths:
+            corner = full_liouvillian(T, w, g0, a)[::3, ::3]
+            assert not np.any(corner.imag)
+            assert_bitwise_equal(liouvillian(T, w, g0, a), corner.real)
+        assert np.signbit(liouvillian(*baths[-1])[1, 1])
+        T, _, g0, a = random_bath(rng)
+        omegas = rng.uniform(0.1, 5.0, size=(3, 7))
+        corner = full_liouvillian(T, omegas, g0, a)[..., ::3, ::3]
+        assert_bitwise_equal(liouvillian(T, omegas, g0, a), corner.real)
+
+
+class TestFullLiouvillian:
+    def test_coherence_entries(self, rng):
+        T, w, g0, a = random_bath(rng)
+        n = bose_occupation(T, w)
+        g = damping_rate(g0, a, w)
+        L = full_liouvillian(T, w, g0, a)
+        assert L[1, 1] == pytest.approx(-g * (n + 0.5) - 1j * w, rel=1e-14)
+        assert L[2, 2] == pytest.approx(-g * (n + 0.5) + 1j * w, rel=1e-14)
+        # coherences and populations never feed each other
+        blocks = np.ix_([0, 3], [1, 2])
+        assert not np.any(L[blocks]) and not np.any(L.T[blocks])
+
+    def test_annihilates_gibbs(self, rng):
+        for _ in range(50):
+            T, w, g0, a = random_bath(rng)
+            resid = full_liouvillian(T, w, g0, a) @ density_column(gibbs_state(T, w))
+            assert np.max(np.abs(resid)) < 1e-12
 
 
 class TestDrazinInverse:
@@ -128,13 +172,13 @@ class TestDrazinInverse:
     def test_annihilates_gibbs(self, rng):
         for _ in range(50):
             T, w, g0, a = random_bath(rng)
-            resid = drazin_inverse(T, w, g0, a) @ as_array(gibbs_state(T, w))
+            resid = drazin_inverse(T, w, g0, a) @ density_column(gibbs_state(T, w))
             assert np.max(np.abs(resid)) < 1e-12
 
     def test_drazin_identities(self, rng):
         for _ in range(200):
             T, w, g0, a = random_bath(rng)
-            L = liouvillian(T, w, g0, a)
+            L = full_liouvillian(T, w, g0, a)
             D = drazin_inverse(T, w, g0, a)
             nL = np.max(np.abs(L))
             nD = np.max(np.abs(D))
@@ -157,27 +201,6 @@ class TestDrazinInverse:
     def test_matches_spectral_construction(self, rng):
         for _ in range(50):
             T, w, g0, a = random_bath(rng)
-            L = liouvillian(T, w, g0, a)
+            L = full_liouvillian(T, w, g0, a)
             D = drazin_inverse(T, w, g0, a)
             assert np.max(np.abs(D - spectral_drazin(L))) < 1e-9
-
-
-class TestDensityVector:
-    def test_roundtrip(self):
-        state = DensityVector.from_populations(0.25)
-        assert DensityVector(*as_array(state).tolist()) == state
-        state.validate()
-
-    def test_trace_violation(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityVector(0.6, 0.0, 0.0, 0.6).validate()
-
-    def test_hermiticity_violation(self):
-        with pytest.raises(ValueError, match="hermiticity"):
-            DensityVector(0.5, 0.1j, 0.1j, 0.5).validate()
-
-    def test_positivity_violation(self):
-        with pytest.raises(ValueError, match="outside"):
-            DensityVector(1.2, 0.0, 0.0, -0.2).validate()
-        with pytest.raises(ValueError, match="positivity"):
-            DensityVector(0.5, 0.6, 0.6, 0.5).validate()

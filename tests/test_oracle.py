@@ -1,12 +1,12 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import as_array, rk4_reference
+from oracles import density_column, rk4_reference
 from qtricycle import (
-    DensityVector,
     PositivityError,
     TricycleConfig,
     branch_heat,
@@ -15,7 +15,7 @@ from qtricycle import (
     perturbed_state,
     propagate,
 )
-from qtricycle.oracle import default_steps
+from qtricycle.oracle import _MAX_STEPS, default_steps
 from qtricycle.protocol import frequency
 
 
@@ -40,9 +40,8 @@ class TestStationaryAndRelaxation:
         assert drift < 1e-10
 
     def test_monotone_relaxation_toward_gibbs(self, frozen_branch):
-        target = gibbs_state(frozen_branch.temperature, 1.0).excited
-        start = DensityVector.from_populations(0.9)
-        traj = propagate(frozen_branch, 10.0, initial=start)
+        target = gibbs_state(frozen_branch.temperature, 1.0)[0]
+        traj = propagate(frozen_branch, 10.0, initial=(0.9, 0.1))
         distance = np.abs(traj.states[:, 0] - target)
         assert np.all(np.diff(distance) <= 1e-15)
         assert distance[-1] < 1e-4 * distance[0]
@@ -57,8 +56,8 @@ class TestSlowDriving:
         branch = TricycleConfig().branch("c")
         traj = propagate(branch, 500.0)
         final = traj.states[-1]
-        target = as_array(gibbs_state(branch.temperature, frequency(branch, 1.0)))
-        assert np.max(np.abs(final - target[::3].real)) < 1e-5
+        target = gibbs_state(branch.temperature, frequency(branch, 1.0))
+        assert np.max(np.abs(final - target)) < 1e-5
 
     def test_heat_matches_expansion_to_one_percent(self, cold_trajectory_200):
         branch, traj = cold_trajectory_200
@@ -85,7 +84,8 @@ class TestSlowDriving:
                 worst = 0.0
                 for idx in range(0, len(traj.times), stride):
                     s = traj.times[idx] / tau
-                    ref = as_array(perturbed_state(branch, min(s, 1.0), tau))[::3].real
+                    p = perturbed_state(branch, min(s, 1.0), tau)
+                    ref = np.array([p, 1.0 - p])
                     worst = max(worst, float(np.max(np.abs(traj.states[idx] - ref))))
                 assert worst < 5.0 / tau ** 2, (res, tau, worst)
 
@@ -101,23 +101,52 @@ class TestIntegratorContracts:
         assert traj.states.dtype == np.float64
         assert traj.states.shape == (len(traj.times), 2)
 
-    def test_zero_coherence_stays_zero_under_unstable_rotation(self):
+    def test_weak_damping_long_run_stays_finite_without_warnings(self):
         # weak damping: the default step resolves the relaxation, but w dt is
-        # about 17, far beyond RK4's stability bound for the rotating
-        # coherences; they are decoupled from the populations and not carried,
-        # so no overflow reaches the state
+        # about 17, far beyond RK4's stability bound for a rotating coherence;
+        # the pair carries none, so no overflow reaches the state
         branch = TricycleConfig(gamma0=1e-3).branch("c")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             traj = propagate(branch, 1e5)
         assert np.all(np.isfinite(traj.states))
 
-    def test_coherence_decays_and_states_stay_physical(self):
+    def test_populations_from_an_equal_start_stay_physical(self):
         branch = TricycleConfig().branch("c")
-        initial = DensityVector(0.5, 0.2 + 0.0j, 0.2 - 0.0j, 0.5)
-        traj = propagate(branch, 40.0, initial=initial)
+        traj = propagate(branch, 40.0, initial=(0.5, 0.5))
         for p1, p0 in traj.states[:: len(traj.times) // 10]:
-            DensityVector(p1, 0.0, 0.0, p0).validate(atol=1e-10)
+            assert abs(p1 + p0 - 1.0) <= 1e-10
+            assert -1e-10 <= p1 <= 1.0 + 1e-10 and -1e-10 <= p0 <= 1.0 + 1e-10
+
+    def test_initial_trace_violation_rejected(self):
+        branch = TricycleConfig().branch("c")
+        for initial in ((0.6, 0.6), (0.5, 0.5 - 2e-12)):
+            with pytest.raises(ValueError, match="trace violated"):
+                propagate(branch, 10.0, initial=initial)
+        propagate(branch, 10.0, initial=(0.5, 0.5 - 5e-13))  # within 1e-12
+
+    def test_initial_population_outside_unit_interval_rejected(self):
+        branch = TricycleConfig().branch("c")
+        for initial in ((1.2, -0.2), (-2e-12, 1.0 + 2e-12)):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                propagate(branch, 10.0, initial=initial)
+        propagate(branch, 10.0, initial=(-5e-13, 1.0 + 5e-13))  # within 1e-12
+
+    def test_step_count_above_the_limit_rejected_before_allocating(self):
+        # tau = 1e9 asks for about 5.7e10 steps on the default cold branch:
+        # minutes of RK4, or a MemoryError, without the limit
+        branch = TricycleConfig().branch("c")
+        assert default_steps(branch, 1e9) > _MAX_STEPS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed the oracle's limit"):
+                propagate(branch, 1e9)
+            with pytest.raises(ValueError, match="exceed the oracle's limit"):
+                propagate(branch, 10.0, steps=_MAX_STEPS + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_default_step_rule(self):
         branch = TricycleConfig().branch("c")
@@ -184,23 +213,25 @@ class TestAgainstStageByStageReference:
     def test_gibbs_start_at_tau_100(self, reservoir):
         branch = TricycleConfig().branch(reservoir)
         traj = propagate(branch, 100.0)
-        initial = gibbs_state(branch.temperature, frequency(branch, 0.0))
+        initial = density_column(gibbs_state(branch.temperature, frequency(branch, 0.0)))
         ref = rk4_reference(branch, 100.0, len(traj.times) - 1, initial)
         assert np.max(np.abs(traj.states - ref[:, ::3].real)) <= 1e-13
 
     def test_coherent_start(self):
         # the reference carries the coherences through the full 4x4 generator;
-        # they are decoupled, so its populations are the integrator's
-        initial = DensityVector(0.5, 0.2 + 0.1j, 0.2 - 0.1j, 0.5)
+        # they never feed the populations, so its populations are those the
+        # integrator gets from the population pair alone
+        initial = density_column((0.5, 0.5), rho10=0.2 + 0.1j)
         for reservoir in "chp":
             branch = TricycleConfig().branch(reservoir)
-            traj = propagate(branch, 40.0, initial=initial)
+            traj = propagate(branch, 40.0, initial=(0.5, 0.5))
             ref = rk4_reference(branch, 40.0, len(traj.times) - 1, initial)
+            assert abs(ref[len(ref) // 10, 1]) > 1e-3  # the coherence is carried
             assert np.max(np.abs(traj.states - ref[:, ::3].real)) <= 1e-13, reservoir
 
     def test_unstable_step_fails_at_the_same_time(self):
         branch = TricycleConfig(gamma0=80.0).branch("c")
-        initial = gibbs_state(branch.temperature, frequency(branch, 0.0))
+        initial = density_column(gibbs_state(branch.temperature, frequency(branch, 0.0)))
         messages = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
