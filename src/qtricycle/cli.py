@@ -19,6 +19,7 @@ feed: ``tau_c_points`` and ``alpha_points`` are at least
 ``optimize.DEFAULT_ALPHA_WINDOW`` (``alpha_chi`` and ``alpha_r`` are not grids),
 durations and their bounds are at least the smallest normal float,
 0 < ``delta_min`` < ``delta_max``, and the directory of ``out`` exists.
+``alpha-sweep`` needs no curve, so it ignores the ``tau_c_*`` grid keys.
 
 Exit codes: 0 success, 2 configuration problem (including durations too
 short for the slow-driving expansion, reported as ``PositivityError``, too
@@ -298,7 +299,8 @@ def _tau_c_grid(rc):
 
 
 def _run_optimal_curve(rc, config):
-    curve, ext = optimize.curve_extrema(config, tau_c_grid=_tau_c_grid(rc))
+    curve = optimize.optimal_curve(config, tau_c_grid=_tau_c_grid(rc))
+    ext = optimize.curve_maxima(curve.coeffs, config.alpha)
     summary = {"psi_at_R_max": ext.psi_at_R_max, "R_max": ext.R_max,
                "psi_at_chi_max": ext.psi_at_chi_max, "chi_max": ext.chi_max,
                "skipped_points": len(curve.skipped)}
@@ -307,7 +309,7 @@ def _run_optimal_curve(rc, config):
 
 def _run_alpha_sweep(rc, config):
     grid = np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points)
-    result = optimize.alpha_sweep(config, grid, _tau_c_grid(rc))
+    result = optimize.alpha_sweep(config, grid)
     summary = {"alpha_chi": result.alpha_chi, "alpha_r": result.alpha_R,
                "chi_max": result.chi_max, "R_max": result.R_max,
                "skipped_points": len(result.skipped)}
@@ -336,24 +338,23 @@ def _run_envelope(rc, config):
 
 
 def _run_time_allocation(rc, config):
-    grid_tc = _tau_c_grid(rc)
-    if rc.alpha_chi is None or rc.alpha_r is None:
+    alpha_r, alpha_chi = rc.alpha_r, rc.alpha_chi
+    if alpha_r is None or alpha_chi is None:  # an alpha left unset takes the sweep's
         sweep = optimize.alpha_sweep(
-            config, np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points), grid_tc)
-    # An alpha left unset takes the sweep's, whose curve the sweep already built.
-    curve_R, ext_R = (optimize.curve_extrema(replace(config, alpha=rc.alpha_r), grid_tc)
-                      if rc.alpha_r is not None else sweep.extrema_R)
-    curve_chi, ext_chi = (optimize.curve_extrema(replace(config, alpha=rc.alpha_chi), grid_tc)
-                          if rc.alpha_chi is not None else sweep.extrema_chi)
-    psi_R, psi_chi = ext_R.psi_at_R_max, ext_chi.psi_at_chi_max
-    lo, hi = sorted((psi_R, psi_chi))
-    psi_grid = _psi_grid(rc, lo, hi)
+            config, np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points))
+        alpha_r = sweep.alpha_R if alpha_r is None else alpha_r
+        alpha_chi = sweep.alpha_chi if alpha_chi is None else alpha_chi
+    curve_R, curve_chi = (optimize.optimal_curve(replace(config, alpha=alpha), _tau_c_grid(rc))
+                          for alpha in (alpha_r, alpha_chi))
+    psi_R = optimize.max_cooling_rate(curve_R.coeffs, alpha_r).psi
+    psi_chi = optimize.max_figure_of_merit(curve_chi.coeffs, alpha_chi).psi
+    psi_grid = _psi_grid(rc, *sorted((psi_R, psi_chi)))
     columns = ("alpha_label", "alpha", *optimize.ProfilePoint._fields)
-    rows = [(label, ext.alpha, *p)
-            for label, ext, curve in (("alpha_chi", ext_chi, curve_chi),
-                                      ("alpha_R", ext_R, curve_R))
+    rows = [(label, alpha, *p)
+            for label, alpha, curve in (("alpha_chi", alpha_chi, curve_chi),
+                                        ("alpha_R", alpha_r, curve_R))
             for p in optimize.time_allocation_profile(curve, psi_grid)]
-    summary = {"alpha_chi": ext_chi.alpha, "alpha_r": ext_R.alpha,
+    summary = {"alpha_chi": alpha_chi, "alpha_r": alpha_r,
                "psi_R": psi_R, "psi_chi": psi_chi}
     return columns, rows, summary
 

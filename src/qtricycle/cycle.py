@@ -74,9 +74,9 @@ def cycle_coefficients(config):
 class CycleMetrics:
     """Cycle-level performance summary.
 
-    ``valid`` is False when Q_h <= 0 (the machine is not running as a
-    heat-driven refrigerator); psi and chi are NaN in that case rather than
-    misleading ratios.
+    ``valid`` is False when Q_c <= 0 or Q_h <= 0 (the machine is not running
+    as a heat-driven refrigerator); psi and chi are NaN in that case rather
+    than misleading ratios.
     """
 
     cold: BranchThermo
@@ -102,7 +102,7 @@ def evaluate_cycle(coeffs, tau_c, tau_h, tau_p):
     )
     total_tau = tau_c + tau_h + tau_p
     R = cold.Q / total_tau
-    valid = hot.Q > 0.0
+    valid = hot.Q > 0.0 and cold.Q > 0.0
     psi = cold.Q / hot.Q if valid else float("nan")
     chi = psi * R if valid else float("nan")
     work_residual = -(cold.Q + hot.Q + pump.Q)

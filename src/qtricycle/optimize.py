@@ -27,20 +27,17 @@ the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
 once the three quadratures are done; the algebra takes those coefficients
 (:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
-Every fixed-alpha curve comes from :func:`optimal_curve`; the alpha sweeps
-draw each curve and its refined maxima once from one memoized family.  Each
-curve point is one :class:`SweepRecord`, built where its principal allocation
-is solved; the refined maxima (:func:`max_cooling_rate`,
-:func:`max_figure_of_merit`), envelopes and profiles read records.  One
-golden-section helper refines every maximum (over log tau_c and over alpha),
-and one array interpolation inverts curves at target COPs for the envelope
-and the profiles, which re-solve the allocation there.  The grid rules
-(``MIN_GRID_POINTS``, ``DEFAULT_ALPHA_WINDOW``) live here; the CLI reads them.
+Each curve point is one :class:`SweepRecord`.  The R and chi maxima come from
+the coefficients alone: the R peak is a root of a cubic (:func:`_rate_peak`),
+the chi peak Newton's method from it (:func:`_merit_peak`), and
+:func:`max_cooling_rate` and :func:`max_figure_of_merit` return the curve
+points there.  The alpha sweeps refine alpha by golden section over those
+maxima; one array interpolation inverts curves at target COPs for the
+envelope and the profiles.  The grid rules live here; the CLI reads them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -66,7 +63,7 @@ __all__ = [
     "optimal_curve",
     "max_cooling_rate",
     "max_figure_of_merit",
-    "curve_extrema",
+    "curve_maxima",
     "alpha_sweep",
     "envelope_curve",
     "time_allocation_profile",
@@ -117,9 +114,7 @@ def balanced_tau_h(coeffs, tau_c, tau_p):
 def _energy_balance(coeffs, tau_c, tau_p):
     """(tau_h, Q_c) with tau_h closing the energy balance, NaN where the balance
     admits no positive tau_h.  Scalars or broadcastable arrays."""
-    T_c, T_h, T_p = coeffs.T
-    dS_c, dS_h, dS_p = coeffs.dS
-    S_c, S_h, S_p = coeffs.Sigma
+    (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
     Q_c = T_c * (dS_c + S_c / tau_c)
     denom = T_p * (dS_p + S_p / tau_p) + Q_c + T_h * dS_h
     return -T_h * S_h / np.where(denom > 0.0, denom, np.nan), Q_c
@@ -127,8 +122,7 @@ def _energy_balance(coeffs, tau_c, tau_p):
 
 def _stationarity_terms(coeffs, tau_c, tau_h, tau_p):
     """The four terms of the multiplier-free stationarity constraint."""
-    dS_c, dS_h, dS_p = coeffs.dS
-    S_c, S_h, S_p = coeffs.Sigma
+    (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.dS, coeffs.Sigma
     return (dS_h * tau_h ** 2 / S_h, dS_p * tau_p ** 2 / S_p,
             dS_c * tau_c ** 2 / S_c, 2.0 * (tau_c + tau_h + tau_p))
 
@@ -176,9 +170,7 @@ class AllocationSolution:
 
 def _stationarity_quartic(coeffs, tau_c):
     """(K, M, coefficients of the stationarity quartic, highest power first)."""
-    T_c, T_h, T_p = coeffs.T
-    dS_c, dS_h, dS_p = coeffs.dS
-    S_c, S_h, S_p = coeffs.Sigma
+    (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
     N, M = -T_h * S_h, T_p * S_p
     K = T_p * dS_p + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
     a_h, a_p = dS_h / S_h, dS_p / S_p
@@ -275,28 +267,20 @@ class SweepRecord(NamedTuple):
 
 
 def _principal(coeffs, alpha, tau_c):
-    """SweepRecord of the principal refrigeration solution at tau_c.
-
-    Raises :class:`ConvergenceError` when the solver fails or its principal
-    solution does not refrigerate.
-    """
+    """SweepRecord of the principal solution at tau_c; ConvergenceError when
+    the solver fails or that solution does not refrigerate (``valid``)."""
     best = solve_time_allocation(coeffs, tau_c)[0]
     m = best.metrics
-    if not m.valid or m.cold.Q <= 0.0:
-        raise ConvergenceError(
-            f"principal solution at tau_c={tau_c} does not refrigerate "
-            f"(valid={m.valid}, Q_c={m.cold.Q:.3e})"
-        )
+    if not m.valid:
+        raise ConvergenceError(f"principal solution at tau_c={tau_c} does not refrigerate "
+                               f"(Q_c={m.cold.Q:.3e}, Q_h={m.hot.Q:.3e})")
     return SweepRecord(float(alpha), m.psi, m.R, m.chi, best.tau_c, best.tau_h, best.tau_p)
 
 
 @dataclass(frozen=True)
 class CurveResult:
-    """Optimal performance curve, the grid points that failed to solve and
-    the branch coefficients it was solved with.
-
-    ``skipped`` holds one ``(tau_c, reason)`` pair per failed grid point.
-    """
+    """Optimal performance curve, one ``(tau_c, reason)`` pair per grid point
+    that failed to solve (``skipped``) and the branch coefficients."""
 
     records: list
     skipped: list
@@ -347,30 +331,81 @@ def _refine_max(f, xs, values, xtol):
     return None
 
 
-def _refine_objective(curve, key):
-    """The SweepRecord maximizing ``key`` on the curve, refined by
-    :func:`_refine_max` over log tau_c; the best grid record itself when
-    refinement finds no gain.  Each golden evaluation is solved once."""
-    recs = sorted(curve.records, key=lambda r: r.tau_c)
-    values = [getattr(r, key) for r in recs]
-    solved = {}
-
-    def value(x):
-        rec = solved[x] = _attempt(_principal, curve.coeffs, recs[0].alpha, math.exp(x))[0]
-        return getattr(rec, key) if rec is not None else -math.inf
-
-    hit = _refine_max(value, [math.log(r.tau_c) for r in recs], values, xtol=1e-9)
-    return solved[hit[0]] if hit is not None else recs[int(np.argmax(values))]
+def _branch_terms(coeffs):
+    """(A, Z, T_h dS_h, (a_c, a_h, a_p)): A = T_c dS_c, Z = sum_v T_v dS_v and
+    a_v = -T_v Sigma_v, so Q_v = T_v dS_v - a_v / tau_v."""
+    (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
+    return (T_c * dS_c, T_c * dS_c + T_h * dS_h + T_p * dS_p, T_h * dS_h,
+            (-T_c * S_c, -T_h * S_h, -T_p * S_p))
 
 
-def max_cooling_rate(config, tau_c_grid=None):
-    """SweepRecord of the maximum cooling rate, with golden-section refinement."""
-    return _refine_objective(optimal_curve(config, tau_c_grid), "R")
+def _rate_cubic(A, Z, a_c, c):
+    """Coefficients, highest power first, of the numerator of dR/dt divided by
+    t, for R(t) = (A t - a_c)(Z t - a_c) / (t^2 (Z t - a_c + c)), t = tau_c."""
+    e, s = c - a_c, a_c * (A + Z)
+    return (-A * Z * Z, 2.0 * s * Z, s * e - 3.0 * Z * a_c * a_c, -2.0 * e * a_c * a_c)
 
 
-def max_figure_of_merit(config, tau_c_grid=None):
-    """SweepRecord of the maximum figure of merit, with golden-section refinement."""
-    return _refine_objective(optimal_curve(config, tau_c_grid), "chi")
+def _rate_peak(coeffs):
+    """(tau_c, tau_p) of the largest R over all energy-balanced triples.  At
+    fixed tau_c, tau_h + tau_p is least at tau_h/tau_p = sqrt(a_h/a_p): the hot
+    and pump branches act as one of dissipation c = (sqrt a_h + sqrt a_p)^2.
+    The admissible root (tau_c > 0, Q_c > 0, tau_h > 0) of :func:`_rate_cubic`
+    with the largest R wins; none (as when Z <= 0) is a ConvergenceError."""
+    _require_sign_structure(coeffs)
+    A, Z, _, (a_c, a_h, a_p) = _branch_terms(coeffs)
+    r_h, r_p = math.sqrt(a_h), math.sqrt(a_p)
+    c = (r_h + r_p) ** 2
+    roots = np.roots(_rate_cubic(A, Z, a_c, c))
+    peaks = [((A * t - a_c) * (Z * t - a_c) / (t * t * (Z * t - a_c + c)), t)
+             for t in roots[roots.imag == 0.0].real.tolist()
+             if t > 0.0 and Z * t > a_c and A * t > a_c]
+    if not peaks:
+        raise ConvergenceError(f"no admissible cooling-rate peak (A={A:.3e}, Z={Z:.3e})")
+    _, t = max(peaks)
+    return t, r_p * (r_h + r_p) * t / (Z * t - a_c)
+
+
+_NEWTON_RTOL, _NEWTON_MAXITER = 1e-12, 50  # of the figure-of-merit iteration
+
+
+def _merit_peak(coeffs):
+    """(tau_c, tau_p) of the largest chi: Newton's method on the gradient of
+    ln chi = 2 ln Q_c - ln Q_h - ln tau in y = (1/tau_c, 1/tau_p), where Q_c, Q_h
+    and 1/tau_h are linear, from :func:`_rate_peak`; done at a relative step
+    of ``_NEWTON_RTOL`` and a negative-definite Hessian.  ConvergenceError when
+    an iterate leaves positive durations and heats, or never converges."""
+    A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
+    y = 1.0 / np.array(_rate_peak(coeffs))
+    g_c, g_h = np.array([-a_c, 0.0]), np.array([a_c, a_p])  # gradients of Q_c, Q_h
+    w_y = -g_h / a_h
+    for _ in range(_NEWTON_MAXITER):
+        Q_c, w = A - a_c * y[0], (Z - a_c * y[0] - a_p * y[1]) / a_h
+        Q_h = H - a_h * w
+        if not (np.all(y > 0.0) and w > 0.0 and Q_c > 0.0 and Q_h > 0.0):
+            raise ConvergenceError(f"chi Newton iterate inadmissible at (tau_c, tau_p)={1 / y}")
+        tau = np.sum(1.0 / y) + 1.0 / w
+        tau_y = -y ** -2.0 - w_y / w ** 2
+        tau_yy = np.diag(2.0 * y ** -3.0) + 2.0 * np.outer(w_y, w_y) / w ** 3
+        grad = 2.0 * g_c / Q_c - g_h / Q_h - tau_y / tau
+        hess = (np.outer(g_h, g_h) / Q_h ** 2 - 2.0 * np.outer(g_c, g_c) / Q_c ** 2
+                - tau_yy / tau + np.outer(tau_y, tau_y) / tau ** 2)
+        step = np.linalg.solve(hess, grad)
+        y = y - step
+        if np.all(np.abs(step) <= _NEWTON_RTOL * np.abs(y)) \
+                and hess[0, 0] < 0.0 < np.linalg.det(hess):
+            return tuple((1.0 / y).tolist())
+    raise ConvergenceError(f"chi Newton iteration found no maximum in {_NEWTON_MAXITER} steps")
+
+
+def max_cooling_rate(coeffs, alpha):
+    """SweepRecord of the cooling-rate maximum (the curve point at its tau_c)."""
+    return _principal(coeffs, alpha, _rate_peak(coeffs)[0])
+
+
+def max_figure_of_merit(coeffs, alpha):
+    """SweepRecord of the figure-of-merit maximum (the curve point at its tau_c)."""
+    return _principal(coeffs, alpha, _merit_peak(coeffs)[0])
 
 
 class AlphaRecord(NamedTuple):
@@ -385,11 +420,7 @@ class AlphaRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class AlphaSweepResult:
-    """Per-alpha extrema; ``skipped`` holds ``(alpha, reason)`` pairs.
-
-    ``extrema_R`` and ``extrema_chi`` are the (curve, AlphaRecord) pairs of
-    :func:`curve_extrema` at ``alpha_R`` and ``alpha_chi``.
-    """
+    """Per-alpha maxima; ``skipped`` holds ``(alpha, reason)`` pairs."""
 
     rows: list
     alpha_chi: float
@@ -397,50 +428,28 @@ class AlphaSweepResult:
     chi_max: float
     R_max: float
     skipped: list
-    extrema_R: tuple
-    extrema_chi: tuple
 
 
-def _alpha_record(alpha, curve):
-    """AlphaRecord of the refined R and chi maxima on one curve."""
-    at_R, at_chi = _refine_objective(curve, "R"), _refine_objective(curve, "chi")
-    return AlphaRecord(alpha=float(alpha), R_max=at_R.R, chi_max=at_chi.chi,
-                       psi_at_R_max=at_R.psi, psi_at_chi_max=at_chi.psi)
+def curve_maxima(coeffs, alpha):
+    """AlphaRecord of the R and chi maxima of the coefficients ``coeffs``."""
+    at_R, at_chi = max_cooling_rate(coeffs, alpha), max_figure_of_merit(coeffs, alpha)
+    return AlphaRecord(float(alpha), at_R.R, at_chi.chi, at_R.psi, at_chi.psi)
 
 
-def curve_extrema(config, tau_c_grid=None):
-    """(optimal curve, AlphaRecord of its refined R and chi maxima) from one curve."""
-    curve = optimal_curve(config, tau_c_grid=tau_c_grid)
-    return curve, _alpha_record(config.alpha, curve)
+def _alpha_maxima(config, alpha):
+    """:func:`curve_maxima` of ``config`` at the frequency exponent ``alpha``."""
+    return curve_maxima(cycle.cycle_coefficients(replace(config, alpha=alpha)), alpha)
 
 
-def _curve_family(config, tau_c_grid):
-    """The fixed-alpha curves of ``config`` as two memoized functions of a float
-    alpha: ``curve(alpha)``, the :func:`_attempt` pair of its CurveResult, and
-    ``extrema(alpha)``, that curve and its refined AlphaRecord, or None."""
-    @functools.cache
-    def curve(alpha):
-        return _attempt(optimal_curve, replace(config, alpha=alpha), tau_c_grid)
-
-    @functools.cache
-    def extrema(alpha):
-        built = curve(alpha)[0]
-        return None if built is None else (built, _alpha_record(alpha, built))
-
-    return curve, extrema
-
-
-def _refine_alpha(extrema, alphas, values, key):
-    """(curve, refined AlphaRecord) of the alpha maximizing ``key``: ``values`` at the
-    ascending ``alphas`` (which must all refine) only choose the bracket, and
-    :func:`_refine_max` searches ``extrema(alpha)`` within it."""
+def _refine_alpha(config, alphas, values, key):
+    """AlphaRecord at the alpha maximizing ``key``: ``values`` at the ascending
+    ``alphas`` choose the bracket that :func:`_refine_max` searches."""
     def value(alpha):
-        pair = extrema(alpha)
-        return getattr(pair[1], key) if pair is not None else -math.inf
+        record = _attempt(_alpha_maxima, config, alpha)[0]
+        return getattr(record, key) if record is not None else -math.inf
 
     hit = _refine_max(value, alphas, values, xtol=1e-4)
-    alpha = hit[0] if hit is not None else alphas[int(np.argmax(values))]
-    return extrema(alpha)
+    return _alpha_maxima(config, hit[0] if hit is not None else alphas[int(np.argmax(values))])
 
 
 def _alpha_grid(alpha_grid, points, min_points=1):
@@ -456,26 +465,22 @@ def _alpha_grid(alpha_grid, points, min_points=1):
     return alpha_grid.tolist()
 
 
-def alpha_sweep(config, alpha_grid=None, tau_c_grid=None):
-    """Best R and chi per frequency exponent, plus the locations of their maxima.
-
-    Failing grid points are skipped and listed in ``skipped`` as
-    ``(alpha, reason)`` pairs.
-    """
+def alpha_sweep(config, alpha_grid=None):
+    """Best R and chi per frequency exponent and the alphas of their maxima,
+    from the coefficients alone (no curve is built).  Failing grid points are
+    listed in ``skipped`` as ``(alpha, reason)`` pairs."""
     alpha_grid = _alpha_grid(alpha_grid, DEFAULT_ALPHA_POINTS, MIN_GRID_POINTS)
-    curve, extrema = _curve_family(config, tau_c_grid)
-    results = [extrema(a) for a in alpha_grid]
-    rows = [pair[1] for pair in results if pair is not None]
-    skipped = [(a, curve(a)[1]) for a, pair in zip(alpha_grid, results) if pair is None]
+    results = [_attempt(_alpha_maxima, config, a) for a in alpha_grid]
+    rows = [record for record, _ in results if record is not None]
+    skipped = [(a, why) for a, (record, why) in zip(alpha_grid, results) if record is None]
     if not rows:
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
 
     alphas = [r.alpha for r in rows]
-    at_R = _refine_alpha(extrema, alphas, [r.R_max for r in rows], "R_max")
-    at_chi = _refine_alpha(extrema, alphas, [r.chi_max for r in rows], "chi_max")
-    return AlphaSweepResult(rows=rows, alpha_chi=at_chi[1].alpha, alpha_R=at_R[1].alpha,
-                            chi_max=at_chi[1].chi_max, R_max=at_R[1].R_max,
-                            skipped=skipped, extrema_R=at_R, extrema_chi=at_chi)
+    at_R = _refine_alpha(config, alphas, [r.R_max for r in rows], "R_max")
+    at_chi = _refine_alpha(config, alphas, [r.chi_max for r in rows], "chi_max")
+    return AlphaSweepResult(rows=rows, alpha_chi=at_chi.alpha, alpha_R=at_R.alpha,
+                            chi_max=at_chi.chi_max, R_max=at_R.R_max, skipped=skipped)
 
 
 @dataclass(frozen=True)
@@ -504,12 +509,11 @@ def envelope_curve(config, psi_grid=None, alpha_grid=None, tau_c_grid=None):
     optimal curves of ``alpha_grid`` (by default ``DEFAULT_ENVELOPE_ALPHA_POINTS``
     across the window; each curve inverted by monotone interpolation, the
     first of equal maxima winning); the matching duration triple is then
-    re-solved exactly.  The labeled peaks come from refining the best alpha
-    for each objective on the same memoized curves.
+    re-solved exactly.  The labeled peak COPs are the :func:`curve_maxima`
+    at the alpha refined from the bracket of the curves' grid maxima.
     """
-    curve, extrema = _curve_family(config, tau_c_grid)
     alphas = _alpha_grid(alpha_grid, DEFAULT_ENVELOPE_ALPHA_POINTS)
-    results = [curve(a) for a in alphas]
+    results = [_attempt(optimal_curve, replace(config, alpha=a), tau_c_grid) for a in alphas]
     built = [(a, c) for a, (c, _) in zip(alphas, results) if c is not None]
     if not built:
         raise ConvergenceError(
@@ -544,13 +548,13 @@ def envelope_curve(config, psi_grid=None, alpha_grid=None, tau_c_grid=None):
             failed_points=[(psi, "not attained by any alpha's curve") for psi in skipped],
         )
 
-    # Peak COPs of the envelopes: the unrefined per-alpha grid maxima bracket
-    # alpha, and the peak psi is read off the refined record there.
+    # Peak COPs of the envelopes: the per-alpha grid maxima bracket alpha, and
+    # the peak psi is read off the curve maxima there.
     built_alphas = [a for a, _ in built]
-    _, at_R = _refine_alpha(extrema, built_alphas,
-                            [max(r.R for r in c.records) for _, c in built], "R_max")
-    _, at_chi = _refine_alpha(extrema, built_alphas,
-                              [max(r.chi for r in c.records) for _, c in built], "chi_max")
+    at_R = _refine_alpha(config, built_alphas,
+                         [max(r.R for r in c.records) for _, c in built], "R_max")
+    at_chi = _refine_alpha(config, built_alphas,
+                           [max(r.chi for r in c.records) for _, c in built], "chi_max")
     return EnvelopeResult(r_curve=r_curve, chi_curve=chi_curve,
                           psi_R=at_R.psi_at_R_max, psi_chi=at_chi.psi_at_chi_max,
                           skipped=skipped)
@@ -573,10 +577,9 @@ def time_allocation_profile(curve, psi_grid):
     COP is inverted to tau_c as in :func:`envelope_curve` and re-solved there.
 
     The expected shape (total time increasing with the COP, tau_h/tau_p
-    falling and tau_c/tau_p rising) is checked between consecutive points,
-    and each kind of violation raises one RuntimeWarning giving its count and
-    first psi pair, so sweep output is never silently trusted; the caller
-    decides whether the shape is a hard requirement.
+    falling and tau_c/tau_p rising) is checked between consecutive points;
+    each kind of violation raises one RuntimeWarning with its count and first
+    psi pair, and the caller decides whether the shape is a requirement.
     """
     coeffs, records = curve.coeffs, curve.records
     psi_grid = np.asarray(psi_grid, dtype=float)
@@ -593,13 +596,9 @@ def time_allocation_profile(curve, psi_grid):
         rec = _attempt(_principal, coeffs, records[0].alpha, tc)[0]
         if rec is None:
             raise ConvergenceError(f"allocation lost while refining psi={psi}")
-        points.append(ProfilePoint(
-            psi=rec.psi,
-            tau_total=rec.tau_c + rec.tau_h + rec.tau_p,
-            ratio_hp=rec.tau_h / rec.tau_p,
-            ratio_cp=rec.tau_c / rec.tau_p,
-            tau_c=rec.tau_c, tau_h=rec.tau_h, tau_p=rec.tau_p,
-        ))
+        points.append(ProfilePoint(rec.psi, rec.tau_c + rec.tau_h + rec.tau_p,
+                                   rec.tau_h / rec.tau_p, rec.tau_c / rec.tau_p,
+                                   rec.tau_c, rec.tau_h, rec.tau_p))
     psi, total, hp, cp = (np.array([getattr(p, key) for p in points])
                           for key in ("psi", "tau_total", "ratio_hp", "ratio_cp"))
     rising = psi[1:] > psi[:-1]  # duplicate targets are not compared

@@ -229,16 +229,18 @@ class TestSubcommands:
         code, _ = run_cli(tmp_path, "time-allocation",
                           "alpha_chi=0.6278", "alpha_r=0.9799", "psi_points=5")
         assert code == 0
-        assert len(built) == 2
+        assert [config.alpha for config, *_ in built] == [0.9799, 0.6278]
 
-        # Without given alphas the report reads both curves from the sweep,
-        # which builds one curve per alpha it visits.
-        built.clear()
-        code, _ = run_cli(tmp_path, "time-allocation", "psi_points=5")
-        assert code == 0
-        alphas = [config.alpha for config, *_ in built]
-        assert len(alphas) > 100
-        assert len(set(alphas)) == len(alphas)
+        # Without given alphas the sweep chooses them from the branch
+        # coefficients and builds no curve: the two profiles are the only ones.
+        for given in ((), ("alpha_chi=0.6278",), ("alpha_r=0.9799",)):
+            built.clear()
+            code, out = run_cli(tmp_path, "time-allocation", "psi_points=5", *given)
+            assert code == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            alphas = {label: float(alpha) for label, alpha, *_ in rows}
+            assert [config.alpha for config, *_ in built] == \
+                [alphas["alpha_R"], alphas["alpha_chi"]]
 
     @pytest.mark.parametrize("bound", ["psi_min=0.05", "psi_max=0.1"])
     def test_envelope_rejects_a_lone_psi_bound(self, tmp_path, capsys, bound):
@@ -449,8 +451,7 @@ class TestExitCodes:
             parse_config("", [f"{key}={sys.float_info.min!r}"])
 
     @pytest.mark.parametrize("subcommand, settings", [
-        ("cycle", "tau_c=1e-300 tau_h=5"),             # chi = psi * R overflows
-        ("cycle", "tau_c=2.3e-308 tau_h=5"),
+        ("cycle", "tau_c=2.3e-308 tau_h=5 gamma0=1e-3"),   # Q_c = T (dS + Sigma / tau) overflows
         ("branch", "tau_c=2.3e-308 tau_h=5 gamma0=1e-3"),  # Q1 = T Sigma / tau overflows
     ])
     def test_infinite_heat_or_metric_exits_2(self, tmp_path, capsys, subcommand, settings):
@@ -471,6 +472,18 @@ class TestExitCodes:
         assert code == 0
         lines = out.read_text().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (row["psi"], row["chi"], row["valid"]) == ("nan", "nan", "false")
+
+    @pytest.mark.parametrize("tau_c", ["0.5", "1e-150", "1e-300"])
+    def test_cycle_that_heats_the_cold_bath_is_invalid(self, tmp_path, tau_c):
+        # Q_c < 0 < Q_h: the cycle does not refrigerate, so psi and chi are NaN
+        # rather than a negative COP and a positive chi = psi * R
+        code, out = run_cli(tmp_path, "cycle", f"tau_c={tau_c}", "tau_h=5")
+        assert code == 0
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["Q_c"]) < 0.0 < float(row["Q_h"])
+        assert float(row["R"]) < 0.0
         assert (row["psi"], row["chi"], row["valid"]) == ("nan", "nan", "false")
 
     def test_oracle_step_limit_exits_2_before_allocating(self, tmp_path, capsys):

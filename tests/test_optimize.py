@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from dataclasses import replace
 
@@ -28,9 +29,12 @@ from qtricycle.cycle import CycleCoefficients
 from qtricycle.optimize import (
     _checked_residual,
     _energy_balance,
+    _merit_peak,
+    _rate_cubic,
+    _rate_peak,
     _stationarity_quartic,
     _stationarity_terms,
-    curve_extrema,
+    curve_maxima,
 )
 
 
@@ -315,7 +319,7 @@ class TestOptimalCurve:
 
 class TestObjectiveMaxima:
     def test_refinement_dominates_grid(self, config, coeffs, curve):
-        rec = max_cooling_rate(config)
+        rec = max_cooling_rate(coeffs, config.alpha)
         R_max = rec.R
         assert R_max >= max(r.R for r in curve.records)
         sol = solve_time_allocation(coeffs, rec.tau_c)[0]
@@ -327,14 +331,15 @@ class TestObjectiveMaxima:
         assert abs(sol.metrics.work_residual) < 1e-8 * abs(sol.metrics.cold.Q)
 
     def test_figure_of_merit_peak_sits_right_of_rate_peak(self, config, coeffs):
-        at_R, at_chi = max_cooling_rate(config), max_figure_of_merit(config)
+        at_R = max_cooling_rate(coeffs, config.alpha)
+        at_chi = max_figure_of_merit(coeffs, config.alpha)
         assert at_chi.psi > at_R.psi
         assert at_chi.chi >= solve_time_allocation(coeffs, at_R.tau_c)[0].metrics.chi
 
-    def test_refinement_reuses_its_solves(self, config, monkeypatch):
-        # golden's best point comes from its own evaluations, and the best grid
-        # record is returned as it is, never solved again
-        solved = []
+    def test_each_maximum_is_one_solve(self, config, coeffs, monkeypatch):
+        # the maxima come from the coefficients: one solve at each peak's
+        # tau_c and no curve
+        solved, built = [], []
         original = optimize.solve_time_allocation
 
         def counting(*args, **kwargs):
@@ -342,8 +347,13 @@ class TestObjectiveMaxima:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(optimize, "solve_time_allocation", counting)
-        curve_extrema(config)
-        assert len(solved) <= 202
+        monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
+        record = curve_maxima(coeffs, config.alpha)
+        assert solved == [_rate_peak(coeffs)[0], _merit_peak(coeffs)[0]]
+        assert built == []
+        at_R = max_cooling_rate(coeffs, config.alpha)
+        at_chi = max_figure_of_merit(coeffs, config.alpha)
+        assert record == (config.alpha, at_R.R, at_chi.chi, at_R.psi, at_chi.psi)
 
     def test_refine_max_gains_or_returns_none(self, rng):
         xs = np.linspace(0.0, 1.0, 11).tolist()
@@ -373,10 +383,95 @@ class TestObjectiveMaxima:
             assert hit is None or (hit[1] > max(values) and hit[1] == bumpy(hit[0]))
 
     def test_local_stationarity_of_refined_peak(self, config, coeffs):
-        rec = max_cooling_rate(config)
+        rec = max_cooling_rate(coeffs, config.alpha)
         for factor in (0.99, 1.01):
             neighbour = solve_time_allocation(coeffs, rec.tau_c * factor)[0]
             assert neighbour.metrics.R <= rec.R * (1.0 + 1e-9)
+
+
+# delta_c, gamma0 and alpha of the four standard report configs
+STANDARD_CONFIGS = [TricycleConfig(), TricycleConfig(delta_c=0.62, gamma0=1.2, alpha=0.7),
+                    TricycleConfig(delta_c=0.75, gamma0=1.45, alpha=-0.3),
+                    TricycleConfig(delta_c=0.55, gamma0=1.05, alpha=1.3)]
+
+
+class TestClosedFormMaxima:
+    """The R peak (a cubic root) and the chi peak (Newton) against references."""
+
+    def test_rate_cubic_is_the_numerator_of_dR_dt_over_t(self):
+        sp = pytest.importorskip("sympy")
+        A, Z, a_c, a_h, a_p, t = sp.symbols("A Z a_c a_h a_p t", positive=True)
+        r_h, r_p = sp.sqrt(a_h), sp.sqrt(a_p)
+        c = (r_h + r_p) ** 2
+        # the balanced triple with tau_h/tau_p = sqrt(a_h/a_p): Q_v = T_v dS_v -
+        # a_v/tau_v sum to zero, and R = Q_c / tau is the rational function
+        tau_h, tau_p = (r * (r_h + r_p) * t / (Z * t - a_c) for r in (r_h, r_p))
+        assert sp.simplify(Z - a_c / t - a_h / tau_h - a_p / tau_p) == 0
+        R = (A * t - a_c) * (Z * t - a_c) / (t ** 2 * (Z * t - a_c + c))
+        assert sp.simplify((A - a_c / t) / (t + tau_h + tau_p) - R) == 0
+        # tau_h + tau_p is least at that ratio for the same a_h/tau_h + a_p/tau_p
+        s = sp.symbols("s", positive=True)  # tau_h = s tau_p
+        q = sp.symbols("q", positive=True)  # the balance's a_h/tau_h + a_p/tau_p
+        total = (a_h / s + a_p) / q * (1 + s)
+        assert sp.solve(sp.diff(total, s), s) == [sp.sqrt(a_h / a_p)]
+        N, D = (A * t - a_c) * (Z * t - a_c), t ** 2 * (Z * t - a_c + c)
+        numerator = sp.expand(sp.diff(N, t) * D - N * sp.diff(D, t))
+        assert sp.simplify(sp.diff(R, t) - numerator / D ** 2) == 0
+        cubic = sum(k * t ** (3 - i) for i, k in enumerate(_rate_cubic(A, Z, a_c, c)))
+        assert sp.expand(numerator - t * cubic) == 0
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_maxima_match_brute_force_maximization(self, config):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        coeffs = cycle_coefficients(config)
+
+        def minus_log(x, key):  # over (ln tau_c, ln tau_p), tau_h balanced
+            tau_c, tau_p = np.exp(x).tolist()
+            tau_h = float(_energy_balance(coeffs, tau_c, tau_p)[0])
+            if not tau_h > 0.0:
+                return math.inf
+            value = getattr(evaluate_cycle(coeffs, tau_c, tau_h, tau_p), key)
+            return -math.log(value) if value > 0.0 else math.inf
+
+        for key, peak in (("R", max_cooling_rate), ("chi", max_figure_of_merit)):
+            record = peak(coeffs, config.alpha)
+            res = scipy_optimize.minimize(
+                minus_log, [math.log(10.0), math.log(10.0)], args=(key,),
+                method="Nelder-Mead",
+                options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 20000, "maxfev": 40000})
+            assert res.success
+            assert math.exp(res.x[0]) == pytest.approx(record.tau_c, rel=1e-6)
+            assert getattr(record, key) == pytest.approx(math.exp(-res.fun), rel=1e-12)
+
+    def test_default_chi_peak_is_the_resultant_root(self, coeffs):
+        # the degree-11 factor of sympy's resultant of the two stationarity
+        # numerators of chi has this root on the default config
+        assert _merit_peak(coeffs)[0] == pytest.approx(10.93062674, abs=1e-8)
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_records_are_the_peaks(self, config):
+        # the curve point at a peak's tau_c is the peak's own duration pair
+        coeffs = cycle_coefficients(config)
+        for peak, record in ((_rate_peak, max_cooling_rate), (_merit_peak, max_figure_of_merit)):
+            tau_c, tau_p = peak(coeffs)
+            rec = record(coeffs, config.alpha)
+            assert rec.tau_c == tau_c
+            assert rec.tau_p == pytest.approx(tau_p, rel=1e-10)
+
+    def test_no_admissible_rate_peak_raises(self):
+        # below the reversible amplitude Z = sum_v T_v dS_v < 0: no cycle refrigerates
+        coeffs = cycle_coefficients(TricycleConfig(delta_c=0.3))
+        for fn in (_rate_peak, _merit_peak):
+            with pytest.raises(ConvergenceError, match="no admissible cooling-rate peak"):
+                fn(coeffs)
+        with pytest.raises(ConvergenceError):
+            curve_maxima(coeffs, 0.0)
+
+    def test_newton_without_convergence_raises(self, coeffs, monkeypatch):
+        # no fallback: a Newton run that does not end is an error
+        monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)
+        with pytest.raises(ConvergenceError, match="found no maximum in 2 steps"):
+            _merit_peak(coeffs)
 
 
 class TestPythonScalars:
@@ -400,9 +495,9 @@ class TestPythonScalars:
                                   psi_grid=np.linspace(0.06, 0.16, 9))
         profile = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
         objects = [*solve_time_allocation(coeffs, 9.0), *curve.records,
-                   curve_extrema(config)[1], max_cooling_rate(config),
-                   max_figure_of_merit(config), *envelope.r_curve, *envelope.chi_curve,
-                   *profile]
+                   curve_maxima(coeffs, config.alpha), max_cooling_rate(coeffs, config.alpha),
+                   max_figure_of_merit(coeffs, config.alpha), *envelope.r_curve,
+                   *envelope.chi_curve, *profile]
         checked = 0
         for obj in objects:
             for name, value in self.numeric_fields(obj):
@@ -431,9 +526,19 @@ class TestAlphaSweep:
         assert abs(sweep.alpha_chi - best_chi.alpha) <= step
 
     def test_maxima_are_the_records_at_the_refined_alphas(self, config, sweep):
-        assert sweep.R_max == curve_extrema(replace(config, alpha=sweep.alpha_R))[1].R_max
-        assert sweep.chi_max == \
-            curve_extrema(replace(config, alpha=sweep.alpha_chi))[1].chi_max
+        for alpha, key, value in ((sweep.alpha_R, "R_max", sweep.R_max),
+                                  (sweep.alpha_chi, "chi_max", sweep.chi_max)):
+            coeffs = cycle_coefficients(replace(config, alpha=alpha))
+            assert value == getattr(curve_maxima(coeffs, alpha), key)
+        for row in sweep.rows[::25]:
+            coeffs = cycle_coefficients(replace(config, alpha=row.alpha))
+            assert row == curve_maxima(coeffs, row.alpha)
+
+    def test_builds_no_curve(self, config, monkeypatch):
+        built = []
+        monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
+        sweep = alpha_sweep(config, np.linspace(0.0, 1.0, optimize.MIN_GRID_POINTS))
+        assert built == [] and len(sweep.rows) == optimize.MIN_GRID_POINTS
 
 
 class TestEnvelope:
@@ -451,7 +556,7 @@ class TestEnvelope:
                 assert rec.R >= member_R * (1.0 - 1e-9)
 
     def test_builds_each_curve_once(self, config, monkeypatch):
-        # the per-psi selection and the peak refinement share one memoized family
+        # one curve per grid alpha; the peak refinement reads the coefficients
         built = []
         original = optimize.optimal_curve
 
@@ -462,8 +567,7 @@ class TestEnvelope:
         monkeypatch.setattr(optimize, "optimal_curve", counting)
         envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                        psi_grid=np.linspace(0.06, 0.16, 9))
-        assert set(np.linspace(-0.5, 1.5, 5).tolist()) < set(built)  # grid, then golden
-        assert len(set(built)) == len(built)
+        assert built == np.linspace(-0.5, 1.5, 5).tolist()
 
     def test_array_inversion_matches_scalar_interp(self, curve):
         recs = curve.records

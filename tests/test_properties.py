@@ -1,6 +1,6 @@
-"""Properties of the quenches, the branch coefficients and the allocation
-solver over random configurations (``conftest.random_config``) and cold-branch
-durations.
+"""Properties of the quenches, the branch coefficients, the allocation
+solver and the closed-form curve maxima over random configurations
+(``conftest.random_config``) and cold-branch durations.
 
 Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
 run is reproducible.
@@ -16,10 +16,11 @@ from qtricycle import (
     ConvergenceError,
     cycle_coefficients,
     frequency,
+    optimal_curve,
     reversible_cop,
     solve_time_allocation,
 )
-from qtricycle.optimize import _checked_residual
+from qtricycle.optimize import _checked_residual, curve_maxima
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -66,3 +67,18 @@ def test_every_root_is_physical_and_within_the_residual_contract(config, taus):
             assert abs(m.work_residual) <= 1e-12 * max(map(abs, heats))
             assert _checked_residual(coeffs, tau_c, sol.tau_h, sol.tau_p) == \
                 sol.residual_constraint
+
+
+@SETTINGS
+@hypothesis.given(configs)
+def test_closed_form_maxima_exist_with_the_curve_and_beat_it(config):
+    try:
+        curve = optimal_curve(config)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            curve_maxima(cycle_coefficients(config), config.alpha)
+        return
+    maxima = curve_maxima(curve.coeffs, config.alpha)
+    assert maxima.psi_at_R_max < maxima.psi_at_chi_max
+    assert maxima.R_max >= max(r.R for r in curve.records) * (1.0 - 1e-12)
+    assert maxima.chi_max >= max(r.chi for r in curve.records) * (1.0 - 1e-12)
