@@ -10,16 +10,18 @@ records (:class:`~qtricycle.optimize.SweepRecord` and the like), whose field
 names are the report's columns.
 ``psi_points`` COPs from ``psi_min`` to ``psi_max`` make the psi grid of
 ``time-allocation`` (a bound left unset is the peak COP of one of its two
-curves) and of ``envelope``, which takes both bounds or neither (then it
-picks its own 80-point grid).
+alphas) and of ``envelope``, which takes both bounds or neither (then its 80
+COPs span 1% to 99% of the attainable range, the same for every alpha).
 
 Grids are checked at parse time by the rules of the library functions they
 feed: ``tau_c_points`` and ``alpha_points`` are at least
 ``optimize.MIN_GRID_POINTS``, ``alpha_min`` and ``alpha_max`` lie within
 ``optimize.DEFAULT_ALPHA_WINDOW`` (``alpha_chi`` and ``alpha_r`` are not grids),
-durations and their bounds are at least the smallest normal float,
-0 < ``delta_min`` < ``delta_max``, and the directory of ``out`` exists.
-``alpha-sweep`` needs no curve, so it ignores the ``tau_c_*`` grid keys.
+durations, their bounds, ``delta_min`` and the psi bounds are at least the
+smallest normal float, ``delta_min`` < ``delta_max``, ``psi_min`` <
+``psi_max`` when both are set, and the directory of ``out`` exists.
+``alpha-sweep``, ``envelope`` and ``time-allocation`` build no curve, so they
+ignore the ``tau_c_*`` grid keys.
 
 Exit codes: 0 success, 2 configuration problem (including durations too
 short for the slow-driving expansion, reported as ``PositivityError``, too
@@ -154,8 +156,9 @@ def parse_config(text, overrides=()):
     if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {values['format']!r}")
     for key in ("tau_c", "tau_p", "tau_h", "tau_c_min", "tau_c_max", "sweep_tau_c_min",
-                "sweep_tau_c_max", "sweep_tau_p_min", "sweep_tau_p_max", "oracle_taus"):
-        if values[key] is None:  # tau_h unset
+                "sweep_tau_c_max", "sweep_tau_p_min", "sweep_tau_p_max", "oracle_taus",
+                "delta_min", "psi_min", "psi_max"):
+        if values[key] is None:  # tau_h, psi_min or psi_max unset
             continue
         least = np.min(values[key])
         if least <= 0.0:
@@ -163,10 +166,9 @@ def parse_config(text, overrides=()):
         if least < sys.float_info.min:  # a subnormal's reciprocal overflows
             raise ConfigError(f"{key} must be at least {sys.float_info.min!r}, "
                               "the smallest normal float")
-    if values["delta_min"] <= 0.0:
-        raise ConfigError("delta_min must be > 0")
-    if values["delta_max"] <= values["delta_min"]:
-        raise ConfigError("delta_max must be > delta_min")
+    for lo, hi in (("delta_min", "delta_max"), ("psi_min", "psi_max")):
+        if None not in (values[lo], values[hi]) and values[hi] <= values[lo]:
+            raise ConfigError(f"{hi} must be > {lo}")
     for key in ("sweep_tau_c_points", "sweep_tau_p_points", "envelope_alpha_points",
                 "psi_points", "delta_points", "samples_per_branch"):
         if values[key] < 2:
@@ -294,12 +296,9 @@ def _run_sweep_times(rc, config):
     return columns, rows, summary
 
 
-def _tau_c_grid(rc):
-    return np.geomspace(rc.tau_c_min, rc.tau_c_max, rc.tau_c_points)
-
-
 def _run_optimal_curve(rc, config):
-    curve = optimize.optimal_curve(config, tau_c_grid=_tau_c_grid(rc))
+    grid = np.geomspace(rc.tau_c_min, rc.tau_c_max, rc.tau_c_points)
+    curve = optimize.optimal_curve(config, tau_c_grid=grid)
     ext = optimize.curve_maxima(curve.coeffs, config.alpha)
     summary = {"psi_at_R_max": ext.psi_at_R_max, "R_max": ext.R_max,
                "psi_at_chi_max": ext.psi_at_chi_max, "chi_max": ext.chi_max,
@@ -328,10 +327,9 @@ def _run_envelope(rc, config):
         raise ConfigError("envelope needs both psi_min and psi_max, or neither")
     psi_grid = None if None in bounds else _psi_grid(rc, *bounds)
     alphas = np.linspace(rc.alpha_min, rc.alpha_max, rc.envelope_alpha_points)
-    result = optimize.envelope_curve(config, psi_grid, alphas, _tau_c_grid(rc))
+    result = optimize.envelope_curve(config, psi_grid, alphas)
     columns = ("curve", *optimize.SweepRecord._fields)
-    rows = [(label, *r) for label, curve in (("R", result.r_curve), ("chi", result.chi_curve))
-            for r in curve]
+    rows = [(label, *r) for label in ("R", "chi") for r in result.records]
     summary = {"psi_R": result.psi_R, "psi_chi": result.psi_chi,
                "skipped_points": len(result.skipped)}
     return columns, rows, summary
@@ -344,16 +342,16 @@ def _run_time_allocation(rc, config):
             config, np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points))
         alpha_r = sweep.alpha_R if alpha_r is None else alpha_r
         alpha_chi = sweep.alpha_chi if alpha_chi is None else alpha_chi
-    curve_R, curve_chi = (optimize.optimal_curve(replace(config, alpha=alpha), _tau_c_grid(rc))
-                          for alpha in (alpha_r, alpha_chi))
-    psi_R = optimize.max_cooling_rate(curve_R.coeffs, alpha_r).psi
-    psi_chi = optimize.max_figure_of_merit(curve_chi.coeffs, alpha_chi).psi
+    coeffs_R, coeffs_chi = (cycle.cycle_coefficients(replace(config, alpha=alpha))
+                            for alpha in (alpha_r, alpha_chi))
+    psi_R = optimize.max_cooling_rate(coeffs_R, alpha_r).psi
+    psi_chi = optimize.max_figure_of_merit(coeffs_chi, alpha_chi).psi
     psi_grid = _psi_grid(rc, *sorted((psi_R, psi_chi)))
     columns = ("alpha_label", "alpha", *optimize.ProfilePoint._fields)
     rows = [(label, alpha, *p)
-            for label, alpha, curve in (("alpha_chi", alpha_chi, curve_chi),
-                                        ("alpha_R", alpha_r, curve_R))
-            for p in optimize.time_allocation_profile(curve, psi_grid)]
+            for label, alpha, coeffs in (("alpha_chi", alpha_chi, coeffs_chi),
+                                         ("alpha_R", alpha_r, coeffs_R))
+            for p in optimize.time_allocation_profile(coeffs, alpha, psi_grid)]
     summary = {"alpha_chi": alpha_chi, "alpha_r": alpha_r,
                "psi_R": psi_R, "psi_chi": psi_chi}
     return columns, rows, summary

@@ -32,8 +32,8 @@ the coefficients alone: the R peak is a root of a cubic (:func:`_rate_peak`),
 the chi peak Newton's method from it (:func:`_merit_peak`), and
 :func:`max_cooling_rate` and :func:`max_figure_of_merit` return the curve
 points there.  The alpha sweeps refine alpha by golden section over those
-maxima; one array interpolation inverts curves at target COPs for the
-envelope and the profiles.  The grid rules live here; the CLI reads them.
+maxima.  The envelope and the profiles build no curve either: their points
+are the fixed-COP maxima of :func:`_cop_points`.  The grid rules live here.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "time_allocation_profile",
     "free_time_sweep",
     "DEFAULT_TAU_C_RANGE",
-    "DEFAULT_TAU_C_GRID",
     "DEFAULT_ALPHA_WINDOW",
     "DEFAULT_ALPHA_POINTS",
     "DEFAULT_ENVELOPE_ALPHA_POINTS",
@@ -80,10 +79,9 @@ __all__ = [
 # not supply a grid: wide enough to cover the R peak and the large-time COP
 # saturation for every alpha in the default window.
 DEFAULT_TAU_C_RANGE = (0.3, 3000.0, 120)
-DEFAULT_TAU_C_GRID = np.geomspace(*DEFAULT_TAU_C_RANGE)
 DEFAULT_ALPHA_WINDOW = (-0.5, 1.5)
 DEFAULT_ALPHA_POINTS = 101  # alpha_sweep's grid over the window
-DEFAULT_ENVELOPE_ALPHA_POINTS = 61  # fixed-alpha curves behind an envelope
+DEFAULT_ENVELOPE_ALPHA_POINTS = 61  # the alphas an envelope compares
 MIN_GRID_POINTS = 100  # of a tau_c grid and of an alpha_sweep grid
 
 
@@ -295,7 +293,7 @@ def optimal_curve(config, tau_c_grid=None):
     survivors is an error that carries the same pairs as its ``failed_points``.
     """
     if tau_c_grid is None:
-        tau_c_grid = DEFAULT_TAU_C_GRID
+        tau_c_grid = np.geomspace(*DEFAULT_TAU_C_RANGE)
     tau_c_grid = np.asarray(tau_c_grid, dtype=float)
     if tau_c_grid.size < MIN_GRID_POINTS:
         raise ValueError(f"tau_c grid needs >= {MIN_GRID_POINTS} points")
@@ -398,6 +396,46 @@ def _merit_peak(coeffs):
     raise ConvergenceError(f"chi Newton iteration found no maximum in {_NEWTON_MAXITER} steps")
 
 
+def _cop_range(coeffs):
+    """(lo, hi) of the COPs with tau_h > 0 (psi > (A - Z)/H) and tau_p > 0 (psi <
+    A/(H - Z)); T and dS fix both, so no alpha moves them."""
+    A, Z, H, _ = _branch_terms(coeffs)
+    return max(0.0, (A - Z) / H), A / (H - Z)
+
+
+def _cop_points(coeffs, psi):
+    """(tau_c, R) arrays of the largest R at each fixed COP ``psi``, NaN outside
+    :func:`_cop_range`.  With Q_h = Q_c/psi and Q_p = -k Q_c, k = 1 + 1/psi,
+    1/tau_h and 1/tau_p are linear in u = 1/tau_c, so g = Q_c' tau - Q_c tau'
+    falls (g' = -Q_c tau'' < 0) from +inf to -inf on the admissible u; its
+    root takes Newton steps kept inside a bisection bracket."""
+    _require_sign_structure(coeffs)
+    A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
+    P, psi = Z - A - H, np.asarray(psi, dtype=float)
+    with np.errstate(all="ignore"):  # the NaN entries
+        k = 1.0 + 1.0 / psi
+        lo, hi = np.maximum((A - psi * H) / a_c, 0.0), (A + P / k) / a_c
+        lo, hi = (np.where((psi > 0.0) & (lo < hi), x, np.nan) for x in (lo, hi))
+        d_h, d_p = a_c / (psi * a_h), -k * a_c / a_p  # d(1/tau_h)/du, d(1/tau_p)/du
+        u = 0.5 * (lo + hi)
+        done = np.isnan(u)  # outside the range
+        for _ in range(_NEWTON_MAXITER):
+            Q_c = A - a_c * u
+            w_h, w_p = (H - Q_c / psi) / a_h, (P + k * Q_c) / a_p
+            tau_u = -u ** -2.0 - d_h / w_h ** 2 - d_p / w_p ** 2
+            tau_uu = 2.0 * (u ** -3.0 + d_h ** 2 / w_h ** 3 + d_p ** 2 / w_p ** 3)
+            g = -a_c * (1.0 / u + 1.0 / w_h + 1.0 / w_p) - Q_c * tau_u
+            lo, hi = np.where(g > 0.0, u, lo), np.where(g > 0.0, hi, u)
+            new = u + g / (Q_c * tau_uu)
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            u, done = np.where(done, u, new), done | (np.abs(new - u) <= _NEWTON_RTOL * new)
+            if done.all():
+                Q_c = A - a_c * u
+                return 1.0 / u, Q_c / (1.0 / u + a_h / (H - Q_c / psi) + a_p / (P + k * Q_c))
+    raise ConvergenceError(f"fixed-COP Newton iteration found no maximum at "
+                           f"psi={psi[~done].flat[0]} in {_NEWTON_MAXITER} steps")
+
+
 def max_cooling_rate(coeffs, alpha):
     """SweepRecord of the cooling-rate maximum (the curve point at its tau_c)."""
     return _principal(coeffs, alpha, _rate_peak(coeffs)[0])
@@ -437,127 +475,101 @@ def curve_maxima(coeffs, alpha):
 
 
 def _alpha_maxima(config, alpha):
-    """:func:`curve_maxima` of ``config`` at the frequency exponent ``alpha``."""
-    return curve_maxima(cycle.cycle_coefficients(replace(config, alpha=alpha)), alpha)
+    """(coefficients, :func:`curve_maxima`) of ``config`` at ``alpha``."""
+    coeffs = cycle.cycle_coefficients(replace(config, alpha=alpha))
+    return coeffs, curve_maxima(coeffs, alpha)
 
 
-def _refine_alpha(config, alphas, values, key):
-    """AlphaRecord at the alpha maximizing ``key``: ``values`` at the ascending
-    ``alphas`` choose the bracket that :func:`_refine_max` searches."""
-    def value(alpha):
-        record = _attempt(_alpha_maxima, config, alpha)[0]
-        return getattr(record, key) if record is not None else -math.inf
-
-    hit = _refine_max(value, alphas, values, xtol=1e-4)
-    return _alpha_maxima(config, hit[0] if hit is not None else alphas[int(np.argmax(values))])
-
-
-def _alpha_grid(alpha_grid, points, min_points=1):
-    """``alpha_grid`` as floats (None: ``points`` over the window); ValueError if invalid."""
+def _alpha_rows(config, alpha_grid, size, min_size=1):
+    """(points, skipped, at_R, at_chi) over ``alpha_grid`` (None: ``size``
+    alphas across the window), which needs ``min_size`` ascending alphas in
+    the window (else ValueError): :func:`_alpha_maxima` of each alpha,
+    ``(alpha, reason)`` of those that fail (all failing is an error), and the
+    AlphaRecords that :func:`_refine_max` finds for R_max and chi_max from the
+    rows, which seed its lookup, so no alpha is computed twice."""
     if alpha_grid is None:
-        alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, points)
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if alpha_grid.size < min_points:
-        raise ValueError(f"alpha grid needs >= {min_points} points")
+        alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, size)
+    alphas = np.asarray(alpha_grid, dtype=float)
+    if alphas.size < min_size:
+        raise ValueError(f"alpha grid needs >= {min_size} points")
     lo, hi = DEFAULT_ALPHA_WINDOW
-    if not lo <= alpha_grid.min() <= alpha_grid.max() <= hi:
+    if not lo <= alphas.min() <= alphas.max() <= hi:
         raise ValueError(f"alpha grid must stay within [{lo}, {hi}]")
-    return alpha_grid.tolist()
+    results = [_attempt(_alpha_maxima, config, a) for a in alphas.tolist()]
+    skipped = [(a, why) for a, (point, why) in zip(alphas.tolist(), results) if point is None]
+    if len(skipped) == len(results):
+        raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
+    points = [point for point, _ in results if point is not None]
+    known = {row.alpha: row for _, row in points}
+
+    def value(alpha, key):
+        if alpha not in known:
+            point = _attempt(_alpha_maxima, config, alpha)[0]
+            known[alpha] = point and point[1]
+        return getattr(known[alpha], key, -math.inf)  # -inf where it failed (None)
+
+    rows, refined = [row for _, row in points], []
+    for key in ("R_max", "chi_max"):
+        values = [getattr(row, key) for row in rows]
+        hit = _refine_max(lambda a: value(a, key), [r.alpha for r in rows], values, xtol=1e-4)
+        refined.append(known[hit[0]] if hit is not None else rows[int(np.argmax(values))])
+    return points, skipped, *refined
 
 
 def alpha_sweep(config, alpha_grid=None):
     """Best R and chi per frequency exponent and the alphas of their maxima,
     from the coefficients alone (no curve is built).  Failing grid points are
     listed in ``skipped`` as ``(alpha, reason)`` pairs."""
-    alpha_grid = _alpha_grid(alpha_grid, DEFAULT_ALPHA_POINTS, MIN_GRID_POINTS)
-    results = [_attempt(_alpha_maxima, config, a) for a in alpha_grid]
-    rows = [record for record, _ in results if record is not None]
-    skipped = [(a, why) for a, (record, why) in zip(alpha_grid, results) if record is None]
-    if not rows:
-        raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
-
-    alphas = [r.alpha for r in rows]
-    at_R = _refine_alpha(config, alphas, [r.R_max for r in rows], "R_max")
-    at_chi = _refine_alpha(config, alphas, [r.chi_max for r in rows], "chi_max")
-    return AlphaSweepResult(rows=rows, alpha_chi=at_chi.alpha, alpha_R=at_R.alpha,
-                            chi_max=at_chi.chi_max, R_max=at_R.R_max, skipped=skipped)
+    points, skipped, at_R, at_chi = _alpha_rows(config, alpha_grid, DEFAULT_ALPHA_POINTS,
+                                                MIN_GRID_POINTS)
+    return AlphaSweepResult(rows=[row for _, row in points], alpha_chi=at_chi.alpha,
+                            alpha_R=at_R.alpha, chi_max=at_chi.chi_max, R_max=at_R.R_max,
+                            skipped=skipped)
 
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """Alpha-optimized performance curves and their peak COPs."""
+    """Alpha-optimized curve, the envelope of R(psi) and so of chi(psi) = psi R,
+    its peak COPs and ``(psi, reason)`` pairs of the ``skipped`` COPs."""
 
-    r_curve: list
-    chi_curve: list
+    records: list
     psi_R: float
     psi_chi: float
     skipped: list
 
 
-def _interp_on_curve(records, psi):
-    """Linear interpolation of (R, chi, tau_c) at the COPs ``psi`` (an array)
-    along records sorted by COP; NaN outside [first psi, last psi]."""
-    psis = np.array([r.psi for r in records])
-    return tuple(np.interp(psi, psis, [getattr(r, key) for r in records],
-                           left=np.nan, right=np.nan) for key in ("R", "chi", "tau_c"))
+def _cop_records(pairs, psi_grid):
+    """SweepRecords at the COPs ``psi_grid``, each the principal point at the
+    fixed-COP tau_c (:func:`_cop_points`) of the first ``(coeffs, alpha)`` pair
+    with the largest R there, and ``(psi, reason)`` of the COPs that fail."""
+    tau_c, R = map(np.array, zip(*(_cop_points(coeffs, psi_grid) for coeffs, _ in pairs)))
+    span = "({:.4f}, {:.4f})".format(*_cop_range(pairs[0][0]))
+    best = np.nan_to_num(R, nan=-np.inf).argmax(axis=0).tolist()
+    results = [(None, f"outside the attainable range {span}") if math.isnan(R[k, j])
+               else _attempt(_principal, *pairs[k], float(tau_c[k, j]))
+               for j, k in enumerate(best)]
+    return ([record for record, _ in results if record is not None],
+            [(psi, why) for psi, (record, why) in zip(psi_grid.tolist(), results)
+             if record is None])
 
 
-def envelope_curve(config, psi_grid=None, alpha_grid=None, tau_c_grid=None):
-    """Upper envelopes of R(psi) and chi(psi) over the frequency exponent.
-
-    For every target COP the best alpha is selected among the fixed-alpha
-    optimal curves of ``alpha_grid`` (by default ``DEFAULT_ENVELOPE_ALPHA_POINTS``
-    across the window; each curve inverted by monotone interpolation, the
-    first of equal maxima winning); the matching duration triple is then
-    re-solved exactly.  The labeled peak COPs are the :func:`curve_maxima`
-    at the alpha refined from the bracket of the curves' grid maxima.
-    """
-    alphas = _alpha_grid(alpha_grid, DEFAULT_ENVELOPE_ALPHA_POINTS)
-    results = [_attempt(optimal_curve, replace(config, alpha=a), tau_c_grid) for a in alphas]
-    built = [(a, c) for a, (c, _) in zip(alphas, results) if c is not None]
-    if not built:
-        raise ConvergenceError(
-            "no alpha in the window produced an optimal curve",
-            failed_points=[(a, reason) for a, (_, reason) in zip(alphas, results)],
-        )
-
+def envelope_curve(config, psi_grid=None, alpha_grid=None):
+    """Upper envelope of R(psi), and so of chi(psi), over the frequency exponent,
+    from :func:`_cop_records` over ``alpha_grid`` (by default
+    ``DEFAULT_ENVELOPE_ALPHA_POINTS`` across the window); the default psi grid
+    spans 1% to 99% of :func:`_cop_range`.  The peak COPs come from the refined
+    per-alpha maxima, as in :func:`alpha_sweep`.  No curve is built."""
+    points, _, at_R, at_chi = _alpha_rows(config, alpha_grid, DEFAULT_ENVELOPE_ALPHA_POINTS)
     if psi_grid is None:
-        lo = min(c.records[0].psi for _, c in built)
-        hi = max(c.records[-1].psi for _, c in built)
-        span = hi - lo
-        psi_grid = np.linspace(lo + 0.01 * span, hi - 0.01 * span, 80)
-    psi_grid = np.asarray(psi_grid, dtype=float)
-
-    # (alpha, psi) stacks; only the best alpha's point per psi is re-solved
-    R, chi, tau_c = map(np.array, zip(*(_interp_on_curve(c.records, psi_grid)
-                                         for _, c in built)))
-    reached = ~np.isnan(R).all(axis=0)
-    skipped = psi_grid[~reached].tolist()
-    best_R = np.nan_to_num(R, nan=-np.inf).argmax(axis=0)
-    best_chi = np.nan_to_num(chi, nan=-np.inf).argmax(axis=0)
-    r_curve, chi_curve = [], []
-    for j in np.flatnonzero(reached).tolist():
-        for k, out in ((best_R[j], r_curve), (best_chi[j], chi_curve)):
-            alpha, c = built[k]
-            record = _attempt(_principal, c.coeffs, alpha, float(tau_c[k, j]))[0]
-            if record is not None:
-                out.append(record)
-    if skipped and len(skipped) == len(psi_grid):
-        raise ConvergenceError(
-            "no requested COP is attained by any alpha in the window",
-            failed_points=[(psi, "not attained by any alpha's curve") for psi in skipped],
-        )
-
-    # Peak COPs of the envelopes: the per-alpha grid maxima bracket alpha, and
-    # the peak psi is read off the curve maxima there.
-    built_alphas = [a for a, _ in built]
-    at_R = _refine_alpha(config, built_alphas,
-                         [max(r.R for r in c.records) for _, c in built], "R_max")
-    at_chi = _refine_alpha(config, built_alphas,
-                           [max(r.chi for r in c.records) for _, c in built], "chi_max")
-    return EnvelopeResult(r_curve=r_curve, chi_curve=chi_curve,
-                          psi_R=at_R.psi_at_R_max, psi_chi=at_chi.psi_at_chi_max,
-                          skipped=skipped)
+        lo, hi = _cop_range(points[0][0])
+        psi_grid = lo + (hi - lo) * np.linspace(0.01, 0.99, 80)
+    records, skipped = _cop_records([(coeffs, row.alpha) for coeffs, row in points],
+                                    np.asarray(psi_grid, dtype=float))
+    if not records:
+        raise ConvergenceError("no requested COP is attained by any alpha in the window",
+                               failed_points=skipped)
+    return EnvelopeResult(records=records, psi_R=at_R.psi_at_R_max,
+                          psi_chi=at_chi.psi_at_chi_max, skipped=skipped)
 
 
 class ProfilePoint(NamedTuple):
@@ -572,33 +584,22 @@ class ProfilePoint(NamedTuple):
     tau_p: float
 
 
-def time_allocation_profile(curve, psi_grid):
-    """Duration profile along a fixed-alpha :class:`CurveResult`: each target
-    COP is inverted to tau_c as in :func:`envelope_curve` and re-solved there.
+def time_allocation_profile(coeffs, alpha, psi_grid):
+    """Duration profile of :func:`_cop_records` at the frequency exponent
+    ``alpha`` (its coefficients ``coeffs``), no curve built; a target COP that
+    fails is a ConvergenceError.
 
     The expected shape (total time increasing with the COP, tau_h/tau_p
     falling and tau_c/tau_p rising) is checked between consecutive points;
     each kind of violation raises one RuntimeWarning with its count and first
     psi pair, and the caller decides whether the shape is a requirement.
     """
-    coeffs, records = curve.coeffs, curve.records
-    psi_grid = np.asarray(psi_grid, dtype=float)
-    tau_c = _interp_on_curve(records, psi_grid)[2]
-    unreachable = psi_grid[np.isnan(tau_c)].tolist()
-    if unreachable:
-        span = f"[{records[0].psi:.4f}, {records[-1].psi:.4f}]"
-        raise ConvergenceError(
-            f"COP targets outside the attainable range {span}",
-            failed_points=[(psi, f"outside {span}") for psi in unreachable],
-        )
-    points = []
-    for psi, tc in zip(psi_grid.tolist(), tau_c.tolist()):
-        rec = _attempt(_principal, coeffs, records[0].alpha, tc)[0]
-        if rec is None:
-            raise ConvergenceError(f"allocation lost while refining psi={psi}")
-        points.append(ProfilePoint(rec.psi, rec.tau_c + rec.tau_h + rec.tau_p,
-                                   rec.tau_h / rec.tau_p, rec.tau_c / rec.tau_p,
-                                   rec.tau_c, rec.tau_h, rec.tau_p))
+    records, skipped = _cop_records([(coeffs, alpha)], np.asarray(psi_grid, dtype=float))
+    if skipped:
+        raise ConvergenceError(f"no allocation at psi={skipped[0][0]}: {skipped[0][1]}",
+                               failed_points=skipped)
+    points = [ProfilePoint(r.psi, r.tau_c + r.tau_h + r.tau_p, r.tau_h / r.tau_p,
+                           r.tau_c / r.tau_p, r.tau_c, r.tau_h, r.tau_p) for r in records]
     psi, total, hp, cp = (np.array([getattr(p, key) for p in points])
                           for key in ("psi", "tau_total", "ratio_hp", "ratio_cp"))
     rising = psi[1:] > psi[:-1]  # duplicate targets are not compared

@@ -217,30 +217,58 @@ class TestSubcommands:
         labels = {line.split(",")[0] for line in lines[1:]}
         assert labels == {"alpha_chi", "alpha_R"}
 
-    def test_time_allocation_builds_each_curve_once(self, tmp_path, monkeypatch):
+    def test_time_allocation_builds_no_curve(self, tmp_path, monkeypatch):
+        # the profiles and the sweep that chooses unset alphas read the
+        # coefficients; the tau_c grid keys are ignored
         built = []
-        original = optimize.optimal_curve
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "optimal_curve", counting)
-        code, _ = run_cli(tmp_path, "time-allocation",
-                          "alpha_chi=0.6278", "alpha_r=0.9799", "psi_points=5")
-        assert code == 0
-        assert [config.alpha for config, *_ in built] == [0.9799, 0.6278]
-
-        # Without given alphas the sweep chooses them from the branch
-        # coefficients and builds no curve: the two profiles are the only ones.
-        for given in ((), ("alpha_chi=0.6278",), ("alpha_r=0.9799",)):
-            built.clear()
+        monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
+        for given in (("alpha_chi=0.6278", "alpha_r=0.9799"), (), ("alpha_chi=0.6278",),
+                      ("alpha_r=0.9799",)):
             code, out = run_cli(tmp_path, "time-allocation", "psi_points=5", *given)
-            assert code == 0
-            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-            alphas = {label: float(alpha) for label, alpha, *_ in rows}
-            assert [config.alpha for config, *_ in built] == \
-                [alphas["alpha_R"], alphas["alpha_chi"]]
+            assert code == 0 and len(out.read_text().splitlines()) == 11
+        assert built == []
+
+    def test_time_allocation_rows_hit_their_target_cops(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "time-allocation",
+                            "alpha_chi=0.6278", "alpha_r=0.9799", "psi_points=7")
+        assert code == 0
+        summary = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()[1:])
+        targets = np.linspace(float(summary["psi_R"]), float(summary["psi_chi"]), 7)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        for label in ("alpha_chi", "alpha_R"):
+            psis = [float(row[2]) for row in rows if row[0] == label]
+            assert psis == pytest.approx(targets.tolist(), rel=1e-9)
+
+    def test_envelope_rows_hit_their_targets_and_serve_both_curves(self, tmp_path,
+                                                                  monkeypatch):
+        built = []
+        monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
+        code, out = run_cli(tmp_path, "envelope", "envelope_alpha_points=5",
+                            "psi_min=0.06", "psi_max=0.16", "psi_points=9")
+        assert code == 0 and built == []
+        lines = out.read_text().splitlines()
+        assert lines[0] == "curve,alpha,psi,R,chi,tau_c,tau_h,tau_p"
+        rows = {"R": [], "chi": []}
+        for line in lines[1:]:
+            label, rest = line.split(",", 1)
+            rows[label].append(rest)
+        assert rows["R"] == rows["chi"] and len(rows["R"]) == 9
+        psis = [float(row.split(",")[1]) for row in rows["R"]]
+        assert psis == pytest.approx(np.linspace(0.06, 0.16, 9).tolist(), rel=1e-9)
+
+    @pytest.mark.parametrize("subcommand, settings, key", [
+        ("envelope", ("psi_min=0.3", "psi_max=0.2"), "psi_max"),
+        ("envelope", ("psi_min=-0.1", "psi_max=0.1"), "psi_min"),
+        ("time-allocation", ("psi_min=0.2", "psi_max=0.1"), "psi_max"),
+    ])
+    def test_psi_bounds_checked_at_parse_time(self, tmp_path, capsys, monkeypatch,
+                                              subcommand, settings, key):
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, subcommand, lambda *args: calls.append(args))
+        code, out = run_cli(tmp_path, subcommand, *settings)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be > ")
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("bound", ["psi_min=0.05", "psi_max=0.1"])
     def test_envelope_rejects_a_lone_psi_bound(self, tmp_path, capsys, bound):

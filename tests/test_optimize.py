@@ -27,7 +27,10 @@ from qtricycle import (
 from qtricycle import optimize
 from qtricycle.cycle import CycleCoefficients
 from qtricycle.optimize import (
+    _branch_terms,
     _checked_residual,
+    _cop_points,
+    _cop_range,
     _energy_balance,
     _merit_peak,
     _rate_cubic,
@@ -493,11 +496,10 @@ class TestPythonScalars:
     def test_every_numeric_field_is_a_python_scalar(self, config, coeffs, curve):
         envelope = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                                   psi_grid=np.linspace(0.06, 0.16, 9))
-        profile = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+        profile = time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
         objects = [*solve_time_allocation(coeffs, 9.0), *curve.records,
                    curve_maxima(coeffs, config.alpha), max_cooling_rate(coeffs, config.alpha),
-                   max_figure_of_merit(coeffs, config.alpha), *envelope.r_curve,
-                   *envelope.chi_curve, *profile]
+                   max_figure_of_merit(coeffs, config.alpha), *envelope.records, *profile]
         checked = 0
         for obj in objects:
             for name, value in self.numeric_fields(obj):
@@ -540,6 +542,20 @@ class TestAlphaSweep:
         sweep = alpha_sweep(config, np.linspace(0.0, 1.0, optimize.MIN_GRID_POINTS))
         assert built == [] and len(sweep.rows) == optimize.MIN_GRID_POINTS
 
+    def test_computes_each_alpha_once(self, config, sweep, monkeypatch):
+        # the golden searches look the grid's alphas up in the rows
+        seen = []
+        original = optimize._alpha_maxima
+
+        def counting(cfg, alpha):
+            seen.append(alpha)
+            return original(cfg, alpha)
+
+        monkeypatch.setattr(optimize, "_alpha_maxima", counting)
+        again = alpha_sweep(config)
+        assert len(seen) == len(set(seen)) > len(again.rows)
+        assert again == sweep
+
 
 class TestEnvelope:
     @pytest.fixture(scope="class")
@@ -550,39 +566,31 @@ class TestEnvelope:
     def test_envelope_dominates_flat_bath_member(self, config, small_envelope):
         member = optimal_curve(config).records
         psis = np.array([r.psi for r in member])
-        for rec in small_envelope.r_curve:
+        for rec in small_envelope.records:
             if psis[0] <= rec.psi <= psis[-1]:
                 member_R = float(np.interp(rec.psi, psis, [r.R for r in member]))
                 assert rec.R >= member_R * (1.0 - 1e-9)
 
-    def test_builds_each_curve_once(self, config, monkeypatch):
-        # one curve per grid alpha; the peak refinement reads the coefficients
+    def test_builds_no_curve(self, config, monkeypatch):
+        # the fixed-COP points and the peak refinement read the coefficients
         built = []
-        original = optimize.optimal_curve
+        monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
+        result = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
+                                psi_grid=np.linspace(0.06, 0.16, 9))
+        assert built == [] and len(result.records) == 9
 
-        def counting(cfg, *args, **kwargs):
-            built.append(cfg.alpha)
-            return original(cfg, *args, **kwargs)
-
-        monkeypatch.setattr(optimize, "optimal_curve", counting)
-        envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
-                       psi_grid=np.linspace(0.06, 0.16, 9))
-        assert built == np.linspace(-0.5, 1.5, 5).tolist()
-
-    def test_array_inversion_matches_scalar_interp(self, curve):
-        recs = curve.records
-        psis = np.array([r.psi for r in recs])
-        targets = np.concatenate([psis[:1], psis[-1:], psis[::7],
-                                  np.linspace(psis[0], psis[-1], 97)])
-        inverted = optimize._interp_on_curve(recs, targets)
-        for key, values in zip(("R", "chi", "tau_c"), inverted):
-            column = [getattr(r, key) for r in recs]
-            assert values[0] == column[0] and values[1] == column[-1]
-            for psi, value in zip(targets.tolist(), values.tolist()):
-                assert value == float(np.interp(psi, psis, column))
-        just_outside = [np.nextafter(psis[0], -np.inf), np.nextafter(psis[-1], np.inf)]
-        for values in optimize._interp_on_curve(recs, np.array(just_outside)):
-            assert np.isnan(values).all()
+    def test_rows_hit_their_target_cops(self, config):
+        # each row is the best alpha's fixed-COP point, re-solved at its tau_c
+        alphas = np.linspace(-0.5, 1.5, 9)
+        result = envelope_curve(config, alpha_grid=alphas)
+        lo, hi = _cop_range(cycle_coefficients(config))
+        targets = lo + (hi - lo) * np.linspace(0.01, 0.99, 80)
+        assert lo == 0.0 and not result.skipped
+        assert [r.psi for r in result.records] == pytest.approx(targets.tolist(), rel=1e-9)
+        R = np.array([_cop_points(cycle_coefficients(replace(config, alpha=a)), targets)[1]
+                      for a in alphas.tolist()])
+        assert [r.alpha for r in result.records] == alphas[R.argmax(axis=0)].tolist()
+        assert [r.R for r in result.records] == pytest.approx(R.max(axis=0).tolist(), rel=1e-9)
 
     def test_alpha_grid_stays_in_the_window(self, config, monkeypatch):
         # the envelope and the alpha sweep share one check, made before any curve
@@ -605,12 +613,13 @@ class TestEnvelope:
         with pytest.raises(ConvergenceError) as err:
             envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                            psi_grid=np.array([0.999]))
-        assert err.value.failed_points == [(0.999, "not attained by any alpha's curve")]
+        assert err.value.failed_points == [
+            (0.999, "outside the attainable range (0.0000, 0.1879)")]
 
 
 class TestTimeAllocationProfile:
-    def test_profile_shape(self, curve):
-        points = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+    def test_profile_shape(self, config, coeffs):
+        points = time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
         totals = [p.tau_total for p in points]
         assert all(b > a for a, b in zip(totals, totals[1:]))
         hp = [p.ratio_hp for p in points]
@@ -619,13 +628,20 @@ class TestTimeAllocationProfile:
             assert np.isfinite(p.ratio_hp) and p.ratio_hp > 0
             assert np.isfinite(p.ratio_cp) and p.ratio_cp > 0
 
-    def test_default_profile_has_the_expected_shape(self, curve):
+    def test_default_profile_has_the_expected_shape(self, config, coeffs):
         # tau_c/tau_p grows with the COP here, as the shape check expects
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            points = time_allocation_profile(curve, np.linspace(0.10, 0.14, 7))
+            points = time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
         cp = [p.ratio_cp for p in points]
         assert all(b > a for a, b in zip(cp, cp[1:]))
+
+    def test_points_hit_their_target_cops(self, config, coeffs):
+        targets = np.linspace(0.01, 0.18, 29)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the shape check's
+            points = time_allocation_profile(coeffs, config.alpha, targets)
+        assert [p.psi for p in points] == pytest.approx(targets.tolist(), rel=1e-9)
 
     def test_shape_warnings_match_pairwise_reference(self, curve, rng):
         # random, unsorted and repeated COP targets on the default and random curves
@@ -643,18 +659,64 @@ class TestTimeAllocationProfile:
                     targets[1] = targets[0]
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    points = time_allocation_profile(member, targets)
+                    points = time_allocation_profile(member.coeffs, member.records[0].alpha,
+                                                     targets)
                 messages = [str(w.message) for w in caught]
                 assert messages == profile_shape_warnings_reference(points)
                 kinds.update(m.split(" between")[0] for m in messages)
         assert kinds == {"total time not increasing",
                          "tau_h/tau_p not falling or tau_c/tau_p not rising"}
 
-    def test_unreachable_target_reported(self, curve):
+    def test_unreachable_target_reported(self, config, coeffs):
         with pytest.raises(ConvergenceError) as err:
-            time_allocation_profile(curve, np.array([0.12, 0.32]))
+            time_allocation_profile(coeffs, config.alpha, np.array([0.12, 0.32]))
         [(psi, reason)] = err.value.failed_points
-        assert psi == 0.32 and reason.startswith("outside [")
+        assert psi == 0.32 and reason == "outside the attainable range (0.0000, 0.1879)"
+
+
+class TestFixedCopPoints:
+    """The largest cooling rate at a fixed COP, from the coefficients alone."""
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_curve_records_are_the_fixed_cop_points(self, config):
+        curve = optimal_curve(config)
+        tau_c, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
+        assert tau_c.tolist() == pytest.approx([r.tau_c for r in curve.records], rel=1e-10)
+        assert R.tolist() == pytest.approx([r.R for r in curve.records], rel=1e-10)
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_no_point_on_the_fixed_cop_line_beats_it(self, config):
+        coeffs = cycle_coefficients(config)
+        lo, hi = _cop_range(coeffs)
+        for psi in (lo + (hi - lo) * np.array([0.02, 0.3, 0.6, 0.9, 0.98])).tolist():
+            [tau_c], [R] = _cop_points(coeffs, [psi])
+            line = []  # a wide log scan and a fine one around the root
+            for t in np.concatenate([np.geomspace(tau_c / 100.0, tau_c * 100.0, 1001),
+                                     np.geomspace(tau_c / 1.01, tau_c * 1.01, 1001)]).tolist():
+                times = fixed_cop_times(coeffs, psi, t)
+                if times is not None:
+                    m = evaluate_cycle(coeffs, t, *times)
+                    assert m.psi == pytest.approx(psi, rel=1e-12)
+                    line.append(m.R)
+            assert len(line) > 200 and max(line) <= R * (1.0 + 1e-12)
+            assert max(line) >= R * (1.0 - 1e-8)  # the fine scan reaches the root
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_nan_outside_the_attainable_range(self, config):
+        coeffs = cycle_coefficients(config)
+        A, Z, H, _ = _branch_terms(coeffs)
+        hi = A / (H - Z)
+        assert _cop_range(coeffs) == (0.0, hi)
+        outside = [-0.1, -0.0, 0.0, hi, hi * (1.0 + 1e-12), 0.5, np.inf, np.nan]
+        for values in _cop_points(coeffs, outside):
+            assert np.isnan(values).all()
+        tau_c, R = _cop_points(coeffs, [hi * (1.0 - 1e-9), hi * (1.0 - 1e-6), 1e-9])
+        assert np.isfinite(tau_c).all() and (tau_c > 0.0).all() and (R > 0.0).all()
+
+    def test_newton_without_convergence_raises(self, coeffs, monkeypatch):
+        monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)
+        with pytest.raises(ConvergenceError, match="fixed-COP Newton .* in 2 steps"):
+            _cop_points(coeffs, [0.1])
 
 
 class TestFreeTimeSweep:

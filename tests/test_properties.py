@@ -1,6 +1,6 @@
 """Properties of the quenches, the branch coefficients, the allocation
-solver and the closed-form curve maxima over random configurations
-(``conftest.random_config``) and cold-branch durations.
+solver, the closed-form curve maxima and the fixed-COP points over random
+configurations (``conftest.random_config``) and cold-branch durations.
 
 Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
 run is reproducible.
@@ -20,7 +20,7 @@ from qtricycle import (
     reversible_cop,
     solve_time_allocation,
 )
-from qtricycle.optimize import _checked_residual, curve_maxima
+from qtricycle.optimize import _checked_residual, _cop_points, curve_maxima
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -82,3 +82,7 @@ def test_closed_form_maxima_exist_with_the_curve_and_beat_it(config):
     assert maxima.psi_at_R_max < maxima.psi_at_chi_max
     assert maxima.R_max >= max(r.R for r in curve.records) * (1.0 - 1e-12)
     assert maxima.chi_max >= max(r.chi for r in curve.records) * (1.0 - 1e-12)
+    # every curve point is the largest cooling rate at its own COP
+    tau_c, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
+    assert tau_c.tolist() == pytest.approx([r.tau_c for r in curve.records], rel=1e-10)
+    assert R.tolist() == pytest.approx([r.R for r in curve.records], rel=1e-10)
