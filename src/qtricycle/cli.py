@@ -10,7 +10,9 @@ records (:class:`~qtricycle.optimize.SweepRecord` and the like), whose field
 names are the report's columns.
 ``psi_points`` COPs from ``psi_min`` to ``psi_max`` make the psi grid of
 ``time-allocation`` (a bound left unset is the peak COP of one of its two
-alphas) and of ``envelope``, which takes both bounds or neither (then its 80
+alphas, and a lone ``psi_min`` must lie below the larger peak, a lone
+``psi_max`` above the smaller)
+and of ``envelope``, which takes both bounds or neither (then its 80
 COPs span 1% to 99% of the attainable range, the same for every alpha).
 
 Grids are checked at parse time by the rules of the library functions they
@@ -340,13 +342,27 @@ def _run_time_allocation(rc, config):
     if alpha_r is None or alpha_chi is None:  # an alpha left unset takes the sweep's
         sweep = optimize.alpha_sweep(
             config, np.linspace(rc.alpha_min, rc.alpha_max, rc.alpha_points))
-        alpha_r = sweep.alpha_R if alpha_r is None else alpha_r
-        alpha_chi = sweep.alpha_chi if alpha_chi is None else alpha_chi
-    coeffs_R, coeffs_chi = (cycle.cycle_coefficients(replace(config, alpha=alpha))
-                            for alpha in (alpha_r, alpha_chi))
-    psi_R = optimize.max_cooling_rate(coeffs_R, alpha_r).psi
-    psi_chi = optimize.max_figure_of_merit(coeffs_chi, alpha_chi).psi
-    psi_grid = _psi_grid(rc, *sorted((psi_R, psi_chi)))
+    if alpha_r is None:
+        coeffs_R, at_R = sweep.at_R
+        alpha_r, psi_R = at_R.alpha, at_R.psi_at_R_max
+    else:
+        coeffs_R = cycle.cycle_coefficients(replace(config, alpha=alpha_r))
+        psi_R = optimize.max_cooling_rate(coeffs_R, alpha_r).psi
+    if alpha_chi is None:
+        coeffs_chi, at_chi = sweep.at_chi
+        alpha_chi, psi_chi = at_chi.alpha, at_chi.psi_at_chi_max
+    else:
+        coeffs_chi = cycle.cycle_coefficients(replace(config, alpha=alpha_chi))
+        psi_chi = optimize.max_figure_of_merit(coeffs_chi, alpha_chi).psi
+    lo, hi = sorted((psi_R, psi_chi))
+    # a lone bound's other end is a peak COP (two set bounds are ordered at parse time)
+    if rc.psi_max is None and rc.psi_min is not None and not rc.psi_min < hi:
+        raise ConfigError(f"psi_min must be < {hi!r}, the larger peak COP at the grid's "
+                          "other end")
+    if rc.psi_min is None and rc.psi_max is not None and not rc.psi_max > lo:
+        raise ConfigError(f"psi_max must be > {lo!r}, the smaller peak COP at the grid's "
+                          "other end")
+    psi_grid = _psi_grid(rc, lo, hi)
     columns = ("alpha_label", "alpha", *optimize.ProfilePoint._fields)
     rows = [(label, alpha, *p)
             for label, alpha, coeffs in (("alpha_chi", alpha_chi, coeffs_chi),

@@ -90,18 +90,24 @@ class CycleMetrics:
     valid: bool
 
 
-def evaluate_cycle(coeffs, tau_c, tau_h, tau_p):
-    """Cycle metrics of the coefficients ``coeffs`` for any duration triple."""
-    for name, tau in (("tau_c", tau_c), ("tau_h", tau_h), ("tau_p", tau_p)):
-        if tau <= 0.0:
-            raise ValueError(f"{name} must be > 0, got {tau}")
+def cycle_heats(coeffs, tau_c, tau_h, tau_p):
+    """(cold, hot, pump, R): each branch's BranchThermo and the cooling rate
+    Q_c / (tau_c + tau_h + tau_p) of a duration triple, unchecked; scalars, or
+    arrays that broadcast, field by field."""
     cold, hot, pump = (
         BranchThermo.from_coefficients(res, T, dS, Sigma, tau)
         for res, T, dS, Sigma, tau in zip("chp", coeffs.T, coeffs.dS, coeffs.Sigma,
                                           (tau_c, tau_h, tau_p))
     )
-    total_tau = tau_c + tau_h + tau_p
-    R = cold.Q / total_tau
+    return cold, hot, pump, cold.Q / (tau_c + tau_h + tau_p)
+
+
+def evaluate_cycle(coeffs, tau_c, tau_h, tau_p):
+    """Cycle metrics of the coefficients ``coeffs`` for any duration triple."""
+    for name, tau in (("tau_c", tau_c), ("tau_h", tau_h), ("tau_p", tau_p)):
+        if tau <= 0.0:
+            raise ValueError(f"{name} must be > 0, got {tau}")
+    cold, hot, pump, R = cycle_heats(coeffs, tau_c, tau_h, tau_p)
     valid = hot.Q > 0.0 and cold.Q > 0.0
     psi = cold.Q / hot.Q if valid else float("nan")
     chi = psi * R if valid else float("nan")

@@ -27,13 +27,19 @@ the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
 once the three quadratures are done; the algebra takes those coefficients
 (:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
-Each curve point is one :class:`SweepRecord`.  The R and chi maxima come from
-the coefficients alone: the R peak is a root of a cubic (:func:`_rate_peak`),
-the chi peak Newton's method from it (:func:`_merit_peak`), and
-:func:`max_cooling_rate` and :func:`max_figure_of_merit` return the curve
-points there.  The alpha sweeps refine alpha by golden section over those
-maxima.  The envelope and the profiles build no curve either: their points
-are the fixed-COP maxima of :func:`_cop_points`.  The grid rules live here.
+Each curve point is one :class:`SweepRecord`.  :func:`_stationary_roots`
+solves the quartic for a whole column of tau_c at once: one ``eigvals`` of
+the companion-matrix stack, one Newton step for every root, and each drop a
+mask with its reason; :func:`_principal_records` picks each row's principal
+root.  :func:`optimal_curve` is one such call, and
+:func:`solve_time_allocation` and :func:`_principal` are one-point views.
+The R and chi maxima come from the coefficients alone: the R peak is a root
+of a cubic (:func:`_rate_peak`), the chi peak Newton's method from it
+(:func:`_merit_peak`), and :func:`_maxima` solves both peaks of every alpha
+of a sweep in one call.  The alpha sweeps refine alpha by golden section over
+those maxima.  The envelope and the profiles build no curve either: their
+points are the fixed-COP maxima of :func:`_cop_points`, also one call.  The
+grid rules live here.
 """
 
 from __future__ import annotations
@@ -121,8 +127,8 @@ def _energy_balance(coeffs, tau_c, tau_p):
 def _stationarity_terms(coeffs, tau_c, tau_h, tau_p):
     """The four terms of the multiplier-free stationarity constraint."""
     (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.dS, coeffs.Sigma
-    return (dS_h * tau_h ** 2 / S_h, dS_p * tau_p ** 2 / S_p,
-            dS_c * tau_c ** 2 / S_c, 2.0 * (tau_c + tau_h + tau_p))
+    return (dS_h * _square(tau_h) / S_h, dS_p * _square(tau_p) / S_p,
+            dS_c * _square(tau_c) / S_c, 2.0 * (tau_c + tau_h + tau_p))
 
 
 # Accepted |F| relative to the summed |terms| of F.  Accurate roots stay below
@@ -132,26 +138,26 @@ def _stationarity_terms(coeffs, tau_c, tau_h, tau_p):
 _RESIDUAL_RTOL = 1e-10
 
 
-def _checked_residual(coeffs, tau_c, tau_h, tau_p):
-    """Stationarity residual, or :class:`ConvergenceError` when it exceeds
-    ``_RESIDUAL_RTOL`` times the summed magnitudes of its terms."""
+def _residual(coeffs, tau_c, tau_h, tau_p):
+    """(F, limit, missed) of the stationarity constraint at broadcastable
+    durations: F, ``_RESIDUAL_RTOL`` of its summed term magnitudes, and where
+    |F| is not within that limit (NaN included, as at a root on the pole)."""
     terms = _stationarity_terms(coeffs, tau_c, tau_h, tau_p)
-    residual = sum(terms)
-    limit = _RESIDUAL_RTOL * sum(map(abs, terms))
-    if abs(residual) > limit:
-        raise ConvergenceError(
-            f"stationarity residual {residual:.3e} too large at "
-            f"tau_c={tau_c} (limit {limit:.3e})"
-        )
-    return residual
+    residual = terms[0] + terms[1] + terms[2] + terms[3]
+    limit = _RESIDUAL_RTOL * (abs(terms[0]) + abs(terms[1]) + abs(terms[2]) + abs(terms[3]))
+    return residual, limit, ~(np.abs(residual) <= limit)
 
 
-def _horner(coefficients, x):
-    """Polynomial value in plain floats, np.polyval's operation order."""
-    y = 0.0
-    for c in coefficients:
-        y = y * x + c
-    return y
+def _square(x):
+    """x ** 2 by Python's pow, element by element for an array (numpy squares
+    an array by x * x, which differs from libm's pow in the last bit now and
+    then); inf where a float's square overflows."""
+    if isinstance(x, np.ndarray):
+        return np.array([_square(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    try:
+        return x ** 2
+    except OverflowError:  # pow raises where * gives inf
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -172,74 +178,113 @@ def _stationarity_quartic(coeffs, tau_c):
     N, M = -T_h * S_h, T_p * S_p
     K = T_p * dS_p + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
     a_h, a_p = dS_h / S_h, dS_p / S_p
-    c0 = dS_c * tau_c ** 2 / S_c + 2 * tau_c
-    return K, M, (a_p * K ** 2, 2 * K * (a_p * M + K),
-                  a_p * M ** 2 + 4 * K * M + c0 * K ** 2 + a_h * N ** 2 + 2 * N * K,
-                  2 * M * (M + c0 * K + N), c0 * M ** 2)
+    c0 = dS_c * _square(tau_c) / S_c + 2 * tau_c
+    K2, M2 = _square(K), _square(M)
+    return K, M, (a_p * K2, 2 * K * (a_p * M + K),
+                  a_p * M2 + 4 * K * M + c0 * K2 + a_h * _square(N) + 2 * N * K,
+                  2 * M * (M + c0 * K + N), c0 * M2)
+
+
+def _stationary_roots(coeffs, tau_c):
+    """(tau_h, tau_p, residual, reasons) at each cold-branch duration of the
+    (n, 1) column ``tau_c``, each coefficient of ``coeffs`` a float or an
+    (n, 1) column: (n, 4) rows of the real roots of the stationarity quartic
+    above -M/K (tau_h > 0), ascending, each polished by one Newton step, NaN
+    where a column holds none, and per row None or the reason it has no root.
+
+    All rows' roots come from one ``eigvals`` of the companion-matrix stack
+    (``np.roots`` for a row whose first or last coefficient is 0, which it
+    trims).  A root without a finite Newton update, or one that misses the
+    stationarity constraint by more than ``_RESIDUAL_RTOL`` of its summed term
+    magnitudes (:func:`_residual`; a spurious root at the pole -M/K of the
+    balanced tau_h, whose tau_h may come out NaN), is dropped.  A row has no
+    root when its coefficients break the sign structure, tau_c overflows a
+    quartic coefficient or its companion matrix, the energy balance admits no
+    positive tau_h (K <= 0; the reason names the tau_c or delta_c bound that
+    fails), or every root is dropped (the reason is then the first dropped
+    root's, a Newton failure before a residual).
+    """
+    n = tau_c.shape[0]
+    (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
+    with np.errstate(all="ignore"):  # the rows dropped below and the NaN entries
+        signed = np.broadcast_to((dS_c > 0.0) & (dS_h > 0.0) & (dS_p < 0.0) & (S_c < 0.0)
+                                 & (S_h < 0.0) & (S_p < 0.0), (n, 1))[:, 0]
+        K, M, poly = _stationarity_quartic(coeffs, tau_c)
+        poly = np.array(poly)[:, :, 0]  # (5, n)
+        companion_row = -poly[1:] / poly[0]
+        finite, feasible = np.isfinite(poly).all(0), K[:, 0] > 0.0
+        bounded = (poly[0] == 0.0) | np.isfinite(companion_row).all(0)
+        solvable = signed & finite & feasible & bounded
+        stack = solvable & (poly[0] != 0.0) & (poly[4] != 0.0)
+        companion = np.zeros((stack.sum(), 4, 4))
+        companion[:, 0] = companion_row[:, stack].T
+        companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
+        roots = np.full((n, 4), complex(np.nan, np.nan))  # not real
+        roots[stack] = np.linalg.eigvals(companion)
+        for i in np.flatnonzero(solvable & ~stack).tolist():
+            trimmed = np.roots(poly[:, i])
+            roots[i, :trimmed.size] = trimmed
+        real = roots.imag == 0.0
+        x = np.where(real, roots.real, np.nan)
+        poly = poly[:, :, None]
+        value, slope = poly[0], 4 * poly[0]  # Horner in np.polyval's order
+        for c, power in zip(poly[1:], (3, 2, 1, 0)):
+            value = value * x + c
+            if power:
+                slope = slope * x + c * power
+        x = np.where(slope != 0.0, x - value / slope, np.nan)  # one Newton step
+        polished = np.isfinite(x)
+        unpolished = (real & ~polished).any(1)
+        tau_p = np.sort(np.where(polished & (x > -M / K), x, np.nan), axis=1)
+        tau_h = _energy_balance(coeffs, tau_c, tau_p)[0]
+        residual, limit, missed = _residual(coeffs, tau_c, tau_h, tau_p)
+    missed &= ~np.isnan(tau_p)
+    reasons = [None] * n
+    for i in np.flatnonzero((np.isnan(tau_p) | missed).all(1)).tolist():
+        at = f"at tau_c={tau_c[i, 0]}"
+        if not signed[i]:
+            row = (tuple(float(np.broadcast_to(v, (n, 1))[i, 0]) for v in group)
+                   for group in (coeffs.T, coeffs.dS, coeffs.Sigma))
+            reasons[i] = _attempt(_require_sign_structure, cycle.CycleCoefficients(*row))[1]
+        elif not finite[i]:
+            reasons[i] = f"stationarity quartic coefficients overflow {at}"
+        elif not feasible[i]:  # K = sum_v T_v dS_v + T_c Sigma_c / tau_c
+            zeroth, bound = (np.broadcast_to(v, (n, 1))[i, 0]
+                             for v in (T_c * dS_c + T_h * dS_h + T_p * dS_p, -T_c * S_c))
+            cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = {bound / zeroth:.6g}"
+                     if zeroth > 0.0 else "delta_c at or below the reversible amplitude")
+            reasons[i] = f"energy balance infeasible for every tau_p {at} ({cause})"
+        elif not bounded[i]:
+            reasons[i] = f"stationarity quartic companion matrix overflows {at}"
+        elif unpolished[i]:
+            reasons[i] = f"stationarity quartic root has no finite Newton update {at}"
+        elif missed[i].any():
+            j = int(np.argmax(missed[i]))
+            reasons[i] = (f"stationarity residual {residual[i, j]:.3e} too large {at} "
+                          f"(limit {limit[i, j]:.3e})")
+        else:
+            reasons[i] = f"no stationary tau_p with tau_h > 0 {at}"
+    if missed.any():
+        for a in (tau_h, tau_p, residual):
+            a[missed] = np.nan
+    return tau_h, tau_p, residual, reasons
 
 
 def solve_time_allocation(coeffs, tau_c):
-    """All stationary allocations at the given cold-branch duration.
-
-    The real roots of the stationarity quartic above -M/K (tau_h > 0), each
-    polished by one Newton step, ordered by descending cooling rate, so the
-    principal solution comes first.  A root without a finite Newton update,
-    or one that misses the stationarity constraint by more than
-    ``_RESIDUAL_RTOL`` of its summed term magnitudes (a spurious root at the
-    pole -M/K of the balanced tau_h), is dropped.  Raises
-    :class:`ConvergenceError` when the energy balance admits no positive
-    tau_h (K <= 0; the reason names the tau_c or delta_c bound that fails),
-    tau_c overflows a quartic coefficient or its companion matrix, or no root
-    is left; the reason is then the first dropped root's, if any.
+    """All stationary allocations at the given cold-branch duration: the
+    one-row view of :func:`_stationary_roots`, ordered by descending cooling
+    rate, so the principal solution comes first.  Raises
+    :class:`ConvergenceError` with the row's reason when it has no root.
     """
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
-    _require_sign_structure(coeffs)
     tau_c = float(tau_c)
-
-    try:
-        K, M, poly = _stationarity_quartic(coeffs, tau_c)
-    except OverflowError:  # ** on a Python float raises where * gives inf
-        poly = (math.inf,)
-    if not all(map(math.isfinite, poly)):
-        raise ConvergenceError(f"stationarity quartic coefficients overflow at tau_c={tau_c}")
-    if not K > 0.0:  # K = sum_v T_v dS_v + T_c Sigma_c / tau_c
-        zeroth = sum(T * dS for T, dS in zip(coeffs.T, coeffs.dS))
-        cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = "
-                 f"{-coeffs.T[0] * coeffs.Sigma[0] / zeroth:.6g}" if zeroth > 0.0
-                 else "delta_c at or below the reversible amplitude")
-        raise ConvergenceError(
-            f"energy balance infeasible for every tau_p at tau_c={tau_c} ({cause})")
-    # np.roots divides by the leading coefficient (a zero one it strips); plain
-    # floats overflow to inf here without the RuntimeWarning numpy would give
-    lead = poly[0]
-    if lead and not all(math.isfinite(c / lead) for c in poly[1:]):
-        raise ConvergenceError(
-            f"stationarity quartic companion matrix overflows at tau_c={tau_c}")
-    roots = np.roots(poly)
-    derivative = [c * power for c, power in zip(poly, (4, 3, 2, 1))]
-    polished, dropped = [], []
-    for root in roots[roots.imag == 0.0].real.tolist():  # one Newton step each
-        slope = _horner(derivative, root)
-        root = root - _horner(poly, root) / slope if slope else math.nan
-        if math.isfinite(root):
-            polished.append(root)
-        else:
-            dropped.append(
-                f"stationarity quartic root has no finite Newton update at tau_c={tau_c}")
-
-    solutions = []
-    for tau_p in sorted(r for r in polished if r > -M / K):  # tau_h > 0 exactly here
-        tau_h = float(_energy_balance(coeffs, tau_c, tau_p)[0])
-        residual_c, reason = _attempt(_checked_residual, coeffs, tau_c, tau_h, tau_p)
-        if reason is not None:
-            dropped.append(reason)
-            continue
-        solutions.append(AllocationSolution(
-            tau_c, tau_h, tau_p, residual_c, cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p)))
-    if not solutions:
-        raise ConvergenceError(
-            dropped[0] if dropped else f"no stationary tau_p with tau_h > 0 at tau_c={tau_c}")
+    tau_h, tau_p, residual, (reason,) = _stationary_roots(coeffs, np.array([[tau_c]]))
+    if reason is not None:
+        raise ConvergenceError(reason)
+    solutions = [AllocationSolution(tau_c, h, p, r, cycle.evaluate_cycle(coeffs, tau_c, h, p))
+                 for h, p, r in zip(tau_h[0].tolist(), tau_p[0].tolist(), residual[0].tolist())
+                 if not math.isnan(p)]
     solutions.sort(key=lambda sol: -sol.metrics.R)
     return solutions
 
@@ -264,15 +309,51 @@ class SweepRecord(NamedTuple):
     tau_p: float
 
 
+def _principal_records(coeffs, alpha, tau_c):
+    """(records, reasons) at each cold-branch duration of the (n, 1) column
+    ``tau_c``, ``coeffs`` and ``alpha`` shared or given per row as by
+    :func:`_rows`: the SweepRecord of the root of :func:`_stationary_roots`
+    with the largest cooling rate (the first in ascending tau_p on a tie), or
+    None and the reason when the row has no root or that root does not
+    refrigerate (``valid``)."""
+    tau_h, tau_p, _, reasons = _stationary_roots(coeffs, tau_c)
+    with np.errstate(all="ignore"):  # the NaN columns and the rows without a root
+        cold, hot, _, R = cycle.cycle_heats(coeffs, tau_c, tau_h, tau_p)
+        best = np.fmax(R, -np.inf).argmax(1)[:, None]
+        tau_h, tau_p, R, Q_h = (np.take_along_axis(a, best, 1)
+                                for a in (tau_h, tau_p, R, hot.Q))
+        Q_c = cold.Q
+        psi = Q_c / Q_h
+    records = []
+    for i, (a, t, q_c, q_h, p, r, h, tp) in enumerate(zip(
+            np.broadcast_to(alpha, tau_c.shape[:1]).tolist(),
+            *(col.ravel().tolist() for col in (tau_c, Q_c, Q_h, psi, R, tau_h, tau_p)))):
+        if reasons[i] is None and not (q_h > 0.0 and q_c > 0.0):
+            reasons[i] = (f"principal solution at tau_c={t} does not refrigerate "
+                          f"(Q_c={q_c:.3e}, Q_h={q_h:.3e})")
+        records.append(None if reasons[i] else SweepRecord(float(a), p, r, p * r, t, h, tp))
+    return records, reasons
+
+
+def _rows(pairs):
+    """(coefficients, alphas) of the ``(coeffs, alpha)`` pairs, one row each:
+    every coefficient an (n, 1) column, the alphas a 1-D array; the pair
+    itself where every row holds the same one."""
+    if all(pair is pairs[0] for pair in pairs):
+        return pairs[0]
+    cols = [np.array(col)[:, None]
+            for col in zip(*((*c.T, *c.dS, *c.Sigma, a) for c, a in pairs))]
+    coeffs = cycle.CycleCoefficients(tuple(cols[:3]), tuple(cols[3:6]), tuple(cols[6:9]))
+    return coeffs, cols[9][:, 0]
+
+
 def _principal(coeffs, alpha, tau_c):
-    """SweepRecord of the principal solution at tau_c; ConvergenceError when
-    the solver fails or that solution does not refrigerate (``valid``)."""
-    best = solve_time_allocation(coeffs, tau_c)[0]
-    m = best.metrics
-    if not m.valid:
-        raise ConvergenceError(f"principal solution at tau_c={tau_c} does not refrigerate "
-                               f"(Q_c={m.cold.Q:.3e}, Q_h={m.hot.Q:.3e})")
-    return SweepRecord(float(alpha), m.psi, m.R, m.chi, best.tau_c, best.tau_h, best.tau_p)
+    """The one-point view of :func:`_principal_records`: its SweepRecord at
+    tau_c, or ConvergenceError with the reason."""
+    (record,), (reason,) = _principal_records(coeffs, alpha, np.array([[float(tau_c)]]))
+    if record is None:
+        raise ConvergenceError(reason)
+    return record
 
 
 @dataclass(frozen=True)
@@ -286,7 +367,8 @@ class CurveResult:
 
 
 def optimal_curve(config, tau_c_grid=None):
-    """Principal allocation per tau_c, sorted by COP.
+    """Principal allocation per tau_c, sorted by COP, from one
+    :func:`_principal_records` call over the whole grid.
 
     Grid points without a convergent refrigeration solution are skipped and
     reported in ``skipped`` as ``(tau_c, reason)`` pairs; fewer than 10
@@ -300,20 +382,15 @@ def optimal_curve(config, tau_c_grid=None):
     if np.any(tau_c_grid <= 0.0):
         raise ValueError("tau_c grid must be positive")
     coeffs = cycle.cycle_coefficients(config)
-    records, skipped = [], []
-    for tau_c in tau_c_grid:
-        record, reason = _attempt(_principal, coeffs, config.alpha, float(tau_c))
-        if record is None:
-            skipped.append((float(tau_c), reason))
-        else:
-            records.append(record)
+    records, reasons = _principal_records(coeffs, config.alpha, tau_c_grid[:, None])
+    skipped = [(t, why) for t, why in zip(tau_c_grid.tolist(), reasons) if why]
+    records = sorted((r for r in records if r is not None), key=lambda r: r.psi)
     if len(records) < 10:
         raise ConvergenceError(
             f"only {len(records)} of {tau_c_grid.size} grid points converged "
             f"(first failure: {skipped[0][1]})",
             failed_points=skipped,
         )
-    records.sort(key=lambda r: r.psi)
     return CurveResult(records, skipped, coeffs)
 
 
@@ -458,34 +535,73 @@ class AlphaRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class AlphaSweepResult:
-    """Per-alpha maxima; ``skipped`` holds ``(alpha, reason)`` pairs."""
+    """Per-alpha maxima; ``skipped`` holds ``(alpha, reason)`` pairs, and
+    ``at_R`` and ``at_chi`` the ``(coefficients, AlphaRecord)`` of the refined
+    maxima, whose alphas and values ``alpha_R``, ``R_max``, ``alpha_chi`` and
+    ``chi_max`` read."""
 
     rows: list
-    alpha_chi: float
-    alpha_R: float
-    chi_max: float
-    R_max: float
     skipped: list
+    at_R: tuple
+    at_chi: tuple
+
+    alpha_R = property(lambda self: self.at_R[1].alpha)
+    R_max = property(lambda self: self.at_R[1].R_max)
+    alpha_chi = property(lambda self: self.at_chi[1].alpha)
+    chi_max = property(lambda self: self.at_chi[1].chi_max)
+
+
+def _maxima(pairs):
+    """(AlphaRecord, None), or None and the reason, for each ``(coeffs,
+    alpha)`` pair: the principal points at its R and chi peaks, those of every
+    pair from one :func:`_principal_records` call.  The reason is the first
+    failure of the R peak, its point, the chi peak and its point, in order."""
+    peaks = [(_attempt(_rate_peak, c), _attempt(_merit_peak, c)) for c, _ in pairs]
+    live = [(pair, (at_R[0], (at_chi or at_R)[0]))
+            for pair, ((at_R, _), (at_chi, _)) in zip(pairs, peaks) if at_R]
+    found = iter([])
+    if live:
+        coeffs, alphas = _rows([pair for pair, _ in live for _ in range(2)])
+        records, reasons = _principal_records(
+            coeffs, alphas, np.array([t for _, ts in live for t in ts])[:, None])
+        found = iter(zip(records[::2], reasons[::2], records[1::2], reasons[1::2]))
+    out = []
+    for (_, alpha), ((at_R, why), (_, why_chi)) in zip(pairs, peaks):
+        if at_R:
+            at_R, why_R, at_chi, why_at_chi = next(found)
+            why = why_R or why_chi or why_at_chi
+        out.append((None, why) if why else (AlphaRecord(
+            float(alpha), at_R.R, at_chi.chi, at_R.psi, at_chi.psi), None))
+    return out
 
 
 def curve_maxima(coeffs, alpha):
-    """AlphaRecord of the R and chi maxima of the coefficients ``coeffs``."""
-    at_R, at_chi = max_cooling_rate(coeffs, alpha), max_figure_of_merit(coeffs, alpha)
-    return AlphaRecord(float(alpha), at_R.R, at_chi.chi, at_R.psi, at_chi.psi)
+    """AlphaRecord of the R and chi maxima of the coefficients ``coeffs``, the
+    one-pair view of :func:`_maxima`."""
+    (record, reason), = _maxima([(coeffs, alpha)])
+    if reason:
+        raise ConvergenceError(reason)
+    return record
 
 
-def _alpha_maxima(config, alpha):
-    """(coefficients, :func:`curve_maxima`) of ``config`` at ``alpha``."""
-    coeffs = cycle.cycle_coefficients(replace(config, alpha=alpha))
-    return coeffs, curve_maxima(coeffs, alpha)
+def _alpha_maxima(config, alphas):
+    """((coefficients, AlphaRecord), None) of ``config`` at each of the
+    ``alphas``, or None and the reason, from one :func:`_maxima` call."""
+    coeffs = [_attempt(cycle.cycle_coefficients, replace(config, alpha=a)) for a in alphas]
+    maxima = iter(_maxima([(c, a) for (c, _), a in zip(coeffs, alphas) if c is not None]))
+    out = []
+    for c, why in coeffs:
+        row, why = next(maxima) if c is not None else (None, why)
+        out.append(((c, row), None) if row else (None, why))
+    return out
 
 
 def _alpha_rows(config, alpha_grid, size, min_size=1):
     """(points, skipped, at_R, at_chi) over ``alpha_grid`` (None: ``size``
     alphas across the window), which needs ``min_size`` ascending alphas in
-    the window (else ValueError): :func:`_alpha_maxima` of each alpha,
+    the window (else ValueError): :func:`_alpha_maxima` of the alphas,
     ``(alpha, reason)`` of those that fail (all failing is an error), and the
-    AlphaRecords that :func:`_refine_max` finds for R_max and chi_max from the
+    points that :func:`_refine_max` finds for R_max and chi_max from the
     rows, which seed its lookup, so no alpha is computed twice."""
     if alpha_grid is None:
         alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, size)
@@ -495,24 +611,23 @@ def _alpha_rows(config, alpha_grid, size, min_size=1):
     lo, hi = DEFAULT_ALPHA_WINDOW
     if not lo <= alphas.min() <= alphas.max() <= hi:
         raise ValueError(f"alpha grid must stay within [{lo}, {hi}]")
-    results = [_attempt(_alpha_maxima, config, a) for a in alphas.tolist()]
+    results = _alpha_maxima(config, alphas.tolist())
     skipped = [(a, why) for a, (point, why) in zip(alphas.tolist(), results) if point is None]
     if len(skipped) == len(results):
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
     points = [point for point, _ in results if point is not None]
-    known = {row.alpha: row for _, row in points}
+    known = {row.alpha: (coeffs, row) for coeffs, row in points}
 
     def value(alpha, key):
         if alpha not in known:
-            point = _attempt(_alpha_maxima, config, alpha)[0]
-            known[alpha] = point and point[1]
-        return getattr(known[alpha], key, -math.inf)  # -inf where it failed (None)
+            known[alpha] = _alpha_maxima(config, [alpha])[0][0]
+        return getattr(known[alpha] and known[alpha][1], key, -math.inf)  # -inf: failed
 
     rows, refined = [row for _, row in points], []
     for key in ("R_max", "chi_max"):
         values = [getattr(row, key) for row in rows]
         hit = _refine_max(lambda a: value(a, key), [r.alpha for r in rows], values, xtol=1e-4)
-        refined.append(known[hit[0]] if hit is not None else rows[int(np.argmax(values))])
+        refined.append(known[hit[0]] if hit is not None else points[int(np.argmax(values))])
     return points, skipped, *refined
 
 
@@ -522,9 +637,8 @@ def alpha_sweep(config, alpha_grid=None):
     listed in ``skipped`` as ``(alpha, reason)`` pairs."""
     points, skipped, at_R, at_chi = _alpha_rows(config, alpha_grid, DEFAULT_ALPHA_POINTS,
                                                 MIN_GRID_POINTS)
-    return AlphaSweepResult(rows=[row for _, row in points], alpha_chi=at_chi.alpha,
-                            alpha_R=at_R.alpha, chi_max=at_chi.chi_max, R_max=at_R.R_max,
-                            skipped=skipped)
+    return AlphaSweepResult(rows=[row for _, row in points], skipped=skipped,
+                            at_R=at_R, at_chi=at_chi)
 
 
 @dataclass(frozen=True)
@@ -541,15 +655,21 @@ class EnvelopeResult:
 def _cop_records(pairs, psi_grid):
     """SweepRecords at the COPs ``psi_grid``, each the principal point at the
     fixed-COP tau_c (:func:`_cop_points`) of the first ``(coeffs, alpha)`` pair
-    with the largest R there, and ``(psi, reason)`` of the COPs that fail."""
+    with the largest R there, all from one :func:`_principal_records` call,
+    and ``(psi, reason)`` of the COPs that fail."""
     tau_c, R = map(np.array, zip(*(_cop_points(coeffs, psi_grid) for coeffs, _ in pairs)))
     span = "({:.4f}, {:.4f})".format(*_cop_range(pairs[0][0]))
-    best = np.nan_to_num(R, nan=-np.inf).argmax(axis=0).tolist()
-    results = [(None, f"outside the attainable range {span}") if math.isnan(R[k, j])
-               else _attempt(_principal, *pairs[k], float(tau_c[k, j]))
-               for j, k in enumerate(best)]
-    return ([record for record, _ in results if record is not None],
-            [(psi, why) for psi, (record, why) in zip(psi_grid.tolist(), results)
+    cols = np.arange(psi_grid.size)
+    best = np.nan_to_num(R, nan=-np.inf).argmax(axis=0)
+    found = np.flatnonzero(~np.isnan(R[best, cols]))
+    records, reasons = [None] * cols.size, [f"outside the attainable range {span}"] * cols.size
+    if found.size:
+        coeffs, alphas = _rows([pairs[k] for k in best[found].tolist()])
+        for j, record, why in zip(found.tolist(), *_principal_records(
+                coeffs, alphas, tau_c[best[found], found][:, None])):
+            records[j], reasons[j] = record, why
+    return ([record for record in records if record is not None],
+            [(psi, why) for psi, record, why in zip(psi_grid.tolist(), records, reasons)
              if record is None])
 
 
@@ -568,8 +688,8 @@ def envelope_curve(config, psi_grid=None, alpha_grid=None):
     if not records:
         raise ConvergenceError("no requested COP is attained by any alpha in the window",
                                failed_points=skipped)
-    return EnvelopeResult(records=records, psi_R=at_R.psi_at_R_max,
-                          psi_chi=at_chi.psi_at_chi_max, skipped=skipped)
+    return EnvelopeResult(records=records, psi_R=at_R[1].psi_at_R_max,
+                          psi_chi=at_chi[1].psi_at_chi_max, skipped=skipped)
 
 
 class ProfilePoint(NamedTuple):

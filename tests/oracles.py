@@ -7,7 +7,10 @@ the Drazin inverse is rebuilt spectrally from an eigendecomposition, and the
 RK4 reference applies each stage generator to the state vector step by step.
 The zeroth-heat scan and the temperature-entropy trajectory are the per-point
 loops the package ran before it evaluated them as array expressions: one
-config and three branches per amplitude, one state per sample.
+config and three branches per amplitude, one state per sample.  The
+allocation solver is likewise the per-point path the package ran before it
+solved a whole tau_c grid as one companion-matrix stack: one ``np.roots``,
+plain-float Newton step, residual check and ``evaluate_cycle`` per root.
 
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
@@ -26,10 +29,23 @@ from dataclasses import replace
 import numpy as np
 
 from qtricycle import (
+    ConvergenceError,
     PositivityError,
     bose_occupation,
+    cycle_coefficients,
     damping_rate,
+    evaluate_cycle,
     gibbs_state,
+)
+from qtricycle.optimize import (
+    MIN_GRID_POINTS,
+    AllocationSolution,
+    SweepRecord,
+    _energy_balance,
+    _require_sign_structure,
+    _RESIDUAL_RTOL,
+    _stationarity_quartic,
+    _stationarity_terms,
 )
 from qtricycle.protocol import frequency, frequency_derivative
 from qtricycle.thermo import (
@@ -339,3 +355,116 @@ def profile_shape_warnings_reference(points):
                                 ("tau_h/tau_p not falling or tau_c/tau_p not rising",
                                  ratio_breaks))
             if pairs]
+
+
+def checked_residual(coeffs, tau_c, tau_h, tau_p):
+    """Stationarity residual, or :class:`ConvergenceError` when it is not
+    within ``_RESIDUAL_RTOL`` times the summed magnitudes of its terms (a NaN
+    one, from a NaN tau_h, is not)."""
+    terms = _stationarity_terms(coeffs, tau_c, tau_h, tau_p)
+    residual = sum(terms)
+    limit = _RESIDUAL_RTOL * sum(map(abs, terms))
+    if not abs(residual) <= limit:
+        raise ConvergenceError(
+            f"stationarity residual {residual:.3e} too large at "
+            f"tau_c={tau_c} (limit {limit:.3e})"
+        )
+    return residual
+
+
+def _horner(coefficients, x):
+    """Polynomial value in plain floats, np.polyval's operation order."""
+    y = 0.0
+    for c in coefficients:
+        y = y * x + c
+    return y
+
+
+def _attempt(fn, *args, **kwargs):
+    """``(fn(...), None)``, or None and the reason when fn raises ConvergenceError."""
+    try:
+        return fn(*args, **kwargs), None
+    except ConvergenceError as exc:
+        return None, str(exc)
+
+
+def solve_time_allocation_reference(coeffs, tau_c):
+    """All stationary allocations at one tau_c, one root at a time: the real
+    roots of ``np.roots`` above -M/K, each polished by one plain-float Newton
+    step and held to :func:`checked_residual`, ordered by descending R."""
+    if tau_c <= 0.0:
+        raise ValueError(f"tau_c must be > 0, got {tau_c}")
+    _require_sign_structure(coeffs)
+    tau_c = float(tau_c)
+
+    K, M, poly = _stationarity_quartic(coeffs, tau_c)  # inf where a square overflows
+    if not all(map(math.isfinite, poly)):
+        raise ConvergenceError(f"stationarity quartic coefficients overflow at tau_c={tau_c}")
+    if not K > 0.0:  # K = sum_v T_v dS_v + T_c Sigma_c / tau_c
+        zeroth = sum(T * dS for T, dS in zip(coeffs.T, coeffs.dS))
+        cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = "
+                 f"{-coeffs.T[0] * coeffs.Sigma[0] / zeroth:.6g}" if zeroth > 0.0
+                 else "delta_c at or below the reversible amplitude")
+        raise ConvergenceError(
+            f"energy balance infeasible for every tau_p at tau_c={tau_c} ({cause})")
+    # np.roots divides by the leading coefficient (a zero one it strips); plain
+    # floats overflow to inf here without the RuntimeWarning numpy would give
+    lead = poly[0]
+    if lead and not all(math.isfinite(c / lead) for c in poly[1:]):
+        raise ConvergenceError(
+            f"stationarity quartic companion matrix overflows at tau_c={tau_c}")
+    roots = np.roots(poly)
+    derivative = [c * power for c, power in zip(poly, (4, 3, 2, 1))]
+    polished, dropped = [], []
+    for root in roots[roots.imag == 0.0].real.tolist():  # one Newton step each
+        slope = _horner(derivative, root)
+        root = root - _horner(poly, root) / slope if slope else math.nan
+        if math.isfinite(root):
+            polished.append(root)
+        else:
+            dropped.append(
+                f"stationarity quartic root has no finite Newton update at tau_c={tau_c}")
+
+    solutions = []
+    for tau_p in sorted(r for r in polished if r > -M / K):  # tau_h > 0 exactly here
+        tau_h = float(_energy_balance(coeffs, tau_c, tau_p)[0])
+        residual_c, reason = _attempt(checked_residual, coeffs, tau_c, tau_h, tau_p)
+        if reason is not None:
+            dropped.append(reason)
+            continue
+        solutions.append(AllocationSolution(
+            tau_c, tau_h, tau_p, residual_c, evaluate_cycle(coeffs, tau_c, tau_h, tau_p)))
+    if not solutions:
+        raise ConvergenceError(
+            dropped[0] if dropped else f"no stationary tau_p with tau_h > 0 at tau_c={tau_c}")
+    solutions.sort(key=lambda sol: -sol.metrics.R)
+    return solutions
+
+
+def principal_reference(coeffs, alpha, tau_c):
+    """SweepRecord of the principal solution at tau_c; ConvergenceError when
+    the solver fails or that solution does not refrigerate (``valid``)."""
+    best = solve_time_allocation_reference(coeffs, tau_c)[0]
+    m = best.metrics
+    if not m.valid:
+        raise ConvergenceError(f"principal solution at tau_c={tau_c} does not refrigerate "
+                               f"(Q_c={m.cold.Q:.3e}, Q_h={m.hot.Q:.3e})")
+    return SweepRecord(float(alpha), m.psi, m.R, m.chi, best.tau_c, best.tau_h, best.tau_p)
+
+
+def optimal_curve_reference(config, tau_c_grid):
+    """(records sorted by COP, skipped ``(tau_c, reason)`` pairs), one
+    :func:`principal_reference` per grid point."""
+    tau_c_grid = np.asarray(tau_c_grid, dtype=float)
+    if tau_c_grid.size < MIN_GRID_POINTS:
+        raise ValueError(f"tau_c grid needs >= {MIN_GRID_POINTS} points")
+    coeffs = cycle_coefficients(config)
+    records, skipped = [], []
+    for tau_c in tau_c_grid:
+        record, reason = _attempt(principal_reference, coeffs, config.alpha, float(tau_c))
+        if record is None:
+            skipped.append((float(tau_c), reason))
+        else:
+            records.append(record)
+    records.sort(key=lambda r: r.psi)
+    return records, skipped

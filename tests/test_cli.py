@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtricycle import cli, optimize, oracle
+from qtricycle import TricycleConfig, cli, cycle, optimize, oracle
 from qtricycle.cli import (
     RunConfig,
     emit_report,
@@ -269,6 +270,60 @@ class TestSubcommands:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {key} must be > ")
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("bound, key", [("psi_min=0.15", "psi_min"),
+                                            ("psi_max=0.1", "psi_max")])
+    def test_time_allocation_rejects_a_bound_beyond_the_other_end(self, tmp_path, capsys,
+                                                                   bound, key):
+        # the unset end is a peak COP (0.1139 and 0.1275 at these alphas), so a
+        # lone bound past it would make a descending psi grid
+        code, out = run_cli(tmp_path, "time-allocation", bound, "alpha_chi=0.6278",
+                            "alpha_r=0.9799", "psi_points=4")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+        assert not out.exists()
+        code, out = run_cli(tmp_path, "time-allocation", "psi_min=0.12", "alpha_chi=0.6278",
+                            "alpha_r=0.9799", "psi_points=4")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        psis = [float(row[2]) for row in rows if row[0] == "alpha_R"]
+        assert code == 0 and psis == sorted(psis) and psis[0] == pytest.approx(0.12, rel=1e-9)
+
+    @pytest.mark.parametrize("lo, hi", [(0.05, 0.1), (0.15, 0.18)])
+    def test_time_allocation_takes_two_bounds_past_the_peaks(self, tmp_path, lo, hi):
+        # both bounds set: the peaks are not the grid's ends, so a grid below
+        # both peaks, or above both and below the attainable limit, is valid
+        code, out = run_cli(tmp_path, "time-allocation", f"psi_min={lo}", f"psi_max={hi}",
+                            "alpha_chi=0.6278", "alpha_r=0.9799", "psi_points=4")
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        for label in ("alpha_chi", "alpha_R"):
+            psis = [float(row[2]) for row in rows if row[0] == label]
+            assert psis == pytest.approx(np.linspace(lo, hi, 4).tolist(), rel=1e-9)
+
+    def test_time_allocation_reuses_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # the profiles take the sweep's refined coefficients and peak COPs: no
+        # alpha's coefficients are computed twice, as in alpha-sweep itself
+        calls = {}
+        original = cycle.cycle_coefficients
+
+        def counting(config):
+            calls[config.alpha] = calls.get(config.alpha, 0) + 1
+            return original(config)
+
+        monkeypatch.setattr(cycle, "cycle_coefficients", counting)
+        code, _ = run_cli(tmp_path, "alpha-sweep")
+        swept, calls = calls, {}
+        assert code == 0 and set(swept.values()) == {1}
+        code, _ = run_cli(tmp_path, "time-allocation")
+        assert code == 0 and calls == swept
+        summary = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                       if " = " in line)
+        config = TricycleConfig()
+        for alpha, peak, psi in (("alpha_r", optimize.max_cooling_rate, "psi_R"),
+                                 ("alpha_chi", optimize.max_figure_of_merit, "psi_chi")):
+            a = float(summary[alpha])
+            coeffs = original(dataclasses.replace(config, alpha=a))
+            assert float(summary[psi]) == peak(coeffs, a).psi
 
     @pytest.mark.parametrize("bound", ["psi_min=0.05", "psi_max=0.1"])
     def test_envelope_rejects_a_lone_psi_bound(self, tmp_path, capsys, bound):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from oracles import fixed_cop_times, profile_shape_warnings_reference, stationarity_brackets
+from oracles import (
+    checked_residual,
+    fixed_cop_times,
+    optimal_curve_reference,
+    profile_shape_warnings_reference,
+    solve_time_allocation_reference,
+    stationarity_brackets,
+)
 from qtricycle import (
     ConvergenceError,
     TricycleConfig,
@@ -28,15 +35,16 @@ from qtricycle import optimize
 from qtricycle.cycle import CycleCoefficients
 from qtricycle.optimize import (
     _branch_terms,
-    _checked_residual,
     _cop_points,
     _cop_range,
     _energy_balance,
     _merit_peak,
     _rate_cubic,
     _rate_peak,
+    _residual,
     _stationarity_quartic,
     _stationarity_terms,
+    _stationary_roots,
     curve_maxima,
 )
 
@@ -166,37 +174,33 @@ class TestResidualContract:
                    for a, b in stationarity_brackets(large_tau_coeffs, 50.0))
 
     def test_root_perturbed_by_1e_10_rejected(self, coeffs, large_tau_coeffs):
+        # by the reference check and by the kernel's own mask
         for co, tau_c in ((coeffs, 9.0), (large_tau_coeffs, 50.0)):
             for sol in solve_time_allocation(co, tau_c):
-                assert _checked_residual(co, tau_c, sol.tau_h, sol.tau_p) == \
+                assert checked_residual(co, tau_c, sol.tau_h, sol.tau_p) == \
                     sol.residual_constraint
+                residual, _, missed = _residual(co, tau_c, sol.tau_h, sol.tau_p)
+                assert residual == sol.residual_constraint and not missed
                 for rel in (1e-10, -1e-10):
                     tau_p = sol.tau_p * (1.0 + rel)
                     tau_h, _ = _energy_balance(co, tau_c, tau_p)
                     with pytest.raises(ConvergenceError, match="residual"):
-                        _checked_residual(co, tau_c, tau_h, tau_p)
+                        checked_residual(co, tau_c, tau_h, tau_p)
+                    assert _residual(co, tau_c, tau_h, tau_p)[2]
 
-    def test_spurious_pole_root_drops_only_itself(self, coeffs, monkeypatch):
+    def test_spurious_pole_root_drops_only_itself(self, coeffs):
         # above tau_c ~ 6e7 the quartic has a root just above the pole -M/K of
         # the balanced tau_h that does not solve F = 0 at all; it is dropped,
         # and the valid root of the same tau_c is kept
+        tau_c = np.geomspace(6e7, 1e9, 60)
+        tau_h, tau_p, residual, reasons = _stationary_roots(coeffs, tau_c[:, None])
+        assert reasons == [None] * tau_c.size
         misses = []
-
-        def recording(co, tau_c, tau_h, tau_p):
-            try:
-                return _checked_residual(co, tau_c, tau_h, tau_p)
-            except ConvergenceError:
-                terms = _stationarity_terms(co, tau_c, tau_h, tau_p)
-                misses.append(abs(sum(terms)) / sum(map(abs, terms)))
-                raise
-
-        monkeypatch.setattr(optimize, "_checked_residual", recording)
-        for tau_c in np.geomspace(6e7, 1e9, 60).tolist():
-            sols = solve_time_allocation(coeffs, tau_c)
-            assert sols
-            for sol in sols:
-                assert _checked_residual(coeffs, tau_c, sol.tau_h, sol.tau_p) == \
-                    sol.residual_constraint
+        for t, hs, ps, rs in zip(tau_c.tolist(), tau_h, tau_p, residual):
+            kept = ~np.isnan(ps)
+            for h, p, r in zip(hs[kept].tolist(), ps[kept].tolist(), rs[kept].tolist()):
+                assert checked_residual(coeffs, t, h, p) == r
+            misses += _dropped_root_misses(coeffs, t, ps[kept].tolist())
         assert misses and min(misses) >= 1e-3  # spurious, not near-misses
 
 
@@ -340,19 +344,20 @@ class TestObjectiveMaxima:
         assert at_chi.chi >= solve_time_allocation(coeffs, at_R.tau_c)[0].metrics.chi
 
     def test_each_maximum_is_one_solve(self, config, coeffs, monkeypatch):
-        # the maxima come from the coefficients: one solve at each peak's
-        # tau_c and no curve
+        # the maxima come from the coefficients: one kernel call holding one
+        # point at each peak's tau_c, no one-point solve and no curve
         solved, built = [], []
-        original = optimize.solve_time_allocation
+        original = optimize._stationary_roots
 
-        def counting(*args, **kwargs):
-            solved.append(args[1])
-            return original(*args, **kwargs)
+        def counting(co, tau_c):
+            solved.append(tau_c[:, 0].tolist())
+            return original(co, tau_c)
 
-        monkeypatch.setattr(optimize, "solve_time_allocation", counting)
+        monkeypatch.setattr(optimize, "_stationary_roots", counting)
+        monkeypatch.setattr(optimize, "solve_time_allocation", lambda *args: built.append(args))
         monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
         record = curve_maxima(coeffs, config.alpha)
-        assert solved == [_rate_peak(coeffs)[0], _merit_peak(coeffs)[0]]
+        assert solved == [[_rate_peak(coeffs)[0], _merit_peak(coeffs)[0]]]
         assert built == []
         at_R = max_cooling_rate(coeffs, config.alpha)
         at_chi = max_figure_of_merit(coeffs, config.alpha)
@@ -396,6 +401,136 @@ class TestObjectiveMaxima:
 STANDARD_CONFIGS = [TricycleConfig(), TricycleConfig(delta_c=0.62, gamma0=1.2, alpha=0.7),
                     TricycleConfig(delta_c=0.75, gamma0=1.45, alpha=-0.3),
                     TricycleConfig(delta_c=0.55, gamma0=1.05, alpha=1.3)]
+
+
+def _dropped_root_misses(coeffs, tau_c, kept):
+    """|F| / sum |terms| of each candidate root at tau_c that is not among
+    ``kept``: np.roots' real roots above -M/K after one Newton step."""
+    K, M, poly = _stationarity_quartic(coeffs, tau_c)
+    roots = np.roots(poly)
+    roots = roots[roots.imag == 0.0].real
+    roots -= np.polyval(poly, roots) / np.polyval(np.polyder(poly), roots)
+    misses = []
+    for p in roots[roots > -M / K].tolist():
+        if p not in kept:
+            h = float(_energy_balance(coeffs, tau_c, p)[0])
+            terms = _stationarity_terms(coeffs, tau_c, h, p)
+            misses.append(abs(sum(terms)) / sum(map(abs, terms)))
+    return misses
+
+
+class TestWholeGridKernel:
+    """One kernel call solves a whole tau_c grid; its records and skipped
+    reasons equal those of the per-point reference solver exactly."""
+
+    @staticmethod
+    def matches_reference(config, grid):
+        """The reference's skipped pairs, after checking the curve against it."""
+        records, skipped = optimal_curve_reference(config, grid)
+        try:
+            curve = optimal_curve(config, tau_c_grid=grid)
+        except ConvergenceError as exc:  # fewer than 10 points survive
+            assert len(records) < 10 and exc.failed_points == skipped
+            return skipped
+        assert curve.records == records and curve.skipped == skipped
+        return skipped
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_standard_configs_on_the_default_grid(self, config):
+        self.matches_reference(config, np.geomspace(*optimize.DEFAULT_TAU_C_RANGE))
+
+    def test_wide_grid(self, config, coeffs):
+        grid = np.geomspace(1e-3, 1e9, 200)
+        reasons = [why for _, why in self.matches_reference(config, grid)]
+        assert any("tau_c must exceed" in why for why in reasons)  # K <= 0
+        assert any("does not refrigerate" in why for why in reasons)
+        # above tau_c ~ 6e7 some of the grid's points carry a spurious pole root
+        far = grid[grid > 6e7]
+        tau_p = _stationary_roots(coeffs, far[:, None])[1]
+        misses = [_dropped_root_misses(coeffs, t, ps[~np.isnan(ps)].tolist())
+                  for t, ps in zip(far.tolist(), tau_p)]
+        assert sum(map(bool, misses)) == 8 and min(map(min, filter(None, misses))) >= 1e-3
+
+    def test_overflowing_coefficients(self, config):
+        reasons = self.matches_reference(config, np.geomspace(0.3, 1e200, 120))
+        assert any("coefficients overflow" in why for _, why in reasons)
+
+    def test_vanishing_constant_term(self, config, coeffs):
+        # c0 M^2 is exactly 0 here, so np.roots trims it and returns a cubic's
+        # roots and 0; the kernel sends that row to np.roots as well
+        tau_c = 2.818507017942862
+        poly = _stationarity_quartic(coeffs, tau_c)[2]
+        assert poly[4] == 0.0 and np.roots(poly).size == 4
+        grid = np.geomspace(*optimize.DEFAULT_TAU_C_RANGE)
+        grid[np.searchsorted(grid, tau_c)] = tau_c
+        self.matches_reference(config, grid)
+        assert repr(solve_time_allocation(coeffs, tau_c)) == \
+            repr(solve_time_allocation_reference(coeffs, tau_c))
+
+    def test_pole_roots_with_nan_tau_h(self, rng, monkeypatch):
+        # at 3 of these tau_c a root sits so close to the pole that the balanced
+        # tau_h's denominator rounds to <= 0: its tau_h and residual are NaN,
+        # so it is dropped, and the valid root of the same tau_c is the point
+        for _ in range(18):
+            random_config(rng)
+        config = random_config(rng)
+        coeffs = cycle_coefficients(config)
+        grid = np.geomspace(1e9, 1e13, 200)
+
+        def nan_passing_mask(*args):
+            residual, limit, _ = _residual(*args)
+            return residual, limit, np.abs(residual) > limit
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "_residual", nan_passing_mask)
+            tau_h, tau_p, _, _ = _stationary_roots(coeffs, grid[:, None])
+        pole = grid[(np.isnan(tau_h) & ~np.isnan(tau_p)).any(1)].tolist()
+        assert len(pole) == 3
+        tau_h, tau_p, _, _ = _stationary_roots(coeffs, grid[:, None])
+        assert not (np.isnan(tau_h) & ~np.isnan(tau_p)).any()
+        skipped = dict(self.matches_reference(config, grid))
+        assert not any(t in skipped for t in pole)
+        for t in pole:
+            assert repr(solve_time_allocation(coeffs, t)) == \
+                repr(solve_time_allocation_reference(coeffs, t))
+
+    def test_rows_keep_pythons_pow(self, coeffs, monkeypatch):
+        # numpy squares an array by x * x, which differs from libm's pow in
+        # the last bit now and then; where that would move the quartic, the
+        # kernel's roots still equal the per-point solver's
+        tau_c = np.geomspace(0.7, 3000.0, 20000)
+        python_rows = [_stationarity_quartic(coeffs, t)[2] for t in tau_c.tolist()]
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "_square", lambda x: x * x)
+            numpy_rows = np.array(_stationarity_quartic(coeffs, tau_c[:, None])[2])[:, :, 0].T
+        moved = tau_c[(numpy_rows != np.array(python_rows)).any(1)]
+        assert moved.size > 20
+        tau_p = _stationary_roots(coeffs, moved[:, None])[1]
+        for t, ps in zip(moved.tolist(), tau_p):
+            assert ps[~np.isnan(ps)].tolist() == \
+                sorted(sol.tau_p for sol in solve_time_allocation_reference(coeffs, t))
+
+    def test_one_kernel_call_and_no_per_point_solve(self, config, monkeypatch):
+        kernel, eigvals, per_point = [], [], []
+        original, original_eigvals = optimize._stationary_roots, np.linalg.eigvals
+
+        def counting(co, tau_c):
+            kernel.append(tau_c.shape)
+            return original(co, tau_c)
+
+        def counting_eigvals(a):
+            eigvals.append(a.shape)
+            return original_eigvals(a)
+
+        monkeypatch.setattr(optimize, "_stationary_roots", counting)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        for name in ("solve_time_allocation", "_principal"):
+            monkeypatch.setattr(optimize, name, lambda *args: per_point.append(args))
+        monkeypatch.setattr(np, "roots", lambda *args: per_point.append(args))
+        curve = optimal_curve(config)
+        assert kernel == [(120, 1)] and per_point == []
+        assert len(eigvals) == 1 and eigvals[0][1:] == (4, 4)
+        assert eigvals[0][0] >= len(curve.records) == 100
 
 
 class TestClosedFormMaxima:
@@ -547,9 +682,9 @@ class TestAlphaSweep:
         seen = []
         original = optimize._alpha_maxima
 
-        def counting(cfg, alpha):
-            seen.append(alpha)
-            return original(cfg, alpha)
+        def counting(cfg, alphas):
+            seen.extend(alphas)
+            return original(cfg, alphas)
 
         monkeypatch.setattr(optimize, "_alpha_maxima", counting)
         again = alpha_sweep(config)

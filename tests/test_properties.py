@@ -1,6 +1,7 @@
 """Properties of the quenches, the branch coefficients, the allocation
 solver, the closed-form curve maxima and the fixed-COP points over random
-configurations (``conftest.random_config``) and cold-branch durations.
+configurations (``conftest.random_config``) and cold-branch durations, and
+the whole-grid solver against the per-point reference of ``oracles``.
 
 Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
 run is reproducible.
@@ -20,7 +21,8 @@ from qtricycle import (
     reversible_cop,
     solve_time_allocation,
 )
-from qtricycle.optimize import _checked_residual, _cop_points, curve_maxima
+from oracles import checked_residual, optimal_curve_reference, solve_time_allocation_reference
+from qtricycle.optimize import _cop_points, curve_maxima
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -65,7 +67,7 @@ def test_every_root_is_physical_and_within_the_residual_contract(config, taus):
                 assert m.psi < psi_r
             heats = (m.cold.Q, m.hot.Q, m.pump.Q)
             assert abs(m.work_residual) <= 1e-12 * max(map(abs, heats))
-            assert _checked_residual(coeffs, tau_c, sol.tau_h, sol.tau_p) == \
+            assert checked_residual(coeffs, tau_c, sol.tau_h, sol.tau_p) == \
                 sol.residual_constraint
 
 
@@ -86,3 +88,29 @@ def test_closed_form_maxima_exist_with_the_curve_and_beat_it(config):
     tau_c, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
     assert tau_c.tolist() == pytest.approx([r.tau_c for r in curve.records], rel=1e-10)
     assert R.tolist() == pytest.approx([r.R for r in curve.records], rel=1e-10)
+
+
+def _outcome(solve, coeffs, tau_c):
+    """repr of the solutions, or the text of the ConvergenceError."""
+    try:
+        return repr(solve(coeffs, tau_c))
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@hypothesis.given(configs)
+def test_whole_grid_kernel_matches_the_per_point_reference(config):
+    # from below the K > 0 bound to past the spurious pole roots
+    grid = np.geomspace(1e-3, 1e12, 120)
+    records, skipped = optimal_curve_reference(config, grid)
+    try:
+        curve = optimal_curve(config, grid)
+    except ConvergenceError as exc:
+        assert len(records) < 10 and exc.failed_points == skipped
+    else:
+        assert curve.records == records and curve.skipped == skipped
+    coeffs = cycle_coefficients(config)
+    for tau_c in grid[::7].tolist():
+        assert _outcome(solve_time_allocation, coeffs, tau_c) == \
+            _outcome(solve_time_allocation_reference, coeffs, tau_c)
