@@ -27,19 +27,19 @@ the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
 once the three quadratures are done; the algebra takes those coefficients
 (:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
-Each curve point is one :class:`SweepRecord`.  :func:`_stationary_roots`
-solves the quartic for a whole column of tau_c at once: one ``eigvals`` of
-the companion-matrix stack, one Newton step for every root, and each drop a
-mask with its reason; :func:`_principal_records` picks each row's principal
-root.  :func:`optimal_curve` is one such call, and
-:func:`solve_time_allocation` and :func:`_principal` are one-point views.
-The R and chi maxima come from the coefficients alone: the R peak is a root
-of a cubic (:func:`_rate_peak`), the chi peak Newton's method from it
-(:func:`_merit_peak`), and :func:`_maxima` solves both peaks of every alpha
-of a sweep in one call.  The alpha sweeps refine alpha by golden section over
-those maxima.  The envelope and the profiles build no curve either: their
-points are the fixed-COP maxima of :func:`_cop_points`, also one call.  The
-grid rules live here.
+Each record is one :class:`SweepRecord`, built by :func:`_records` from its
+(tau_c, tau_p) with tau_h balanced and held to the stationarity constraint.
+The quartic is solved only where tau_p is unknown: :func:`_stationary_roots`
+solves it for a whole column of tau_c at once (one ``eigvals`` of the
+companion-matrix stack, one Newton step for every root, and each drop a mask
+with its reason), :func:`optimal_curve` takes each row's principal root, and
+:func:`solve_time_allocation` is the one-row view.  The R and chi maxima come
+from the coefficients alone: the R peak is a root of a cubic
+(:func:`_rate_peak`), the chi peak Newton's method from it
+(:func:`_merit_peak`), and the alpha sweeps refine alpha by golden section
+over those maxima.  The envelope and the profiles build no curve either:
+their points are the fixed-COP maxima of :func:`_cop_points`.  The grid rules
+live here.
 """
 
 from __future__ import annotations
@@ -187,10 +187,10 @@ def _stationarity_quartic(coeffs, tau_c):
 
 def _stationary_roots(coeffs, tau_c):
     """(tau_h, tau_p, residual, reasons) at each cold-branch duration of the
-    (n, 1) column ``tau_c``, each coefficient of ``coeffs`` a float or an
-    (n, 1) column: (n, 4) rows of the real roots of the stationarity quartic
-    above -M/K (tau_h > 0), ascending, each polished by one Newton step, NaN
-    where a column holds none, and per row None or the reason it has no root.
+    (n, 1) column ``tau_c``: (n, 4) rows of the real roots of the stationarity
+    quartic above -M/K (tau_h > 0), ascending, each polished by one Newton
+    step, NaN where a column holds none, and per row None or the reason it has
+    no root.
 
     All rows' roots come from one ``eigvals`` of the companion-matrix stack
     (``np.roots`` for a row whose first or last coefficient is 0, which it
@@ -198,23 +198,21 @@ def _stationary_roots(coeffs, tau_c):
     stationarity constraint by more than ``_RESIDUAL_RTOL`` of its summed term
     magnitudes (:func:`_residual`; a spurious root at the pole -M/K of the
     balanced tau_h, whose tau_h may come out NaN), is dropped.  A row has no
-    root when its coefficients break the sign structure, tau_c overflows a
+    root when the coefficients break the sign structure, tau_c overflows a
     quartic coefficient or its companion matrix, the energy balance admits no
     positive tau_h (K <= 0; the reason names the tau_c or delta_c bound that
     fails), or every root is dropped (the reason is then the first dropped
     root's, a Newton failure before a residual).
     """
     n = tau_c.shape[0]
-    (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
+    unsigned = _attempt(_require_sign_structure, coeffs)[1]  # None or the reason
     with np.errstate(all="ignore"):  # the rows dropped below and the NaN entries
-        signed = np.broadcast_to((dS_c > 0.0) & (dS_h > 0.0) & (dS_p < 0.0) & (S_c < 0.0)
-                                 & (S_h < 0.0) & (S_p < 0.0), (n, 1))[:, 0]
         K, M, poly = _stationarity_quartic(coeffs, tau_c)
         poly = np.array(poly)[:, :, 0]  # (5, n)
         companion_row = -poly[1:] / poly[0]
         finite, feasible = np.isfinite(poly).all(0), K[:, 0] > 0.0
         bounded = (poly[0] == 0.0) | np.isfinite(companion_row).all(0)
-        solvable = signed & finite & feasible & bounded
+        solvable = (unsigned is None) & finite & feasible & bounded
         stack = solvable & (poly[0] != 0.0) & (poly[4] != 0.0)
         companion = np.zeros((stack.sum(), 4, 4))
         companion[:, 0] = companion_row[:, stack].T
@@ -242,15 +240,12 @@ def _stationary_roots(coeffs, tau_c):
     reasons = [None] * n
     for i in np.flatnonzero((np.isnan(tau_p) | missed).all(1)).tolist():
         at = f"at tau_c={tau_c[i, 0]}"
-        if not signed[i]:
-            row = (tuple(float(np.broadcast_to(v, (n, 1))[i, 0]) for v in group)
-                   for group in (coeffs.T, coeffs.dS, coeffs.Sigma))
-            reasons[i] = _attempt(_require_sign_structure, cycle.CycleCoefficients(*row))[1]
+        if unsigned:
+            reasons[i] = unsigned
         elif not finite[i]:
             reasons[i] = f"stationarity quartic coefficients overflow {at}"
         elif not feasible[i]:  # K = sum_v T_v dS_v + T_c Sigma_c / tau_c
-            zeroth, bound = (np.broadcast_to(v, (n, 1))[i, 0]
-                             for v in (T_c * dS_c + T_h * dS_h + T_p * dS_p, -T_c * S_c))
+            _, zeroth, _, (bound, _, _) = _branch_terms(coeffs)
             cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = {bound / zeroth:.6g}"
                      if zeroth > 0.0 else "delta_c at or below the reversible amplitude")
             reasons[i] = f"energy balance infeasible for every tau_p {at} ({cause})"
@@ -309,49 +304,46 @@ class SweepRecord(NamedTuple):
     tau_p: float
 
 
-def _principal_records(coeffs, alpha, tau_c):
-    """(records, reasons) at each cold-branch duration of the (n, 1) column
-    ``tau_c``, ``coeffs`` and ``alpha`` shared or given per row as by
-    :func:`_rows`: the SweepRecord of the root of :func:`_stationary_roots`
-    with the largest cooling rate (the first in ascending tau_p on a tie), or
-    None and the reason when the row has no root or that root does not
-    refrigerate (``valid``)."""
-    tau_h, tau_p, _, reasons = _stationary_roots(coeffs, tau_c)
-    with np.errstate(all="ignore"):  # the NaN columns and the rows without a root
+def _records(coeffs, alpha, tau_c, tau_p, reasons=None):
+    """(records, reasons) at the 1-D duration arrays ``tau_c`` and ``tau_p``,
+    tau_h balanced: each SweepRecord, or None and its reason where
+    ``reasons`` (default: none) already holds one, the triple misses the
+    stationarity constraint (:func:`_residual`), or it does not refrigerate."""
+    reasons = [None] * tau_c.size if reasons is None else reasons
+    with np.errstate(all="ignore"):  # the NaN rows
+        tau_h = _energy_balance(coeffs, tau_c, tau_p)[0]
         cold, hot, _, R = cycle.cycle_heats(coeffs, tau_c, tau_h, tau_p)
-        best = np.fmax(R, -np.inf).argmax(1)[:, None]
-        tau_h, tau_p, R, Q_h = (np.take_along_axis(a, best, 1)
-                                for a in (tau_h, tau_p, R, hot.Q))
-        Q_c = cold.Q
-        psi = Q_c / Q_h
+        psi = cold.Q / hot.Q
+        residual, limit, missed = _residual(coeffs, tau_c, tau_h, tau_p)
     records = []
-    for i, (a, t, q_c, q_h, p, r, h, tp) in enumerate(zip(
-            np.broadcast_to(alpha, tau_c.shape[:1]).tolist(),
-            *(col.ravel().tolist() for col in (tau_c, Q_c, Q_h, psi, R, tau_h, tau_p)))):
+    for i, (t, h, tp, q_c, q_h, p, r) in enumerate(zip(*(
+            a.tolist() for a in (tau_c, tau_h, tau_p, cold.Q, hot.Q, psi, R)))):
+        if reasons[i] is None and missed[i]:
+            reasons[i] = (f"stationarity residual {residual[i]:.3e} too large at "
+                          f"tau_c={t} (limit {limit[i]:.3e})")
         if reasons[i] is None and not (q_h > 0.0 and q_c > 0.0):
             reasons[i] = (f"principal solution at tau_c={t} does not refrigerate "
                           f"(Q_c={q_c:.3e}, Q_h={q_h:.3e})")
-        records.append(None if reasons[i] else SweepRecord(float(a), p, r, p * r, t, h, tp))
+        records.append(None if reasons[i] else SweepRecord(float(alpha), p, r, p * r, t, h, tp))
     return records, reasons
 
 
-def _rows(pairs):
-    """(coefficients, alphas) of the ``(coeffs, alpha)`` pairs, one row each:
-    every coefficient an (n, 1) column, the alphas a 1-D array; the pair
-    itself where every row holds the same one."""
-    if all(pair is pairs[0] for pair in pairs):
-        return pairs[0]
-    cols = [np.array(col)[:, None]
-            for col in zip(*((*c.T, *c.dS, *c.Sigma, a) for c, a in pairs))]
-    coeffs = cycle.CycleCoefficients(tuple(cols[:3]), tuple(cols[3:6]), tuple(cols[6:9]))
-    return coeffs, cols[9][:, 0]
+def _principal_records(coeffs, alpha, tau_c):
+    """:func:`_records` of the principal root of :func:`_stationary_roots` at
+    each cold-branch duration of the (n, 1) column ``tau_c``: the root with
+    the largest cooling rate, the first in ascending tau_p on a tie."""
+    tau_h, tau_p, _, reasons = _stationary_roots(coeffs, tau_c)
+    with np.errstate(all="ignore"):  # the NaN columns and the rows without a root
+        R = cycle.cycle_heats(coeffs, tau_c, tau_h, tau_p)[3]
+    best = np.fmax(R, -np.inf).argmax(1)[:, None]
+    return _records(coeffs, alpha, tau_c[:, 0], np.take_along_axis(tau_p, best, 1)[:, 0],
+                    reasons)
 
 
-def _principal(coeffs, alpha, tau_c):
-    """The one-point view of :func:`_principal_records`: its SweepRecord at
-    tau_c, or ConvergenceError with the reason."""
-    (record,), (reason,) = _principal_records(coeffs, alpha, np.array([[float(tau_c)]]))
-    if record is None:
+def _peak_record(coeffs, alpha, peak):
+    """The SweepRecord of :func:`_records` at ``peak(coeffs)``, or ConvergenceError."""
+    (record,), (reason,) = _records(coeffs, alpha, *np.array([peak(coeffs)]).T)
+    if reason:
         raise ConvergenceError(reason)
     return record
 
@@ -481,11 +473,12 @@ def _cop_range(coeffs):
 
 
 def _cop_points(coeffs, psi):
-    """(tau_c, R) arrays of the largest R at each fixed COP ``psi``, NaN outside
-    :func:`_cop_range`.  With Q_h = Q_c/psi and Q_p = -k Q_c, k = 1 + 1/psi,
-    1/tau_h and 1/tau_p are linear in u = 1/tau_c, so g = Q_c' tau - Q_c tau'
-    falls (g' = -Q_c tau'' < 0) from +inf to -inf on the admissible u; its
-    root takes Newton steps kept inside a bisection bracket."""
+    """(tau_c, tau_p, R) arrays of the largest R at each fixed COP ``psi``, NaN
+    outside :func:`_cop_range`.  With Q_h = Q_c/psi and Q_p = -k Q_c, k = 1 +
+    1/psi, 1/tau_h and 1/tau_p = (P + k Q_c)/a_p are linear in u = 1/tau_c, so
+    g = Q_c' tau - Q_c tau' falls (g' = -Q_c tau'' < 0) from +inf to -inf on
+    the admissible u; its root takes Newton steps kept inside a bisection
+    bracket."""
     _require_sign_structure(coeffs)
     A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
     P, psi = Z - A - H, np.asarray(psi, dtype=float)
@@ -508,19 +501,22 @@ def _cop_points(coeffs, psi):
             u, done = np.where(done, u, new), done | (np.abs(new - u) <= _NEWTON_RTOL * new)
             if done.all():
                 Q_c = A - a_c * u
-                return 1.0 / u, Q_c / (1.0 / u + a_h / (H - Q_c / psi) + a_p / (P + k * Q_c))
+                tau_p = a_p / (P + k * Q_c)
+                return 1.0 / u, tau_p, Q_c / (1.0 / u + a_h / (H - Q_c / psi) + tau_p)
     raise ConvergenceError(f"fixed-COP Newton iteration found no maximum at "
                            f"psi={psi[~done].flat[0]} in {_NEWTON_MAXITER} steps")
 
 
 def max_cooling_rate(coeffs, alpha):
-    """SweepRecord of the cooling-rate maximum (the curve point at its tau_c)."""
-    return _principal(coeffs, alpha, _rate_peak(coeffs)[0])
+    """SweepRecord of the cooling-rate maximum, at the durations of
+    :func:`_rate_peak` (no quartic is solved)."""
+    return _peak_record(coeffs, alpha, _rate_peak)
 
 
 def max_figure_of_merit(coeffs, alpha):
-    """SweepRecord of the figure-of-merit maximum (the curve point at its tau_c)."""
-    return _principal(coeffs, alpha, _merit_peak(coeffs)[0])
+    """SweepRecord of the figure-of-merit maximum, at the durations of
+    :func:`_merit_peak` (no quartic is solved)."""
+    return _peak_record(coeffs, alpha, _merit_peak)
 
 
 class AlphaRecord(NamedTuple):
@@ -551,49 +547,21 @@ class AlphaSweepResult:
     chi_max = property(lambda self: self.at_chi[1].chi_max)
 
 
-def _maxima(pairs):
-    """(AlphaRecord, None), or None and the reason, for each ``(coeffs,
-    alpha)`` pair: the principal points at its R and chi peaks, those of every
-    pair from one :func:`_principal_records` call.  The reason is the first
-    failure of the R peak, its point, the chi peak and its point, in order."""
-    peaks = [(_attempt(_rate_peak, c), _attempt(_merit_peak, c)) for c, _ in pairs]
-    live = [(pair, (at_R[0], (at_chi or at_R)[0]))
-            for pair, ((at_R, _), (at_chi, _)) in zip(pairs, peaks) if at_R]
-    found = iter([])
-    if live:
-        coeffs, alphas = _rows([pair for pair, _ in live for _ in range(2)])
-        records, reasons = _principal_records(
-            coeffs, alphas, np.array([t for _, ts in live for t in ts])[:, None])
-        found = iter(zip(records[::2], reasons[::2], records[1::2], reasons[1::2]))
-    out = []
-    for (_, alpha), ((at_R, why), (_, why_chi)) in zip(pairs, peaks):
-        if at_R:
-            at_R, why_R, at_chi, why_at_chi = next(found)
-            why = why_R or why_chi or why_at_chi
-        out.append((None, why) if why else (AlphaRecord(
-            float(alpha), at_R.R, at_chi.chi, at_R.psi, at_chi.psi), None))
-    return out
-
-
 def curve_maxima(coeffs, alpha):
-    """AlphaRecord of the R and chi maxima of the coefficients ``coeffs``, the
-    one-pair view of :func:`_maxima`."""
-    (record, reason), = _maxima([(coeffs, alpha)])
-    if reason:
-        raise ConvergenceError(reason)
-    return record
+    """AlphaRecord of the R and chi maxima of the coefficients ``coeffs``:
+    :func:`max_cooling_rate` and :func:`max_figure_of_merit`."""
+    at_R, at_chi = max_cooling_rate(coeffs, alpha), max_figure_of_merit(coeffs, alpha)
+    return AlphaRecord(float(alpha), at_R.R, at_chi.chi, at_R.psi, at_chi.psi)
 
 
 def _alpha_maxima(config, alphas):
     """((coefficients, AlphaRecord), None) of ``config`` at each of the
-    ``alphas``, or None and the reason, from one :func:`_maxima` call."""
-    coeffs = [_attempt(cycle.cycle_coefficients, replace(config, alpha=a)) for a in alphas]
-    maxima = iter(_maxima([(c, a) for (c, _), a in zip(coeffs, alphas) if c is not None]))
-    out = []
-    for c, why in coeffs:
-        row, why = next(maxima) if c is not None else (None, why)
-        out.append(((c, row), None) if row else (None, why))
-    return out
+    ``alphas`` (:func:`curve_maxima`), or None and the reason."""
+    def point(alpha):
+        coeffs = cycle.cycle_coefficients(replace(config, alpha=alpha))
+        return coeffs, curve_maxima(coeffs, alpha)
+
+    return [_attempt(point, alpha) for alpha in alphas]
 
 
 def _alpha_rows(config, alpha_grid, size, min_size=1):
@@ -653,20 +621,19 @@ class EnvelopeResult:
 
 
 def _cop_records(pairs, psi_grid):
-    """SweepRecords at the COPs ``psi_grid``, each the principal point at the
-    fixed-COP tau_c (:func:`_cop_points`) of the first ``(coeffs, alpha)`` pair
-    with the largest R there, all from one :func:`_principal_records` call,
-    and ``(psi, reason)`` of the COPs that fail."""
-    tau_c, R = map(np.array, zip(*(_cop_points(coeffs, psi_grid) for coeffs, _ in pairs)))
+    """SweepRecords (:func:`_records`) at the COPs ``psi_grid``, each at the
+    fixed-COP durations (:func:`_cop_points`) of the first ``(coeffs, alpha)`` pair
+    with the largest R there, and ``(psi, reason)`` of the COPs that fail."""
+    tau_c, tau_p, R = map(np.array, zip(*(_cop_points(coeffs, psi_grid) for coeffs, _ in pairs)))
     span = "({:.4f}, {:.4f})".format(*_cop_range(pairs[0][0]))
-    cols = np.arange(psi_grid.size)
     best = np.nan_to_num(R, nan=-np.inf).argmax(axis=0)
-    found = np.flatnonzero(~np.isnan(R[best, cols]))
-    records, reasons = [None] * cols.size, [f"outside the attainable range {span}"] * cols.size
-    if found.size:
-        coeffs, alphas = _rows([pairs[k] for k in best[found].tolist()])
-        for j, record, why in zip(found.tolist(), *_principal_records(
-                coeffs, alphas, tau_c[best[found], found][:, None])):
+    n = psi_grid.size
+    found = ~np.isnan(R[best, np.arange(n)])
+    records, reasons = [None] * n, [f"outside the attainable range {span}"] * n
+    for k in np.unique(best[found]).tolist():
+        cols = np.flatnonzero(found & (best == k))
+        made = _records(*pairs[k], tau_c[k, cols], tau_p[k, cols])
+        for j, record, why in zip(cols.tolist(), *made):
             records[j], reasons[j] = record, why
     return ([record for record in records if record is not None],
             [(psi, why) for psi, record, why in zip(psi_grid.tolist(), records, reasons)

@@ -203,6 +203,37 @@ class TestResidualContract:
             misses += _dropped_root_misses(coeffs, t, ps[kept].tolist())
         assert misses and min(misses) >= 1e-3  # spurious, not near-misses
 
+    @pytest.mark.parametrize("peak, record", [("_rate_peak", max_cooling_rate),
+                                              ("_merit_peak", max_figure_of_merit)])
+    def test_gate_rejects_a_perturbed_peak(self, config, coeffs, monkeypatch, peak, record):
+        # the maxima are built from the closed forms, not from a quartic root,
+        # yet a tau_p off by 1e-6 still fails the stationarity check
+        tau_c, tau_p = getattr(optimize, peak)(coeffs)
+        monkeypatch.setattr(optimize, peak, lambda co: (tau_c, tau_p * (1.0 + 1e-6)))
+        with pytest.raises(ConvergenceError,
+                           match=f"stationarity residual .* too large at tau_c={tau_c} "):
+            record(coeffs, config.alpha)
+
+    def test_gate_skips_a_perturbed_fixed_cop_point(self, config, monkeypatch):
+        original = optimize._cop_points
+
+        def perturbed(co, psi):  # the first COP's tau_p off by 1e-6
+            tau_c, tau_p, R = original(co, psi)
+            tau_p[0] *= 1.0 + 1e-6
+            return tau_c, tau_p, R
+
+        monkeypatch.setattr(optimize, "_cop_points", perturbed)
+        psi_grid = np.linspace(0.06, 0.16, 9)
+        result = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5), psi_grid=psi_grid)
+        [(psi, reason)] = result.skipped
+        assert psi == psi_grid[0] and reason.startswith("stationarity residual")
+        assert [r.psi for r in result.records] == pytest.approx(psi_grid[1:].tolist(),
+                                                                  rel=1e-12)
+        with pytest.raises(ConvergenceError) as err:
+            time_allocation_profile(cycle_coefficients(config), config.alpha, psi_grid)
+        [(psi, reason)] = err.value.failed_points
+        assert psi == psi_grid[0] and reason.startswith("stationarity residual")
+
 
 def _solved_cases(coeffs, rng, draws=24):
     """(coeffs, tau_c, solutions) for the default config and random draws;
@@ -329,9 +360,10 @@ class TestObjectiveMaxima:
         rec = max_cooling_rate(coeffs, config.alpha)
         R_max = rec.R
         assert R_max >= max(r.R for r in curve.records)
+        # the record is the closed-form peak; the quartic's root at its tau_c agrees
         sol = solve_time_allocation(coeffs, rec.tau_c)[0]
-        assert (sol.metrics.psi, sol.metrics.chi, sol.tau_h, sol.tau_p) == \
-            (rec.psi, rec.chi, rec.tau_h, rec.tau_p)
+        assert [sol.metrics.psi, sol.metrics.chi, sol.tau_h, sol.tau_p] == \
+            pytest.approx([rec.psi, rec.chi, rec.tau_h, rec.tau_p], rel=1e-10)
         assert sol.metrics.R == pytest.approx(R_max, rel=1e-12)
         total = sol.tau_c + sol.tau_h + sol.tau_p
         assert abs(sol.residual_constraint) < 1e-8 * total
@@ -343,21 +375,13 @@ class TestObjectiveMaxima:
         assert at_chi.psi > at_R.psi
         assert at_chi.chi >= solve_time_allocation(coeffs, at_R.tau_c)[0].metrics.chi
 
-    def test_each_maximum_is_one_solve(self, config, coeffs, monkeypatch):
-        # the maxima come from the coefficients: one kernel call holding one
-        # point at each peak's tau_c, no one-point solve and no curve
-        solved, built = [], []
-        original = optimize._stationary_roots
-
-        def counting(co, tau_c):
-            solved.append(tau_c[:, 0].tolist())
-            return original(co, tau_c)
-
-        monkeypatch.setattr(optimize, "_stationary_roots", counting)
-        monkeypatch.setattr(optimize, "solve_time_allocation", lambda *args: built.append(args))
-        monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
+    def test_maxima_solve_no_quartic(self, config, coeffs, monkeypatch):
+        # the maxima are built at the closed-form peaks' own durations: no
+        # kernel call, no one-point solve and no curve
+        built = []
+        for name in ("_stationary_roots", "solve_time_allocation", "optimal_curve"):
+            monkeypatch.setattr(optimize, name, lambda *args: built.append(args))
         record = curve_maxima(coeffs, config.alpha)
-        assert solved == [[_rate_peak(coeffs)[0], _merit_peak(coeffs)[0]]]
         assert built == []
         at_R = max_cooling_rate(coeffs, config.alpha)
         at_chi = max_figure_of_merit(coeffs, config.alpha)
@@ -524,13 +548,32 @@ class TestWholeGridKernel:
 
         monkeypatch.setattr(optimize, "_stationary_roots", counting)
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-        for name in ("solve_time_allocation", "_principal"):
-            monkeypatch.setattr(optimize, name, lambda *args: per_point.append(args))
+        monkeypatch.setattr(optimize, "solve_time_allocation",
+                            lambda *args: per_point.append(args))
         monkeypatch.setattr(np, "roots", lambda *args: per_point.append(args))
         curve = optimal_curve(config)
         assert kernel == [(120, 1)] and per_point == []
         assert len(eigvals) == 1 and eigvals[0][1:] == (4, 4)
         assert eigvals[0][0] >= len(curve.records) == 100
+
+    def test_only_the_curve_solves_the_quartic(self, config, coeffs, monkeypatch):
+        # the maxima, the alpha sweep, the envelope and the profile are built
+        # at closed-form durations; only the curve needs the quartic's roots
+        kernel = []
+        original = optimize._stationary_roots
+
+        def counting(co, tau_c):
+            kernel.append(tau_c.shape)
+            return original(co, tau_c)
+
+        monkeypatch.setattr(optimize, "_stationary_roots", counting)
+        curve_maxima(coeffs, config.alpha)
+        alpha_sweep(config)
+        envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5))
+        time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
+        assert kernel == []
+        optimal_curve(config)
+        assert kernel == [(120, 1)]
 
 
 class TestClosedFormMaxima:
@@ -588,13 +631,11 @@ class TestClosedFormMaxima:
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_records_are_the_peaks(self, config):
-        # the curve point at a peak's tau_c is the peak's own duration pair
+        # each maximum's record sits at the peak's own duration pair
         coeffs = cycle_coefficients(config)
         for peak, record in ((_rate_peak, max_cooling_rate), (_merit_peak, max_figure_of_merit)):
-            tau_c, tau_p = peak(coeffs)
             rec = record(coeffs, config.alpha)
-            assert rec.tau_c == tau_c
-            assert rec.tau_p == pytest.approx(tau_p, rel=1e-10)
+            assert (rec.tau_c, rec.tau_p) == peak(coeffs)
 
     def test_no_admissible_rate_peak_raises(self):
         # below the reversible amplitude Z = sum_v T_v dS_v < 0: no cycle refrigerates
@@ -722,7 +763,7 @@ class TestEnvelope:
         targets = lo + (hi - lo) * np.linspace(0.01, 0.99, 80)
         assert lo == 0.0 and not result.skipped
         assert [r.psi for r in result.records] == pytest.approx(targets.tolist(), rel=1e-9)
-        R = np.array([_cop_points(cycle_coefficients(replace(config, alpha=a)), targets)[1]
+        R = np.array([_cop_points(cycle_coefficients(replace(config, alpha=a)), targets)[2]
                       for a in alphas.tolist()])
         assert [r.alpha for r in result.records] == alphas[R.argmax(axis=0)].tolist()
         assert [r.R for r in result.records] == pytest.approx(R.max(axis=0).tolist(), rel=1e-9)
@@ -815,8 +856,9 @@ class TestFixedCopPoints:
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_curve_records_are_the_fixed_cop_points(self, config):
         curve = optimal_curve(config)
-        tau_c, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
+        tau_c, tau_p, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
         assert tau_c.tolist() == pytest.approx([r.tau_c for r in curve.records], rel=1e-10)
+        assert tau_p.tolist() == pytest.approx([r.tau_p for r in curve.records], rel=1e-10)
         assert R.tolist() == pytest.approx([r.R for r in curve.records], rel=1e-10)
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
@@ -824,7 +866,7 @@ class TestFixedCopPoints:
         coeffs = cycle_coefficients(config)
         lo, hi = _cop_range(coeffs)
         for psi in (lo + (hi - lo) * np.array([0.02, 0.3, 0.6, 0.9, 0.98])).tolist():
-            [tau_c], [R] = _cop_points(coeffs, [psi])
+            [tau_c], _, [R] = _cop_points(coeffs, [psi])
             line = []  # a wide log scan and a fine one around the root
             for t in np.concatenate([np.geomspace(tau_c / 100.0, tau_c * 100.0, 1001),
                                      np.geomspace(tau_c / 1.01, tau_c * 1.01, 1001)]).tolist():
@@ -845,8 +887,9 @@ class TestFixedCopPoints:
         outside = [-0.1, -0.0, 0.0, hi, hi * (1.0 + 1e-12), 0.5, np.inf, np.nan]
         for values in _cop_points(coeffs, outside):
             assert np.isnan(values).all()
-        tau_c, R = _cop_points(coeffs, [hi * (1.0 - 1e-9), hi * (1.0 - 1e-6), 1e-9])
+        tau_c, tau_p, R = _cop_points(coeffs, [hi * (1.0 - 1e-9), hi * (1.0 - 1e-6), 1e-9])
         assert np.isfinite(tau_c).all() and (tau_c > 0.0).all() and (R > 0.0).all()
+        assert (tau_p > 0.0).all()
 
     def test_newton_without_convergence_raises(self, coeffs, monkeypatch):
         monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)

@@ -17,12 +17,19 @@ from qtricycle import (
     ConvergenceError,
     cycle_coefficients,
     frequency,
+    max_cooling_rate,
+    max_figure_of_merit,
     optimal_curve,
     reversible_cop,
     solve_time_allocation,
 )
-from oracles import checked_residual, optimal_curve_reference, solve_time_allocation_reference
-from qtricycle.optimize import _cop_points, curve_maxima
+from oracles import (
+    checked_residual,
+    optimal_curve_reference,
+    principal_reference,
+    solve_time_allocation_reference,
+)
+from qtricycle.optimize import _cop_points, _cop_records, curve_maxima
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -85,9 +92,21 @@ def test_closed_form_maxima_exist_with_the_curve_and_beat_it(config):
     assert maxima.R_max >= max(r.R for r in curve.records) * (1.0 - 1e-12)
     assert maxima.chi_max >= max(r.chi for r in curve.records) * (1.0 - 1e-12)
     # every curve point is the largest cooling rate at its own COP
-    tau_c, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
+    tau_c, tau_p, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
     assert tau_c.tolist() == pytest.approx([r.tau_c for r in curve.records], rel=1e-10)
+    assert tau_p.tolist() == pytest.approx([r.tau_p for r in curve.records], rel=1e-10)
     assert R.tolist() == pytest.approx([r.R for r in curve.records], rel=1e-10)
+    # the peak and fixed-COP records, built at their closed-form durations,
+    # are the quartic's principal roots at their tau_c
+    coeffs, alpha = curve.coeffs, config.alpha
+    cop_records, skipped = _cop_records([(coeffs, alpha)],
+                                        np.array([r.psi for r in curve.records[::9]]))
+    assert not skipped
+    for record in (max_cooling_rate(coeffs, alpha), max_figure_of_merit(coeffs, alpha),
+                   *cop_records):
+        reference = principal_reference(coeffs, alpha, record.tau_c)
+        assert reference.tau_c == record.tau_c
+        assert reference == pytest.approx(record, rel=1e-10)
 
 
 def _outcome(solve, coeffs, tau_c):
