@@ -9,37 +9,30 @@ constraint on the durations,
     dS_h tau_h^2/Sigma_h + dS_p tau_p^2/Sigma_p + dS_c tau_c^2/Sigma_c
         + 2 (tau_c + tau_h + tau_p) = 0,
 
-while the energy balance Q_c + Q_h + Q_p = 0 fixes tau_h in closed form,
+while the energy balance Q_c + Q_h + Q_p = 0, with Q_v = T_v dS_v - a_v/tau_v
+and a_v = -T_v Sigma_v, makes the inverse durations linear: with x = 1/tau_p,
 
-    tau_h = N tau_p / (K tau_p + M),    N = -T_h Sigma_h,  M = T_p Sigma_p,
-    K = T_p dS_p + T_c (dS_c + Sigma_c/tau_c) + T_h dS_h.
+    1/tau_h = (K - a_p x) / a_h,    K = sum_v T_v dS_v - a_c/tau_c.
 
-With tau_c as the independent parameter, substituting the second relation
-into the first and multiplying by (K tau_p + M)^2 leaves one quartic in tau_p
-per tau_c (a_v = dS_v/Sigma_v, c0 = dS_c tau_c^2/Sigma_c + 2 tau_c):
-
-    a_p K^2 tau_p^4 + 2K (a_p M + K) tau_p^3 + (a_p M^2 + 4KM + c0 K^2
-        + a_h N^2 + 2NK) tau_p^2 + 2M (M + c0 K + N) tau_p + c0 M^2 = 0.
-
-Its real roots above -M/K (where tau_h > 0), swept over tau_c, trace the
-optimal performance curves (R vs psi, chi vs psi).  Everything downstream of
-the per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
+With tau_c as the independent parameter, x^2 times the constraint goes from
+dS_p/Sigma_p > 0 at x = 0 to -inf at x = K/a_p, where tau_h diverges, and
+crosses zero once in between; swept over tau_c, those roots trace the optimal
+performance curves (R vs psi, chi vs psi).  Everything downstream of the
+per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
 once the three quadratures are done; the algebra takes those coefficients
 (:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
 Each record is one :class:`SweepRecord`, built by :func:`_records` from its
 (tau_c, tau_p) with tau_h balanced and held to the stationarity constraint.
-The quartic is solved only where tau_p is unknown: :func:`_stationary_roots`
-solves it for a whole column of tau_c at once (one ``eigvals`` of the
-companion-matrix stack, one Newton step for every root, and each drop a mask
-with its reason), :func:`optimal_curve` takes each row's principal root, and
-:func:`solve_time_allocation` is the one-row view.  The R and chi maxima come
-from the coefficients alone: the R peak is a root of a cubic
-(:func:`_rate_peak`), the chi peak Newton's method from it
+Only the curve needs that root: :func:`_stationary_tau_p` takes it for a
+whole column of tau_c at once, by Newton steps kept in a bisection bracket
+(:func:`_newton_root`), and :func:`solve_time_allocation` is the one-point
+view.  The R and chi maxima come from the coefficients alone: the R peak is
+a root of a cubic (:func:`_rate_peak`), the chi peak Newton's method from it
 (:func:`_merit_peak`), and the alpha sweeps refine alpha by golden section
 over those maxima.  The envelope and the profiles build no curve either:
-their points are the fixed-COP maxima of :func:`_cop_points`.  The grid rules
-live here.
+their points are the fixed-COP maxima of :func:`_cop_points`, the same
+bracketed Newton in 1/tau_c.  The grid rules live here.
 """
 
 from __future__ import annotations
@@ -127,37 +120,30 @@ def _energy_balance(coeffs, tau_c, tau_p):
 def _stationarity_terms(coeffs, tau_c, tau_h, tau_p):
     """The four terms of the multiplier-free stationarity constraint."""
     (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.dS, coeffs.Sigma
-    return (dS_h * _square(tau_h) / S_h, dS_p * _square(tau_p) / S_p,
-            dS_c * _square(tau_c) / S_c, 2.0 * (tau_c + tau_h + tau_p))
+    return (dS_h * (tau_h * tau_h) / S_h, dS_p * (tau_p * tau_p) / S_p,
+            dS_c * (tau_c * tau_c) / S_c, 2.0 * (tau_c + tau_h + tau_p))
 
 
 # Accepted |F| relative to the summed |terms| of F.  Accurate roots stay below
 # about 2.5e-11 of it (the rounding of the balanced tau_h's denominator
 # dominates); a root off by 1e-10 relative leaves a median 1e-10, so this
-# rejects wrong or unpolished roots, not every last-digits error.
+# rejects wrong or unconverged roots, not every last-digits error.
 _RESIDUAL_RTOL = 1e-10
 
 
 def _residual(coeffs, tau_c, tau_h, tau_p):
     """(F, limit, missed) of the stationarity constraint at broadcastable
     durations: F, ``_RESIDUAL_RTOL`` of its summed term magnitudes, and where
-    |F| is not within that limit (NaN included, as at a root on the pole)."""
+    |F| is not within that limit (NaN included)."""
     terms = _stationarity_terms(coeffs, tau_c, tau_h, tau_p)
     residual = terms[0] + terms[1] + terms[2] + terms[3]
     limit = _RESIDUAL_RTOL * (abs(terms[0]) + abs(terms[1]) + abs(terms[2]) + abs(terms[3]))
     return residual, limit, ~(np.abs(residual) <= limit)
 
 
-def _square(x):
-    """x ** 2 by Python's pow, element by element for an array (numpy squares
-    an array by x * x, which differs from libm's pow in the last bit now and
-    then); inf where a float's square overflows."""
-    if isinstance(x, np.ndarray):
-        return np.array([_square(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    try:
-        return x ** 2
-    except OverflowError:  # pow raises where * gives inf
-        return math.inf
+def _too_large(residual, limit, tau_c):
+    """The reason of a triple that misses the stationarity constraint."""
+    return f"stationarity residual {residual:.3e} too large at tau_c={tau_c} (limit {limit:.3e})"
 
 
 @dataclass(frozen=True)
@@ -172,116 +158,93 @@ class AllocationSolution:
     metrics: cycle.CycleMetrics
 
 
-def _stationarity_quartic(coeffs, tau_c):
-    """(K, M, coefficients of the stationarity quartic, highest power first)."""
-    (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
-    N, M = -T_h * S_h, T_p * S_p
-    K = T_p * dS_p + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
-    a_h, a_p = dS_h / S_h, dS_p / S_p
-    c0 = dS_c * _square(tau_c) / S_c + 2 * tau_c
-    K2, M2 = _square(K), _square(M)
-    return K, M, (a_p * K2, 2 * K * (a_p * M + K),
-                  a_p * M2 + 4 * K * M + c0 * K2 + a_h * _square(N) + 2 * N * K,
-                  2 * M * (M + c0 * K + N), c0 * M2)
+_NEWTON_RTOL, _NEWTON_MAXITER = 1e-12, 50  # of every Newton iteration here
 
 
-def _stationary_roots(coeffs, tau_c):
-    """(tau_h, tau_p, residual, reasons) at each cold-branch duration of the
-    (n, 1) column ``tau_c``: (n, 4) rows of the real roots of the stationarity
-    quartic above -M/K (tau_h > 0), ascending, each polished by one Newton
-    step, NaN where a column holds none, and per row None or the reason it has
-    no root.
+def _newton_root(fn, x, lo, hi):
+    """The root in (lo, hi) of a function positive left of it and negative right
+    of it, from ``x`` (arrays): Newton steps x - g/g', ``(g, g') = fn(x)``, kept
+    in the bracket that the signs of g shrink (a bisection where a step leaves
+    it), done at a relative step of ``_NEWTON_RTOL``; NaN where x is NaN or no
+    root is found in ``_NEWTON_MAXITER`` steps."""
+    done = np.isnan(x)
+    for _ in range(_NEWTON_MAXITER):
+        g, slope = fn(x)
+        lo, hi = np.where(g > 0.0, x, lo), np.where(g > 0.0, hi, x)
+        new = x - g / slope
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        x, done = np.where(done, x, new), done | (np.abs(new - x) <= _NEWTON_RTOL * new)
+        if done.all():
+            break
+    return np.where(done, x, np.nan)
 
-    All rows' roots come from one ``eigvals`` of the companion-matrix stack
-    (``np.roots`` for a row whose first or last coefficient is 0, which it
-    trims).  A root without a finite Newton update, or one that misses the
-    stationarity constraint by more than ``_RESIDUAL_RTOL`` of its summed term
-    magnitudes (:func:`_residual`; a spurious root at the pole -M/K of the
-    balanced tau_h, whose tau_h may come out NaN), is dropped.  A row has no
-    root when the coefficients break the sign structure, tau_c overflows a
-    quartic coefficient or its companion matrix, the energy balance admits no
-    positive tau_h (K <= 0; the reason names the tau_c or delta_c bound that
-    fails), or every root is dropped (the reason is then the first dropped
-    root's, a Newton failure before a residual).
-    """
-    n = tau_c.shape[0]
+
+def _line_constraint(coeffs, K, c0, x):
+    """(g, dg/dx) at x = 1/tau_p: g = x^2 F, F the stationarity constraint with
+    1/tau_h = w = (K - a_p x)/a_h balanced and c0 = dS_c tau_c^2/Sigma_c +
+    2 tau_c its tau_c terms; g goes from dS_p/Sigma_p > 0 at x = 0 to -inf at
+    x = K/a_p, crossing zero once, though not always falling.  r = tau_h/tau_p
+    = x/w has the slope K/(a_h w^2)."""
+    (_, dS_h, dS_p), (_, S_h, S_p) = coeffs.dS, coeffs.Sigma
+    _, _, _, (_, a_h, a_p) = _branch_terms(coeffs)
+    b_h, w = dS_h / S_h, (K - a_p * x) / a_h
+    r = x / w
+    return (b_h * r * r + dS_p / S_p + c0 * x * x + 2.0 * x * (1.0 + r),
+            2.0 * ((b_h * r + x) * K / (a_h * w * w) + c0 * x + 1.0 + r))
+
+
+def _stationary_tau_p(coeffs, tau_c):
+    """(tau_p, reasons) at the 1-D cold-branch durations ``tau_c``: the root of
+    :func:`_line_constraint` in x = 1/tau_p on (0, K/a_p), where tau_h > 0, by
+    :func:`_newton_root` from min(1/tau_c, K/(2 a_p)); nothing is divided out,
+    so it is the constraint's own.  NaN and the reason where the coefficients
+    break the sign structure, tau_c overflows the constraint, the balance
+    admits no positive tau_h (K <= 0; the reason names the tau_c or delta_c
+    bound that fails), or the iteration does not converge."""
     unsigned = _attempt(_require_sign_structure, coeffs)[1]  # None or the reason
-    with np.errstate(all="ignore"):  # the rows dropped below and the NaN entries
-        K, M, poly = _stationarity_quartic(coeffs, tau_c)
-        poly = np.array(poly)[:, :, 0]  # (5, n)
-        companion_row = -poly[1:] / poly[0]
-        finite, feasible = np.isfinite(poly).all(0), K[:, 0] > 0.0
-        bounded = (poly[0] == 0.0) | np.isfinite(companion_row).all(0)
-        solvable = (unsigned is None) & finite & feasible & bounded
-        stack = solvable & (poly[0] != 0.0) & (poly[4] != 0.0)
-        companion = np.zeros((stack.sum(), 4, 4))
-        companion[:, 0] = companion_row[:, stack].T
-        companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
-        roots = np.full((n, 4), complex(np.nan, np.nan))  # not real
-        roots[stack] = np.linalg.eigvals(companion)
-        for i in np.flatnonzero(solvable & ~stack).tolist():
-            trimmed = np.roots(poly[:, i])
-            roots[i, :trimmed.size] = trimmed
-        real = roots.imag == 0.0
-        x = np.where(real, roots.real, np.nan)
-        poly = poly[:, :, None]
-        value, slope = poly[0], 4 * poly[0]  # Horner in np.polyval's order
-        for c, power in zip(poly[1:], (3, 2, 1, 0)):
-            value = value * x + c
-            if power:
-                slope = slope * x + c * power
-        x = np.where(slope != 0.0, x - value / slope, np.nan)  # one Newton step
-        polished = np.isfinite(x)
-        unpolished = (real & ~polished).any(1)
-        tau_p = np.sort(np.where(polished & (x > -M / K), x, np.nan), axis=1)
-        tau_h = _energy_balance(coeffs, tau_c, tau_p)[0]
-        residual, limit, missed = _residual(coeffs, tau_c, tau_h, tau_p)
-    missed &= ~np.isnan(tau_p)
-    reasons = [None] * n
-    for i in np.flatnonzero((np.isnan(tau_p) | missed).all(1)).tolist():
-        at = f"at tau_c={tau_c[i, 0]}"
+    _, Z, _, (a_c, _, a_p) = _branch_terms(coeffs)
+    with np.errstate(all="ignore"):  # the entries without a root
+        K = Z - a_c / tau_c
+        c0 = coeffs.dS[0] * tau_c * tau_c / coeffs.Sigma[0] + 2.0 * tau_c
+        finite, feasible = np.isfinite(c0), K > 0.0
+        hi = np.where((unsigned is None) & finite & feasible, K / a_p, np.nan)
+        x = _newton_root(lambda x: _line_constraint(coeffs, K, c0, x),
+                         np.minimum(1.0 / tau_c, 0.5 * hi), 0.0, hi)
+    reasons = [None] * tau_c.size
+    for i in np.flatnonzero(np.isnan(x)).tolist():
+        at = f"at tau_c={tau_c[i]}"
         if unsigned:
             reasons[i] = unsigned
         elif not finite[i]:
-            reasons[i] = f"stationarity quartic coefficients overflow {at}"
-        elif not feasible[i]:  # K = sum_v T_v dS_v + T_c Sigma_c / tau_c
-            _, zeroth, _, (bound, _, _) = _branch_terms(coeffs)
-            cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = {bound / zeroth:.6g}"
-                     if zeroth > 0.0 else "delta_c at or below the reversible amplitude")
+            reasons[i] = f"stationarity constraint overflows {at}"
+        elif not feasible[i]:  # K = sum_v T_v dS_v - a_c / tau_c
+            cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = {a_c / Z:.6g}"
+                     if Z > 0.0 else "delta_c at or below the reversible amplitude")
             reasons[i] = f"energy balance infeasible for every tau_p {at} ({cause})"
-        elif not bounded[i]:
-            reasons[i] = f"stationarity quartic companion matrix overflows {at}"
-        elif unpolished[i]:
-            reasons[i] = f"stationarity quartic root has no finite Newton update {at}"
-        elif missed[i].any():
-            j = int(np.argmax(missed[i]))
-            reasons[i] = (f"stationarity residual {residual[i, j]:.3e} too large {at} "
-                          f"(limit {limit[i, j]:.3e})")
         else:
-            reasons[i] = f"no stationary tau_p with tau_h > 0 {at}"
-    if missed.any():
-        for a in (tau_h, tau_p, residual):
-            a[missed] = np.nan
-    return tau_h, tau_p, residual, reasons
+            reasons[i] = f"stationary tau_p not found in {_NEWTON_MAXITER} steps {at}"
+    return 1.0 / x, reasons
 
 
 def solve_time_allocation(coeffs, tau_c):
-    """All stationary allocations at the given cold-branch duration: the
-    one-row view of :func:`_stationary_roots`, ordered by descending cooling
-    rate, so the principal solution comes first.  Raises
-    :class:`ConvergenceError` with the row's reason when it has no root.
+    """The stationary allocation at the given cold-branch duration, as a
+    one-element list: the one-point view of :func:`_stationary_tau_p` (the
+    constraint has one root with tau_h > 0), held to the constraint by
+    :func:`_residual`.  Raises :class:`ConvergenceError` with the reason when
+    there is no root or it misses the constraint.
     """
     if tau_c <= 0.0:
         raise ValueError(f"tau_c must be > 0, got {tau_c}")
     tau_c = float(tau_c)
-    tau_h, tau_p, residual, (reason,) = _stationary_roots(coeffs, np.array([[tau_c]]))
-    if reason is not None:
-        raise ConvergenceError(reason)
-    solutions = [AllocationSolution(tau_c, h, p, r, cycle.evaluate_cycle(coeffs, tau_c, h, p))
-                 for h, p, r in zip(tau_h[0].tolist(), tau_p[0].tolist(), residual[0].tolist())
-                 if not math.isnan(p)]
-    solutions.sort(key=lambda sol: -sol.metrics.R)
-    return solutions
+    (tau_p,), (reason,) = _stationary_tau_p(coeffs, np.array([tau_c]))
+    tau_p = float(tau_p)
+    with np.errstate(all="ignore"):  # no root
+        tau_h = float(_energy_balance(coeffs, tau_c, tau_p)[0])
+        residual, limit, missed = _residual(coeffs, tau_c, tau_h, tau_p)
+    if reason or missed:
+        raise ConvergenceError(reason or _too_large(residual, limit, tau_c))
+    return [AllocationSolution(tau_c, tau_h, tau_p, residual,
+                               cycle.evaluate_cycle(coeffs, tau_c, tau_h, tau_p))]
 
 
 def _attempt(fn, *args, **kwargs):
@@ -319,25 +282,12 @@ def _records(coeffs, alpha, tau_c, tau_p, reasons=None):
     for i, (t, h, tp, q_c, q_h, p, r) in enumerate(zip(*(
             a.tolist() for a in (tau_c, tau_h, tau_p, cold.Q, hot.Q, psi, R)))):
         if reasons[i] is None and missed[i]:
-            reasons[i] = (f"stationarity residual {residual[i]:.3e} too large at "
-                          f"tau_c={t} (limit {limit[i]:.3e})")
+            reasons[i] = _too_large(residual[i], limit[i], t)
         if reasons[i] is None and not (q_h > 0.0 and q_c > 0.0):
             reasons[i] = (f"principal solution at tau_c={t} does not refrigerate "
                           f"(Q_c={q_c:.3e}, Q_h={q_h:.3e})")
         records.append(None if reasons[i] else SweepRecord(float(alpha), p, r, p * r, t, h, tp))
     return records, reasons
-
-
-def _principal_records(coeffs, alpha, tau_c):
-    """:func:`_records` of the principal root of :func:`_stationary_roots` at
-    each cold-branch duration of the (n, 1) column ``tau_c``: the root with
-    the largest cooling rate, the first in ascending tau_p on a tie."""
-    tau_h, tau_p, _, reasons = _stationary_roots(coeffs, tau_c)
-    with np.errstate(all="ignore"):  # the NaN columns and the rows without a root
-        R = cycle.cycle_heats(coeffs, tau_c, tau_h, tau_p)[3]
-    best = np.fmax(R, -np.inf).argmax(1)[:, None]
-    return _records(coeffs, alpha, tau_c[:, 0], np.take_along_axis(tau_p, best, 1)[:, 0],
-                    reasons)
 
 
 def _peak_record(coeffs, alpha, peak):
@@ -359,8 +309,8 @@ class CurveResult:
 
 
 def optimal_curve(config, tau_c_grid=None):
-    """Principal allocation per tau_c, sorted by COP, from one
-    :func:`_principal_records` call over the whole grid.
+    """Stationary allocation per tau_c, sorted by COP, from one
+    :func:`_stationary_tau_p` call over the whole grid.
 
     Grid points without a convergent refrigeration solution are skipped and
     reported in ``skipped`` as ``(tau_c, reason)`` pairs; fewer than 10
@@ -374,7 +324,8 @@ def optimal_curve(config, tau_c_grid=None):
     if np.any(tau_c_grid <= 0.0):
         raise ValueError("tau_c grid must be positive")
     coeffs = cycle.cycle_coefficients(config)
-    records, reasons = _principal_records(coeffs, config.alpha, tau_c_grid[:, None])
+    records, reasons = _records(coeffs, config.alpha, tau_c_grid,
+                               *_stationary_tau_p(coeffs, tau_c_grid))
     skipped = [(t, why) for t, why in zip(tau_c_grid.tolist(), reasons) if why]
     records = sorted((r for r in records if r is not None), key=lambda r: r.psi)
     if len(records) < 10:
@@ -433,9 +384,6 @@ def _rate_peak(coeffs):
     return t, r_p * (r_h + r_p) * t / (Z * t - a_c)
 
 
-_NEWTON_RTOL, _NEWTON_MAXITER = 1e-12, 50  # of the figure-of-merit iteration
-
-
 def _merit_peak(coeffs):
     """(tau_c, tau_p) of the largest chi: Newton's method on the gradient of
     ln chi = 2 ln Q_c - ln Q_h - ln tau in y = (1/tau_c, 1/tau_p), where Q_c, Q_h
@@ -443,25 +391,27 @@ def _merit_peak(coeffs):
     of ``_NEWTON_RTOL`` and a negative-definite Hessian.  ConvergenceError when
     an iterate leaves positive durations and heats, or never converges."""
     A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
-    y = 1.0 / np.array(_rate_peak(coeffs))
-    g_c, g_h = np.array([-a_c, 0.0]), np.array([a_c, a_p])  # gradients of Q_c, Q_h
-    w_y = -g_h / a_h
+    u, v = (1.0 / t for t in _rate_peak(coeffs))
     for _ in range(_NEWTON_MAXITER):
-        Q_c, w = A - a_c * y[0], (Z - a_c * y[0] - a_p * y[1]) / a_h
+        Q_c, w = A - a_c * u, (Z - a_c * u - a_p * v) / a_h
         Q_h = H - a_h * w
-        if not (np.all(y > 0.0) and w > 0.0 and Q_c > 0.0 and Q_h > 0.0):
-            raise ConvergenceError(f"chi Newton iterate inadmissible at (tau_c, tau_p)={1 / y}")
-        tau = np.sum(1.0 / y) + 1.0 / w
-        tau_y = -y ** -2.0 - w_y / w ** 2
-        tau_yy = np.diag(2.0 * y ** -3.0) + 2.0 * np.outer(w_y, w_y) / w ** 3
-        grad = 2.0 * g_c / Q_c - g_h / Q_h - tau_y / tau
-        hess = (np.outer(g_h, g_h) / Q_h ** 2 - 2.0 * np.outer(g_c, g_c) / Q_c ** 2
-                - tau_yy / tau + np.outer(tau_y, tau_y) / tau ** 2)
-        step = np.linalg.solve(hess, grad)
-        y = y - step
-        if np.all(np.abs(step) <= _NEWTON_RTOL * np.abs(y)) \
-                and hess[0, 0] < 0.0 < np.linalg.det(hess):
-            return tuple((1.0 / y).tolist())
+        if not (u > 0.0 and v > 0.0 and w > 0.0 and Q_c > 0.0 and Q_h > 0.0):
+            raise ConvergenceError(f"chi Newton iterate inadmissible at 1/tau_c={u}, 1/tau_p={v}")
+        # grad Q_c = (-a_c, 0), grad Q_h = (a_c, a_p), grad tau = (t_u, t_v), hess tau =
+        # diag(2/y^3) + s (a_c, a_p)^T (a_c, a_p); dividing by positive floats never raises
+        tau, s = 1.0 / u + 1.0 / v + 1.0 / w, 2.0 / a_h / a_h / w / w / w
+        t_u, t_v = a_c / a_h / w / w - 1.0 / u / u, a_p / a_h / w / w - 1.0 / v / v
+        g_u, g_v = -2.0 * a_c / Q_c - a_c / Q_h - t_u / tau, -a_p / Q_h - t_v / tau
+        q_h, q_c, q_t = 1.0 / Q_h / Q_h, 2.0 / Q_c / Q_c, 1.0 / tau / tau
+        h_uu = a_c * a_c * (q_h - q_c - s / tau) - 2.0 / u / u / u / tau + t_u * t_u * q_t
+        h_uv = a_c * a_p * (q_h - s / tau) + t_u * t_v * q_t
+        h_vv = a_p * a_p * (q_h - s / tau) - 2.0 / v / v / v / tau + t_v * t_v * q_t
+        det = h_uu * h_vv - h_uv * h_uv
+        d_u, d_v = (h_vv * g_u - h_uv * g_v) / det, (h_uu * g_v - h_uv * g_u) / det
+        u, v = u - d_u, v - d_v
+        if abs(d_u) <= _NEWTON_RTOL * abs(u) and abs(d_v) <= _NEWTON_RTOL * abs(v) \
+                and h_uu < 0.0 < det:
+            return 1.0 / u, 1.0 / v
     raise ConvergenceError(f"chi Newton iteration found no maximum in {_NEWTON_MAXITER} steps")
 
 
@@ -477,8 +427,7 @@ def _cop_points(coeffs, psi):
     outside :func:`_cop_range`.  With Q_h = Q_c/psi and Q_p = -k Q_c, k = 1 +
     1/psi, 1/tau_h and 1/tau_p = (P + k Q_c)/a_p are linear in u = 1/tau_c, so
     g = Q_c' tau - Q_c tau' falls (g' = -Q_c tau'' < 0) from +inf to -inf on
-    the admissible u; its root takes Newton steps kept inside a bisection
-    bracket."""
+    the admissible u, and :func:`_newton_root` takes its root."""
     _require_sign_structure(coeffs)
     A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
     P, psi = Z - A - H, np.asarray(psi, dtype=float)
@@ -487,24 +436,22 @@ def _cop_points(coeffs, psi):
         lo, hi = np.maximum((A - psi * H) / a_c, 0.0), (A + P / k) / a_c
         lo, hi = (np.where((psi > 0.0) & (lo < hi), x, np.nan) for x in (lo, hi))
         d_h, d_p = a_c / (psi * a_h), -k * a_c / a_p  # d(1/tau_h)/du, d(1/tau_p)/du
-        u = 0.5 * (lo + hi)
-        done = np.isnan(u)  # outside the range
-        for _ in range(_NEWTON_MAXITER):
+
+        def g(u):
             Q_c = A - a_c * u
             w_h, w_p = (H - Q_c / psi) / a_h, (P + k * Q_c) / a_p
             tau_u = -u ** -2.0 - d_h / w_h ** 2 - d_p / w_p ** 2
             tau_uu = 2.0 * (u ** -3.0 + d_h ** 2 / w_h ** 3 + d_p ** 2 / w_p ** 3)
-            g = -a_c * (1.0 / u + 1.0 / w_h + 1.0 / w_p) - Q_c * tau_u
-            lo, hi = np.where(g > 0.0, u, lo), np.where(g > 0.0, hi, u)
-            new = u + g / (Q_c * tau_uu)
-            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            u, done = np.where(done, u, new), done | (np.abs(new - u) <= _NEWTON_RTOL * new)
-            if done.all():
-                Q_c = A - a_c * u
-                tau_p = a_p / (P + k * Q_c)
-                return 1.0 / u, tau_p, Q_c / (1.0 / u + a_h / (H - Q_c / psi) + tau_p)
-    raise ConvergenceError(f"fixed-COP Newton iteration found no maximum at "
-                           f"psi={psi[~done].flat[0]} in {_NEWTON_MAXITER} steps")
+            return -a_c * (1.0 / u + 1.0 / w_h + 1.0 / w_p) - Q_c * tau_u, -(Q_c * tau_uu)
+
+        u = _newton_root(g, 0.5 * (lo + hi), lo, hi)
+        failed = np.isnan(u) & ~np.isnan(lo)
+        if failed.any():
+            raise ConvergenceError(f"fixed-COP Newton iteration found no maximum at "
+                                   f"psi={psi[failed].flat[0]} in {_NEWTON_MAXITER} steps")
+        Q_c = A - a_c * u
+        tau_p = a_p / (P + k * Q_c)
+        return 1.0 / u, tau_p, Q_c / (1.0 / u + a_h / (H - Q_c / psi) + tau_p)
 
 
 def max_cooling_rate(coeffs, alpha):

@@ -8,9 +8,11 @@ RK4 reference applies each stage generator to the state vector step by step.
 The zeroth-heat scan and the temperature-entropy trajectory are the per-point
 loops the package ran before it evaluated them as array expressions: one
 config and three branches per amplitude, one state per sample.  The
-allocation solver is likewise the per-point path the package ran before it
-solved a whole tau_c grid as one companion-matrix stack: one ``np.roots``,
-plain-float Newton step, residual check and ``evaluate_cycle`` per root.
+allocation reference is the stationarity quartic that the package solved
+before it took its tau_p as one bracketed Newton root on the energy-balance
+line: denominators cleared, coefficients squared by Python's pow, one
+``np.roots``, plain-float Newton step, residual check and ``evaluate_cycle``
+per root, and the principal root the one with the largest R.
 
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
@@ -44,7 +46,6 @@ from qtricycle.optimize import (
     _energy_balance,
     _require_sign_structure,
     _RESIDUAL_RTOL,
-    _stationarity_quartic,
     _stationarity_terms,
 )
 from qtricycle.protocol import frequency, frequency_derivative
@@ -372,6 +373,35 @@ def checked_residual(coeffs, tau_c, tau_h, tau_p):
     return residual
 
 
+def _square(x):
+    """x ** 2 by Python's pow; inf where it overflows (pow raises there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def stationarity_quartic(coeffs, tau_c):
+    """(K, M, coefficients of the stationarity quartic, highest power first).
+
+    The energy balance gives tau_h = N tau_p / (K tau_p + M), N = -T_h Sigma_h,
+    M = T_p Sigma_p, K = T_p dS_p + T_c (dS_c + Sigma_c/tau_c) + T_h dS_h; put
+    into the stationarity constraint F and multiplied by (K tau_p + M)^2, it
+    leaves a quartic in tau_p (a_v = dS_v/Sigma_v, c0 = dS_c tau_c^2/Sigma_c +
+    2 tau_c).  Its real roots above -M/K are those with tau_h > 0; there is at
+    most one, which is why one bracketed root can replace the principal pick.
+    """
+    (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.T, coeffs.dS, coeffs.Sigma
+    N, M = -T_h * S_h, T_p * S_p
+    K = T_p * dS_p + T_c * (dS_c + S_c / tau_c) + T_h * dS_h
+    a_h, a_p = dS_h / S_h, dS_p / S_p
+    c0 = dS_c * _square(tau_c) / S_c + 2 * tau_c
+    K2, M2 = _square(K), _square(M)
+    return K, M, (a_p * K2, 2 * K * (a_p * M + K),
+                  a_p * M2 + 4 * K * M + c0 * K2 + a_h * _square(N) + 2 * N * K,
+                  2 * M * (M + c0 * K + N), c0 * M2)
+
+
 def _horner(coefficients, x):
     """Polynomial value in plain floats, np.polyval's operation order."""
     y = 0.0
@@ -397,7 +427,7 @@ def solve_time_allocation_reference(coeffs, tau_c):
     _require_sign_structure(coeffs)
     tau_c = float(tau_c)
 
-    K, M, poly = _stationarity_quartic(coeffs, tau_c)  # inf where a square overflows
+    K, M, poly = stationarity_quartic(coeffs, tau_c)  # inf where a square overflows
     if not all(map(math.isfinite, poly)):
         raise ConvergenceError(f"stationarity quartic coefficients overflow at tau_c={tau_c}")
     if not K > 0.0:  # K = sum_v T_v dS_v + T_c Sigma_c / tau_c

@@ -1,4 +1,4 @@
-"""Run every subcommand on the four standard configs, in CSV and JSON.
+"""Run every subcommand on the five standard configs, in CSV and JSON.
 
 Usage: python tests/report_matrix.py SRC OUTDIR
 
@@ -21,8 +21,9 @@ import os
 import sys
 import warnings
 
-# The default operating point and the three configs that the report checks
-# have used since the sweep grids became array work.
+# The default operating point, the three configs that the report checks have
+# used since the sweep grids became array work, and the default point on a
+# tau_c grid out to 1e200, whose curve reaches the float range (c4).
 CONFIGS = {
     "c0": [],
     "c1": ["delta_c=0.62", "gamma0=1.2", "alpha=0.7", "tau_c=20", "tau_p=35",
@@ -31,6 +32,7 @@ CONFIGS = {
            "oracle_branch=p"],
     "c3": ["delta_c=0.55", "gamma0=1.05", "alpha=1.3", "tau_c=30", "tau_p=55",
            "oracle_branch=c"],
+    "c4": ["tau_c_max=1e200"],
 }
 EXPECTED_EXIT = {("c2", "ts-diagram"): 2}
 

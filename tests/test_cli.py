@@ -383,12 +383,25 @@ class TestExitCodes:
         assert code == 0
 
     def test_overflow_on_every_point_exits_3(self, tmp_path):
+        # a_c/tau_c is near the float range here, so K = sum_v T_v dS_v -
+        # a_c/tau_c <= 0 and the balance has no positive tau_h at any point
         out = tmp_path / "curve.csv"
         code = main(["optimal-curve", "--set", "tau_c_min=1e-300",
                      "--set", "tau_c_max=1e-200", "--out", str(out)])
         assert code == 3
         text = (tmp_path / "curve.csv.diagnostic.txt").read_text()
-        assert "overflow at tau_c=1e-300" in text
+        assert "energy balance infeasible for every tau_p at tau_c=1e-300 (tau_c must" in text
+
+    def test_far_grid_solves_every_point_below_the_overflow(self, tmp_path, capsys):
+        # geomspace(0.3, 1e200, 120): the first point is below the K > 0 bound
+        # and the 28 above sqrt(float max) overflow the constraint; the other 91
+        # are records, with no RuntimeWarning
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["optimal-curve", "--set", "tau_c_max=1e200", "--out", str(out)])
+        assert code == 0 and "(91 rows)" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 92
 
     def test_scan_without_root_lists_points_with_reasons(self, tmp_path):
         out = tmp_path / "delta.csv"
@@ -407,8 +420,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("tau_c_min, tau_c_max", [("1.4e153", "8.9e153"),
                                                       ("1e85", "1e154")])
     def test_far_grid_skips_points_without_warnings(self, tmp_path, tau_c_min, tau_c_max):
-        # the quartic's coefficients stay finite here, but its companion matrix
-        # or its value at a root overflows; such points are skipped with a reason
+        # tau_c^2 nears the float range here; a point whose stationarity
+        # constraint overflows is skipped with a reason
         out = tmp_path / "curve.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -14,6 +14,7 @@ from oracles import (
     profile_shape_warnings_reference,
     solve_time_allocation_reference,
     stationarity_brackets,
+    stationarity_quartic,
 )
 from qtricycle import (
     ConvergenceError,
@@ -41,10 +42,10 @@ from qtricycle.optimize import (
     _merit_peak,
     _rate_cubic,
     _rate_peak,
+    _line_constraint,
     _residual,
-    _stationarity_quartic,
     _stationarity_terms,
-    _stationary_roots,
+    _stationary_tau_p,
     curve_maxima,
 )
 
@@ -189,18 +190,18 @@ class TestResidualContract:
                     assert _residual(co, tau_c, tau_h, tau_p)[2]
 
     def test_spurious_pole_root_drops_only_itself(self, coeffs):
-        # above tau_c ~ 6e7 the quartic has a root just above the pole -M/K of
-        # the balanced tau_h that does not solve F = 0 at all; it is dropped,
-        # and the valid root of the same tau_c is kept
+        # above tau_c ~ 6e7 the reference quartic has a root just above the
+        # pole -M/K of the balanced tau_h that does not solve F = 0 at all; the
+        # line form divides nothing out, so it finds only the valid root
         tau_c = np.geomspace(6e7, 1e9, 60)
-        tau_h, tau_p, residual, reasons = _stationary_roots(coeffs, tau_c[:, None])
+        tau_p, reasons = _stationary_tau_p(coeffs, tau_c)
         assert reasons == [None] * tau_c.size
         misses = []
-        for t, hs, ps, rs in zip(tau_c.tolist(), tau_h, tau_p, residual):
-            kept = ~np.isnan(ps)
-            for h, p, r in zip(hs[kept].tolist(), ps[kept].tolist(), rs[kept].tolist()):
-                assert checked_residual(coeffs, t, h, p) == r
-            misses += _dropped_root_misses(coeffs, t, ps[kept].tolist())
+        for t, p in zip(tau_c.tolist(), tau_p.tolist()):
+            [sol] = solve_time_allocation(coeffs, t)
+            [reference] = solve_time_allocation_reference(coeffs, t)
+            assert sol.tau_p == p == pytest.approx(reference.tau_p, rel=1e-10)
+            misses += _dropped_root_misses(coeffs, t, [reference.tau_p])
         assert misses and min(misses) >= 1e-3  # spurious, not near-misses
 
     @pytest.mark.parametrize("peak, record", [("_rate_peak", max_cooling_rate),
@@ -236,21 +237,21 @@ class TestResidualContract:
 
 
 def _solved_cases(coeffs, rng, draws=24):
-    """(coeffs, tau_c, solutions) for the default config and random draws;
-    no solutions where the solver reports none."""
+    """(coeffs, tau_c, solutions of the reference quartic) for the default
+    config and random draws; no solutions where it reports none."""
     cases = [(coeffs, tau_c) for tau_c in (2.0, 9.0, 50.0, 400.0)]
     for _ in range(draws):
         co = cycle_coefficients(random_config(rng))
         cases += [(co, tau_c) for tau_c in (2.0, 9.0, 50.0, 400.0)]
     for co, tau_c in cases:
         try:
-            yield co, tau_c, solve_time_allocation(co, tau_c)
+            yield co, tau_c, solve_time_allocation_reference(co, tau_c)
         except ConvergenceError:
             yield co, tau_c, []
 
 
 class TestStationarityQuartic:
-    """The closed-form roots against independent references."""
+    """The reference quartic's roots against independent references."""
 
     def test_roots_match_high_precision(self, coeffs, rng):
         mp = pytest.importorskip("mpmath")
@@ -279,7 +280,7 @@ class TestStationarityQuartic:
         for co, tau_c, sols in _solved_cases(coeffs, rng):
             if not sols:
                 continue
-            K, M, poly = _stationarity_quartic(co, tau_c)
+            K, M, poly = stationarity_quartic(co, tau_c)
             roots = np.roots(poly)
             roots = roots[roots.imag == 0.0].real
             roots -= np.polyval(poly, roots) / np.polyval(np.polyder(poly), roots)
@@ -310,7 +311,7 @@ class TestStationarityQuartic:
         F = (dS_h * tau_h ** 2 / S_h + dS_p * tau_p ** 2 / S_p + dS_c * tau_c ** 2 / S_c
              + 2 * (tau_c + tau_h + tau_p))
         expected = sp.Poly(sp.cancel(F * sp.expand(denom * tau_p) ** 2), tau_p).all_coeffs()
-        K, M, poly = _stationarity_quartic(symbolic, tau_c)
+        K, M, poly = stationarity_quartic(symbolic, tau_c)
         assert sp.expand(K * tau_p + M - denom * tau_p) == 0
         assert len(expected) == len(poly) == 5
         for want, got in zip(expected, poly):
@@ -377,9 +378,9 @@ class TestObjectiveMaxima:
 
     def test_maxima_solve_no_quartic(self, config, coeffs, monkeypatch):
         # the maxima are built at the closed-form peaks' own durations: no
-        # kernel call, no one-point solve and no curve
+        # tau_p root, no one-point solve and no curve
         built = []
-        for name in ("_stationary_roots", "solve_time_allocation", "optimal_curve"):
+        for name in ("_stationary_tau_p", "solve_time_allocation", "optimal_curve"):
             monkeypatch.setattr(optimize, name, lambda *args: built.append(args))
         record = curve_maxima(coeffs, config.alpha)
         assert built == []
@@ -427,15 +428,21 @@ STANDARD_CONFIGS = [TricycleConfig(), TricycleConfig(delta_c=0.62, gamma0=1.2, a
                     TricycleConfig(delta_c=0.55, gamma0=1.05, alpha=1.3)]
 
 
-def _dropped_root_misses(coeffs, tau_c, kept):
-    """|F| / sum |terms| of each candidate root at tau_c that is not among
-    ``kept``: np.roots' real roots above -M/K after one Newton step."""
-    K, M, poly = _stationarity_quartic(coeffs, tau_c)
+def _quartic_roots(coeffs, tau_c):
+    """The reference quartic's real roots above -M/K at tau_c (tau_h > 0 in
+    exact arithmetic), after one Newton step."""
+    K, M, poly = stationarity_quartic(coeffs, tau_c)
     roots = np.roots(poly)
     roots = roots[roots.imag == 0.0].real
     roots -= np.polyval(poly, roots) / np.polyval(np.polyder(poly), roots)
+    return roots[roots > -M / K].tolist()
+
+
+def _dropped_root_misses(coeffs, tau_c, kept):
+    """|F| / sum |terms| of each of :func:`_quartic_roots` at tau_c that is not
+    among ``kept`` (NaN where its balanced tau_h is)."""
     misses = []
-    for p in roots[roots > -M / K].tolist():
+    for p in _quartic_roots(coeffs, tau_c):
         if p not in kept:
             h = float(_energy_balance(coeffs, tau_c, p)[0])
             terms = _stationarity_terms(coeffs, tau_c, h, p)
@@ -443,137 +450,213 @@ def _dropped_root_misses(coeffs, tau_c, kept):
     return misses
 
 
-class TestWholeGridKernel:
-    """One kernel call solves a whole tau_c grid; its records and skipped
-    reasons equal those of the per-point reference solver exactly."""
+def _matches_reference(config, grid):
+    """The curve's skipped ``(tau_c, reason)`` pairs on ``grid``, after checking
+    that the per-point quartic reference skips the same tau_c and that each
+    record is within 1e-10 of the reference's principal record."""
+    records, skipped = optimal_curve_reference(config, grid)
+    try:
+        curve = optimal_curve(config, tau_c_grid=grid)
+    except ConvergenceError as exc:  # fewer than 10 points survive
+        assert len(records) < 10
+        assert [t for t, _ in exc.failed_points] == [t for t, _ in skipped]
+        return exc.failed_points
+    assert [t for t, _ in curve.skipped] == [t for t, _ in skipped]
+    assert len(curve.records) == len(records)
+    for record, reference in zip(curve.records, records):
+        assert record.tau_c == reference.tau_c
+        assert record == pytest.approx(reference, rel=1e-10)
+    return curve.skipped
 
-    @staticmethod
-    def matches_reference(config, grid):
-        """The reference's skipped pairs, after checking the curve against it."""
-        records, skipped = optimal_curve_reference(config, grid)
-        try:
-            curve = optimal_curve(config, tau_c_grid=grid)
-        except ConvergenceError as exc:  # fewer than 10 points survive
-            assert len(records) < 10 and exc.failed_points == skipped
-            return skipped
-        assert curve.records == records and curve.skipped == skipped
-        return skipped
+
+class TestWholeGridKernel:
+    """One root call solves a whole tau_c grid; it skips the tau_c that the
+    per-point quartic reference skips, and its records agree with the
+    reference's to 1e-10."""
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_standard_configs_on_the_default_grid(self, config):
-        self.matches_reference(config, np.geomspace(*optimize.DEFAULT_TAU_C_RANGE))
+        grid = np.geomspace(*optimize.DEFAULT_TAU_C_RANGE)
+        skipped = _matches_reference(config, grid)
+        assert skipped == optimal_curve_reference(config, grid)[1]  # the reasons too
 
     def test_wide_grid(self, config, coeffs):
         grid = np.geomspace(1e-3, 1e9, 200)
-        reasons = [why for _, why in self.matches_reference(config, grid)]
+        reasons = [why for _, why in _matches_reference(config, grid)]
         assert any("tau_c must exceed" in why for why in reasons)  # K <= 0
         assert any("does not refrigerate" in why for why in reasons)
-        # above tau_c ~ 6e7 some of the grid's points carry a spurious pole root
+        # above tau_c ~ 6e7 the quartic has a spurious pole root at 8 of the
+        # grid's points; the line form never sees one
         far = grid[grid > 6e7]
-        tau_p = _stationary_roots(coeffs, far[:, None])[1]
-        misses = [_dropped_root_misses(coeffs, t, ps[~np.isnan(ps)].tolist())
-                  for t, ps in zip(far.tolist(), tau_p)]
+        misses = []
+        for t, p in zip(far.tolist(), _stationary_tau_p(coeffs, far)[0].tolist()):
+            [reference] = solve_time_allocation_reference(coeffs, t)
+            assert p == pytest.approx(reference.tau_p, rel=1e-10)
+            misses.append(_dropped_root_misses(coeffs, t, [reference.tau_p]))
         assert sum(map(bool, misses)) == 8 and min(map(min, filter(None, misses))) >= 1e-3
 
     def test_overflowing_coefficients(self, config):
-        reasons = self.matches_reference(config, np.geomspace(0.3, 1e200, 120))
-        assert any("coefficients overflow" in why for _, why in reasons)
+        # the reference also skips the points where its quartic's coefficients
+        # overflow or its Newton update is not finite; the line form skips only
+        # those where tau_c^2 overflows the constraint itself
+        grid = np.geomspace(0.3, 1e200, 120)
+        records, skipped = optimal_curve_reference(config, grid)
+        curve = optimal_curve(config, tau_c_grid=grid)
+        assert len(records) == 49 and len(curve.records) == 91
+        overflow = [t for t, why in curve.skipped if "constraint overflows" in why]
+        assert overflow == grid[grid > math.sqrt(np.finfo(float).max)].tolist()
+        assert {t for t, _ in curve.skipped} < {t for t, _ in skipped}
+        assert any("coefficients overflow" in why for _, why in skipped)
+        solved = {record.tau_c: record for record in curve.records}
+        for reference in records:
+            assert solved[reference.tau_c] == pytest.approx(reference, rel=1e-10)
 
     def test_vanishing_constant_term(self, config, coeffs):
         # c0 M^2 is exactly 0 here, so np.roots trims it and returns a cubic's
-        # roots and 0; the kernel sends that row to np.roots as well
+        # roots and 0; the line form has no such case and agrees
         tau_c = 2.818507017942862
-        poly = _stationarity_quartic(coeffs, tau_c)[2]
+        poly = stationarity_quartic(coeffs, tau_c)[2]
         assert poly[4] == 0.0 and np.roots(poly).size == 4
         grid = np.geomspace(*optimize.DEFAULT_TAU_C_RANGE)
         grid[np.searchsorted(grid, tau_c)] = tau_c
-        self.matches_reference(config, grid)
-        assert repr(solve_time_allocation(coeffs, tau_c)) == \
-            repr(solve_time_allocation_reference(coeffs, tau_c))
+        _matches_reference(config, grid)
+        [sol], [reference] = (solve(coeffs, tau_c) for solve in (
+            solve_time_allocation, solve_time_allocation_reference))
+        assert sol.tau_p == pytest.approx(reference.tau_p, rel=1e-10)
 
-    def test_pole_roots_with_nan_tau_h(self, rng, monkeypatch):
-        # at 3 of these tau_c a root sits so close to the pole that the balanced
-        # tau_h's denominator rounds to <= 0: its tau_h and residual are NaN,
-        # so it is dropped, and the valid root of the same tau_c is the point
+    def test_pole_roots_with_nan_tau_h(self, rng):
+        # at 3 of these tau_c one of the reference quartic's roots sits so close
+        # to the pole that the balanced tau_h's denominator rounds to <= 0, so
+        # its tau_h is NaN; the line form's root there is the valid one
         for _ in range(18):
             random_config(rng)
         config = random_config(rng)
         coeffs = cycle_coefficients(config)
         grid = np.geomspace(1e9, 1e13, 200)
-
-        def nan_passing_mask(*args):
-            residual, limit, _ = _residual(*args)
-            return residual, limit, np.abs(residual) > limit
-
-        with monkeypatch.context() as patch:
-            patch.setattr(optimize, "_residual", nan_passing_mask)
-            tau_h, tau_p, _, _ = _stationary_roots(coeffs, grid[:, None])
-        pole = grid[(np.isnan(tau_h) & ~np.isnan(tau_p)).any(1)].tolist()
+        pole = [t for t in grid.tolist() if any(
+            math.isnan(_energy_balance(coeffs, t, p)[0]) for p in _quartic_roots(coeffs, t))]
         assert len(pole) == 3
-        tau_h, tau_p, _, _ = _stationary_roots(coeffs, grid[:, None])
-        assert not (np.isnan(tau_h) & ~np.isnan(tau_p)).any()
-        skipped = dict(self.matches_reference(config, grid))
+        skipped = dict(_matches_reference(config, grid))
         assert not any(t in skipped for t in pole)
-        for t in pole:
-            assert repr(solve_time_allocation(coeffs, t)) == \
-                repr(solve_time_allocation_reference(coeffs, t))
+        tau_p, reasons = _stationary_tau_p(coeffs, np.array(pole))
+        assert reasons == [None] * 3
+        for t, p in zip(pole, tau_p.tolist()):
+            [reference] = solve_time_allocation_reference(coeffs, t)
+            assert p == pytest.approx(reference.tau_p, rel=1e-10)
 
-    def test_rows_keep_pythons_pow(self, coeffs, monkeypatch):
-        # numpy squares an array by x * x, which differs from libm's pow in
-        # the last bit now and then; where that would move the quartic, the
-        # kernel's roots still equal the per-point solver's
+    def test_rows_keep_pythons_pow(self, coeffs):
+        # the reference squares a float by Python's pow and an array by numpy's
+        # x * x, which differ in the last bit now and then; where that moves a
+        # quartic row, the line form still agrees with the per-point reference
         tau_c = np.geomspace(0.7, 3000.0, 20000)
-        python_rows = [_stationarity_quartic(coeffs, t)[2] for t in tau_c.tolist()]
-        with monkeypatch.context() as patch:
-            patch.setattr(optimize, "_square", lambda x: x * x)
-            numpy_rows = np.array(_stationarity_quartic(coeffs, tau_c[:, None])[2])[:, :, 0].T
-        moved = tau_c[(numpy_rows != np.array(python_rows)).any(1)]
+        python_rows = np.array([stationarity_quartic(coeffs, t)[2] for t in tau_c.tolist()])
+        numpy_rows = np.array(stationarity_quartic(coeffs, tau_c)[2]).T
+        moved = tau_c[(numpy_rows != python_rows).any(1)]
         assert moved.size > 20
-        tau_p = _stationary_roots(coeffs, moved[:, None])[1]
-        for t, ps in zip(moved.tolist(), tau_p):
-            assert ps[~np.isnan(ps)].tolist() == \
-                sorted(sol.tau_p for sol in solve_time_allocation_reference(coeffs, t))
+        tau_p, reasons = _stationary_tau_p(coeffs, moved)
+        assert reasons == [None] * moved.size
+        for t, p in zip(moved.tolist(), tau_p.tolist()):
+            [reference] = solve_time_allocation_reference(coeffs, t)
+            assert p == pytest.approx(reference.tau_p, rel=1e-10)
 
     def test_one_kernel_call_and_no_per_point_solve(self, config, monkeypatch):
-        kernel, eigvals, per_point = [], [], []
-        original, original_eigvals = optimize._stationary_roots, np.linalg.eigvals
+        kernel, per_point = [], []
+        original = optimize._stationary_tau_p
 
         def counting(co, tau_c):
             kernel.append(tau_c.shape)
             return original(co, tau_c)
 
-        def counting_eigvals(a):
-            eigvals.append(a.shape)
-            return original_eigvals(a)
-
-        monkeypatch.setattr(optimize, "_stationary_roots", counting)
-        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(optimize, "_stationary_tau_p", counting)
         monkeypatch.setattr(optimize, "solve_time_allocation",
                             lambda *args: per_point.append(args))
-        monkeypatch.setattr(np, "roots", lambda *args: per_point.append(args))
+        for module, name in ((np, "roots"), (np.linalg, "eigvals"), (np.linalg, "solve")):
+            monkeypatch.setattr(module, name, lambda *args: per_point.append(args))
         curve = optimal_curve(config)
-        assert kernel == [(120, 1)] and per_point == []
-        assert len(eigvals) == 1 and eigvals[0][1:] == (4, 4)
-        assert eigvals[0][0] >= len(curve.records) == 100
+        assert kernel == [(120,)] and per_point == [] and len(curve.records) == 100
 
     def test_only_the_curve_solves_the_quartic(self, config, coeffs, monkeypatch):
         # the maxima, the alpha sweep, the envelope and the profile are built
-        # at closed-form durations; only the curve needs the quartic's roots
+        # at closed-form durations; only the curve needs a tau_p root
         kernel = []
-        original = optimize._stationary_roots
+        original = optimize._stationary_tau_p
 
         def counting(co, tau_c):
             kernel.append(tau_c.shape)
             return original(co, tau_c)
 
-        monkeypatch.setattr(optimize, "_stationary_roots", counting)
+        monkeypatch.setattr(optimize, "_stationary_tau_p", counting)
         curve_maxima(coeffs, config.alpha)
         alpha_sweep(config)
         envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5))
         time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
         assert kernel == []
         optimal_curve(config)
-        assert kernel == [(120, 1)]
+        assert kernel == [(120,)]
+
+
+class TestLineRoot:
+    """The root of the line form against a 50-digit reference, its derivative
+    against sympy, and its failure reasons."""
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_roots_match_high_precision(self, config, mp):
+        # within 4e-15 on the curve's records; a root that the curve skips as
+        # not refrigerating can sit where K = Z - a_c/tau_c nearly cancels,
+        # which amplifies K's rounding: 1.06e-14 at c1's tau_c = 0.324 (the
+        # reference quartic's root there is 2.4e-14 off)
+        coeffs = cycle_coefficients(config)
+        (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = (
+            [mp.mpf(v) for v in group] for group in (coeffs.T, coeffs.dS, coeffs.Sigma))
+        checked = 0
+        for grid in (np.geomspace(*optimize.DEFAULT_TAU_C_RANGE), np.geomspace(1e-3, 1e12, 120)):
+            tau_p, reasons = _stationary_tau_p(coeffs, grid)
+            _, kept = optimize._records(coeffs, config.alpha, grid, tau_p, list(reasons))
+            for t, p, why, record_reason in zip(grid.tolist(), tau_p.tolist(), reasons, kept):
+                if why is not None:
+                    continue
+                tc = mp.mpf(t)
+
+                def g(x):  # x^2 F(1/x), tau_h balanced
+                    tau_h = -T_h * S_h / (T_p * (dS_p + S_p * x)
+                                          + T_c * (dS_c + S_c / tc) + T_h * dS_h)
+                    return (dS_h * (x * tau_h) ** 2 / S_h + dS_p / S_p
+                            + x ** 2 * (dS_c * tc ** 2 / S_c + 2 * tc) + 2 * x * (1 + x * tau_h))
+
+                exact = 1 / mp.findroot(g, mp.mpf(1) / p)
+                assert abs(p - exact) <= (2e-14 if record_reason else 4e-15) * exact, (t, p)
+                checked += record_reason is None
+        assert checked >= 190
+
+    def test_slope_is_the_derivative(self):
+        sp = pytest.importorskip("sympy")
+        T_c, T_h, T_p, tau_c, x = sp.symbols("T_c T_h T_p tau_c x", positive=True)
+        dS_c, dS_h, dS_p, S_c, S_h, S_p = sp.symbols("dS_c dS_h dS_p S_c S_h S_p")
+        symbolic = CycleCoefficients(T=(T_c, T_h, T_p), dS=(dS_c, dS_h, dS_p),
+                                     Sigma=(S_c, S_h, S_p))
+        K = T_c * dS_c + T_h * dS_h + T_p * dS_p + T_c * S_c / tau_c
+        c0 = dS_c * tau_c ** 2 / S_c + 2 * tau_c
+        g, slope = _line_constraint(symbolic, K, c0, x)
+        # the balanced tau_h and the stationarity constraint, written out afresh
+        tau_p = 1 / x
+        tau_h = -T_h * S_h / (T_p * (dS_p + S_p / tau_p) + T_c * (dS_c + S_c / tau_c)
+                              + T_h * dS_h)
+        F = (dS_h * tau_h ** 2 / S_h + dS_p * tau_p ** 2 / S_p + dS_c * tau_c ** 2 / S_c
+             + 2 * (tau_c + tau_h + tau_p))
+        assert sp.simplify(g - x ** 2 * F) == 0
+        assert sp.simplify(slope - sp.diff(x ** 2 * F, x)) == 0
+
+    def test_unconverged_rows_name_the_steps(self, coeffs, monkeypatch):
+        monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)
+        grid = np.geomspace(*optimize.DEFAULT_TAU_C_RANGE)
+        tau_p, reasons = _stationary_tau_p(coeffs, grid)
+        unconverged = [(t, p, why) for t, p, why in zip(grid.tolist(), tau_p.tolist(), reasons)
+                       if why and "tau_c must exceed" not in why]
+        assert len(unconverged) > 50
+        for t, p, why in unconverged:
+            assert math.isnan(p) and why == f"stationary tau_p not found in 2 steps at tau_c={t}"
+        with pytest.raises(ConvergenceError, match="not found in 2 steps at tau_c=9.0$"):
+            solve_time_allocation(coeffs, 9.0)
 
 
 class TestClosedFormMaxima:
