@@ -284,7 +284,7 @@ def _records(coeffs, alpha, tau_c, tau_p, reasons=None):
         if reasons[i] is None and missed[i]:
             reasons[i] = _too_large(residual[i], limit[i], t)
         if reasons[i] is None and not (q_h > 0.0 and q_c > 0.0):
-            reasons[i] = (f"principal solution at tau_c={t} does not refrigerate "
+            reasons[i] = (f"allocation at tau_c={t} does not refrigerate "
                           f"(Q_c={q_c:.3e}, Q_h={q_h:.3e})")
         records.append(None if reasons[i] else SweepRecord(float(alpha), p, r, p * r, t, h, tp))
     return records, reasons

@@ -3,11 +3,11 @@
 This module is the independent check on the slow-driving expansion: it
 propagates the population pair p = (rho11, rho00) under dp/dt = L(t) p with
 classic fixed-step RK4 and evaluates the heat as Int omega(t) dp11/dt dt by
-Simpson's rule over the stored samples.  As L depends on time, never on p,
-each RK4 step is the linear map M = I + dt/6 (L1 + 2 K2 + 2 K3 + K4) with
-K2 = L2 (I + dt/2 L1), K3 = L2 (I + dt/2 K2), K4 = L4 (I + dt K3), built in
-batches of steps.  Nothing here shares a code path with the closed-form Q0/Q1
-formulas beyond the generator matrix itself.
+Simpson's rule over the stored samples.  L conserves the trace S, so x = rho11
+obeys x' = f - r x with r = L01 - L00 and f = L01 S; as L depends on time alone,
+each RK4 step is an affine map x -> a x + b, and the branch is their prefix scan.
+Nothing here shares a code path with the closed-form Q0/Q1 formulas beyond the
+generator matrix itself.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ __all__ = [
 # outside [0, 1]; anything beyond this signals too coarse a step.
 _POSITIVITY_TOL = 1e-8
 
-# Steps whose stage generators are built and combined in one batch, so the
-# (2 * _CHUNK + 1, 2, 2) generator stack, about 16 kB, stays small whatever the
-# step count.  512 ran the oracle benchmark about 10% faster on a 2-core x86_64
-# host (then with 4x4 generators) but raised its peak RSS by 0.5 MB more.
-_CHUNK = 256
+# Steps whose affine maps are built and composed in one batch: a fixed count of
+# array passes, log2(_CHUNK) rounds of them in the scan, on a 49 kB generator
+# stack.  Larger batches run faster but raise the oracle's peak RSS.
+_CHUNK = 768
 
 # Largest step count propagate accepts, about 100 MB of samples.  It covers
 # tau = 3000, the default tau_c grid's top, on every branch of the benchmark's
@@ -74,14 +73,23 @@ def default_steps(branch, tau):
     return steps + (steps % 2)
 
 
-def _rk4_map(A1, A2, A4, dt):
-    """Classic RK4 steps of dp/dt = A p as maps p -> M p, from the (n, 2, 2)
-    generators ``A1``, ``A2``, ``A4`` at the start, middle and end of each step."""
-    one = np.eye(2)
-    K2 = A2 @ (one + (0.5 * dt) * A1)
-    K3 = A2 @ (one + (0.5 * dt) * K2)
-    K4 = A4 @ (one + dt * K3)
-    return one + (dt / 6.0) * (A1 + 2.0 * K2 + 2.0 * K3 + K4)
+def _batch_populations(branch, s, dt, trace, x0):
+    """x = rho11 after each step of a batch from x0 at stage times ``s``: each RK4
+    stage is alpha x + beta, a step x -> a x + b, and a doubling scan composes them."""
+    L = lindblad.liouvillian(branch.temperature, protocol.frequency(branch, s),
+                             branch.gamma0, branch.alpha)
+    lam, f = L[:, 0, 0] - L[:, 0, 1], trace * L[:, 0, 1]  # x' = lam x + f, lam = -r
+    l1, l2, l4, f1, f2, f4 = lam[:-1:2], lam[1::2], lam[2::2], f[:-1:2], f[1::2], f[2::2]
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the positivity check
+        a2, b2 = l2 * (1.0 + 0.5 * dt * l1), 0.5 * dt * l2 * f1 + f2
+        a3, b3 = l2 * (1.0 + 0.5 * dt * a2), 0.5 * dt * l2 * b2 + f2
+        a4, b4 = l4 * (1.0 + dt * a3), dt * l4 * b3 + f4
+        a = 1.0 + (dt / 6.0) * (l1 + 2.0 * (a2 + a3) + a4)
+        b = (dt / 6.0) * (f1 + 2.0 * (b2 + b3) + b4)
+        for k in (1 << j for j in range((a.size - 1).bit_length())):  # 1, 2, 4, ... < size
+            b[k:] += a[k:] * b[:-k]
+            a[k:] *= a[:-k]
+        return a * x0 + b
 
 
 def propagate(branch, tau, steps=None, initial=None):
@@ -91,16 +99,13 @@ def propagate(branch, tau, steps=None, initial=None):
     samples; ``steps`` must be even, at least 1000 and at most ``_MAX_STEPS``.
     ``initial``, the pair (rho11, rho00) with unit trace and entries in [0, 1]
     to 1e-12, defaults to the Gibbs pair at the initial splitting.  Raises
-    :class:`PositivityError` if a population leaves [0, 1] by more than 1e-8
-    (step size too large), and ValueError for a bad ``initial`` or step count
-    (before anything is allocated) and if tau / steps is not positive
-    (tau <= 0, or a tau so small that the step underflows to 0).
+    :class:`PositivityError` if a population is NaN or leaves [0, 1] by more
+    than 1e-8 (step size too large), and ValueError for a bad ``initial`` or
+    step count (before anything is allocated) and if tau / steps is not
+    positive (tau <= 0, or a tau so small that the step underflows to 0).
 
-    The generator depends on s only, so the steps are taken _CHUNK at a time:
-    one :func:`lindblad.liouvillian` call gives every 2x2 stage generator of
-    the chunk at s = j / (2 steps), the exact stage times i/steps and
-    (i + 1/2)/steps, and the chunk's RK4 maps are formed as a batch, then
-    applied to the pair step by step with the positivity check.
+    One :func:`lindblad.liouvillian` call gives the stage generators of each
+    batch of _CHUNK steps at s = j / (2 steps); rho00 is the trace minus rho11.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -127,23 +132,18 @@ def propagate(branch, tau, steps=None, initial=None):
     times = np.linspace(0.0, tau, steps + 1)
     states = np.empty((steps + 1, 2))
     states[0] = p1, p0
+    trace = p1 + p0
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
         s = np.arange(2 * start, 2 * stop + 1) / (2 * steps)
-        P = lindblad.liouvillian(branch.temperature, protocol.frequency(branch, s),
-                                 branch.gamma0, branch.alpha)
-        M = _rk4_map(P[:-1:2], P[1::2], P[2::2], dt)
-        populations = []
-        for i, (m00, m01, m10, m11) in enumerate(M.reshape(-1, 4).tolist(), start + 1):
-            p1, p0 = m00 * p1 + m01 * p0, m10 * p1 + m11 * p0
-            if p1 < -_POSITIVITY_TOL or p1 > 1.0 + _POSITIVITY_TOL:
-                raise PositivityError(
-                    f"population {p1} left [0, 1] beyond {_POSITIVITY_TOL} at "
-                    f"t={times[i]:.6g} on branch {branch.reservoir!r}: "
-                    f"step size too large ({steps} steps for tau={tau})"
-                )
-            populations += (p1, p0)
-        states[start + 1:stop + 1] = np.reshape(populations, (-1, 2))
+        x = _batch_populations(branch, s, dt, trace, states[start, 0])
+        bad = np.flatnonzero(~((x >= -_POSITIVITY_TOL) & (x <= 1.0 + _POSITIVITY_TOL)))
+        if bad.size:
+            raise PositivityError(
+                f"population {float(x[bad[0]])} left [0, 1] beyond {_POSITIVITY_TOL} at "
+                f"t={times[start + 1 + bad[0]]:.6g} on branch {branch.reservoir!r}: "
+                f"step size too large ({steps} steps for tau={tau})")
+        states[start + 1:stop + 1] = np.stack([x, trace - x], axis=1)
     return BranchTrajectory(branch=branch, tau=tau, times=times, states=states)
 
 

@@ -477,7 +477,7 @@ def principal_reference(coeffs, alpha, tau_c):
     best = solve_time_allocation_reference(coeffs, tau_c)[0]
     m = best.metrics
     if not m.valid:
-        raise ConvergenceError(f"principal solution at tau_c={tau_c} does not refrigerate "
+        raise ConvergenceError(f"allocation at tau_c={tau_c} does not refrigerate "
                                f"(Q_c={m.cold.Q:.3e}, Q_h={m.hot.Q:.3e})")
     return SweepRecord(float(alpha), m.psi, m.R, m.chi, best.tau_c, best.tau_h, best.tau_p)
 

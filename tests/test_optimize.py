@@ -132,7 +132,7 @@ class TestSolveTimeAllocation:
         except ConvergenceError as exc:
             assert "infeasible" not in str(exc)
         # of the default curve's 20 skipped points, the 10 below it say so; the
-        # others have K > 0 but a principal solution that does not refrigerate
+        # others have K > 0 but an allocation that does not refrigerate
         skipped = optimal_curve(config).skipped
         below = [tau_c for tau_c, _ in skipped if tau_c < threshold]
         assert len(skipped) == 20 and len(below) == 10

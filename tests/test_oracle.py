@@ -12,6 +12,7 @@ from qtricycle import (
     branch_heat,
     gibbs_state,
     heat_via_trajectory,
+    oracle,
     perturbed_state,
     propagate,
 )
@@ -169,6 +170,26 @@ class TestIntegratorContracts:
         with pytest.raises(PositivityError):
             propagate(branch, 100.0, steps=1000)
 
+    def test_not_a_number_is_reported(self):
+        # gamma0 = 1e300 overflows the first step's map to NaN, which fails
+        # neither comparison of a bare range check
+        branch = TricycleConfig(gamma0=1e300).branch("c")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositivityError, match=r"population nan .* at t=0\.01 "):
+                propagate(branch, 10.0, steps=1000)
+
+    @pytest.mark.parametrize("reservoir", "chp")
+    def test_batch_size_leaves_the_branch_unchanged(self, reservoir, monkeypatch):
+        # batches of 256 steps carry the population across 22-46 boundaries
+        branch = TricycleConfig().branch(reservoir)
+        traj = propagate(branch, 100.0)
+        monkeypatch.setattr(oracle, "_CHUNK", 256)
+        small = propagate(branch, 100.0)
+        assert np.max(np.abs(small.states - traj.states)) <= 1e-14
+        assert heat_via_trajectory(small) == pytest.approx(heat_via_trajectory(traj),
+                                                           rel=1e-14, abs=1e-14)
+
     def test_sample_records(self, cold_trajectory_200):
         branch, traj = cold_trajectory_200
         assert traj.times[0] == 0.0
@@ -242,5 +263,24 @@ class TestAgainstStageByStageReference:
                 messages.append(str(info.value))
         # same text, t= included, apart from the offending population's digits
         assert "at t=0.5 " in messages[0]
+        assert re.sub(r"population \S+ ", "", messages[0]) == \
+            re.sub(r"population \S+ ", "", messages[1])
+
+    def test_unstable_step_past_the_first_batch_fails_at_the_same_time(self):
+        # the rate rises as omega falls, so at gamma0 = 104 the step crosses
+        # RK4's stability bound late in the cold branch: step 3313 fails,
+        # past the first batch of steps
+        branch = TricycleConfig(gamma0=104.0).branch("c")
+        initial = density_column(gibbs_state(branch.temperature, frequency(branch, 0.0)))
+        assert 3313 > oracle._CHUNK
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for run in (lambda: propagate(branch, 100.0, steps=4000),
+                        lambda: rk4_reference(branch, 100.0, 4000, initial)):
+                with pytest.raises(PositivityError) as info:
+                    run()
+                messages.append(str(info.value))
+        assert "at t=82.825 " in messages[0]  # 3313 * 100 / 4000
         assert re.sub(r"population \S+ ", "", messages[0]) == \
             re.sub(r"population \S+ ", "", messages[1])
