@@ -1,12 +1,10 @@
-"""Scalar 1-D minimisation and Simpson quadrature.
+"""Scalar 1-D minimisation.
 
 ``golden`` keeps the iterates and stopping test of the usual library version
 bit for bit (``tests/test_numerics.py`` checks this).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _GOLDEN_R = 0.61803399  # golden ratio conjugate, truncated to 8 digits
 _GOLDEN_C = 1.0 - _GOLDEN_R
@@ -41,13 +39,3 @@ def golden(f, a, b, c, xtol):
             f2, f1 = f1, f(x1)
     return (x1, f1) if f1 < f2 else (x2, f2)
 
-
-def simpson(y, dx):
-    """Composite Simpson sum of equally spaced samples y with spacing dx.
-
-    Needs an even number of intervals (an odd number of samples).
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size % 2 == 0:
-        raise ValueError(f"Simpson's rule needs an even interval count, got {y.size - 1}")
-    return float(np.sum(y[0:-2:2] + 4.0 * y[1::2] + y[2::2]) * dx / 3.0)

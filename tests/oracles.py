@@ -14,6 +14,9 @@ line: denominators cleared, coefficients squared by Python's pow, one
 ``np.roots``, plain-float Newton step, residual check and ``evaluate_cycle``
 per root, and the principal root the one with the largest R.
 
+Simpson's rule and the heat it gave over the stored samples, the package's
+heat before each RK4 step carried it, are kept as :func:`simpson_heat`.
+
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
 and the T-S diagram from the populations, so no program path calls them.
@@ -252,29 +255,35 @@ def _generator(branch, s):
 
 
 def rk4_reference(branch, tau, steps, initial):
-    """(steps + 1, 4) states of classic RK4 applied stage by stage.
+    """(states, heat) of classic RK4 applied stage by stage.
 
     The per-step loop of the integrator before it batched its step maps:
     three 4x4 generators per step, each stage vector k formed explicitly,
     and the same positivity check and message at the same step.  ``initial``
-    is a density column; columns 0 and 3 of the result are the population
-    pair the integrator carries.
+    is a density column; columns 0 and 3 of the (steps + 1, 4) states are the
+    population pair the integrator carries.  The heat is RK4 on the
+    augmented state (rho, Q) with dQ/dt = Tr[H d rho/dt] = omega d rho11/dt,
+    accumulated stage by stage: dt/6 Re(w1 k1 + 2 w2 k2 + 2 w2 k3 + w4 k4)
+    on the excited entry of the stage vectors.
     """
     dt = tau / steps
     times = np.linspace(0.0, tau, steps + 1)
     states = np.empty((steps + 1, 4), dtype=complex)
     rho = np.array(initial, dtype=complex)
     states[0] = rho
+    heat = 0.0
     for i in range(steps):
         # stage times as exact index fractions so s never leaves [0, 1]
-        L1 = _generator(branch, i / steps)
-        L2 = _generator(branch, (i + 0.5) / steps)
-        L4 = _generator(branch, (i + 1) / steps)
+        s1, s2, s4 = i / steps, (i + 0.5) / steps, (i + 1) / steps
+        L1, L2, L4 = _generator(branch, s1), _generator(branch, s2), _generator(branch, s4)
+        w1, w2, w4 = frequency(branch, s1), frequency(branch, s2), frequency(branch, s4)
         k1 = L1 @ rho
         k2 = L2 @ (rho + 0.5 * dt * k1)
         k3 = L2 @ (rho + 0.5 * dt * k2)
         k4 = L4 @ (rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        heat += (dt / 6.0) * (w1 * k1[0] + 2.0 * w2 * k2[0] + 2.0 * w2 * k3[0]
+                              + w4 * k4[0]).real
         p = rho[0].real
         if p < -1e-8 or p > 1.0 + 1e-8:
             raise PositivityError(
@@ -283,7 +292,33 @@ def rk4_reference(branch, tau, steps, initial):
                 f"step size too large ({steps} steps for tau={tau})"
             )
         states[i + 1] = rho
-    return states
+    return states, heat
+
+
+def simpson(y, dx):
+    """Composite Simpson sum of equally spaced samples y with spacing dx.
+
+    Needs an even number of intervals (an odd number of samples).
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an even interval count, got {y.size - 1}")
+    return float(np.sum(y[0:-2:2] + 4.0 * y[1::2] + y[2::2]) * dx / 3.0)
+
+
+def simpson_heat(trajectory):
+    """Heat of a stored trajectory by the second pass the package made before
+    it carried the heat in its RK4 steps: the excited row of the generator
+    applied to every stored pair, and omega dp11/dt Simpson-integrated over
+    the sample spacing (so the step count must be even)."""
+    branch = trajectory.branch
+    w = frequency(branch, trajectory.times / trajectory.tau)
+    n = bose_occupation(branch.temperature, w)
+    g = damping_rate(branch.gamma0, branch.alpha, w)
+    p1, p0 = trajectory.states.T
+    dp1 = -g * (n + 1.0) * p1 + g * n * p0  # excited row of L p
+    # Tr[H drho/dt] = (w/2)(dp1 - dp0) = w * dp1 since dp0 = -dp1
+    return simpson(w * dp1, trajectory.times[1] - trajectory.times[0])
 
 
 def zeroth_heat_sum_reference(config):

@@ -591,9 +591,18 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: 57468528940 steps for "
+        assert capsys.readouterr().err.startswith("config error: 5.747e+10 steps for "
                                                   "tau=1000000000.0 on branch 'c' exceed ")
         assert not out.exists() and peak < 2 ** 22
+
+    def test_overflowing_oracle_step_count_exits_2(self, tmp_path, capsys):
+        # 50 tau rate overflows to inf: a count, not an OverflowError traceback
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle-check", "--set", "oracle_taus=1e308", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: inf steps for "
+                                                  "tau=1e+308 on branch 'c' exceed ")
+        assert not out.exists()
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

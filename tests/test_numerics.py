@@ -2,9 +2,9 @@
 
 The golden-section helper must reproduce the iterates of
 ``scipy.optimize.minimize_scalar(method="golden")`` bit for bit; those
-comparisons skip when scipy is absent.  Simpson and the equilibrium entropy
-are checked against exact and 50-digit ``mpmath`` values (the latter skip
-without mpmath).
+comparisons skip when scipy is absent.  The equilibrium entropy is checked
+against 50-digit ``mpmath`` values (skipped without mpmath), and the test
+reference ``oracles.simpson`` against exact integrals.
 """
 
 import math
@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import qtricycle
+from oracles import simpson
 from qtricycle import cycle, optimize
-from qtricycle._numerics import golden, simpson
+from qtricycle._numerics import golden
 from qtricycle.thermo import equilibrium_entropy
 
 
