@@ -17,10 +17,10 @@ COPs span 1% to 99% of the attainable range, the same for every alpha).
 
 Grids are checked at parse time by the rules of the library functions they
 feed: ``tau_c_points`` and ``alpha_points`` are at least
-``optimize.MIN_GRID_POINTS``, ``alpha_min`` and ``alpha_max`` lie within
+``optimize.MIN_GRID_POINTS``, ``alpha_min`` < ``alpha_max`` both lie within
 ``optimize.DEFAULT_ALPHA_WINDOW`` (``alpha_chi`` and ``alpha_r`` are not grids),
-durations, their bounds, ``delta_min`` and the psi bounds are at least the
-smallest normal float, ``delta_min`` < ``delta_max``, ``psi_min`` <
+``T_c``, durations, their bounds, ``delta_min`` and the psi bounds are at
+least the smallest normal float, ``delta_min`` < ``delta_max``, ``psi_min`` <
 ``psi_max`` when both are set, and the directory of ``out`` exists.
 ``alpha-sweep``, ``envelope`` and ``time-allocation`` build no curve, so they
 ignore the ``tau_c_*`` grid keys.
@@ -28,7 +28,8 @@ ignore the ``tau_c_*`` grid keys.
 Exit codes: 0 success, 2 configuration problem (including durations too
 short for the slow-driving expansion, reported as ``PositivityError``, too
 long for the oracle's step limit, or giving an infinite cell in ``branch``
-or ``cycle``), 3 solver non-convergence (a ``*.diagnostic.txt`` file
+or ``cycle``, a temperature too small for 1/T^2 and a Sigma integrand that
+is not finite), 3 solver non-convergence (a ``*.diagnostic.txt`` file
 enumerating the failed grid points, each with the reason it failed where one
 is known, is written alongside the report path in that case).
 """
@@ -157,7 +158,7 @@ def parse_config(text, overrides=()):
     rc.tricycle()  # surface invariant violations at parse time
     if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {values['format']!r}")
-    for key in ("tau_c", "tau_p", "tau_h", "tau_c_min", "tau_c_max", "sweep_tau_c_min",
+    for key in ("T_c", "tau_c", "tau_p", "tau_h", "tau_c_min", "tau_c_max", "sweep_tau_c_min",
                 "sweep_tau_c_max", "sweep_tau_p_min", "sweep_tau_p_max", "oracle_taus",
                 "delta_min", "psi_min", "psi_max"):
         if values[key] is None:  # tau_h, psi_min or psi_max unset
@@ -168,7 +169,8 @@ def parse_config(text, overrides=()):
         if least < sys.float_info.min:  # a subnormal's reciprocal overflows
             raise ConfigError(f"{key} must be at least {sys.float_info.min!r}, "
                               "the smallest normal float")
-    for lo, hi in (("delta_min", "delta_max"), ("psi_min", "psi_max")):
+    for lo, hi in (("delta_min", "delta_max"), ("psi_min", "psi_max"),
+                   ("alpha_min", "alpha_max")):
         if None not in (values[lo], values[hi]) and values[hi] <= values[lo]:
             raise ConfigError(f"{hi} must be > {lo}")
     for key in ("sweep_tau_c_points", "sweep_tau_p_points", "envelope_alpha_points",

@@ -61,7 +61,9 @@ class CycleCoefficients:
 
 
 def cycle_coefficients(config):
-    """Compute (dS_eq, Sigma) for all three branches once per configuration."""
+    """Compute (dS_eq, Sigma) for all three branches once per configuration;
+    an array ``config.alpha`` gives an array of Sigma from one quadrature per
+    branch (dS does not depend on it), bit for bit each alpha's own in [-0.5, 1.5]."""
     branches = config.branches()
     return CycleCoefficients(
         T=tuple(b.temperature for b in branches),

@@ -29,8 +29,9 @@ whole column of tau_c at once, by Newton steps kept in a bisection bracket
 (:func:`_newton_root`), and :func:`solve_time_allocation` is the one-point
 view.  The R and chi maxima come from the coefficients alone: the R peak is
 a root of a cubic (:func:`_rate_peak`), the chi peak Newton's method from it
-(:func:`_merit_peak`), and the alpha sweeps refine alpha by golden section
-over those maxima.  The envelope and the profiles build no curve either:
+(:func:`_merit_peak`); the alpha sweeps take them from one coefficients call
+over many alphas, and refine alpha by zoom passes of such calls around the
+best one.  The envelope and the profiles build no curve either:
 their points are the fixed-COP maxima of :func:`_cop_points`, the same
 bracketed Newton in 1/tau_c.  The grid rules live here.
 """
@@ -45,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cycle
-from ._numerics import golden
 from .errors import ConvergenceError
 
 __all__ = [
@@ -82,6 +82,8 @@ DEFAULT_ALPHA_WINDOW = (-0.5, 1.5)
 DEFAULT_ALPHA_POINTS = 101  # alpha_sweep's grid over the window
 DEFAULT_ENVELOPE_ALPHA_POINTS = 61  # the alphas an envelope compares
 MIN_GRID_POINTS = 100  # of a tau_c grid and of an alpha_sweep grid
+_ALPHA_XTOL = 1e-5  # zoom until the best alpha's neighbours are this close (alpha may be 0)
+_ZOOM_POINTS = 8  # the alphas that one zoom pass adds between them
 
 
 def _require_sign_structure(coeffs):
@@ -337,18 +339,6 @@ def optimal_curve(config, tau_c_grid=None):
     return CurveResult(records, skipped, coeffs)
 
 
-def _refine_max(f, xs, values, xtol):
-    """(x, f(x)) of the golden-section maximum of f (-inf where it fails) within
-    the grid neighbours of the first best of ``values``, f at the ascending
-    ``xs``; None when that point is on an edge, or no bracket or gain is found."""
-    i = int(np.argmax(values))
-    if 0 < i < len(values) - 1:
-        res = golden(lambda x: -f(x), xs[i - 1], xs[i], xs[i + 1], xtol=xtol)
-        if res is not None and -res[1] > values[i]:
-            return res[0], -res[1]
-    return None
-
-
 def _branch_terms(coeffs):
     """(A, Z, T_h dS_h, (a_c, a_h, a_p)): A = T_c dS_c, Z = sum_v T_v dS_v and
     a_v = -T_v Sigma_v, so Q_v = T_v dS_v - a_v / tau_v."""
@@ -503,21 +493,24 @@ def curve_maxima(coeffs, alpha):
 
 def _alpha_maxima(config, alphas):
     """((coefficients, AlphaRecord), None) of ``config`` at each of the
-    ``alphas`` (:func:`curve_maxima`), or None and the reason."""
-    def point(alpha):
-        coeffs = cycle.cycle_coefficients(replace(config, alpha=alpha))
-        return coeffs, curve_maxima(coeffs, alpha)
-
-    return [_attempt(point, alpha) for alpha in alphas]
+    ``alphas`` (:func:`curve_maxima`), or None and the reason, from one
+    :func:`cycle.cycle_coefficients` call (its failure is every alpha's)."""
+    batch, why = _attempt(cycle.cycle_coefficients, replace(config, alpha=np.array(alphas)))
+    if batch is None:
+        return [(None, why)] * len(alphas)
+    each = [replace(batch, Sigma=sigma) for sigma in zip(*(s.tolist() for s in batch.Sigma))]
+    return [_attempt(lambda coeffs, alpha: (coeffs, curve_maxima(coeffs, alpha)), coeffs, alpha)
+            for coeffs, alpha in zip(each, alphas)]
 
 
 def _alpha_rows(config, alpha_grid, size, min_size=1):
     """(points, skipped, at_R, at_chi) over ``alpha_grid`` (None: ``size``
-    alphas across the window), which needs ``min_size`` ascending alphas in
-    the window (else ValueError): :func:`_alpha_maxima` of the alphas,
-    ``(alpha, reason)`` of those that fail (all failing is an error), and the
-    points that :func:`_refine_max` finds for R_max and chi_max from the
-    rows, which seed its lookup, so no alpha is computed twice."""
+    alphas across the window), which needs ``min_size`` alphas in the window
+    (else ValueError): :func:`_alpha_maxima` of the alphas, ``(alpha,
+    reason)`` of those that fail (all failing is an error), and the best
+    points for R_max and chi_max over every alpha known (a failed one is
+    -inf), each zoomed in on by :func:`_alpha_maxima` calls while it is inside.
+    No alpha is computed twice."""
     if alpha_grid is None:
         alpha_grid = np.linspace(*DEFAULT_ALPHA_WINDOW, size)
     alphas = np.asarray(alpha_grid, dtype=float)
@@ -531,18 +524,18 @@ def _alpha_rows(config, alpha_grid, size, min_size=1):
     if len(skipped) == len(results):
         raise ConvergenceError("every alpha grid point failed", failed_points=skipped)
     points = [point for point, _ in results if point is not None]
-    known = {row.alpha: (coeffs, row) for coeffs, row in points}
-
-    def value(alpha, key):
-        if alpha not in known:
-            known[alpha] = _alpha_maxima(config, [alpha])[0][0]
-        return getattr(known[alpha] and known[alpha][1], key, -math.inf)  # -inf: failed
-
-    rows, refined = [row for _, row in points], []
+    known = {alpha: point for alpha, (point, _) in zip(alphas.tolist(), results)}
+    refined = []
     for key in ("R_max", "chi_max"):
-        values = [getattr(row, key) for row in rows]
-        hit = _refine_max(lambda a: value(a, key), [r.alpha for r in rows], values, xtol=1e-4)
-        refined.append(known[hit[0]] if hit is not None else points[int(np.argmax(values))])
+        while True:
+            xs = sorted(known)
+            i = int(np.argmax([getattr(known[x] and known[x][1], key, -math.inf) for x in xs]))
+            if not 0 < i < len(xs) - 1 or xs[i + 1] - xs[i - 1] <= _ALPHA_XTOL:
+                break
+            new = [a for a in np.linspace(xs[i - 1], xs[i + 1], _ZOOM_POINTS + 2)[1:-1].tolist()
+                   if a not in known]
+            known.update(zip(new, (point for point, _ in _alpha_maxima(config, new))))
+        refined.append(known[xs[i]])
     return points, skipped, *refined
 
 

@@ -23,6 +23,7 @@ first-order pair lags the instantaneous Gibbs pair by (1/tau) L^-1 dp_eq/ds:
 All integrals use composite Gauss-Legendre quadrature with panel doubling.
 
 Array-valued: :func:`equilibrium_entropy` (in T and omega),
+:func:`sigma_coefficient` (in alpha, one quadrature row each),
 :func:`population_lag` (in s) and :func:`ts_trajectory`, which evaluates
 each branch's whole s-grid as one array expression.  :func:`perturbed_state`
 is the scalar view of that expression.
@@ -30,13 +31,15 @@ is the scalar view of that expression.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lindblad, protocol
-from .errors import ConvergenceError, PositivityError
+from .errors import ConfigError, ConvergenceError, PositivityError
 
 __all__ = [
     "BranchThermo",
@@ -58,32 +61,46 @@ QUADRATURE_MAX_PANELS = 2 ** 16
 DEFAULT_SAMPLES_PER_BRANCH = 201  # of ts_trajectory
 
 
+@functools.lru_cache(maxsize=4)
+def _panel_nodes(panels):
+    """Read-only nodes and weights of ``panels`` equal 8-point panels on [0, 1]."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
 def gauss_legendre_adaptive(f):
     """Integrate f over [0, 1] with composite 8-point Gauss-Legendre panels.
 
-    The panel count starts at ``QUADRATURE_START_PANELS`` and doubles until
-    two successive estimates agree to ``QUADRATURE_RTOL`` relative (absolute
-    floor 1e-300 guards the exactly-zero integrand), or raises
-    :class:`ConvergenceError` past ``QUADRATURE_MAX_PANELS``.  ``f`` must
-    accept an ndarray of sample points and return the integrand values.
+    ``f`` maps an ndarray of sample points to the integrand values (a float
+    result) or to a stack of rows of them (an array, one integral per row).
+    The panel count starts at ``QUADRATURE_START_PANELS`` and doubles; a row
+    keeps the first estimate that agrees with the one before to
+    ``QUADRATURE_RTOL`` relative (absolute floor 1e-300 guards the
+    exactly-zero integrand).  A non-finite estimate raises ValueError at once,
+    a row unsettled past ``QUADRATURE_MAX_PANELS`` :class:`ConvergenceError`.
     """
-    panels = QUADRATURE_START_PANELS
-    prev = None
-    while panels <= QUADRATURE_MAX_PANELS:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        val = float(np.dot(np.asarray(f(s), dtype=float), w))
-        if prev is not None and abs(val - prev) <= QUADRATURE_RTOL * max(abs(val), 1e-300):
-            return val
-        prev = val
-        panels *= 2
-    raise ConvergenceError(
-        f"quadrature did not reach rtol={QUADRATURE_RTOL} "
-        f"within {QUADRATURE_MAX_PANELS} panels"
-    )
+    panels, prev, done = QUADRATURE_START_PANELS, (), {}
+    with np.errstate(all="ignore"):  # a non-finite estimate raises below
+        while panels <= QUADRATURE_MAX_PANELS:
+            s, w = _panel_nodes(panels)
+            y = np.asarray(f(s), dtype=float)
+            # one np.dot per row: a matrix product rounds some rows differently
+            vals = [float(np.dot(row, w)) for row in ((y,) if y.ndim == 1 else y)]
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"quadrature estimate not finite at {panels} panels")
+            for i, (val, old) in enumerate(zip(vals, prev)):
+                if i not in done and abs(val - old) <= QUADRATURE_RTOL * max(abs(val), 1e-300):
+                    done[i] = val
+            if len(done) == len(vals):
+                return done[0] if y.ndim == 1 else np.array([done[i] for i in range(len(done))])
+            prev = vals
+            panels *= 2
+    raise ConvergenceError(f"quadrature did not reach rtol={QUADRATURE_RTOL} "
+                           f"within {QUADRATURE_MAX_PANELS} panels")
 
 
 def equilibrium_entropy(T, omega):
@@ -108,22 +125,24 @@ def branch_entropy_change(branch):
 
 
 def _relaxation_kernel(branch, s, power, scale=1.0):
-    """scale * omega'(s)**power * n(n+1) / (gamma (2n+1)^3): power 2 is the
-    Sigma integrand, power 1 with scale beta the population lag."""
+    """scale * omega'(s)**power * n(n+1) / (gamma (2n+1)^3), a row per alpha of
+    an array ``branch.alpha``: power 2 the Sigma integrand, power 1 with scale
+    beta the population lag."""
     w = protocol.frequency(branch, s)
     wp = protocol.frequency_derivative(branch, s)
     n = lindblad.bose_occupation(branch.temperature, w)
-    g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
+    g = lindblad.damping_rate(branch.gamma0, np.asarray(branch.alpha)[..., None], w)
     return scale * wp ** power * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
 
 
 def sigma_coefficient(branch):
-    """Dissipation coefficient Sigma of the branch (always <= 0).
-
-    One smooth quadrature; the integrand is manifestly nonnegative so the
-    sign is exact by construction.
-    """
+    """Dissipation coefficient Sigma of the branch (always <= 0), an array of
+    one per alpha for an array ``branch.alpha``: one smooth quadrature whose
+    integrand is manifestly nonnegative, so the sign is exact by construction."""
     beta = branch.beta
+    if not beta < 1e154:  # beta ** 2 overflows from 1.34e154
+        raise ConfigError(f"temperature {branch.temperature!r} of branch "
+                          f"{branch.reservoir!r} is too small: 1/T^2 overflows")
     return -beta ** 2 * gauss_legendre_adaptive(lambda s: _relaxation_kernel(branch, s, 2))
 
 

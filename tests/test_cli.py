@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtricycle import TricycleConfig, cli, cycle, optimize, oracle
+from qtricycle import TricycleConfig, cli, cycle, optimize, oracle, thermo
 from qtricycle.cli import (
     RunConfig,
     emit_report,
@@ -302,12 +302,14 @@ class TestSubcommands:
 
     def test_time_allocation_reuses_the_sweep(self, tmp_path, capsys, monkeypatch):
         # the profiles take the sweep's refined coefficients and peak COPs: no
-        # alpha's coefficients are computed twice, as in alpha-sweep itself
+        # alpha's coefficients are computed twice, as in alpha-sweep itself;
+        # a call over an array of alphas counts each of them
         calls = {}
         original = cycle.cycle_coefficients
 
         def counting(config):
-            calls[config.alpha] = calls.get(config.alpha, 0) + 1
+            for alpha in np.atleast_1d(config.alpha).tolist():
+                calls[alpha] = calls.get(alpha, 0) + 1
             return original(config)
 
         monkeypatch.setattr(cycle, "cycle_coefficients", counting)
@@ -515,6 +517,7 @@ class TestExitCodes:
         ("cycle", "tau_c", "tau_c=1e-320 tau_h=5"),
         ("cycle", "tau_h", "tau_h=1e-320"),
         ("branch", "tau_p", "tau_p=4e-310"),
+        ("branch", "T_c", "T_c=1e-320"),
         ("oracle-check", "oracle_taus", "oracle_taus=100,1e-320"),
         ("ts-diagram", "tau_c", "tau_c=1e-320"),
         ("optimal-curve", "tau_c_min", "tau_c_min=1e-320"),
@@ -540,6 +543,58 @@ class TestExitCodes:
             f"config error: {key} must be at least {sys.float_info.min!r}, "
             "the smallest normal float\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["branch", "cycle", "optimal-curve"])
+    def test_temperature_too_small_for_beta_squared_exits_2(self, tmp_path, capsys,
+                                                           subcommand):
+        # a normal T_c whose 1/T_c^2 overflows: a config error naming the
+        # branch's temperature, not an OverflowError traceback
+        out = tmp_path / "report.csv"
+        code = main([subcommand, "--set", "T_c=1e-300", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: temperature 1e-300 of branch 'c' is too small: "
+            "1/T^2 overflows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["gamma0=1e-320", "delta_c=1e200"])
+    def test_non_finite_sigma_integrand_exits_2_at_once(self, tmp_path, capsys, monkeypatch,
+                                                        setting):
+        # the integrand overflows to inf or NaN: the first panel level stops
+        # the quadrature, with no diagnostic file and no RuntimeWarning
+        levels = []
+        original = thermo.gauss_legendre_adaptive
+
+        def counting(f):
+            return original(lambda s: levels.append(s.size) or f(s))
+
+        monkeypatch.setattr(thermo, "gauss_legendre_adaptive", counting)
+        out = tmp_path / "branch.csv"
+        code = main(["branch", "--set", setting, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: quadrature estimate not finite at "
+            f"{thermo.QUADRATURE_START_PANELS} panels\n")
+        assert levels == [8 * thermo.QUADRATURE_START_PANELS]
+        assert not out.exists() and not (tmp_path / "branch.csv.diagnostic.txt").exists()
+
+    @pytest.mark.parametrize("subcommand, bounds", [
+        ("alpha-sweep", ("alpha_min=1", "alpha_max=1")),
+        ("alpha-sweep", ("alpha_min=1.5", "alpha_max=-0.5")),
+        ("envelope", ("alpha_min=0.5", "alpha_max=0.2")),
+        ("time-allocation", ("alpha_max=-0.5",)),
+    ])
+    def test_alpha_bounds_are_ordered_at_parse_time(self, tmp_path, capsys, monkeypatch,
+                                                    subcommand, bounds):
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, subcommand, lambda *args: calls.append(args))
+        out = tmp_path / "report.csv"
+        args = [subcommand, "--out", str(out)]
+        for setting in bounds:
+            args += ["--set", setting]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "config error: alpha_max must be > alpha_min\n"
+        assert calls == [] and not out.exists()
 
     def test_smallest_normal_duration_parses(self):
         for key in ("tau_c", "tau_p", "tau_h", "tau_c_min", "sweep_tau_c_min",

@@ -1,13 +1,10 @@
 """Reference checks for the package's own scalar numerics.
 
-The golden-section helper must reproduce the iterates of
-``scipy.optimize.minimize_scalar(method="golden")`` bit for bit; those
-comparisons skip when scipy is absent.  The equilibrium entropy is checked
-against 50-digit ``mpmath`` values (skipped without mpmath), and the test
-reference ``oracles.simpson`` against exact integrals.
+The equilibrium entropy is checked against 50-digit ``mpmath`` values
+(skipped without mpmath), the test reference ``oracles.simpson`` against
+exact integrals, and the CLI is checked to import without scipy.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -18,14 +15,7 @@ import pytest
 
 import qtricycle
 from oracles import simpson
-from qtricycle import cycle, optimize
-from qtricycle._numerics import golden
 from qtricycle.thermo import equilibrium_entropy
-
-
-@pytest.fixture
-def sp_optimize():
-    return pytest.importorskip("scipy.optimize")
 
 
 @pytest.fixture
@@ -41,53 +31,6 @@ def entropy_reference():
             return float(-(p * mpmath.log(p) + (1 - p) * mpmath.log(1 - p)))
 
     return reference, mpmath.mpf
-
-
-def assert_same_float(a, b):
-    assert float(a).hex() == float(b).hex()
-
-
-class TestGolden:
-    @staticmethod
-    def reference(sp_optimize, f, bracket, xtol):
-        res = sp_optimize.minimize_scalar(f, bracket=bracket, method="golden",
-                                          options={"xtol": xtol})
-        return res.x, res.fun
-
-    @pytest.mark.parametrize("f, bracket, xtol", [
-        (lambda x: (x - 0.3) ** 2, (0.0, 0.5, 1.0), 1e-9),
-        (lambda x: -math.sin(x), (1.0, 1.4, 2.5), 1e-9),
-        (lambda x: math.cosh(x - 2.0) + 0.1 * x, (0.5, 1.9, 3.0), 1e-4),
-    ])
-    def test_matches_reference_on_smooth_functions(self, sp_optimize, f, bracket, xtol):
-        x, fx = golden(f, *bracket, xtol=xtol)
-        x_ref, f_ref = self.reference(sp_optimize, f, bracket, xtol)
-        assert_same_float(x, x_ref)
-        assert_same_float(fx, f_ref)
-
-    def test_matches_reference_on_cooling_rate(self, sp_optimize, default_config):
-        coeffs = cycle.cycle_coefficients(default_config)
-        curve = optimize.optimal_curve(default_config)
-        recs = sorted(curve.records, key=lambda r: r.tau_c)
-        i = int(np.argmax([r.R for r in recs]))
-        bracket = tuple(math.log(recs[j].tau_c) for j in (i - 1, i, i + 1))
-
-        def negated_R(x):
-            return -optimize.solve_time_allocation(coeffs, math.exp(x))[0].metrics.R
-
-        x, fx = golden(negated_R, *bracket, xtol=1e-9)
-        x_ref, f_ref = self.reference(sp_optimize, negated_R, bracket, 1e-9)
-        assert_same_float(x, x_ref)
-        assert_same_float(fx, f_ref)
-
-    def test_non_bracket_falls_back(self, sp_optimize):
-        def f(x):
-            return x  # monotone: f(b) is not below f(a)
-
-        assert golden(f, 0.0, 0.5, 1.0, xtol=1e-9) is None
-        with pytest.raises(ValueError):
-            sp_optimize.minimize_scalar(f, bracket=(0.0, 0.5, 1.0), method="golden")
-        assert golden(lambda x: (x - 0.5) ** 2, 0.5, 0.5, 1.0, xtol=1e-9) is None
 
 
 class TestSimpson:

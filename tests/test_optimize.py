@@ -388,33 +388,6 @@ class TestObjectiveMaxima:
         at_chi = max_figure_of_merit(coeffs, config.alpha)
         assert record == (config.alpha, at_R.R, at_chi.chi, at_R.psi, at_chi.psi)
 
-    def test_refine_max_gains_or_returns_none(self, rng):
-        xs = np.linspace(0.0, 1.0, 11).tolist()
-
-        def peak(x):
-            return -(x - 0.33) ** 2
-
-        values = [peak(x) for x in xs]
-        x, value = optimize._refine_max(peak, xs, values, xtol=1e-9)
-        assert x == pytest.approx(0.33, abs=1e-6) and value > max(values)
-        # best point on an edge of the grid: nothing to bracket
-        assert optimize._refine_max(lambda x: x, xs, xs, xtol=1e-9) is None
-        assert optimize._refine_max(lambda x: -x, xs, [-x for x in xs], xtol=1e-9) is None
-        # f flat, or failing (-inf) everywhere: the bracket fails
-        assert optimize._refine_max(lambda x: 0.0, xs, values, xtol=1e-9) is None
-        assert optimize._refine_max(lambda x: -np.inf, xs, values, xtol=1e-9) is None
-        # grid values f never reaches: no gain, so no value below the best one
-        assert optimize._refine_max(peak, xs, [v + 1.0 for v in values], xtol=1e-9) is None
-        for _ in range(200):
-            center, width = rng.uniform(-0.2, 1.2), rng.uniform(0.05, 2.0)
-            values = (rng.normal(size=11) * 1e-3).tolist()
-
-            def bumpy(x):
-                return -abs(x - center) / width + 1e-3 * np.sin(40.0 * x)
-
-            hit = optimize._refine_max(bumpy, xs, values, xtol=1e-9)
-            assert hit is None or (hit[1] > max(values) and hit[1] == bumpy(hit[0]))
-
     def test_local_stationarity_of_refined_peak(self, config, coeffs):
         rec = max_cooling_rate(coeffs, config.alpha)
         for factor in (0.99, 1.01):
@@ -802,7 +775,7 @@ class TestAlphaSweep:
         assert built == [] and len(sweep.rows) == optimize.MIN_GRID_POINTS
 
     def test_computes_each_alpha_once(self, config, sweep, monkeypatch):
-        # the golden searches look the grid's alphas up in the rows
+        # the zoom passes look the grid's alphas up in the rows
         seen = []
         original = optimize._alpha_maxima
 
@@ -814,6 +787,109 @@ class TestAlphaSweep:
         again = alpha_sweep(config)
         assert len(seen) == len(set(seen)) > len(again.rows)
         assert again == sweep
+
+
+class TestAlphaAxis:
+    """Coefficients over an array of alphas, and the zoom passes over them."""
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_batched_sigma_is_bit_identical(self, config, rng):
+        alphas = np.concatenate([np.linspace(*optimize.DEFAULT_ALPHA_WINDOW,
+                                             optimize.DEFAULT_ALPHA_POINTS),
+                                 [0.0, -0.5, 0.5, 1.0, 1.5], rng.uniform(-0.5, 1.5, 20)])
+        batch = cycle_coefficients(replace(config, alpha=alphas))
+        assert batch.T == cycle_coefficients(config).T
+        for alpha, sigma in zip(alphas.tolist(), np.array(batch.Sigma).T.tolist()):
+            alone = cycle_coefficients(replace(config, alpha=alpha))
+            assert batch.dS == alone.dS
+            assert [s.hex() for s in sigma] == [s.hex() for s in alone.Sigma]
+
+    @staticmethod
+    def fake_maxima(monkeypatch, R, chi, fails=lambda alpha: False):
+        """Replace :func:`optimize._alpha_maxima` by the synthetic rows
+        (R(alpha), chi(alpha)), failing where ``fails``; returns the list of
+        alpha batches it is called with."""
+        calls = []
+
+        def maxima(config, alphas):
+            calls.append(list(alphas))
+            return [(None, "failed") if fails(a) else
+                    ((None, optimize.AlphaRecord(a, R(a), chi(a), 0.0, 0.0)), None)
+                    for a in alphas]
+
+        monkeypatch.setattr(optimize, "_alpha_maxima", maxima)
+        return calls
+
+    GRID = np.linspace(-0.5, 1.5, 101)
+
+    def test_interior_peaks_found_within_xtol(self, config, monkeypatch):
+        calls = self.fake_maxima(monkeypatch, lambda a: -(a - 0.3317) ** 2,
+                                 lambda a: 1.0 - abs(a - 0.91234))
+        _, _, at_R, at_chi = optimize._alpha_rows(config, self.GRID, None)
+        assert abs(at_R[1].alpha - 0.3317) <= optimize._ALPHA_XTOL
+        assert abs(at_chi[1].alpha - 0.91234) <= optimize._ALPHA_XTOL
+        assert calls[0] == self.GRID.tolist()
+        assert all(0 < len(batch) <= optimize._ZOOM_POINTS for batch in calls[1:])
+        seen = [a for batch in calls for a in batch]
+        assert len(seen) == len(set(seen))
+
+    def test_edge_peak_makes_no_further_call(self, config, monkeypatch):
+        calls = self.fake_maxima(monkeypatch, lambda a: a, lambda a: -a)
+        _, _, at_R, at_chi = optimize._alpha_rows(config, self.GRID, None)
+        assert (at_R[1].alpha, at_chi[1].alpha) == (1.5, -0.5)
+        assert len(calls) == 1
+
+    def test_failing_neighbours_count_as_minus_inf(self, config, monkeypatch):
+        # the grid neighbour left of the best row fails, and so does every alpha
+        # from it to just below the peak
+        def peak(a):
+            return -(a - 0.3317) ** 2
+
+        self.fake_maxima(monkeypatch, peak, peak, fails=lambda a: 0.315 < a < 0.331)
+        _, skipped, at_R, at_chi = optimize._alpha_rows(config, self.GRID, None)
+        assert [a for a, _ in skipped] == [self.GRID[41]]
+        for at in (at_R, at_chi):
+            assert abs(at[1].alpha - 0.3317) <= optimize._ALPHA_XTOL
+        # a peak inside the failing band: the zoom closes in on an edge of the
+        # band from an alpha that works
+        self.fake_maxima(monkeypatch, lambda a: -(a - 0.311) ** 2, lambda a: -(a - 0.311) ** 2,
+                         fails=lambda a: 0.305 < a < 0.315)
+        _, _, at_R, _ = optimize._alpha_rows(config, self.GRID, None)
+        alpha = at_R[1].alpha
+        assert not 0.305 < alpha < 0.315
+        assert min(abs(alpha - 0.305), abs(alpha - 0.315)) <= optimize._ALPHA_XTOL
+
+    def test_never_below_the_best_grid_row(self, config, monkeypatch, rng):
+        for _ in range(50):
+            center, width = rng.uniform(-0.7, 1.7), rng.uniform(0.05, 2.0)
+            noise = rng.normal() * 1e-3
+
+            def bumpy(a):
+                return -abs(a - center) / width + noise * math.sin(40.0 * a)
+
+            calls = self.fake_maxima(monkeypatch, bumpy, bumpy)
+            points, _, at_R, at_chi = optimize._alpha_rows(config, self.GRID, None)
+            best = max(row.R_max for _, row in points)
+            for at in (at_R, at_chi):
+                assert at[1].R_max >= best and at[1].R_max == bumpy(at[1].alpha)
+            seen = [a for batch in calls for a in batch]
+            assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_refined_alphas_match_a_dense_scan(self, config):
+        # the refined alphas lie within _ALPHA_XTOL of the best of 2,001 alphas
+        # over +-1e-3 around them (in the window), and beat every row
+        sweep = alpha_sweep(config)
+        lo, hi = optimize.DEFAULT_ALPHA_WINDOW
+        for alpha, key, value in ((sweep.alpha_R, "R_max", sweep.R_max),
+                                  (sweep.alpha_chi, "chi_max", sweep.chi_max)):
+            assert value >= max(getattr(row, key) for row in sweep.rows)
+            scan = np.linspace(alpha - 1e-3, alpha + 1e-3, 2001)
+            scan = scan[(lo <= scan) & (scan <= hi)].tolist()
+            values = [getattr(point[1], key)
+                      for chunk in range(0, len(scan), 500)
+                      for point, _ in optimize._alpha_maxima(config, scan[chunk:chunk + 500])]
+            assert abs(scan[int(np.argmax(values))] - alpha) <= optimize._ALPHA_XTOL
 
 
 class TestEnvelope:

@@ -45,6 +45,31 @@ class TestQuadrature:
             # the estimate equals the sample count, so it doubles with every panel doubling
             gauss_legendre_adaptive(lambda s: np.full(s.shape, float(s.size)))
 
+    def test_each_row_is_its_own_integral(self):
+        # the peaked row needs 256 panels, the others settle at 128; each keeps
+        # the bits of the same integrand integrated alone, and a 1-D integrand
+        # gives a float
+        rows = [lambda s: s ** 3, lambda s: np.sin(8 * np.pi * s) ** 2,
+                lambda s: 1.0 / (1e-4 + (s - 0.3) ** 2), lambda s: np.zeros_like(s)]
+        stacked = gauss_legendre_adaptive(lambda s: np.stack([f(s) for f in rows]))
+        alone = [gauss_legendre_adaptive(f) for f in rows]
+        assert type(alone[0]) is float and stacked.shape == (len(rows),)
+        assert [x.hex() for x in stacked.tolist()] == [x.hex() for x in alone]
+        one = gauss_legendre_adaptive(lambda s: rows[1](s)[None, :])
+        assert one.shape == (1,) and one[0] == alone[1]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_raises_after_one_call(self, bad):
+        calls = []
+
+        def f(s):
+            calls.append(s.size)
+            return np.stack([s, np.where(s > 0.5, bad, s)])
+
+        with pytest.raises(ValueError, match="not finite at 64 panels"):
+            gauss_legendre_adaptive(f)
+        assert calls == [512]
+
 
 class TestEquilibriumEntropy:
     def test_pure_state_limit(self):
