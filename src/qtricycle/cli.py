@@ -280,7 +280,9 @@ def _run_cycle(rc, config):
 
 
 def _run_ts_diagram(rc, config):
-    _, taus = _resolved_taus(rc, config)
+    taus = (rc.tau_c, rc.tau_h, rc.tau_p)
+    if rc.tau_h is None:  # the state needs no heats: coefficients only to balance tau_h
+        _, taus = _resolved_taus(rc, config)
     points = thermo.ts_trajectory(config, taus, rc.samples_per_branch)
     return thermo.TrajectoryPoint._fields, points, {"tau_h_used": taus[1]}
 
@@ -388,8 +390,10 @@ def _run_oracle_check(rc, config):
     rows = []
     worst = 0.0
     branch = config.branch(rc.oracle_branch)
+    heat = thermo.branch_heat(branch, rc.oracle_taus[0])  # one Sigma quadrature for every tau
     for tau in rc.oracle_taus:
-        bt = thermo.branch_heat(branch, tau)
+        bt = thermo.BranchThermo.from_coefficients(branch.reservoir, branch.temperature,
+                                                   heat.dS_eq, heat.Sigma, tau)
         traj = oracle.propagate(branch, tau)
         q = oracle.heat_via_trajectory(traj)
         abs_err = abs(q - bt.Q)

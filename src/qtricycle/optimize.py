@@ -27,13 +27,14 @@ Each record is one :class:`SweepRecord`, built by :func:`_records` from its
 Only the curve needs that root: :func:`_stationary_tau_p` takes it for a
 whole column of tau_c at once, by Newton steps kept in a bisection bracket
 (:func:`_newton_root`), and :func:`solve_time_allocation` is the one-point
-view.  The R and chi maxima come from the coefficients alone: the R peak is
-a root of a cubic (:func:`_rate_peak`), the chi peak Newton's method from it
-(:func:`_merit_peak`); the alpha sweeps take them from one coefficients call
-over many alphas, and refine alpha by zoom passes of such calls around the
-best one.  The envelope and the profiles build no curve either:
-their points are the fixed-COP maxima of :func:`_cop_points`, the same
-bracketed Newton in 1/tau_c.  The grid rules live here.
+view.  The R and chi maxima come from the coefficients alone, in the rates
+y_v = a_v/tau_v that gamma0 (a time scale) does not move: the R peak is one
+bracketed Newton root (:func:`_rate_peak`), the chi peak Newton's method from
+it (:func:`_merit_peak`); the alpha sweeps take them from one coefficients
+call over many alphas, and refine alpha by zoom passes of such calls around
+the best one.  The envelope and the profiles build no curve either: their
+points are the fixed-COP maxima of :func:`_cop_points`, the same bracketed
+Newton in 1/tau_c.  The grid rules live here.
 """
 
 from __future__ import annotations
@@ -347,61 +348,61 @@ def _branch_terms(coeffs):
             (-T_c * S_c, -T_h * S_h, -T_p * S_p))
 
 
-def _rate_cubic(A, Z, a_c, c):
-    """Coefficients, highest power first, of the numerator of dR/dt divided by
-    t, for R(t) = (A t - a_c)(Z t - a_c) / (t^2 (Z t - a_c + c)), t = tau_c."""
-    e, s = c - a_c, a_c * (A + Z)
-    return (-A * Z * Z, 2.0 * s * Z, s * e - 3.0 * Z * a_c * a_c, -2.0 * e * a_c * a_c)
-
-
 def _rate_peak(coeffs):
-    """(tau_c, tau_p) of the largest R over all energy-balanced triples.  At
-    fixed tau_c, tau_h + tau_p is least at tau_h/tau_p = sqrt(a_h/a_p): the hot
-    and pump branches act as one of dissipation c = (sqrt a_h + sqrt a_p)^2.
-    The admissible root (tau_c > 0, Q_c > 0, tau_h > 0) of :func:`_rate_cubic`
-    with the largest R wins; none (as when Z <= 0) is a ConvergenceError."""
+    """(tau_c, tau_p) of the largest R over the energy-balanced triples.  At
+    fixed tau_c, tau_h + tau_p is least at tau_h/tau_p = sqrt(a_h/a_p); then in
+    y = a_c/tau_c, a_c R = y (A - y)(Z - y)/(Z + e y), e = (sqrt a_h + sqrt
+    a_p)^2/a_c - 1 > -1, on 0 < y < min(A, Z) (Q_c > 0, tau_h > 0).  There the
+    slope g of its log falls from +inf to -inf, as g' = (e/(Z + e y))^2 - 1/y^2
+    - 1/(A - y)^2 - 1/(Z - y)^2 < 0 (e/(Z + e y) < 1/y if e >= 0, |e|/(Z + e y) <
+    1/(Z - y) if not): :func:`_newton_root`'s bracketed steps from min(A, Z)/2
+    take its root.  Z <= 0 or no root in ``_NEWTON_MAXITER`` steps: ConvergenceError."""
     _require_sign_structure(coeffs)
     A, Z, _, (a_c, a_h, a_p) = _branch_terms(coeffs)
-    r_h, r_p = math.sqrt(a_h), math.sqrt(a_p)
-    c = (r_h + r_p) ** 2
-    roots = np.roots(_rate_cubic(A, Z, a_c, c))
-    peaks = [((A * t - a_c) * (Z * t - a_c) / (t * t * (Z * t - a_c + c)), t)
-             for t in roots[roots.imag == 0.0].real.tolist()
-             if t > 0.0 and Z * t > a_c and A * t > a_c]
-    if not peaks:
+    if not Z > 0.0:
         raise ConvergenceError(f"no admissible cooling-rate peak (A={A:.3e}, Z={Z:.3e})")
-    _, t = max(peaks)
-    return t, r_p * (r_h + r_p) * t / (Z * t - a_c)
+    r_h, r_p, lo, hi = math.sqrt(a_h), math.sqrt(a_p), 0.0, min(A, Z)
+    e, y = (r_h + r_p) * (r_h + r_p) / a_c - 1.0, 0.5 * hi
+    for _ in range(_NEWTON_MAXITER):  # x * x, not x ** 2: a Python float pow can raise
+        q_a, q_z, q_e = 1.0 / (A - y), 1.0 / (Z - y), e / (Z + e * y)
+        g, slope = 1.0 / y - q_a - q_z - q_e, q_e * q_e - 1.0 / (y * y) - q_a * q_a - q_z * q_z
+        lo, hi = (y, hi) if g > 0.0 else (lo, y)
+        new = y - g / slope
+        new = new if lo <= new <= hi else 0.5 * (lo + hi)
+        if abs(new - y) <= _NEWTON_RTOL * new:
+            return a_c / new, r_p * (r_h + r_p) / (Z - new)
+        y = new
+    raise ConvergenceError(f"cooling-rate peak not found in {_NEWTON_MAXITER} steps")
 
 
 def _merit_peak(coeffs):
     """(tau_c, tau_p) of the largest chi: Newton's method on the gradient of
-    ln chi = 2 ln Q_c - ln Q_h - ln tau in y = (1/tau_c, 1/tau_p), where Q_c, Q_h
-    and 1/tau_h are linear, from :func:`_rate_peak`; done at a relative step
-    of ``_NEWTON_RTOL`` and a negative-definite Hessian.  ConvergenceError when
-    an iterate leaves positive durations and heats, or never converges."""
-    A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
-    u, v = (1.0 / t for t in _rate_peak(coeffs))
+    ln chi = 2 ln Q_c - ln Q_h - ln tau in (u, v) = (a_c/tau_c, a_p/tau_p) from
+    :func:`_rate_peak`.  Q_c = A - u, Q_h = H - Z + u + v and a_h/tau_h = w = Z
+    - u - v have slopes +-1, tau/a_c = 1/u + rho_p/v + rho_h/w, rho_v = a_v/a_c.
+    Done at a relative step of ``_NEWTON_RTOL`` and a negative-definite Hessian;
+    an iterate without positive durations and heats, or no end: ConvergenceError."""
+    (tau_c, tau_p), (A, Z, H, (a_c, a_h, a_p)) = _rate_peak(coeffs), _branch_terms(coeffs)
+    u, v, rho_h, rho_p = a_c / tau_c, a_p / tau_p, a_h / a_c, a_p / a_c
     for _ in range(_NEWTON_MAXITER):
-        Q_c, w = A - a_c * u, (Z - a_c * u - a_p * v) / a_h
-        Q_h = H - a_h * w
+        Q_c, Q_h, w = A - u, H - Z + u + v, Z - u - v
         if not (u > 0.0 and v > 0.0 and w > 0.0 and Q_c > 0.0 and Q_h > 0.0):
-            raise ConvergenceError(f"chi Newton iterate inadmissible at 1/tau_c={u}, 1/tau_p={v}")
-        # grad Q_c = (-a_c, 0), grad Q_h = (a_c, a_p), grad tau = (t_u, t_v), hess tau =
-        # diag(2/y^3) + s (a_c, a_p)^T (a_c, a_p); dividing by positive floats never raises
-        tau, s = 1.0 / u + 1.0 / v + 1.0 / w, 2.0 / a_h / a_h / w / w / w
-        t_u, t_v = a_c / a_h / w / w - 1.0 / u / u, a_p / a_h / w / w - 1.0 / v / v
-        g_u, g_v = -2.0 * a_c / Q_c - a_c / Q_h - t_u / tau, -a_p / Q_h - t_v / tau
-        q_h, q_c, q_t = 1.0 / Q_h / Q_h, 2.0 / Q_c / Q_c, 1.0 / tau / tau
-        h_uu = a_c * a_c * (q_h - q_c - s / tau) - 2.0 / u / u / u / tau + t_u * t_u * q_t
-        h_uv = a_c * a_p * (q_h - s / tau) + t_u * t_v * q_t
-        h_vv = a_p * a_p * (q_h - s / tau) - 2.0 / v / v / v / tau + t_v * t_v * q_t
+            raise ConvergenceError(f"chi Newton iterate inadmissible at "
+                                   f"1/tau_c={u / a_c}, 1/tau_p={v / a_p}")
+        # t = tau/a_c: grad t = (t_u, t_v), hess t = diag(2/u^3, 2 rho_p/v^3) + s (1 1; 1 1)
+        t, s, k = 1.0 / u + rho_p / v + rho_h / w, 2.0 * rho_h / (w * w * w), rho_h / (w * w)
+        t_u, t_v = k - 1.0 / (u * u), k - rho_p / (v * v)
+        g_u, g_v = -2.0 / Q_c - 1.0 / Q_h - t_u / t, -1.0 / Q_h - t_v / t
+        q_h, q_t = 1.0 / (Q_h * Q_h) - s / t, 1.0 / (t * t)
+        h_uu = q_h - 2.0 / (Q_c * Q_c) - 2.0 / (u * u * u) / t + t_u * t_u * q_t
+        h_uv = q_h + t_u * t_v * q_t
+        h_vv = q_h - 2.0 * rho_p / (v * v * v) / t + t_v * t_v * q_t
         det = h_uu * h_vv - h_uv * h_uv
         d_u, d_v = (h_vv * g_u - h_uv * g_v) / det, (h_uu * g_v - h_uv * g_u) / det
         u, v = u - d_u, v - d_v
         if abs(d_u) <= _NEWTON_RTOL * abs(u) and abs(d_v) <= _NEWTON_RTOL * abs(v) \
                 and h_uu < 0.0 < det:
-            return 1.0 / u, 1.0 / v
+            return a_c / u, a_p / v
     raise ConvergenceError(f"chi Newton iteration found no maximum in {_NEWTON_MAXITER} steps")
 
 
@@ -445,14 +446,12 @@ def _cop_points(coeffs, psi):
 
 
 def max_cooling_rate(coeffs, alpha):
-    """SweepRecord of the cooling-rate maximum, at the durations of
-    :func:`_rate_peak` (no quartic is solved)."""
+    """SweepRecord of the cooling-rate maximum, at :func:`_rate_peak`'s durations."""
     return _peak_record(coeffs, alpha, _rate_peak)
 
 
 def max_figure_of_merit(coeffs, alpha):
-    """SweepRecord of the figure-of-merit maximum, at the durations of
-    :func:`_merit_peak` (no quartic is solved)."""
+    """SweepRecord of the figure-of-merit maximum, at :func:`_merit_peak`'s durations."""
     return _peak_record(coeffs, alpha, _merit_peak)
 
 

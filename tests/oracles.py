@@ -12,7 +12,11 @@ allocation reference is the stationarity quartic that the package solved
 before it took its tau_p as one bracketed Newton root on the energy-balance
 line: denominators cleared, coefficients squared by Python's pow, one
 ``np.roots``, plain-float Newton step, residual check and ``evaluate_cycle``
-per root, and the principal root the one with the largest R.
+per root, and the principal root the one with the largest R.  The
+cooling-rate peak reference, :func:`rate_peak_reference`, is the one the
+package took before it solved the peak as one bracketed root in the rate
+a_c/tau_c: all three roots of a cubic in tau_c by ``np.roots``, filtered to
+the admissible ones, the one with the largest R kept.
 
 Simpson's rule and the heat it gave over the stored samples, the package's
 heat before each RK4 step carried it, are kept as :func:`simpson_heat`.
@@ -46,6 +50,7 @@ from qtricycle.optimize import (
     MIN_GRID_POINTS,
     AllocationSolution,
     SweepRecord,
+    _branch_terms,
     _energy_balance,
     _require_sign_structure,
     _RESIDUAL_RTOL,
@@ -533,3 +538,29 @@ def optimal_curve_reference(config, tau_c_grid):
             records.append(record)
     records.sort(key=lambda r: r.psi)
     return records, skipped
+
+
+def _rate_cubic(A, Z, a_c, c):
+    """Coefficients, highest power first, of the numerator of dR/dt divided by
+    t, for R(t) = (A t - a_c)(Z t - a_c) / (t^2 (Z t - a_c + c)), t = tau_c."""
+    e, s = c - a_c, a_c * (A + Z)
+    return (-A * Z * Z, 2.0 * s * Z, s * e - 3.0 * Z * a_c * a_c, -2.0 * e * a_c * a_c)
+
+
+def rate_peak_reference(coeffs):
+    """(tau_c, tau_p) of the largest R over the energy-balanced triples, from
+    all three roots of :func:`_rate_cubic` in tau_c (``np.roots``): the
+    admissible one (tau_c > 0, Q_c > 0, tau_h > 0) with the largest R, with
+    tau_h/tau_p = sqrt(a_h/a_p); none is a ConvergenceError."""
+    _require_sign_structure(coeffs)
+    A, Z, _, (a_c, a_h, a_p) = _branch_terms(coeffs)
+    r_h, r_p = math.sqrt(a_h), math.sqrt(a_p)
+    c = (r_h + r_p) ** 2
+    roots = np.roots(_rate_cubic(A, Z, a_c, c))
+    peaks = [((A * t - a_c) * (Z * t - a_c) / (t * t * (Z * t - a_c + c)), t)
+             for t in roots[roots.imag == 0.0].real.tolist()
+             if t > 0.0 and Z * t > a_c and A * t > a_c]
+    if not peaks:
+        raise ConvergenceError(f"no admissible cooling-rate peak (A={A:.3e}, Z={Z:.3e})")
+    _, t = max(peaks)
+    return t, r_p * (r_h + r_p) * t / (Z * t - a_c)

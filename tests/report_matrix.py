@@ -1,4 +1,4 @@
-"""Run every subcommand on the five standard configs, in CSV and JSON.
+"""Run every subcommand on the six standard configs, in CSV and JSON.
 
 Usage: python tests/report_matrix.py SRC OUTDIR
 
@@ -12,18 +12,23 @@ with ``diff -r``.
 
 Exits 1 when a run ends with an unexpected exit code: every run must exit 0,
 except the c2 ``ts-diagram``, whose balanced tau_h is too short for the
-first-order state (``PositivityError``, exit 2).
+first-order state (``PositivityError``, exit 2).  An exception that escapes
+``cli.main`` is logged, with its type and message, as such an exit, and the
+matrix carries on.
 """
 
 import contextlib
 import io
 import os
 import sys
+import traceback
 import warnings
 
 # The default operating point, the three configs that the report checks have
-# used since the sweep grids became array work, and the default point on a
-# tau_c grid out to 1e200, whose curve reaches the float range (c4).
+# used since the sweep grids became array work, the default point on a tau_c
+# grid out to 1e200, whose curve reaches the float range (c4), and the default
+# point with gamma0 = 1e100 and every duration scaled by 1e-100 (c5): gamma0
+# only rescales time, so c5's runs succeed as c0's do.
 CONFIGS = {
     "c0": [],
     "c1": ["delta_c=0.62", "gamma0=1.2", "alpha=0.7", "tau_c=20", "tau_p=35",
@@ -33,6 +38,10 @@ CONFIGS = {
     "c3": ["delta_c=0.55", "gamma0=1.05", "alpha=1.3", "tau_c=30", "tau_p=55",
            "oracle_branch=c"],
     "c4": ["tau_c_max=1e200"],
+    "c5": ["gamma0=1e100", "tau_c=9e-100", "tau_p=1.1e-99", "tau_c_min=3e-101",
+           "tau_c_max=3e-97", "sweep_tau_c_min=1e-100", "sweep_tau_c_max=6e-99",
+           "sweep_tau_p_min=1e-100", "sweep_tau_p_max=6e-99",
+           "oracle_taus=1e-98,2e-98,4e-98"],
 }
 EXPECTED_EXIT = {("c2", "ts-diagram"): 2}
 
@@ -62,7 +71,11 @@ def main(argv):
                 with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
                     warnings.simplefilter("default")
-                    code = cli.main(argv)
+                    try:
+                        code = cli.main(argv)
+                    except Exception as exc:  # a crash is one more unexpected exit
+                        traceback.print_exc()
+                        code = f"{type(exc).__name__}: {exc}"
                 log = (f"exit {code}\n--- stdout\n{out.getvalue()}"
                        f"--- stderr\n{err.getvalue()}").replace(src, "SRC")
                 with open(f"{folder}/{subcommand}.log", "w") as handle:

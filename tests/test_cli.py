@@ -335,6 +335,29 @@ class TestSubcommands:
         assert "psi_min" in err and "psi_max" in err
         assert not out.exists()
 
+    def test_oracle_check_integrates_sigma_once(self, tmp_path, monkeypatch):
+        # Sigma does not depend on tau: one quadrature serves every row, and
+        # each row's heats are branch_heat's at its tau, bit for bit
+        calls, original = [], thermo.sigma_coefficient
+        monkeypatch.setattr(thermo, "sigma_coefficient",
+                            lambda branch: calls.append(branch) or original(branch))
+        code, out = run_cli(tmp_path, "oracle-check", "oracle_taus=25,50,100")
+        assert code == 0 and len(calls) == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        branch = TricycleConfig().branch("c")
+        for row, tau in zip(rows, (25.0, 50.0, 100.0), strict=True):
+            heat = thermo.branch_heat(branch, tau)
+            assert [float(cell) for cell in row[4:7]] == [heat.Q0, heat.Q1, heat.Q]
+
+    @pytest.mark.parametrize("settings, computed", [(("tau_h=12",), 0), ((), 1)])
+    def test_ts_diagram_computes_coefficients_only_to_balance(self, tmp_path, monkeypatch,
+                                                               settings, computed):
+        calls, original = [], cycle.cycle_coefficients
+        monkeypatch.setattr(cycle, "cycle_coefficients",
+                            lambda config: calls.append(config) or original(config))
+        code, _ = run_cli(tmp_path, "ts-diagram", "samples_per_branch=11", *settings)
+        assert code == 0 and len(calls) == computed
+
     def test_oracle_check_small(self, tmp_path):
         code, out = run_cli(tmp_path, "oracle-check", "oracle_taus=100")
         assert code == 0
@@ -658,6 +681,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: inf steps for "
                                                   "tau=1e+308 on branch 'c' exceed ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("gamma0", ["1e-300", "1e300"])
+    def test_extreme_gamma0_exits_with_a_code(self, tmp_path, capsys, gamma0):
+        # at either end of the float range every subcommand ends in a report,
+        # a config error or a solver diagnostic: no traceback, no numpy message
+        for subcommand in cli._RUNNERS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([subcommand, "--set", f"gamma0={gamma0}",
+                             "--out", str(tmp_path / f"{subcommand}.csv")])
+            assert code in (0, 2, 3), subcommand
+            assert "Array must not contain" not in capsys.readouterr().err, subcommand
+
+    def test_optimal_curve_peaks_only_rescale_with_gamma0(self, tmp_path, capsys):
+        # gamma0 is a rate: with the tau_c grid scaled by 1/gamma0, the peak
+        # COPs stay and R_max and chi_max scale with gamma0
+        def summary(gamma0):
+            code = main(["optimal-curve", "--set", f"gamma0={gamma0!r}",
+                         "--set", f"tau_c_min={0.3 / gamma0!r}",
+                         "--set", f"tau_c_max={3000.0 / gamma0!r}",
+                         "--out", str(tmp_path / "curve.csv")])
+            assert code == 0, gamma0
+            return {key: float(value) for key, value in (
+                line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                if " = " in line)}
+
+        base = summary(1.0)
+        for gamma0 in (1e-150, 1e-100, 1e100, 1e150):
+            scaled = summary(gamma0)
+            for key in ("psi_at_R_max", "psi_at_chi_max"):
+                assert scaled[key] == pytest.approx(base[key], rel=1e-13)
+            for key in ("R_max", "chi_max"):
+                assert scaled[key] == pytest.approx(gamma0 * base[key], rel=1e-13)
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -12,6 +14,7 @@ from oracles import (
     fixed_cop_times,
     optimal_curve_reference,
     profile_shape_warnings_reference,
+    rate_peak_reference,
     solve_time_allocation_reference,
     stationarity_brackets,
     stationarity_quartic,
@@ -40,7 +43,6 @@ from qtricycle.optimize import (
     _cop_range,
     _energy_balance,
     _merit_peak,
-    _rate_cubic,
     _rate_peak,
     _line_constraint,
     _residual,
@@ -632,30 +634,119 @@ class TestLineRoot:
             solve_time_allocation(coeffs, 9.0)
 
 
-class TestClosedFormMaxima:
-    """The R peak (a cubic root) and the chi peak (Newton) against references."""
+def loop_values(fn, marker, names, *args):
+    """(fn(*args), the ``names`` of fn's locals each time the line of its
+    source that starts with ``marker`` runs): a loop's own values, read from
+    its frame."""
+    lines, first = inspect.getsourcelines(fn)
+    lineno = first + next(i for i, line in enumerate(lines) if line.strip().startswith(marker))
+    seen = []
 
-    def test_rate_cubic_is_the_numerator_of_dR_dt_over_t(self):
+    def trace(frame, event, arg):
+        if event == "line" and frame.f_lineno == lineno:
+            seen.append(tuple(frame.f_locals[name] for name in names))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace if frame.f_code is fn.__code__ else None)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, seen
+
+
+class TestClosedFormMaxima:
+    """The R peak (one bracketed root) and the chi peak (Newton) against references."""
+
+    def test_rate_slope_is_the_derivative_of_ln_R(self):
         sp = pytest.importorskip("sympy")
-        A, Z, a_c, a_h, a_p, t = sp.symbols("A Z a_c a_h a_p t", positive=True)
+        mpmath = pytest.importorskip("mpmath")
+        A, Z, a_c, a_h, a_p, y = sp.symbols("A Z a_c a_h a_p y", positive=True)
         r_h, r_p = sp.sqrt(a_h), sp.sqrt(a_p)
-        c = (r_h + r_p) ** 2
-        # the balanced triple with tau_h/tau_p = sqrt(a_h/a_p): Q_v = T_v dS_v -
-        # a_v/tau_v sum to zero, and R = Q_c / tau is the rational function
-        tau_h, tau_p = (r * (r_h + r_p) * t / (Z * t - a_c) for r in (r_h, r_p))
+        e = (r_h + r_p) ** 2 / a_c - 1
+        # the balanced triple with tau_h/tau_p = sqrt(a_h/a_p) at the rate y =
+        # a_c/tau_c: Q_v = T_v dS_v - a_v/tau_v sum to zero, and a_c R is the
+        # rational function of y that the peak maximizes
+        t = a_c / y
+        tau_h, tau_p = (r * (r_h + r_p) / (Z - y) for r in (r_h, r_p))
         assert sp.simplify(Z - a_c / t - a_h / tau_h - a_p / tau_p) == 0
-        R = (A * t - a_c) * (Z * t - a_c) / (t ** 2 * (Z * t - a_c + c))
-        assert sp.simplify((A - a_c / t) / (t + tau_h + tau_p) - R) == 0
+        rate = y * (A - y) * (Z - y) / (Z + e * y)
+        assert sp.simplify(a_c * (A - a_c / t) / (t + tau_h + tau_p) - rate) == 0
         # tau_h + tau_p is least at that ratio for the same a_h/tau_h + a_p/tau_p
         s = sp.symbols("s", positive=True)  # tau_h = s tau_p
         q = sp.symbols("q", positive=True)  # the balance's a_h/tau_h + a_p/tau_p
         total = (a_h / s + a_p) / q * (1 + s)
         assert sp.solve(sp.diff(total, s), s) == [sp.sqrt(a_h / a_p)]
-        N, D = (A * t - a_c) * (Z * t - a_c), t ** 2 * (Z * t - a_c + c)
-        numerator = sp.expand(sp.diff(N, t) * D - N * sp.diff(D, t))
-        assert sp.simplify(sp.diff(R, t) - numerator / D ** 2) == 0
-        cubic = sum(k * t ** (3 - i) for i, k in enumerate(_rate_cubic(A, Z, a_c, c)))
-        assert sp.expand(numerator - t * cubic) == 0
+        # the loop's g and slope, at each of its iterates, are the first and
+        # second y-derivatives of ln(a_c R)
+        E = sp.symbols("E")
+        log_rate = sp.log(y * (A - y) * (Z - y) / (Z + E * y))
+        derivatives = sp.lambdify((A, Z, E, y), (sp.diff(log_rate, y), sp.diff(log_rate, y, 2)),
+                                  "mpmath")
+        for config in STANDARD_CONFIGS:
+            coeffs = cycle_coefficients(config)
+            A_, Z_, _, (ac, ah, ap) = _branch_terms(coeffs)
+            e_ = (math.sqrt(ah) + math.sqrt(ap)) ** 2 / ac - 1.0
+            peak, seen = loop_values(_rate_peak, "lo, hi =", ("y", "g", "slope"), coeffs)
+            assert len(seen) >= 3 and peak == _rate_peak(coeffs)
+            for y_, g, slope in seen:
+                with mpmath.workdps(40):
+                    exact_g, exact_slope = derivatives(*map(mpmath.mpf, (A_, Z_, e_, y_)))
+                scale = 1.0 / y_ + 1.0 / (A_ - y_) + 1.0 / (Z_ - y_) + abs(e_ / (Z_ + e_ * y_))
+                assert abs(g - float(exact_g)) <= 1e-14 * scale
+                assert abs(slope - float(exact_slope)) <= 1e-14 * scale * scale
+
+    def test_merit_step_is_the_gradient_and_hessian(self):
+        sp = pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
+        A, Z, H, rho_h, rho_p, u, v = sp.symbols("A Z H rho_h rho_p u v", positive=True)
+        # ln chi in the rates (u, v) = (a_c/tau_c, a_p/tau_p), less ln a_c
+        log_chi = (2 * sp.log(A - u) - sp.log(H - Z + u + v)
+                   - sp.log(1 / u + rho_p / v + rho_h / (Z - u - v)))
+        grad = [sp.diff(log_chi, x) for x in (u, v)]
+        hess = [sp.diff(log_chi, u, u), sp.diff(log_chi, u, v), sp.diff(log_chi, v, v)]
+        exact = sp.lambdify((A, Z, H, rho_h, rho_p, u, v), (*grad, *hess), "mpmath")
+        names = ("u", "v", "g_u", "g_v", "h_uu", "h_uv", "h_vv")
+        for config in STANDARD_CONFIGS:
+            coeffs = cycle_coefficients(config)
+            A_, Z_, H_, (ac, ah, ap) = _branch_terms(coeffs)
+            peak, seen = loop_values(_merit_peak, "det =", names, coeffs)
+            assert len(seen) >= 3 and peak == _merit_peak(coeffs)
+            for u_, v_, *values in seen:
+                with mpmath.workdps(40):
+                    reference = exact(*map(mpmath.mpf, (A_, Z_, H_, ah / ac, ap / ac, u_, v_)))
+                w_ = Z_ - u_ - v_
+                scale = 1.0 / u_ + 1.0 / v_ + 1.0 / w_ + 1.0 / (A_ - u_) + 1.0 / (H_ - w_)
+                powers = (scale,) * 2 + (scale * scale,) * 3
+                for value, ref, size in zip(values, reference, powers):
+                    assert abs(value - float(ref)) <= 1e-13 * size, (value, ref)
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_rate_peak_matches_the_cubic_reference(self, config):
+        coeffs = cycle_coefficients(config)
+        assert _rate_peak(coeffs) == pytest.approx(rate_peak_reference(coeffs), rel=4e-15)
+
+    def test_rate_peak_matches_the_cubic_reference_on_random_draws(self, rng):
+        peaks = 0
+        for _ in range(1000):
+            coeffs = cycle_coefficients(random_config(rng))
+            new, why = optimize._attempt(_rate_peak, coeffs)
+            old, old_why = optimize._attempt(rate_peak_reference, coeffs)
+            assert (new is None) == (old is None), (why, old_why)
+            if new is not None:
+                peaks += 1
+                assert new == pytest.approx(old, rel=4e-15)
+        assert peaks > 200
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    @pytest.mark.parametrize("k", [1e-150, 1e-100, 1e100, 1e150])
+    def test_peaks_only_rescale_with_gamma0(self, config, k):
+        # Sigma and so every a_v scale as 1/gamma0; the rates y_v = a_v/tau_v do not
+        base, scaled = (cycle_coefficients(replace(config, gamma0=config.gamma0 * f))
+                        for f in (1.0, k))
+        for peak in (_rate_peak, _merit_peak):
+            assert [t * k for t in peak(scaled)] == pytest.approx(peak(base), rel=1e-13)
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_maxima_match_brute_force_maximization(self, config):
@@ -703,8 +794,14 @@ class TestClosedFormMaxima:
             curve_maxima(coeffs, 0.0)
 
     def test_newton_without_convergence_raises(self, coeffs, monkeypatch):
-        # no fallback: a Newton run that does not end is an error
+        # no fallback: a Newton run that does not end is an error, the R
+        # peak's first; from the converged R peak the chi run fails on its own
+        converged = _rate_peak(coeffs)
         monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)
+        for fn in (_rate_peak, _merit_peak):
+            with pytest.raises(ConvergenceError, match="^cooling-rate peak not found in 2 steps$"):
+                fn(coeffs)
+        monkeypatch.setattr(optimize, "_rate_peak", lambda coeffs: converged)
         with pytest.raises(ConvergenceError, match="found no maximum in 2 steps"):
             _merit_peak(coeffs)
 
