@@ -43,6 +43,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -213,12 +214,32 @@ def _json_safe(value):
     return value
 
 
+def _csv_column(column):
+    """(spec, cells) of one CSV column: ``%.17e`` and the column itself when it
+    holds floats only, ``%s`` and each distinct float formatted once where
+    they repeat, else ``%s`` and ``_fmt_cell`` of each cell."""
+    if set(map(type, column)) != {float}:
+        return "%s", map(_fmt_cell, column)
+    distinct = set(column)
+    if len(distinct) == len(column) or 0.0 in distinct:  # 0.0 == -0.0: one key
+        return "%.17e", column
+    text = dict(zip(distinct, map("%.17e".__mod__, distinct)))
+    return "%s", map(text.__getitem__, column)
+
+
 def emit_report(columns, rows, meta, fmt):
     """Render a report as CSV rows or as one JSON object with ``meta``,
-    ``columns`` and ``rows`` (byte-stable); CSV leaves ``meta`` out."""
-    if fmt == "csv":
+    ``columns`` and ``rows`` (byte-stable); CSV leaves ``meta`` out.
+
+    A CSV cell that is a float prints as ``%.17e`` (``nan``, ``inf``, ``-inf``
+    where not finite), a bool as ``true``/``false``, anything else as ``str``;
+    it is formatted a column at a time (:func:`_csv_column`), a row by one ``%``.
+    """
+    if fmt == "csv":  # itemgetter, as zip(*rows)'s per-row iterators set off GC passes
+        specs, cells = zip(*(_csv_column(list(map(itemgetter(j), rows)))
+                             for j in range(len(columns))))
         lines = [",".join(columns)]
-        lines.extend(",".join(map(_fmt_cell, row)) for row in rows)
+        lines.extend(map(",".join(specs).__mod__, zip(*cells)))
         return "\n".join(lines) + "\n"
     doc = {
         "meta": _json_safe(meta),
@@ -229,10 +250,14 @@ def emit_report(columns, rows, meta, fmt):
 
 
 def _write_atomic(path, text):
+    """Replace ``path`` by ``text`` atomically, in the mode ``open`` gives under the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qtricycle-", suffix=".tmp")
+    umask = os.umask(0)  # read by setting it, restored at once; mkstemp's mode is 0600
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

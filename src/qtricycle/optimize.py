@@ -121,10 +121,12 @@ def _energy_balance(coeffs, tau_c, tau_p):
 
 
 def _stationarity_terms(coeffs, tau_c, tau_h, tau_p):
-    """The four terms of the multiplier-free stationarity constraint."""
+    """The four terms of the multiplier-free stationarity constraint F over tau_c,
+    in the ratios tau_v/tau_c and tau_c/Sigma_v, which gamma0 leaves unchanged."""
     (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = coeffs.dS, coeffs.Sigma
-    return (dS_h * (tau_h * tau_h) / S_h, dS_p * (tau_p * tau_p) / S_p,
-            dS_c * (tau_c * tau_c) / S_c, 2.0 * (tau_c + tau_h + tau_p))
+    r_h, r_p = tau_h / tau_c, tau_p / tau_c
+    return (dS_h * (r_h * r_h) * (tau_c / S_h), dS_p * (r_p * r_p) * (tau_c / S_p),
+            dS_c * (tau_c / S_c), 2.0 * (1.0 + r_h + r_p))
 
 
 # Accepted |F| relative to the summed |terms| of F.  Accurate roots stay below
@@ -135,9 +137,9 @@ _RESIDUAL_RTOL = 1e-10
 
 
 def _residual(coeffs, tau_c, tau_h, tau_p):
-    """(F, limit, missed) of the stationarity constraint at broadcastable
-    durations: F, ``_RESIDUAL_RTOL`` of its summed term magnitudes, and where
-    |F| is not within that limit (NaN included)."""
+    """(F/tau_c, limit, missed) of the stationarity constraint F at
+    broadcastable durations: F/tau_c, ``_RESIDUAL_RTOL`` of its summed term
+    magnitudes, and where it is not within that limit (NaN included)."""
     terms = _stationarity_terms(coeffs, tau_c, tau_h, tau_p)
     residual = terms[0] + terms[1] + terms[2] + terms[3]
     limit = _RESIDUAL_RTOL * (abs(terms[0]) + abs(terms[1]) + abs(terms[2]) + abs(terms[3]))

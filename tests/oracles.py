@@ -20,6 +20,8 @@ the admissible ones, the one with the largest R kept.
 
 Simpson's rule and the heat it gave over the stored samples, the package's
 heat before each RK4 step carried it, are kept as :func:`simpson_heat`.
+The CSV emitter the package used before it formatted a report a column at a
+time, one ``_fmt_cell`` call per cell, is :func:`csv_report_reference`.
 
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
@@ -46,6 +48,7 @@ from qtricycle import (
     evaluate_cycle,
     gibbs_state,
 )
+from qtricycle.cli import _fmt_cell
 from qtricycle.optimize import (
     MIN_GRID_POINTS,
     AllocationSolution,
@@ -564,3 +567,10 @@ def rate_peak_reference(coeffs):
         raise ConvergenceError(f"no admissible cooling-rate peak (A={A:.3e}, Z={Z:.3e})")
     _, t = max(peaks)
     return t, r_p * (r_h + r_p) * t / (Z * t - a_c)
+
+
+def csv_report_reference(columns, rows):
+    """The CSV text of a report, one ``_fmt_cell`` call per cell."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_fmt_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"

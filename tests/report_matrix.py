@@ -1,4 +1,4 @@
-"""Run every subcommand on the six standard configs, in CSV and JSON.
+"""Run every subcommand on the seven standard configs, in CSV and JSON.
 
 Usage: python tests/report_matrix.py SRC OUTDIR
 
@@ -12,9 +12,12 @@ with ``diff -r``.
 
 Exits 1 when a run ends with an unexpected exit code: every run must exit 0,
 except the c2 ``ts-diagram``, whose balanced tau_h is too short for the
-first-order state (``PositivityError``, exit 2).  An exception that escapes
-``cli.main`` is logged, with its type and message, as such an exit, and the
-matrix carries on.
+first-order state (``PositivityError``, exit 2), and c6's ``optimal-curve``,
+``envelope`` and ``time-allocation``, which still exit 3 there (see
+``EXPECTED_EXIT``).  An exception that escapes ``cli.main`` is logged, with
+its type and message, as such an exit, and the matrix carries on; a run
+listed in ``EXPECTED_EXIT`` that starts to exit 0 is unexpected too, so an
+entry cannot go stale.
 """
 
 import contextlib
@@ -28,7 +31,10 @@ import warnings
 # used since the sweep grids became array work, the default point on a tau_c
 # grid out to 1e200, whose curve reaches the float range (c4), and the default
 # point with gamma0 = 1e100 and every duration scaled by 1e-100 (c5): gamma0
-# only rescales time, so c5's runs succeed as c0's do.
+# only rescales time, so c5's runs succeed as c0's do.  c6 is c5 at
+# gamma0 = 1e300 with every duration scaled by 1e-300, where the squares of raw
+# durations underflow: the stationarity residual is taken in duration ratios,
+# so `alpha-sweep` and the six subcommands that solve nothing exit 0 there.
 CONFIGS = {
     "c0": [],
     "c1": ["delta_c=0.62", "gamma0=1.2", "alpha=0.7", "tau_c=20", "tau_p=35",
@@ -42,8 +48,20 @@ CONFIGS = {
            "tau_c_max=3e-97", "sweep_tau_c_min=1e-100", "sweep_tau_c_max=6e-99",
            "sweep_tau_p_min=1e-100", "sweep_tau_p_max=6e-99",
            "oracle_taus=1e-98,2e-98,4e-98"],
+    "c6": ["gamma0=1e300", "tau_c=9e-300", "tau_p=1.1e-299", "tau_c_min=3e-301",
+           "tau_c_max=3e-297", "sweep_tau_c_min=1e-300", "sweep_tau_c_max=6e-299",
+           "sweep_tau_p_min=1e-300", "sweep_tau_p_max=6e-299",
+           "oracle_taus=1e-298,2e-298,4e-298"],
 }
-EXPECTED_EXIT = {("c2", "ts-diagram"): 2}
+EXPECTED_EXIT = {
+    ("c2", "ts-diagram"): 2,
+    # Still open at gamma0 = 1e300: `optimize._stationary_tau_p` squares the raw
+    # tau_c in c0 = dS_c tau_c^2/Sigma_c + 2 tau_c, and the fixed-COP Newton of
+    # `envelope` and `time-allocation` is not yet scale-free either.
+    ("c6", "optimal-curve"): 3,
+    ("c6", "envelope"): 3,
+    ("c6", "time-allocation"): 3,
+}
 
 
 def main(argv):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from qtricycle.cli import (
     run,
 )
 from qtricycle.errors import ConfigError
+from oracles import csv_report_reference
 
 
 class TestParseConfig:
@@ -132,6 +134,24 @@ class TestEmitReport:
         doc = json.loads(emit_report(*payload, "json"))
         assert doc["meta"]["config"]["T_c"] == 0.2
         assert doc["meta"]["summary"]["best"] == 0.1
+
+    def test_csv_matches_the_per_cell_reference_on_edge_cells(self):
+        # repeated floats (with NaN and inf among them), 0.0 and -0.0 in one
+        # column, subnormals, bool, int and str columns, numpy scalars and a
+        # column of mixed types; the property test in test_properties.py
+        # draws such tables at random
+        nan, inf = float("nan"), float("inf")
+        columns = ["repeats", "nan_repeats", "zeros", "neg_zero", "specials",
+                   "inf_repeats", "flag", "count", "label", "numpy", "mixed"]
+        rows = [(0.1, nan, 0.0, -0.0, inf, inf, True, 3, "c", np.float64(0.25), 1.0),
+                (0.1, 1.5, -0.0, -0.0, -inf, -inf, False, -1, "h", np.float64(-0.0), 2),
+                (0.2, 1.5, 0.0, 2.0, 5e-324, inf, True, 0, "p", np.float64(nan), "x"),
+                (0.1, nan, -0.0, 2.0, -1e-310, -inf, False, 10 ** 20, "c,h", 0.5, True)]
+        for table in (rows, rows[:1], []):
+            assert emit_report(columns, table, {}, "csv") == csv_report_reference(columns, table)
+        lines = emit_report(columns, rows, {}, "csv").splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == [
+            f"{z:.17e}" for z in (0.0, -0.0, 0.0, -0.0)]
 
 
 def run_cli(tmp_path, subcommand, *overrides, fmt="csv"):
@@ -714,6 +734,40 @@ class TestExitCodes:
                 assert scaled[key] == pytest.approx(base[key], rel=1e-13)
             for key in ("R_max", "chi_max"):
                 assert scaled[key] == pytest.approx(gamma0 * base[key], rel=1e-13)
+
+    @pytest.mark.parametrize("gamma0", [1e-300, 1e-200, 1e200, 1e300])
+    def test_alpha_sweep_peaks_only_rescale_with_extreme_gamma0(self, tmp_path, capsys,
+                                                                 gamma0):
+        # the stationarity residual is taken in duration ratios, so the peak
+        # records pass its check at any time scale
+        def summary(gamma0):
+            code = main(["alpha-sweep", "--set", f"gamma0={gamma0!r}",
+                         "--out", str(tmp_path / "alphas.csv")])
+            assert code == 0, gamma0
+            return {key: float(value) for key, value in (
+                line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                if " = " in line)}
+
+        base, scaled = summary(1.0), summary(gamma0)
+        assert [scaled["alpha_r"], scaled["alpha_chi"], scaled["skipped_points"]] == \
+            [base["alpha_r"], base["alpha_chi"], 0.0]
+        for key in ("R_max", "chi_max"):
+            assert scaled[key] / gamma0 == pytest.approx(base[key], rel=1e-15)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_reports_take_the_mode_of_a_plain_open(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            code, out = run_cli(tmp_path, "branch")
+            failed = main(["optimal-curve", "--set", "delta_c=0.3",
+                           "--out", str(tmp_path / "curve.csv")])
+        finally:
+            os.umask(old)
+        diagnostic = tmp_path / "curve.csv.diagnostic.txt"
+        assert (code, failed) == (0, 3)
+        assert [stat.S_IMODE(path.stat().st_mode) for path in (out, diagnostic)] == [mode] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "branch.csv", "curve.csv.diagnostic.txt"]  # no temporary file left
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

@@ -1,7 +1,8 @@
 """Properties of the quenches, the branch coefficients, the allocation
 solver, the closed-form curve maxima and the fixed-COP points over random
 configurations (``conftest.random_config``) and cold-branch durations, and
-the whole-grid solver against the per-point quartic reference of ``oracles``.
+the whole-grid solver against the per-point quartic reference of ``oracles``,
+and the column-wise CSV emitter against its per-cell reference.
 
 Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
 run is reproducible.
@@ -25,10 +26,12 @@ from qtricycle import (
 )
 from oracles import (
     checked_residual,
+    csv_report_reference,
     optimal_curve_reference,
     principal_reference,
     solve_time_allocation_reference,
 )
+from qtricycle.cli import emit_report
 from qtricycle.optimize import _cop_points, _cop_records, curve_maxima
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -154,3 +157,35 @@ def test_the_quartic_has_at_most_one_root_with_positive_tau_h(config):
         except ConvergenceError:
             continue
         assert len(solutions) == 1
+
+
+# a small pool per column makes values repeat; the specials make 0.0 and -0.0,
+# NaN, +-inf and subnormals share columns
+report_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 0.1]),
+    st.floats())
+
+
+@st.composite
+def report_tables(draw):
+    """(columns, rows) of 0 to 6 rows, each column of one kind of cell."""
+    n_rows = draw(st.integers(0, 6))
+    cells = []
+    for _ in range(draw(st.integers(1, 5))):
+        pool = st.sampled_from(draw(st.lists(report_floats, min_size=1, max_size=4)))
+        kind = draw(st.sampled_from(["float", "float", "zeros", "bool", "int", "str",
+                                     "numpy", "mixed"]))
+        element = {"float": pool, "zeros": st.sampled_from([0.0, -0.0, 0.5]),
+                   "bool": st.booleans(), "int": st.integers(),
+                   "str": st.text(max_size=3), "numpy": pool.map(np.float64),
+                   "mixed": st.one_of(pool, st.booleans(), st.integers(), st.text(max_size=2))
+                   }[kind]
+        cells.append(draw(st.lists(element, min_size=n_rows, max_size=n_rows)))
+    return [f"c{i}" for i in range(len(cells))], list(zip(*cells))
+
+
+@hypothesis.settings(SETTINGS, max_examples=300)
+@hypothesis.given(report_tables())
+def test_csv_report_matches_the_per_cell_reference(table):
+    columns, rows = table
+    assert emit_report(columns, rows, {}, "csv") == csv_report_reference(columns, rows)

@@ -9,10 +9,15 @@ from qtricycle import cli
 SCRIPT = Path(__file__).resolve().parent / "report_matrix.py"
 
 
-def test_a_crash_is_logged_as_an_unexpected_exit(tmp_path, monkeypatch, capsys):
+def _load_matrix():
     spec = importlib.util.spec_from_file_location("report_matrix", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_a_crash_is_logged_as_an_unexpected_exit(tmp_path, monkeypatch, capsys):
+    module = _load_matrix()
 
     def crash(rc, config):
         raise ZeroDivisionError("float division by zero")
@@ -33,3 +38,18 @@ def test_a_crash_is_logged_as_an_unexpected_exit(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"unexpected exit code: c0-{fmt} crash: exit ZeroDivisionError: float division by zero"
         for fmt in ("csv", "json")]
+
+
+def test_an_expected_failure_that_succeeds_is_unexpected(tmp_path, monkeypatch, capsys):
+    # c6's optimal-curve is expected to exit 3; once it exits 0 the entry is stale
+    module = _load_matrix()
+    assert module.EXPECTED_EXIT[("c6", "optimal-curve")] == 3
+    monkeypatch.setattr(module, "CONFIGS", {"c6": []})
+    monkeypatch.setattr(cli, "_RUNNERS", {"optimal-curve": lambda rc, config: (
+        ["x"], [(1.0,)], {})})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert module.main([src, str(tmp_path / "matrix")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"unexpected exit code: c6-{fmt} optimal-curve: exit 0" for fmt in ("csv", "json")]
