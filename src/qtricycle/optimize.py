@@ -1,25 +1,24 @@
 """Optimal time allocation for the three-branch refrigeration cycle.
 
 The durations (tau_c, tau_h, tau_p) are chosen to maximize the cooling rate
-R at fixed COP psi subject to zero net heat over the cycle.  Writing the
-Lagrangian R + lam1 * psi + lam2 * (Q_c + Q_h + Q_p) and eliminating both
-multipliers from the three stationarity conditions leaves a single scalar
-constraint on the durations,
+R at fixed COP psi subject to zero net heat over the cycle.  The heats are
+Q_v = T_v dS_v - y_v in the rates y_v = a_v/tau_v, a_v = -T_v Sigma_v, and
+every solve here works in them: gamma0 only sets the time scale, so scaling
+it by k divides every a_v, and the matching durations, by k and leaves the
+rates as they are.  Writing the Lagrangian R + lam1 * psi + lam2 * (Q_c + Q_h
++ Q_p) and eliminating both multipliers from the three stationarity
+conditions leaves a single scalar constraint,
 
-    dS_h tau_h^2/Sigma_h + dS_p tau_p^2/Sigma_p + dS_c tau_c^2/Sigma_c
-        + 2 (tau_c + tau_h + tau_p) = 0,
+    F = sum_v dS_v tau_v^2/Sigma_v + 2 tau_v = sum_v a_v (2 y_v - T_v dS_v)/y_v^2 = 0,
 
-while the energy balance Q_c + Q_h + Q_p = 0, with Q_v = T_v dS_v - a_v/tau_v
-and a_v = -T_v Sigma_v, makes the inverse durations linear: with x = 1/tau_p,
-
-    1/tau_h = (K - a_p x) / a_h,    K = sum_v T_v dS_v - a_c/tau_c.
-
-With tau_c as the independent parameter, x^2 times the constraint goes from
-dS_p/Sigma_p > 0 at x = 0 to -inf at x = K/a_p, where tau_h diverges, and
-crosses zero once in between; swept over tau_c, those roots trace the optimal
-performance curves (R vs psi, chi vs psi).  Everything downstream of the
-per-branch coefficients (dS, Sigma) is plain algebra, so sweeps are cheap
-once the three quadratures are done; the algebra takes those coefficients
+while the energy balance Q_c + Q_h + Q_p = 0 makes the rates sum to Z =
+sum_v T_v dS_v: y_h = K - y_p with K = Z - y_c.  With tau_c as the
+independent parameter, y_p^2 F/a_p goes from -T_p dS_p > 0 at y_p = 0 to
+-inf at y_p = K, where tau_h diverges, and crosses zero once in between;
+swept over tau_c, those roots trace the optimal performance curves (R vs
+psi, chi vs psi).  Everything downstream of the per-branch coefficients (dS,
+Sigma) is plain algebra, so sweeps are cheap once the three quadratures are
+done; the algebra takes those coefficients
 (:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
 Each record is one :class:`SweepRecord`, built by :func:`_records` from its
@@ -27,14 +26,14 @@ Each record is one :class:`SweepRecord`, built by :func:`_records` from its
 Only the curve needs that root: :func:`_stationary_tau_p` takes it for a
 whole column of tau_c at once, by Newton steps kept in a bisection bracket
 (:func:`_newton_root`), and :func:`solve_time_allocation` is the one-point
-view.  The R and chi maxima come from the coefficients alone, in the rates
-y_v = a_v/tau_v that gamma0 (a time scale) does not move: the R peak is one
-bracketed Newton root (:func:`_rate_peak`), the chi peak Newton's method from
-it (:func:`_merit_peak`); the alpha sweeps take them from one coefficients
-call over many alphas, and refine alpha by zoom passes of such calls around
-the best one.  The envelope and the profiles build no curve either: their
-points are the fixed-COP maxima of :func:`_cop_points`, the same bracketed
-Newton in 1/tau_c.  The grid rules live here.
+view.  The R and chi maxima come from the coefficients alone: the R peak is
+one bracketed Newton root in y_c (:func:`_rate_peak`), the chi peak Newton's
+method in (y_c, y_p) from it (:func:`_merit_peak`); the alpha sweeps take
+them from one coefficients call over many alphas, and refine alpha by zoom
+passes of such calls around the best one.  The envelope and the profiles
+build no curve either: their points are the fixed-COP maxima of
+:func:`_cop_points`, the same bracketed Newton in y_c.  The grid rules live
+here.
 """
 
 from __future__ import annotations
@@ -184,51 +183,49 @@ def _newton_root(fn, x, lo, hi):
     return np.where(done, x, np.nan)
 
 
-def _line_constraint(coeffs, K, c0, x):
-    """(g, dg/dx) at x = 1/tau_p: g = x^2 F, F the stationarity constraint with
-    1/tau_h = w = (K - a_p x)/a_h balanced and c0 = dS_c tau_c^2/Sigma_c +
-    2 tau_c its tau_c terms; g goes from dS_p/Sigma_p > 0 at x = 0 to -inf at
-    x = K/a_p, crossing zero once, though not always falling.  r = tau_h/tau_p
-    = x/w has the slope K/(a_h w^2)."""
-    (_, dS_h, dS_p), (_, S_h, S_p) = coeffs.dS, coeffs.Sigma
-    _, _, _, (_, a_h, a_p) = _branch_terms(coeffs)
-    b_h, w = dS_h / S_h, (K - a_p * x) / a_h
-    r = x / w
-    return (b_h * r * r + dS_p / S_p + c0 * x * x + 2.0 * x * (1.0 + r),
-            2.0 * ((b_h * r + x) * K / (a_h * w * w) + c0 * x + 1.0 + r))
+def _line_constraint(coeffs, y_c):
+    """y -> (g, dg/dy) at y = a_p/tau_p: g = y^2 F/a_p, F the stationarity
+    constraint with y_c = a_c/tau_c and y_h = K - y balanced, K = Z - y_c; each
+    branch adds a_v (2 y_v - T_v dS_v)/y_v^2 to F, so g goes from -T_p dS_p > 0
+    at y = 0 to -inf at y = K, crossing zero once, though not always falling."""
+    A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
+    K, E_p, rho_h, f_c = Z - y_c, Z - A - H, a_h / a_p, a_c / a_p * (2.0 * y_c - A)
+
+    def g(y):
+        y_h = K - y
+        q_h, q_c, f_h = y / y_h, y / y_c, rho_h * (2.0 * y_h - H)
+        c = f_c * q_c  # so f_c (y/y_c)^2 = c q_c, where y_c^2 alone can underflow
+        return (f_h * q_h * q_h + 2.0 * y - E_p + c * q_c,
+                2.0 * (q_h * (f_h * K / (y_h * y_h) - rho_h * q_h) + 1.0 + c / y_c))
+    return g
 
 
 def _stationary_tau_p(coeffs, tau_c):
-    """(tau_p, reasons) at the 1-D cold-branch durations ``tau_c``: the root of
-    :func:`_line_constraint` in x = 1/tau_p on (0, K/a_p), where tau_h > 0, by
-    :func:`_newton_root` from min(1/tau_c, K/(2 a_p)); nothing is divided out,
-    so it is the constraint's own.  NaN and the reason where the coefficients
-    break the sign structure, tau_c overflows the constraint, the balance
-    admits no positive tau_h (K <= 0; the reason names the tau_c or delta_c
-    bound that fails), or the iteration does not converge."""
+    """(tau_p, reasons) at the 1-D cold-branch durations ``tau_c``: a_p/y at the
+    root of :func:`_line_constraint` in y = a_p/tau_p on (0, K), where tau_h >
+    0, by :func:`_newton_root` from min(a_p/tau_c, K/2).  NaN and the reason
+    where the coefficients break the sign structure, the balance admits no
+    positive tau_h (K <= 0; the reason names the tau_c or delta_c bound that
+    fails), or the iteration does not converge."""
     unsigned = _attempt(_require_sign_structure, coeffs)[1]  # None or the reason
     _, Z, _, (a_c, _, a_p) = _branch_terms(coeffs)
     with np.errstate(all="ignore"):  # the entries without a root
-        K = Z - a_c / tau_c
-        c0 = coeffs.dS[0] * tau_c * tau_c / coeffs.Sigma[0] + 2.0 * tau_c
-        finite, feasible = np.isfinite(c0), K > 0.0
-        hi = np.where((unsigned is None) & finite & feasible, K / a_p, np.nan)
-        x = _newton_root(lambda x: _line_constraint(coeffs, K, c0, x),
-                         np.minimum(1.0 / tau_c, 0.5 * hi), 0.0, hi)
+        y_c, K = a_c / tau_c, Z - a_c / tau_c
+        feasible = K > 0.0
+        hi = np.where((unsigned is None) & feasible, K, np.nan)
+        y = _newton_root(_line_constraint(coeffs, y_c), np.minimum(a_p / tau_c, 0.5 * hi), 0.0, hi)
     reasons = [None] * tau_c.size
-    for i in np.flatnonzero(np.isnan(x)).tolist():
+    for i in np.flatnonzero(np.isnan(y)).tolist():
         at = f"at tau_c={tau_c[i]}"
         if unsigned:
             reasons[i] = unsigned
-        elif not finite[i]:
-            reasons[i] = f"stationarity constraint overflows {at}"
         elif not feasible[i]:  # K = sum_v T_v dS_v - a_c / tau_c
             cause = (f"tau_c must exceed T_c|Sigma_c| / sum_v T_v dS_v = {a_c / Z:.6g}"
                      if Z > 0.0 else "delta_c at or below the reversible amplitude")
             reasons[i] = f"energy balance infeasible for every tau_p {at} ({cause})"
         else:
             reasons[i] = f"stationary tau_p not found in {_NEWTON_MAXITER} steps {at}"
-    return 1.0 / x, reasons
+    return a_p / y, reasons
 
 
 def solve_time_allocation(coeffs, tau_c):
@@ -418,33 +415,36 @@ def _cop_range(coeffs):
 def _cop_points(coeffs, psi):
     """(tau_c, tau_p, R) arrays of the largest R at each fixed COP ``psi``, NaN
     outside :func:`_cop_range`.  With Q_h = Q_c/psi and Q_p = -k Q_c, k = 1 +
-    1/psi, 1/tau_h and 1/tau_p = (P + k Q_c)/a_p are linear in u = 1/tau_c, so
-    g = Q_c' tau - Q_c tau' falls (g' = -Q_c tau'' < 0) from +inf to -inf on
-    the admissible u, and :func:`_newton_root` takes its root."""
+    1/psi, the rates y_h = H - Q_c/psi and y_p = P + k Q_c (P = T_p dS_p) are
+    linear in y = a_c/tau_c = A - Q_c, and tau/a_c = t = 1/y + rho_h/y_h +
+    rho_p/y_p, rho_v = a_v/a_c, is convex in y.  So g = -t - Q_c t' falls (g' =
+    -Q_c t'' < 0) from +inf to -inf on the admissible y, and
+    :func:`_newton_root` takes its root."""
     _require_sign_structure(coeffs)
     A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
-    P, psi = Z - A - H, np.asarray(psi, dtype=float)
+    P, psi, rho_h, rho_p = Z - A - H, np.asarray(psi, dtype=float), a_h / a_c, a_p / a_c
     with np.errstate(all="ignore"):  # the NaN entries
         k = 1.0 + 1.0 / psi
-        lo, hi = np.maximum((A - psi * H) / a_c, 0.0), (A + P / k) / a_c
+        lo, hi = np.maximum(A - psi * H, 0.0), A + P / k
         lo, hi = (np.where((psi > 0.0) & (lo < hi), x, np.nan) for x in (lo, hi))
-        d_h, d_p = a_c / (psi * a_h), -k * a_c / a_p  # d(1/tau_h)/du, d(1/tau_p)/du
 
-        def g(u):
-            Q_c = A - a_c * u
-            w_h, w_p = (H - Q_c / psi) / a_h, (P + k * Q_c) / a_p
-            tau_u = -u ** -2.0 - d_h / w_h ** 2 - d_p / w_p ** 2
-            tau_uu = 2.0 * (u ** -3.0 + d_h ** 2 / w_h ** 3 + d_p ** 2 / w_p ** 3)
-            return -a_c * (1.0 / u + 1.0 / w_h + 1.0 / w_p) - Q_c * tau_u, -(Q_c * tau_uu)
+        def g(y):  # each term b = rho_v/y_v of t has b' = -b e, b'' = 2 b e^2
+            Q_c = A - y
+            y_h, y_p = H - Q_c / psi, P + k * Q_c
+            b_c, b_h, b_p = 1.0 / y, rho_h / y_h, rho_p / y_p
+            e_c, e_h, e_p = b_c, 1.0 / (psi * y_h), -k / y_p  # e = y_v'/y_v
+            t_y = -(b_c * e_c + b_h * e_h + b_p * e_p)
+            t_yy = 2.0 * (b_c * e_c * e_c + b_h * e_h * e_h + b_p * e_p * e_p)
+            return -(b_c + b_h + b_p) - Q_c * t_y, -(Q_c * t_yy)
 
-        u = _newton_root(g, 0.5 * (lo + hi), lo, hi)
-        failed = np.isnan(u) & ~np.isnan(lo)
+        y = _newton_root(g, 0.5 * (lo + hi), lo, hi)
+        failed = np.isnan(y) & ~np.isnan(lo)
         if failed.any():
             raise ConvergenceError(f"fixed-COP Newton iteration found no maximum at "
                                    f"psi={psi[failed].flat[0]} in {_NEWTON_MAXITER} steps")
-        Q_c = A - a_c * u
-        tau_p = a_p / (P + k * Q_c)
-        return 1.0 / u, tau_p, Q_c / (1.0 / u + a_h / (H - Q_c / psi) + tau_p)
+        Q_c = A - y
+        tau_c, tau_p = a_c / y, a_p / (P + k * Q_c)
+        return tau_c, tau_p, Q_c / (tau_c + a_h / (H - Q_c / psi) + tau_p)
 
 
 def max_cooling_rate(coeffs, alpha):

@@ -12,12 +12,10 @@ with ``diff -r``.
 
 Exits 1 when a run ends with an unexpected exit code: every run must exit 0,
 except the c2 ``ts-diagram``, whose balanced tau_h is too short for the
-first-order state (``PositivityError``, exit 2), and c6's ``optimal-curve``,
-``envelope`` and ``time-allocation``, which still exit 3 there (see
-``EXPECTED_EXIT``).  An exception that escapes ``cli.main`` is logged, with
-its type and message, as such an exit, and the matrix carries on; a run
-listed in ``EXPECTED_EXIT`` that starts to exit 0 is unexpected too, so an
-entry cannot go stale.
+first-order state (``PositivityError``, exit 2; see ``EXPECTED_EXIT``).  An
+exception that escapes ``cli.main`` is logged, with its type and message, as
+such an exit, and the matrix carries on; a run listed in ``EXPECTED_EXIT``
+that starts to exit 0 is unexpected too, so an entry cannot go stale.
 """
 
 import contextlib
@@ -33,8 +31,8 @@ import warnings
 # point with gamma0 = 1e100 and every duration scaled by 1e-100 (c5): gamma0
 # only rescales time, so c5's runs succeed as c0's do.  c6 is c5 at
 # gamma0 = 1e300 with every duration scaled by 1e-300, where the squares of raw
-# durations underflow: the stationarity residual is taken in duration ratios,
-# so `alpha-sweep` and the six subcommands that solve nothing exit 0 there.
+# durations underflow: every solve works in the rates a_v/tau_v and the
+# stationarity residual in duration ratios, so c6's runs exit 0 wherever c5's do.
 CONFIGS = {
     "c0": [],
     "c1": ["delta_c=0.62", "gamma0=1.2", "alpha=0.7", "tau_c=20", "tau_p=35",
@@ -55,12 +53,6 @@ CONFIGS = {
 }
 EXPECTED_EXIT = {
     ("c2", "ts-diagram"): 2,
-    # Still open at gamma0 = 1e300: `optimize._stationary_tau_p` squares the raw
-    # tau_c in c0 = dS_c tau_c^2/Sigma_c + 2 tau_c, and the fixed-COP Newton of
-    # `envelope` and `time-allocation` is not yet scale-free either.
-    ("c6", "optimal-curve"): 3,
-    ("c6", "envelope"): 3,
-    ("c6", "time-allocation"): 3,
 }
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -422,7 +423,8 @@ class TestExitCodes:
         assert "tau_c" in diagnostic.read_text() or "infeasible" in diagnostic.read_text()
 
     def test_overflowing_grid_points_are_skipped(self, tmp_path):
-        # tau_c ** 2 overflows a float far up the grid; those points are skipped
+        # tau_c ** 2 would overflow a float far up the grid; the curve solves
+        # in the rates a_v/tau_v, which do not, and skips only tau_c = 0.3
         code = main(["optimal-curve", "--set", "tau_c_max=1e200",
                      "--out", str(tmp_path / "curve.csv")])
         assert code == 0
@@ -438,15 +440,15 @@ class TestExitCodes:
         assert "energy balance infeasible for every tau_p at tau_c=1e-300 (tau_c must" in text
 
     def test_far_grid_solves_every_point_below_the_overflow(self, tmp_path, capsys):
-        # geomspace(0.3, 1e200, 120): the first point is below the K > 0 bound
-        # and the 28 above sqrt(float max) overflow the constraint; the other 91
-        # are records, with no RuntimeWarning
+        # geomspace(0.3, 1e200, 120), all below the float range: the first point
+        # is below the K > 0 bound; the other 119, the 28 above sqrt(float max)
+        # among them, are records, with no RuntimeWarning
         out = tmp_path / "curve.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["optimal-curve", "--set", "tau_c_max=1e200", "--out", str(out)])
-        assert code == 0 and "(91 rows)" in capsys.readouterr().out
-        assert len(out.read_text().splitlines()) == 92
+        assert code == 0 and "(119 rows)" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 120
 
     def test_scan_without_root_lists_points_with_reasons(self, tmp_path):
         out = tmp_path / "delta.csv"
@@ -464,18 +466,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tau_c_min, tau_c_max", [("1.4e153", "8.9e153"),
                                                       ("1e85", "1e154")])
-    def test_far_grid_skips_points_without_warnings(self, tmp_path, tau_c_min, tau_c_max):
-        # tau_c^2 nears the float range here; a point whose stationarity
-        # constraint overflows is skipped with a reason
+    def test_far_grid_skips_points_without_warnings(self, tmp_path, capsys, tau_c_min,
+                                                    tau_c_max):
+        # tau_c^2 nears the float range here; the rates a_v/tau_v that the
+        # curve solves in do not, so every point is a record, with no
+        # RuntimeWarning
         out = tmp_path / "curve.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["optimal-curve", "--set", f"tau_c_min={tau_c_min}",
                          "--set", f"tau_c_max={tau_c_max}", "--out", str(out)])
-        assert code in (0, 3)
-        diagnostic = tmp_path / "curve.csv.diagnostic.txt"
-        if code == 3:
-            assert "tau_c=" in diagnostic.read_text()
+        assert code == 0 and "skipped_points = 0" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 121
 
     @pytest.mark.parametrize("setting", ["tau_c_min=-1", "tau_c_min=0", "tau_c_max=-3000"])
     def test_nonpositive_tau_c_bound_exits_2(self, tmp_path, capsys, setting):
@@ -734,6 +736,32 @@ class TestExitCodes:
                 assert scaled[key] == pytest.approx(base[key], rel=1e-13)
             for key in ("R_max", "chi_max"):
                 assert scaled[key] == pytest.approx(gamma0 * base[key], rel=1e-13)
+
+    @pytest.mark.parametrize("gamma0", [1e-300, 1e-200, 1e200, 1e300])
+    def test_curve_envelope_and_profile_only_rescale_with_extreme_gamma0(self, tmp_path,
+                                                                          gamma0):
+        # the curve and the fixed-COP points solve in the rates a_v/tau_v, so
+        # with the tau_c grid scaled by 1/gamma0 each report keeps its COPs
+        # and its durations scale with 1/gamma0
+        runs = {"optimal-curve": lambda g: [f"tau_c_min={0.3 / g!r}", f"tau_c_max={3000.0 / g!r}"],
+                "envelope": lambda g: ["envelope_alpha_points=7"],
+                "time-allocation": lambda g: ["alpha_r=0.2", "alpha_chi=0.4"]}
+
+        def report(subcommand, gamma0):
+            out = tmp_path / f"{subcommand}.csv"
+            argv = [subcommand, "--set", f"gamma0={gamma0!r}", "--out", str(out)]
+            for setting in runs[subcommand](gamma0):
+                argv += ["--set", setting]
+            assert main(argv) == 0, (subcommand, gamma0)
+            with open(out, newline="") as handle:
+                return list(csv.DictReader(handle))
+
+        for subcommand in runs:
+            base, scaled = report(subcommand, 1.0), report(subcommand, gamma0)
+            assert len(scaled) == len(base) > 0
+            for key, f in (("psi", 1.0), ("tau_c", gamma0), ("tau_h", gamma0), ("tau_p", gamma0)):
+                assert [float(row[key]) * f for row in scaled] == pytest.approx(
+                    [float(row[key]) for row in base], rel=1e-9), (subcommand, key)
 
     @pytest.mark.parametrize("gamma0", [1e-300, 1e-200, 1e200, 1e300])
     def test_alpha_sweep_peaks_only_rescale_with_extreme_gamma0(self, tmp_path, capsys,

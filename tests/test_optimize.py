@@ -471,15 +471,16 @@ class TestWholeGridKernel:
         assert sum(map(bool, misses)) == 8 and min(map(min, filter(None, misses))) >= 1e-3
 
     def test_overflowing_coefficients(self, config):
-        # the reference also skips the points where its quartic's coefficients
-        # overflow or its Newton update is not finite; the line form skips only
-        # those where tau_c^2 overflows the constraint itself
+        # the reference skips the points where its quartic's coefficients
+        # overflow or its Newton update is not finite; the line form works in
+        # the rates a_v/tau_v, which stay finite out to tau_c = 1e200, so it
+        # skips only tau_c = 0.3, where K = Z - a_c/tau_c <= 0
         grid = np.geomspace(0.3, 1e200, 120)
         records, skipped = optimal_curve_reference(config, grid)
         curve = optimal_curve(config, tau_c_grid=grid)
-        assert len(records) == 49 and len(curve.records) == 91
-        overflow = [t for t, why in curve.skipped if "constraint overflows" in why]
-        assert overflow == grid[grid > math.sqrt(np.finfo(float).max)].tolist()
+        assert len(records) == 49 and len(curve.records) == 119
+        [(tau_c, why)] = curve.skipped
+        assert tau_c == 0.3 and "(tau_c must exceed" in why
         assert {t for t, _ in curve.skipped} < {t for t, _ in skipped}
         assert any("coefficients overflow" in why for _, why in skipped)
         solved = {record.tau_c: record for record in curve.records}
@@ -579,12 +580,16 @@ class TestLineRoot:
         # within 4e-15 on the curve's records; a root that the curve skips as
         # not refrigerating can sit where K = Z - a_c/tau_c nearly cancels,
         # which amplifies K's rounding: 1.06e-14 at c1's tau_c = 0.324 (the
-        # reference quartic's root there is 2.4e-14 off)
+        # reference quartic's root there is 2.4e-14 off).  The third grid
+        # reaches tau_c = 1e200, where the durations' squares leave the float
+        # range; the reference root is taken in ln tau_p at 80 digits.
         coeffs = cycle_coefficients(config)
         (T_c, T_h, T_p), (dS_c, dS_h, dS_p), (S_c, S_h, S_p) = (
             [mp.mpf(v) for v in group] for group in (coeffs.T, coeffs.dS, coeffs.Sigma))
-        checked = 0
-        for grid in (np.geomspace(*optimize.DEFAULT_TAU_C_RANGE), np.geomspace(1e-3, 1e12, 120)):
+        checked = []
+        for grid in (np.geomspace(*optimize.DEFAULT_TAU_C_RANGE), np.geomspace(1e-3, 1e12, 120),
+                     np.geomspace(0.3, 1e200, 120)):
+            checked.append(0)
             tau_p, reasons = _stationary_tau_p(coeffs, grid)
             _, kept = optimize._records(coeffs, config.alpha, grid, tau_p, list(reasons))
             for t, p, why, record_reason in zip(grid.tolist(), tau_p.tolist(), reasons, kept):
@@ -592,34 +597,37 @@ class TestLineRoot:
                     continue
                 tc = mp.mpf(t)
 
-                def g(x):  # x^2 F(1/x), tau_h balanced
-                    tau_h = -T_h * S_h / (T_p * (dS_p + S_p * x)
+                def F(s):  # the constraint at tau_p = e^s, tau_h balanced, over
+                    tp = mp.exp(s)  # its summed term magnitudes (no term changes sign)
+                    tau_h = -T_h * S_h / (T_p * (dS_p + S_p / tp)
                                           + T_c * (dS_c + S_c / tc) + T_h * dS_h)
-                    return (dS_h * (x * tau_h) ** 2 / S_h + dS_p / S_p
-                            + x ** 2 * (dS_c * tc ** 2 / S_c + 2 * tc) + 2 * x * (1 + x * tau_h))
+                    terms = (dS_h * tau_h ** 2 / S_h, dS_p * tp ** 2 / S_p,
+                             dS_c * tc ** 2 / S_c, 2 * (tc + tau_h + tp))
+                    return mp.fsum(terms) / mp.fsum(map(abs, terms))
 
-                exact = 1 / mp.findroot(g, mp.mpf(1) / p)
+                with mp.workdps(80):
+                    exact = mp.exp(mp.findroot(F, mp.log(p)))
                 assert abs(p - exact) <= (2e-14 if record_reason else 4e-15) * exact, (t, p)
-                checked += record_reason is None
-        assert checked >= 190
+                checked[-1] += record_reason is None
+        assert sum(checked) >= 300 and checked[-1] == 119  # all but tau_c = 0.3 (K <= 0)
 
     def test_slope_is_the_derivative(self):
         sp = pytest.importorskip("sympy")
-        T_c, T_h, T_p, tau_c, x = sp.symbols("T_c T_h T_p tau_c x", positive=True)
+        T_c, T_h, T_p, tau_c, y = sp.symbols("T_c T_h T_p tau_c y", positive=True)
         dS_c, dS_h, dS_p, S_c, S_h, S_p = sp.symbols("dS_c dS_h dS_p S_c S_h S_p")
         symbolic = CycleCoefficients(T=(T_c, T_h, T_p), dS=(dS_c, dS_h, dS_p),
                                      Sigma=(S_c, S_h, S_p))
-        K = T_c * dS_c + T_h * dS_h + T_p * dS_p + T_c * S_c / tau_c
-        c0 = dS_c * tau_c ** 2 / S_c + 2 * tau_c
-        g, slope = _line_constraint(symbolic, K, c0, x)
+        a_p = -T_p * S_p
+        g, slope = _line_constraint(symbolic, -T_c * S_c / tau_c)(y)
         # the balanced tau_h and the stationarity constraint, written out afresh
-        tau_p = 1 / x
+        # in the durations, at tau_p = a_p/y
+        tau_p = a_p / y
         tau_h = -T_h * S_h / (T_p * (dS_p + S_p / tau_p) + T_c * (dS_c + S_c / tau_c)
                               + T_h * dS_h)
         F = (dS_h * tau_h ** 2 / S_h + dS_p * tau_p ** 2 / S_p + dS_c * tau_c ** 2 / S_c
              + 2 * (tau_c + tau_h + tau_p))
-        assert sp.simplify(g - x ** 2 * F) == 0
-        assert sp.simplify(slope - sp.diff(x ** 2 * F, x)) == 0
+        assert sp.simplify(g - y ** 2 * F / a_p) == 0
+        assert sp.simplify(slope - sp.diff(y ** 2 * F / a_p, y)) == 0
 
     def test_unconverged_rows_name_the_steps(self, coeffs, monkeypatch):
         monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)
@@ -804,6 +812,27 @@ class TestClosedFormMaxima:
         monkeypatch.setattr(optimize, "_rate_peak", lambda coeffs: converged)
         with pytest.raises(ConvergenceError, match="found no maximum in 2 steps"):
             _merit_peak(coeffs)
+
+
+@pytest.mark.parametrize("config", STANDARD_CONFIGS)
+@pytest.mark.parametrize("k", [1e-300, 1e-200, 1e200, 1e300])
+def test_curve_roots_and_fixed_cop_points_only_rescale_with_gamma0(config, k):
+    # both solve in the rates y_v = a_v/tau_v, which gamma0 does not move; the
+    # rounding of tau_c/k is amplified where K = Z - a_c/tau_c nearly cancels
+    # (tau_c ~ 1.41 on the default config, 7.6e-11 there)
+    base, scaled = (cycle_coefficients(replace(config, gamma0=config.gamma0 * f))
+                    for f in (1.0, k))
+    grid = np.geomspace(*optimize.DEFAULT_TAU_C_RANGE)
+    (tau_p, reasons), (scaled_p, scaled_reasons) = (
+        _stationary_tau_p(base, grid), _stationary_tau_p(scaled, grid / k))
+    assert [why is None for why in scaled_reasons] == [why is None for why in reasons]
+    assert np.isnan(scaled_p).tolist() == np.isnan(tau_p).tolist()
+    assert (scaled_p * k).tolist() == pytest.approx(tau_p.tolist(), rel=1e-9, nan_ok=True)
+    lo, hi = _cop_range(base)
+    psi = lo + (hi - lo) * np.linspace(0.01, 0.99, 40)
+    for value, scaled_value, f in zip(_cop_points(base, psi), _cop_points(scaled, psi),
+                                      (k, k, 1.0 / k)):
+        assert (scaled_value * f).tolist() == pytest.approx(value.tolist(), rel=1e-9)
 
 
 class TestPythonScalars:
@@ -1151,6 +1180,46 @@ class TestFixedCopPoints:
         monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)
         with pytest.raises(ConvergenceError, match="fixed-COP Newton .* in 2 steps"):
             _cop_points(coeffs, [0.1])
+
+    def test_slope_is_the_derivative(self, monkeypatch):
+        # g and g' at each of the iterates are t^2 dR/dy and its derivative,
+        # with a_c R = Q_c/t at the fixed COP, in y = a_c/tau_c
+        sp = pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
+        A, Z, H, rho_h, rho_p, psi, y = sp.symbols("A Z H rho_h rho_p psi y", positive=True)
+        Q_c, k = A - y, 1 + 1 / psi
+        y_h, y_p = H - Q_c / psi, Z - A - H + k * Q_c  # Q_h = Q_c/psi, Q_p = -k Q_c
+        assert sp.simplify(Z - y - y_h - y_p) == 0  # the heats balance
+        t = 1 / y + rho_h / y_h + rho_p / y_p  # tau/a_c, rho_v = a_v/a_c
+        g = t * t * sp.diff(Q_c / t, y)
+        exact = sp.lambdify((A, Z, H, rho_h, rho_p, psi, y), (g, sp.diff(g, y)), "mpmath")
+        seen, original = [], optimize._newton_root
+
+        def recording(fn, x, lo, hi):
+            def traced(x):
+                seen.append((x, *fn(x)))
+                return seen[-1][1:]
+            return original(traced, x, lo, hi)
+
+        monkeypatch.setattr(optimize, "_newton_root", recording)
+        for config in STANDARD_CONFIGS:
+            coeffs = cycle_coefficients(config)
+            A_, Z_, H_, (ac, ah, ap) = _branch_terms(coeffs)
+            lo, hi = _cop_range(coeffs)
+            psis = (lo + (hi - lo) * np.array([0.02, 0.3, 0.6, 0.9, 0.98])).tolist()
+            seen.clear()
+            _cop_points(coeffs, psis)
+            assert len(seen) >= 3
+            for ys, gs, slopes in seen:
+                for p, y_, g_, slope in zip(psis, ys.tolist(), gs.tolist(), slopes.tolist()):
+                    with mpmath.workdps(40):
+                        ref = exact(*map(mpmath.mpf, (A_, Z_, H_, ah / ac, ap / ac, p, y_)))
+                    q, w_h, w_p = A_ - y_, H_ - (A_ - y_) / p, Z_ - A_ - H_ + (1 + 1 / p) * (A_ - y_)
+                    size = (1 / y_ + ah / ac / w_h + ap / ac / w_p
+                            + q * (1 / y_ ** 2 + ah / ac / (p * w_h ** 2)
+                                   + (1 + 1 / p) * ap / ac / w_p ** 2))
+                    assert abs(g_ - float(ref[0])) <= 1e-13 * size, (p, y_)
+                    assert abs(slope - float(ref[1])) <= 1e-13 * abs(float(ref[1])), (p, y_)
 
 
 class TestFreeTimeSweep:

@@ -41,15 +41,15 @@ def test_a_crash_is_logged_as_an_unexpected_exit(tmp_path, monkeypatch, capsys):
 
 
 def test_an_expected_failure_that_succeeds_is_unexpected(tmp_path, monkeypatch, capsys):
-    # c6's optimal-curve is expected to exit 3; once it exits 0 the entry is stale
+    # c2's ts-diagram is expected to exit 2; once it exits 0 the entry is stale
     module = _load_matrix()
-    assert module.EXPECTED_EXIT[("c6", "optimal-curve")] == 3
-    monkeypatch.setattr(module, "CONFIGS", {"c6": []})
-    monkeypatch.setattr(cli, "_RUNNERS", {"optimal-curve": lambda rc, config: (
+    assert module.EXPECTED_EXIT == {("c2", "ts-diagram"): 2}
+    monkeypatch.setattr(module, "CONFIGS", {"c2": []})
+    monkeypatch.setattr(cli, "_RUNNERS", {"ts-diagram": lambda rc, config: (
         ["x"], [(1.0,)], {})})
     src = str(Path(cli.__file__).resolve().parents[1])
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert module.main([src, str(tmp_path / "matrix")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"unexpected exit code: c6-{fmt} optimal-curve: exit 0" for fmt in ("csv", "json")]
+        f"unexpected exit code: c2-{fmt} ts-diagram: exit 0" for fmt in ("csv", "json")]
