@@ -424,7 +424,7 @@ def _run_oracle_check(rc, config):
         abs_err = abs(q - bt.Q)
         rel_err = abs_err / abs(q)
         worst = max(worst, rel_err)
-        rows.append((rc.oracle_branch, tau, len(traj.times) - 1,
+        rows.append((rc.oracle_branch, tau, traj.steps,
                      q, bt.Q0, bt.Q1, bt.Q, abs_err, rel_err))
     return columns, rows, {"max_rel_err": worst}
 

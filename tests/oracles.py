@@ -19,19 +19,23 @@ a_c/tau_c: all three roots of a cubic in tau_c by ``np.roots``, filtered to
 the admissible ones, the one with the largest R kept.
 
 Simpson's rule and the heat it gave over the stored samples, the package's
-heat before each RK4 step carried it, are kept as :func:`simpson_heat`.
+heat before each RK4 step carried it, are kept as :func:`simpson_heat`.  The
+samples come from :func:`sample_path`, which applies the integrator's batch
+maps batch by batch, as :func:`qtricycle.propagate` did before it returned the
+branch map alone; :func:`rk4_reference` is too slow for the long branches.
 The CSV emitter the package used before it formatted a report a column at a
 time, one ``_fmt_cell`` call per cell, is :func:`csv_report_reference`.
 
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
 and the T-S diagram from the populations, so no program path calls them.
-The package's state is the population pair (rho11, rho00), on which
-:func:`qtricycle.liouvillian` acts.  The whole density matrix, flattened to
-the column (rho11, rho10, rho01, rho00) by :func:`density_column`, and the
-generator on it, :func:`full_liouvillian` with its coherence entries, live
-here: the Drazin checks, :func:`sigma_direct` and :func:`rk4_reference` use
-them, so that coherences never feeding the populations stays tested.
+The package's generator, :func:`qtricycle.liouvillian`, acts on the
+population pair (rho11, rho00); its integrator carries rho11 alone.  The
+whole density matrix, flattened to the column (rho11, rho10, rho01, rho00) by
+:func:`density_column`, and the generator on it, :func:`full_liouvillian`
+with its coherence entries, live here: the Drazin checks,
+:func:`sigma_direct` and :func:`rk4_reference` use them, so that coherences
+never feeding the populations stays tested.
 """
 
 import math
@@ -47,6 +51,8 @@ from qtricycle import (
     damping_rate,
     evaluate_cycle,
     gibbs_state,
+    oracle,
+    propagate,
 )
 from qtricycle.cli import _fmt_cell
 from qtricycle.optimize import (
@@ -314,19 +320,36 @@ def simpson(y, dx):
     return float(np.sum(y[0:-2:2] + 4.0 * y[1::2] + y[2::2]) * dx / 3.0)
 
 
-def simpson_heat(trajectory):
-    """Heat of a stored trajectory by the second pass the package made before
-    it carried the heat in its RK4 steps: the excited row of the generator
-    applied to every stored pair, and omega dp11/dt Simpson-integrated over
-    the sample spacing (so the step count must be even)."""
-    branch = trajectory.branch
-    w = frequency(branch, trajectory.times / trajectory.tau)
+def sample_path(branch, tau, steps, x0):
+    """The excited population x = rho11 at the ``steps + 1`` sample times of
+    :func:`qtricycle.propagate` from ``x0``: each batch's scanned maps from
+    ``oracle._batch_maps`` applied to the x the batch starts from.  Its last
+    entry is the map's final ``x``, bit for bit."""
+    path = np.empty(steps + 1)
+    path[0] = x0
+    for start in range(0, steps, oracle._CHUNK):
+        stop = min(start + oracle._CHUNK, steps)
+        s = np.arange(2 * start, 2 * stop + 1) / (2 * steps)
+        (a, b), _ = oracle._batch_maps(branch, s, tau / steps)
+        path[start + 1:stop + 1] = a * path[start] + b
+    assert path[-1] == propagate(branch, tau, steps, x0).x
+    return path
+
+
+def simpson_heat(branch, tau, path):
+    """Heat of a sample path by the second pass the package made before it
+    carried the heat in its RK4 steps: the excited row of the generator
+    applied to every sampled pair (x, 1 - x), and omega dp11/dt
+    Simpson-integrated over the sample spacing (so the step count must be
+    even)."""
+    times = np.linspace(0.0, tau, len(path))
+    w = frequency(branch, times / tau)
     n = bose_occupation(branch.temperature, w)
     g = damping_rate(branch.gamma0, branch.alpha, w)
-    p1, p0 = trajectory.states.T
+    p1, p0 = path, 1.0 - path
     dp1 = -g * (n + 1.0) * p1 + g * n * p0  # excited row of L p
     # Tr[H drho/dt] = (w/2)(dp1 - dp0) = w * dp1 since dp0 = -dp1
-    return simpson(w * dp1, trajectory.times[1] - trajectory.times[0])
+    return simpson(w * dp1, times[1] - times[0])
 
 
 def zeroth_heat_sum_reference(config):

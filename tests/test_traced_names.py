@@ -60,5 +60,9 @@ def test_every_result_reader_reads_a_real_result(tracing):
     attrs = {name: read(results[name]) for name, read in tracing.RESULT_ATTRS.items()}
     assert attrs["optimize.optimal_curve"] == {"skipped": len(curve.skipped)}
     assert curve.skipped  # the default grid skips points: a real count, not 0
-    assert attrs["oracle.propagate"] == {"steps": 1000}
+    branch_map = results["oracle.propagate"]
+    assert attrs["oracle.propagate"] == {"steps": branch_map.steps} == {"steps": 1000}
+    times = branch_map.times  # read only by the tracer
+    assert len(times) == branch_map.steps + 1
+    assert times[0] == 0.0 and times[-1] == branch_map.tau
     assert attrs["cli.emit_report"] == {"bytes": len(report.encode())}
