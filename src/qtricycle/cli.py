@@ -214,17 +214,10 @@ def _json_safe(value):
     return value
 
 
-def _csv_column(column):
-    """(spec, cells) of one CSV column: ``%.17e`` and the column itself when it
-    holds floats only, ``%s`` and each distinct float formatted once where
-    they repeat, else ``%s`` and ``_fmt_cell`` of each cell."""
-    if set(map(type, column)) != {float}:
-        return "%s", map(_fmt_cell, column)
-    distinct = set(column)
-    if len(distinct) == len(column) or 0.0 in distinct:  # 0.0 == -0.0: one key
-        return "%.17e", column
-    text = dict(zip(distinct, map("%.17e".__mod__, distinct)))
-    return "%s", map(text.__getitem__, column)
+# A report with fewer float cells is formatted a cell at a time: a kernel call
+# costs some 100 numpy calls, which the per-cell path takes about this many
+# float cells to spend (measured on reports of 2 to 9 columns).
+_KERNEL_MIN_FLOATS = 256
 
 
 def emit_report(columns, rows, meta, fmt):
@@ -232,14 +225,24 @@ def emit_report(columns, rows, meta, fmt):
     ``columns`` and ``rows`` (byte-stable); CSV leaves ``meta`` out.
 
     A CSV cell that is a float prints as ``%.17e`` (``nan``, ``inf``, ``-inf``
-    where not finite), a bool as ``true``/``false``, anything else as ``str``;
-    it is formatted a column at a time (:func:`_csv_column`), a row by one ``%``.
+    where not finite, NaN without its sign), a bool as ``true``/``false``,
+    anything else as ``str``.  A report with fewer than ``_KERNEL_MIN_FLOATS``
+    cells in columns of floats only is formatted a ``_fmt_cell`` call per
+    cell, a larger one in one byte buffer by ``_csv_kernel.csv_bytes``.  Its
+    float cells take exact digits from an array kernel, or ``"%.17e"`` itself
+    where the kernel cannot round with certainty (a possible tie, log10 off by
+    one, |x| outside [1e-250, 1e250]).
     """
     if fmt == "csv":  # itemgetter, as zip(*rows)'s per-row iterators set off GC passes
-        specs, cells = zip(*(_csv_column(list(map(itemgetter(j), rows)))
-                             for j in range(len(columns))))
+        cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
+        floats = [set(map(type, column)) == {float} for column in cells]
+        if len(rows) * sum(floats) >= _KERNEL_MIN_FLOATS:
+            from ._csv_kernel import csv_bytes  # so compiled only once a report needs it
+            texts = {j: [_fmt_cell(v).encode("utf-8", "surrogatepass") for v in column]
+                     for j, column in enumerate(cells) if not floats[j]}
+            return str(csv_bytes(columns, cells, texts), "utf-8", "surrogatepass")
         lines = [",".join(columns)]
-        lines.extend(map(",".join(specs).__mod__, zip(*cells)))
+        lines.extend(",".join(map(_fmt_cell, row)) for row in rows)
         return "\n".join(lines) + "\n"
     doc = {
         "meta": _json_safe(meta),

@@ -23,8 +23,10 @@ heat before each RK4 step carried it, are kept as :func:`simpson_heat`.  The
 samples come from :func:`sample_path`, which applies the integrator's batch
 maps batch by batch, as :func:`qtricycle.propagate` did before it returned the
 branch map alone; :func:`rk4_reference` is too slow for the long branches.
-The CSV emitter the package used before it formatted a report a column at a
-time, one ``_fmt_cell`` call per cell, is :func:`csv_report_reference`.
+The per-cell CSV emitter, one ``_fmt_cell`` call per cell, is
+:func:`csv_report_reference`; the package takes that path only for a report
+below its crossover and builds a larger one from its digit kernel, which the
+tests hold to this reference byte for byte.
 
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand

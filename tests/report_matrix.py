@@ -10,6 +10,10 @@ written to relative ``--out`` paths from inside OUTDIR, and SRC is replaced
 by ``SRC`` in the logs, so the output of two source trees can be compared
 with ``diff -r``.
 
+Each run's wall time, that of its ``cli.main`` call, goes to stdout as one
+``<config>-<format> <subcommand> <seconds> s`` line, and nowhere into OUTDIR,
+so ``diff -r`` stays the check that reports kept their bytes.
+
 Exits 1 when a run ends with an unexpected exit code: every run must exit 0,
 except the c2 ``ts-diagram``, whose balanced tau_h is too short for the
 first-order state (``PositivityError``, exit 2; see ``EXPECTED_EXIT``).  An
@@ -22,6 +26,7 @@ import contextlib
 import io
 import os
 import sys
+import time
 import traceback
 import warnings
 
@@ -81,11 +86,14 @@ def main(argv):
                 with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
                     warnings.simplefilter("default")
+                    start = time.perf_counter()
                     try:
                         code = cli.main(argv)
                     except Exception as exc:  # a crash is one more unexpected exit
                         traceback.print_exc()
                         code = f"{type(exc).__name__}: {exc}"
+                    elapsed = time.perf_counter() - start
+                print(f"{folder} {subcommand} {elapsed:.4f} s")
                 log = (f"exit {code}\n--- stdout\n{out.getvalue()}"
                        f"--- stderr\n{err.getvalue()}").replace(src, "SRC")
                 with open(f"{folder}/{subcommand}.log", "w") as handle:

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtricycle import TricycleConfig, cli, cycle, optimize, oracle, thermo
+from qtricycle import TricycleConfig, _csv_kernel, cli, cycle, optimize, oracle, thermo
 from qtricycle.cli import (
     RunConfig,
     emit_report,
@@ -153,6 +153,81 @@ class TestEmitReport:
         lines = emit_report(columns, rows, {}, "csv").splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == [
             f"{z:.17e}" for z in (0.0, -0.0, 0.0, -0.0)]
+
+    def test_float_cells_are_the_exact_percent_e_digits(self):
+        # random bit patterns; every power of ten and both its neighbours,
+        # where log10 can be off by one; 2^k and 3*2^k over the exponent
+        # range; exact ties m/2^j with m*5^j of 19 digits, which "%.17e"
+        # rounds to even; and the special values
+        rng = np.random.default_rng(20261020)
+        bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64).view(np.float64)
+        tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+        values = [*bits[np.isfinite(bits)].tolist(), *tens.tolist(),
+                  *np.nextafter(tens, 0.0).tolist(), *np.nextafter(tens, math.inf).tolist(),
+                  *(math.ldexp(m, k) for m in (1, 3) for k in range(-1074, 1024 - m // 2)),
+                  (2 ** 53 - 1) / 8, 0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                  5e-324, -1e-310, sys.float_info.max]
+        for j in range(1, 28):  # odd m below 2^53, so m/2^j is a float
+            lo, hi = -(-10 ** 18 // 5 ** j), min((10 ** 19 - 1) // 5 ** j, 2 ** 53 - 1)
+            if lo <= hi:
+                odd = {lo | 1, *(rng.integers(lo, hi + 1, 100) | 1).tolist()}
+                values += [m / 2 ** j for m in odd if m <= hi]
+        values += [-v for v in values[::7]]
+        for start in range(0, len(values), 25_000):  # one-column reports past the crossover
+            chunk = values[start:start + 25_000]
+            assert len(chunk) >= cli._KERNEL_MIN_FLOATS
+            expected = "x\n" + "".join(["%.17e\n" % v for v in chunk])
+            assert emit_report(["x"], [(v,) for v in chunk], {}, "csv") == expected
+
+    @pytest.mark.parametrize("ulps", [-1, 1])
+    def test_float_cells_stay_exact_where_log10_is_an_ulp_off(self, monkeypatch, ulps):
+        # a log10 an ulp low puts the exponent one below at the powers of ten
+        # (y reaches 10^18), an ulp high one above just under them (y falls
+        # below 10^17); either way those cells take "%.17e"
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), ulps * math.inf))
+        tens = np.array([float(f"1e{k}") for k in range(-250, 251)])
+        values = [*tens.tolist(), *np.nextafter(tens, 0.0).tolist(),
+                  *np.nextafter(tens, math.inf).tolist()]
+        expected = "x\n" + "".join(["%.17e\n" % v for v in values])
+        assert emit_report(["x"], [(v,) for v in values], {}, "csv") == expected
+
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_both_paths_match_the_reference_at_the_crossover(self, monkeypatch, extra):
+        # one column of floats beside str cells with NUL and non-ASCII text,
+        # bools, ints, numpy scalars and mixed columns: one float cell short of
+        # the crossover takes the per-cell path, at the crossover the kernel
+        kernel, calls = _csv_kernel.csv_bytes, []
+        monkeypatch.setattr(_csv_kernel, "csv_bytes",
+                            lambda *args: calls.append(args) or kernel(*args))
+        pool = [0.1, -0.0, math.nan, -math.inf, 1e-300, 123.456, -1e300, 5e-324]
+        others = ["a\x00b", "é☃,", "", True, 10 ** 20, -3, np.float64(0.25),
+                  np.float64(math.nan)]
+        rows = [(pool[i % 8], others[i % 8], str(i), i % 3 == 0, i, np.float64(i / 7),
+                 (pool + others)[i % 16]) for i in range(cli._KERNEL_MIN_FLOATS + extra)]
+        columns = ["float", "other", "label", "flag", "count", "numpy", "mixed"]
+        assert emit_report(columns, rows, {}, "csv") == csv_report_reference(columns, rows)
+        assert len(calls) == (extra == 0)
+
+    def test_a_sweep_report_stays_within_its_memory_bound(self):
+        # a 60 x 60 sweep-times report with NaN and negative R cells: the
+        # buffer, its keep mask and the text set the peak, about 1.3 MB
+        rng = np.random.default_rng(7)
+        taus = np.linspace(1.0, 60.0, 60).tolist()
+        R = rng.uniform(-1e-3, 2e-3, 3600)
+        R[rng.random(3600) < 0.2] = math.nan
+        rows = [(tau_c, tau_p, float(rng.uniform(1.0, 80.0)), r)
+                for (tau_c, tau_p), r in zip(((a, b) for a in taus for b in taus), R.tolist())]
+        columns = ["tau_c", "tau_p", "tau_h", "R"]
+        emit_report(columns, rows, {}, "csv")  # the digit table, built once
+        tracemalloc.start()
+        try:
+            text = emit_report(columns, rows, {}, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == csv_report_reference(columns, rows)
+        assert peak < 2.0e6
 
 
 def run_cli(tmp_path, subcommand, *overrides, fmt="csv"):
@@ -868,6 +943,7 @@ class TestReportsThroughBothEmitters:
 
             doc = json.loads(out.read_text())
             text = emit_report(columns, rows, doc["meta"], "csv")
+            assert text == csv_report_reference(columns, rows), subcommand
             seen |= assert_csv_and_json_agree(columns, rows, text, doc)
 
             printed = stdout.getvalue().splitlines()

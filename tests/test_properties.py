@@ -2,7 +2,8 @@
 solver, the closed-form curve maxima and the fixed-COP points over random
 configurations (``conftest.random_config``) and cold-branch durations, and
 the whole-grid solver against the per-point quartic reference of ``oracles``,
-and the column-wise CSV emitter against its per-cell reference.
+and the CSV emitter against its per-cell reference, on small tables and on
+tables tiled past the crossover where the digit kernel takes over.
 
 Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
 run is reproducible.
@@ -31,6 +32,7 @@ from oracles import (
     principal_reference,
     solve_time_allocation_reference,
 )
+from qtricycle import cli
 from qtricycle.cli import emit_report
 from qtricycle.optimize import _cop_points, _cop_records, curve_maxima
 
@@ -166,10 +168,14 @@ report_floats = st.one_of(
     st.floats())
 
 
+# str cells with NUL, non-ASCII text and the separator among them
+report_text = st.text(st.one_of(st.sampled_from("\x00é☃,"), st.characters()), max_size=3)
+
+
 @st.composite
-def report_tables(draw):
-    """(columns, rows) of 0 to 6 rows, each column of one kind of cell."""
-    n_rows = draw(st.integers(0, 6))
+def report_tables(draw, min_rows=0):
+    """(columns, rows) of min_rows to 6 rows, each column of one kind of cell."""
+    n_rows = draw(st.integers(min_rows, 6))
     cells = []
     for _ in range(draw(st.integers(1, 5))):
         pool = st.sampled_from(draw(st.lists(report_floats, min_size=1, max_size=4)))
@@ -177,8 +183,8 @@ def report_tables(draw):
                                      "numpy", "mixed"]))
         element = {"float": pool, "zeros": st.sampled_from([0.0, -0.0, 0.5]),
                    "bool": st.booleans(), "int": st.integers(),
-                   "str": st.text(max_size=3), "numpy": pool.map(np.float64),
-                   "mixed": st.one_of(pool, st.booleans(), st.integers(), st.text(max_size=2))
+                   "str": report_text, "numpy": pool.map(np.float64),
+                   "mixed": st.one_of(pool, st.booleans(), st.integers(), report_text)
                    }[kind]
         cells.append(draw(st.lists(element, min_size=n_rows, max_size=n_rows)))
     return [f"c{i}" for i in range(len(cells))], list(zip(*cells))
@@ -188,4 +194,14 @@ def report_tables(draw):
 @hypothesis.given(report_tables())
 def test_csv_report_matches_the_per_cell_reference(table):
     columns, rows = table
+    assert emit_report(columns, rows, {}, "csv") == csv_report_reference(columns, rows)
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(report_tables(min_rows=1), st.integers(0, 5))
+def test_a_report_tiled_past_the_crossover_matches_the_reference(table, offset):
+    # rows repeated until every column holds the crossover's count of cells,
+    # so a report with a column of floats takes the kernel
+    columns, rows = table
+    rows = (rows * cli._KERNEL_MIN_FLOATS)[offset:offset + cli._KERNEL_MIN_FLOATS + len(rows)]
     assert emit_report(columns, rows, {}, "csv") == csv_report_reference(columns, rows)

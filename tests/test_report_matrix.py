@@ -35,9 +35,17 @@ def test_a_crash_is_logged_as_an_unexpected_exit(tmp_path, monkeypatch, capsys):
         assert "Traceback" in log
         assert (folder / "branch.log").read_text().startswith("exit 0\n")
         assert (folder / f"branch.{fmt}").exists()
-    assert capsys.readouterr().err.splitlines() == [
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
         f"unexpected exit code: c0-{fmt} crash: exit ZeroDivisionError: float division by zero"
         for fmt in ("csv", "json")]
+    # one wall time per run, on stdout only: OUTDIR holds the reports and logs
+    times = [line.split(" ") for line in captured.out.splitlines()]
+    assert [t[:2] for t in times] == [[f"c0-{fmt}", name] for fmt in ("csv", "json")
+                                      for name in ("crash", "branch")]
+    assert all(float(t[2]) >= 0.0 and t[3] == "s" for t in times)
+    assert sorted(p.name for p in (tmp_path / "matrix" / "c0-csv").iterdir()) == [
+        "branch.csv", "branch.log", "crash.log"]
 
 
 def test_an_expected_failure_that_succeeds_is_unexpected(tmp_path, monkeypatch, capsys):
