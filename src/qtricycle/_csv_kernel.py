@@ -23,25 +23,27 @@ def _put_floats(words, keep, x, sep):
     ``keep``, (rows, columns, 7) uint32 views of the buffer and of its keep
     mask: each cell's 7 words, sep[j] in the last of column j.
 
-    The 18 digits n and the exponent E of ``"%.17e" % v`` are exact.  For |v|
-    in [1e-250, 1e250], E = floor(log10|v|) and y = |v|*10^(17-E) is p + q:
-    p = fl(|v|*hi), q its exact Dekker error (no FMA) plus |v|*lo, for
-    10^(17-E) = hi + lo to 2^-106 from exact integers; y is within about
-    2e-14 and n is y rounded.  A cell outside that range, whose fraction of y
-    lies within 1e-6 of 1/2 (a possible tie), whose floor(y) lies outside
-    [10^17, 10^18) (log10 off by one next to a power of ten) or whose y rounds
-    up to 10^18 takes ``"%.17e"`` itself.  The words are built with integer
-    + and *, and the checks are float compares, so that the kernel touches
-    few numpy loops that the rest of the program does not."""
+    The 18 digits n and the exponent E of ``"%.17e" % v`` are exact: with
+    k = 17 - E, E = floor(log10|v|), y = |v|*10^k = a*(5/4)^k for a = |v|*8^k,
+    exact and normal for finite v != 0, and y is p + q: p = fl(a*hi), q its
+    exact Dekker error (no FMA) plus a*lo, for (5/4)^k = hi + lo to 2^-106
+    from exact integers; y is within about 2e-14 and n is y rounded.  A cell
+    whose fraction of y lies within 1e-6 of 1/2 (a possible tie), whose
+    floor(y) lies outside [10^17, 10^18) (log10 off by one next to a power of
+    ten) or whose y rounds up to 10^18 takes ``"%.17e"`` itself.  The words
+    are built with integer + and *, and the checks are float compares, so
+    that the kernel touches few numpy loops that the rest of the program does not."""
     a = np.abs(x)
-    fast = (a >= 1e-250) & (a <= 1e250)
+    fast = (a > 0.0) & (a < np.inf)
     a[~fast] = 1.0
     E = np.floor(np.log10(a))
     k = (17 - E).astype(np.int64)
-    fracs = [(10 ** max(j, 0), 10 ** max(-j, 0)) for j in range(k.min(), k.max() + 1)]
-    hi = [num / den for num, den in fracs]  # 10^j = num/den rounded, then the residual
+    fracs = [(5 ** max(j, 0) << max(-2 * j, 0), 5 ** max(-j, 0) << max(2 * j, 0))
+             for j in range(k.min(), k.max() + 1)]
+    hi = [num / den for num, den in fracs]  # (5/4)^j = num/den rounded, then the residual
     lo = [(num * d - n * den) / (den * d)
           for (num, den), (n, d) in zip(fracs, map(float.as_integer_ratio, hi))]
+    a = np.ldexp(a, (3 * k).astype(np.int32))  # its int64 loop is slower
     k -= k.min()
     b, q = np.array(hi)[k], np.array(lo)[k] * a
     p = a * b

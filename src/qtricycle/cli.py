@@ -37,11 +37,11 @@ is known, is written alongside the report path in that case).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
@@ -231,7 +231,7 @@ def emit_report(columns, rows, meta, fmt):
     cell, a larger one in one byte buffer by ``_csv_kernel.csv_bytes``.  Its
     float cells take exact digits from an array kernel, or ``"%.17e"`` itself
     where the kernel cannot round with certainty (a possible tie, log10 off by
-    one, |x| outside [1e-250, 1e250]).
+    one).
     """
     if fmt == "csv":  # itemgetter, as zip(*rows)'s per-row iterators set off GC passes
         cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
@@ -255,12 +255,13 @@ def emit_report(columns, rows, meta, fmt):
 def _write_atomic(path, text):
     """Replace ``path`` by ``text`` atomically, in the mode ``open`` gives under the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qtricycle-", suffix=".tmp")
-    umask = os.umask(0)  # read by setting it, restored at once; mkstemp's mode is 0600
-    os.umask(umask)
+    while True:  # created with mode 0666, which the kernel masks; a taken name is drawn again
+        tmp = os.path.join(directory, f".qtricycle-{os.urandom(8).hex()}.tmp")
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
         with os.fdopen(fd, "w") as handle:
-            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

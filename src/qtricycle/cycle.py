@@ -61,14 +61,14 @@ class CycleCoefficients:
 
 
 def cycle_coefficients(config):
-    """Compute (dS_eq, Sigma) for all three branches once per configuration;
-    an array ``config.alpha`` gives an array of Sigma from one quadrature per
-    branch (dS does not depend on it), bit for bit each alpha's own in [-0.5, 1.5]."""
+    """Compute (dS_eq, Sigma) for all three branches once per configuration, a
+    row each; an array ``config.alpha`` gives an array of Sigma per branch (dS
+    does not depend on it)."""
     branches = config.branches()
     return CycleCoefficients(
         T=tuple(b.temperature for b in branches),
-        dS=tuple(thermo.branch_entropy_change(b) for b in branches),
-        Sigma=tuple(thermo.sigma_coefficient(b) for b in branches),
+        dS=thermo.branch_entropy_change(branches),
+        Sigma=thermo.sigma_coefficient(branches),
     )
 
 

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 RESERVOIRS = ("c", "h", "p")
+_SLOPE_SIGN = {"decreasing": -1.0, "increasing": 1.0}  # of each phase's omega(s)
 
 # Default operating point used across the package (CLI, demos, tests).
 DEFAULT_CONFIG_VALUES = dict(
@@ -171,36 +172,39 @@ class BranchProtocol:
         object.__setattr__(self, "beta", 1.0 / self.temperature)
 
 
-def _check_unit_interval(s):
+def _schedule(branch, s):
+    """(s, delta, zeta, slope sign, u): s checked to lie in [0, 1], and the
+    amplitude, displacement, slope sign and drive cos(pi u) of a branch, or of
+    a tuple of branches as arrays with a row per branch against s."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0) or np.any(s > 1.0):
+    if ((s < 0.0) | (s > 1.0)).any():
         raise ValueError("rescaled time s must lie in [0, 1]")
-    return s
+    if isinstance(branch, BranchProtocol):
+        sign = _SLOPE_SIGN[branch.phase]
+        return s, branch.delta, branch.zeta, sign, s if sign < 0.0 else 1.0 - s
+    delta, zeta, sign = np.array([(b.delta, b.zeta, _SLOPE_SIGN[b.phase]) for b in branch]
+                                 ).T.reshape((3, len(branch)) + (1,) * s.ndim)
+    return s, delta, zeta, sign, np.where(sign < 0.0, s, 1.0 - s)
 
 
 def frequency(branch, s):
     """Energy splitting omega at rescaled time s in [0, 1].
 
-    Accepts scalars or arrays; result is strictly positive for zeta > 1.
+    Accepts scalars or arrays, and a tuple of branches (a row each); result is
+    strictly positive for zeta > 1.
     """
-    s = _check_unit_interval(s)
-    if branch.phase == "decreasing":
-        w = branch.delta * (np.cos(np.pi * s) + branch.zeta)
-    else:
-        w = branch.delta * (np.cos(np.pi * (1.0 - s)) + branch.zeta)
+    s, delta, zeta, _, u = _schedule(branch, s)
+    w = delta * (np.cos(np.pi * u) + zeta)
     return w if w.ndim else float(w)
 
 
 def frequency_derivative(branch, s):
-    """Analytic d(omega)/ds; exactly zero at both endpoints.
+    """Analytic d(omega)/ds (a row per branch of a tuple); exactly zero at both endpoints.
 
     Both phases have slope magnitude pi * delta * sin(pi * s), which is
     symmetric about s = 1/2; evaluating it at min(s, 1 - s) makes the sine
     argument exactly 0 at either end (sin(pi * 1.0) is 1.2e-16, not 0).
     """
-    s = _check_unit_interval(s)
-    d = np.pi * branch.delta * np.sin(np.pi * np.minimum(s, 1.0 - s))
-    if branch.phase == "decreasing":
-        d = -d
+    s, delta, _, sign, _ = _schedule(branch, s)
+    d = sign * np.pi * delta * np.sin(np.pi * np.minimum(s, 1.0 - s))
     return d if d.ndim else float(d)
-

@@ -22,17 +22,15 @@ first-order pair lags the instantaneous Gibbs pair by (1/tau) L^-1 dp_eq/ds:
 
 All integrals use composite Gauss-Legendre quadrature with panel doubling.
 
-Array-valued: :func:`equilibrium_entropy` (in T and omega),
-:func:`sigma_coefficient` (in alpha, one quadrature row each),
-:func:`population_lag` (in s) and :func:`ts_trajectory`, which evaluates
-each branch's whole s-grid as one array expression.  :func:`perturbed_state`
-is the scalar view of that expression.
+Array-valued: :func:`equilibrium_entropy` (in T and omega); a tuple of
+branches is one stack, a row per branch with the bits of that branch alone, in
+:func:`branch_entropy_change`, :func:`sigma_coefficient` (one quadrature, a
+row per alpha too) and :func:`ts_trajectory` (one expression over (branch, s)).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -76,10 +74,11 @@ def gauss_legendre_adaptive(f):
     """Integrate f over [0, 1] with composite 8-point Gauss-Legendre panels.
 
     ``f`` maps an ndarray of sample points to the integrand values (a float
-    result) or to a stack of rows of them (an array, one integral per row).
-    The panel count starts at ``QUADRATURE_START_PANELS`` and doubles; a row
-    keeps the first estimate that agrees with the one before to
-    ``QUADRATURE_RTOL`` relative (absolute floor 1e-300 guards the
+    result) or to rows of them along a last axis (an array of the leading
+    shape, as a row per branch of :func:`sigma_coefficient`).  The panel
+    count starts at ``QUADRATURE_START_PANELS`` and doubles; a row keeps the
+    first estimate, from its own ``np.dot``, that agrees with the one before
+    to ``QUADRATURE_RTOL`` relative (absolute floor 1e-300 guards the
     exactly-zero integrand).  A non-finite estimate raises ValueError at once,
     a row unsettled past ``QUADRATURE_MAX_PANELS`` :class:`ConvergenceError`.
     """
@@ -89,14 +88,15 @@ def gauss_legendre_adaptive(f):
             s, w = _panel_nodes(panels)
             y = np.asarray(f(s), dtype=float)
             # one np.dot per row: a matrix product rounds some rows differently
-            vals = [float(np.dot(row, w)) for row in ((y,) if y.ndim == 1 else y)]
+            vals = [float(np.dot(row, w)) for row in y.reshape(-1, y.shape[-1])]
             if not all(map(math.isfinite, vals)):
                 raise ValueError(f"quadrature estimate not finite at {panels} panels")
             for i, (val, old) in enumerate(zip(vals, prev)):
                 if i not in done and abs(val - old) <= QUADRATURE_RTOL * max(abs(val), 1e-300):
                     done[i] = val
             if len(done) == len(vals):
-                return done[0] if y.ndim == 1 else np.array([done[i] for i in range(len(done))])
+                return done[0] if y.ndim == 1 else np.reshape([done[i] for i in range(len(done))],
+                                                              y.shape[:-1])
             prev = vals
             panels *= 2
     raise ConvergenceError(f"quadrature did not reach rtol={QUADRATURE_RTOL} "
@@ -117,33 +117,42 @@ def equilibrium_entropy(T, omega):
 
 
 def branch_entropy_change(branch):
-    """Equilibrium entropy difference between branch end and start."""
-    w0 = protocol.frequency(branch, 0.0)
-    w1 = protocol.frequency(branch, 1.0)
-    T = branch.temperature
-    return equilibrium_entropy(T, w1) - equilibrium_entropy(T, w0)
+    """Equilibrium entropy difference between branch end and start; a tuple of
+    branches gives a tuple, from one expression over their endpoint splittings."""
+    branches = branch if isinstance(branch, tuple) else (branch,)
+    S = equilibrium_entropy(np.array([b.temperature for b in branches])[:, None],
+                            protocol.frequency(branches, (0.0, 1.0)))
+    dS = tuple((S[:, 1] - S[:, 0]).tolist())
+    return dS if isinstance(branch, tuple) else dS[0]
 
 
-def _relaxation_kernel(branch, s, power, scale=1.0):
-    """scale * omega'(s)**power * n(n+1) / (gamma (2n+1)^3), a row per alpha of
-    an array ``branch.alpha``: power 2 the Sigma integrand, power 1 with scale
-    beta the population lag."""
-    w = protocol.frequency(branch, s)
-    wp = protocol.frequency_derivative(branch, s)
-    n = lindblad.bose_occupation(branch.temperature, w)
-    g = lindblad.damping_rate(branch.gamma0, np.asarray(branch.alpha)[..., None], w)
+def _relaxation_kernel(branches, s, power, scale=1.0):
+    """scale * omega'(s)**power * n(n+1) / (gamma (2n+1)^3) of a tuple of one
+    config's branches, a row per branch and within it one per alpha of an
+    array alpha: power 2 the Sigma integrand, power 1 with scale beta the lag."""
+    w, wp = protocol.frequency(branches, s), protocol.frequency_derivative(branches, s)
+    T = np.array([b.temperature for b in branches])[:, None]
+    alpha = np.asarray(branches[0].alpha)[..., None]
+    if alpha.ndim > 1:  # a row per alpha within each branch's
+        w, wp, T = w[:, None], wp[:, None], T[:, None]
+    n = lindblad.bose_occupation(T, w)
+    g = lindblad.damping_rate(branches[0].gamma0, alpha, w)
     return scale * wp ** power * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
 
 
 def sigma_coefficient(branch):
-    """Dissipation coefficient Sigma of the branch (always <= 0), an array of
-    one per alpha for an array ``branch.alpha``: one smooth quadrature whose
-    integrand is manifestly nonnegative, so the sign is exact by construction."""
-    beta = branch.beta
-    if not beta < 1e154:  # beta ** 2 overflows from 1.34e154
-        raise ConfigError(f"temperature {branch.temperature!r} of branch "
-                          f"{branch.reservoir!r} is too small: 1/T^2 overflows")
-    return -beta ** 2 * gauss_legendre_adaptive(lambda s: _relaxation_kernel(branch, s, 2))
+    """Dissipation coefficient Sigma (<= 0: the integrand is manifestly
+    nonnegative) of the branch, an array of one per alpha for an array alpha;
+    a tuple of branches gives a tuple, from one quadrature with a row each."""
+    branches = branch if isinstance(branch, tuple) else (branch,)
+    for b in branches:
+        if not b.beta < 1e154:  # beta ** 2 overflows from 1.34e154
+            raise ConfigError(f"temperature {b.temperature!r} of branch "
+                              f"{b.reservoir!r} is too small: 1/T^2 overflows")
+    rows = gauss_legendre_adaptive(lambda s: _relaxation_kernel(branches, s, 2))
+    sigma = tuple(-b.beta ** 2 * row
+                  for b, row in zip(branches, rows if rows.ndim > 1 else rows.tolist()))
+    return sigma if isinstance(branch, tuple) else sigma[0]
 
 
 class BranchThermo(NamedTuple):
@@ -185,18 +194,17 @@ def population_lag(branch, s):
     Array-valued in s; a scalar s is evaluated as a one-element array, so each
     element equals the scalar value at its s.
     """
-    phi = _relaxation_kernel(branch, np.atleast_1d(s), 1, scale=branch.beta)
+    phi = _relaxation_kernel((branch,), np.atleast_1d(s), 1, scale=branch.beta)[0]
     return phi if np.ndim(s) else float(phi[0])
 
 
-def _lagged_population(branch, s, tau):
+def _lagged_population(branches, s, tau):
     """(omega, p): splitting and first-order excited population p_eq + phi/tau
-    at rescaled time s, array-valued in s.  p is not checked here."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    w = protocol.frequency(branch, s)
-    p_eq = lindblad.gibbs_state(branch.temperature, w)[..., 0]
-    return w, p_eq + population_lag(branch, s) / tau
+    of each of a tuple of branches, a row each, at the rescaled times s; tau is
+    a column of their durations.  Neither tau nor p is checked here."""
+    w, T = protocol.frequency(branches, s), np.array([b.temperature for b in branches])[:, None]
+    p_eq = lindblad.gibbs_state(T, w)[..., 0]
+    return w, p_eq + _relaxation_kernel(branches, s, 1, scale=1.0 / T) / tau
 
 
 def _positivity_error(branch, p, s, tau):
@@ -213,10 +221,12 @@ def perturbed_state(branch, s, tau):
 
     Raises :class:`PositivityError` when the shift pushes p outside [0, 1],
     which signals tau is too small for the expansion to be trusted.  The
-    scalar view of the population that :func:`ts_trajectory` evaluates over a
-    whole branch at once.
+    scalar view of the population that :func:`ts_trajectory` evaluates over
+    every branch at once.
     """
-    p = float(_lagged_population(branch, float(s), tau)[1])
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    p = _lagged_population((branch,), np.array([float(s)]), tau)[1].item()
     if p < 0.0 or p > 1.0:
         raise _positivity_error(branch, p, s, tau)
     return p
@@ -241,31 +251,33 @@ def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
     by the temperature ratio, so consecutive branch endpoints line up
     vertically in the (S, T_eff) plane.
 
-    Each branch is one array expression over its s-grid: p = p_eq + phi/tau,
-    T_eff = omega / ln((1 - p)/p), the temperature of the population ratio
-    (0.0 where p == 0), and S the binary entropy of p, which is the von
-    Neumann entropy of the pair (p, 1 - p).  The first sample with p outside
-    [0, 1] raises :class:`PositivityError`, one with equal populations
-    ValueError.
+    All three branches are one array expression over (branch, s): p = p_eq +
+    phi/tau, T_eff = omega / ln((1 - p)/p), the temperature of the population
+    ratio (0.0 where p == 0), and S the binary entropy of p, which is the von
+    Neumann entropy of the pair (p, 1 - p).  Branch by branch, a tau <= 0
+    raises ValueError, then the first sample with p outside [0, 1]
+    :class:`PositivityError`, one with equal populations ValueError.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
-    s = np.linspace(0.0, 1.0, samples_per_branch)
-    points = []
-    for branch, tau in zip(config.branches(), taus, strict=True):
-        w, p = _lagged_population(branch, s, tau)
-        q = 1.0 - p
-        outside = (p < 0.0) | (p > 1.0)
-        stop = np.flatnonzero(outside | (q == p))
-        if stop.size:
-            i = stop[0]
-            if outside[i]:
-                raise _positivity_error(branch, float(p[i]), s[i], tau)
-            raise ValueError("equal populations: effective temperature undefined")
-        with np.errstate(all="ignore"):  # inf and nan pass silently, as in Python floats
-            T_eff = w / np.log(q / p)  # p == 0 gives ln(inf), so T_eff = 0.0
-            S = -(np.where(p > 0.0, p * np.log(p), 0.0)
-                  + np.where(q > 0.0, q * np.log(q), 0.0))
-        points.extend(map(TrajectoryPoint, itertools.repeat(branch.reservoir),
-                          s.tolist(), w.tolist(), T_eff.tolist(), S.tolist()))
-    return points
+    branches, s = config.branches(), np.linspace(0.0, 1.0, samples_per_branch)
+    column = np.reshape(np.array(taus, dtype=float), (len(branches), 1))
+    # a tau <= 0 raises below, in branch order; as NaN it computes no warning
+    w, p = _lagged_population(branches, s, np.where(column > 0.0, column, np.nan))
+    q = 1.0 - p
+    outside = (p < 0.0) | (p > 1.0)
+    stop = np.flatnonzero(outside | (q == p) | (column <= 0.0))  # row-major: branch order
+    if stop.size:
+        v, i = divmod(int(stop[0]), s.size)
+        if taus[v] <= 0.0:
+            raise ValueError(f"tau must be > 0, got {taus[v]}")
+        if outside[v, i]:
+            raise _positivity_error(branches[v], float(p[v, i]), s[i], taus[v])
+        raise ValueError("equal populations: effective temperature undefined")
+    with np.errstate(all="ignore"):  # inf and nan pass silently, as in Python floats
+        T_eff = w / np.log(q / p)  # p == 0 gives ln(inf), so T_eff = 0.0
+        S = -(np.where(p > 0.0, p * np.log(p), 0.0)
+              + np.where(q > 0.0, q * np.log(q), 0.0))
+    return list(map(TrajectoryPoint, sum(([b.reservoir] * s.size for b in branches), []),
+                    np.tile(s, len(branches)).tolist(),
+                    w.ravel().tolist(), T_eff.ravel().tolist(), S.ravel().tolist()))

@@ -186,7 +186,7 @@ class TestEmitReport:
         # below 10^17); either way those cells take "%.17e"
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), ulps * math.inf))
-        tens = np.array([float(f"1e{k}") for k in range(-250, 251)])
+        tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
         values = [*tens.tolist(), *np.nextafter(tens, 0.0).tolist(),
                   *np.nextafter(tens, math.inf).tolist()]
         expected = "x\n" + "".join(["%.17e\n" % v for v in values])
@@ -871,6 +871,35 @@ class TestExitCodes:
         assert [stat.S_IMODE(path.stat().st_mode) for path in (out, diagnostic)] == [mode] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "branch.csv", "curve.csv.diagnostic.txt"]  # no temporary file left
+
+    def test_reports_leave_the_umask_alone(self, tmp_path, monkeypatch):
+        # the temporary report is created with mode 0666 for the kernel to
+        # mask: the umask, which every thread of the process shares, is never
+        # set, not even to read it
+        def umask(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        code, out = run_cli(tmp_path, "branch")
+        assert code == 0 and out.exists()
+
+    def test_a_failed_write_leaves_the_old_report_and_no_temporary_file(self, tmp_path):
+        out = tmp_path / "branch.csv"
+        out.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no encoding
+            cli._write_atomic(str(out), "new\ud800\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["branch.csv"]
+        assert out.read_text() == "old\n"
+
+    def test_a_taken_temporary_name_is_drawn_again(self, tmp_path, monkeypatch):
+        draws = iter([bytes(8), bytes(8), b"\x01" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        taken = tmp_path / f".qtricycle-{bytes(8).hex()}.tmp"
+        taken.write_text("another writer's\n")
+        cli._write_atomic(str(tmp_path / "branch.csv"), "new\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "branch.csv"]
+        assert taken.read_text() == "another writer's\n"
+        assert (tmp_path / "branch.csv").read_text() == "new\n"
 
     def test_reports_are_deterministic(self, tmp_path):
         _, first = run_cli(tmp_path, "branch")

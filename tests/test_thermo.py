@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     von_neumann_entropy,
 )
 from qtricycle import (
+    ConfigError,
     ConvergenceError,
     PositivityError,
     TricycleConfig,
@@ -23,6 +25,7 @@ from qtricycle import (
     lindblad,
     perturbed_state,
     sigma_coefficient,
+    thermo,
     ts_trajectory,
 )
 from qtricycle.protocol import frequency
@@ -124,6 +127,64 @@ class TestSigmaCoefficient:
             closed = sigma_coefficient(branch)
             direct = sigma_direct(branch)
             assert closed == pytest.approx(direct, rel=1e-6)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStackedBranches:
+    """A tuple of branches is one stack, a row per branch: each row keeps the
+    bits of its branch evaluated alone."""
+
+    @staticmethod
+    def integrand_calls(monkeypatch):
+        """Sample counts of every integrand call of the quadrature from now on."""
+        sizes, original = [], thermo.gauss_legendre_adaptive
+        monkeypatch.setattr(thermo, "gauss_legendre_adaptive",
+                            lambda f: original(lambda s: sizes.append(s.size) or f(s)))
+        return sizes
+
+    def test_rows_equal_one_row_calls(self, rng):
+        for _ in range(10):
+            branches = random_config(rng).branches()
+            for fn in (branch_entropy_change, sigma_coefficient):
+                stacked = fn(branches)
+                alone = [fn(b) for b in branches]
+                assert [type(x) for x in (*stacked, *alone)] == [float] * 6
+                assert hexes(stacked) == hexes(alone)
+
+    def test_alpha_rows_equal_one_row_calls(self, rng):
+        # a row per (branch, alpha): the three branches' rows of alphas, 0.5
+        # among them, have the bits of each branch's own row of alphas
+        alphas = np.linspace(-0.5, 1.5, 41)
+        for _ in range(4):
+            branches = dataclasses.replace(random_config(rng), alpha=alphas).branches()
+            stacked = sigma_coefficient(branches)
+            assert len(stacked) == 3
+            for branch, row in zip(branches, stacked, strict=True):
+                assert row.shape == alphas.shape
+                assert hexes(row) == hexes(sigma_coefficient(branch))
+
+    def test_rows_settle_at_their_own_panel_counts(self, monkeypatch):
+        # a sharp cold and pump integrand need 256 panels, the hot one 128: the
+        # hot row keeps its 128-panel estimate while the others go on
+        branches = TricycleConfig(T_c=1e-4, zeta_c=1.01, delta_c=1.0).branches()
+        sizes = self.integrand_calls(monkeypatch)
+        alone, panels = [], []
+        for branch in branches:
+            alone.append(sigma_coefficient(branch))
+            panels.append(sizes[-1] // 8)
+            sizes.clear()
+        assert panels == [256, 128, 256]
+        assert hexes(sigma_coefficient(branches)) == hexes(alone)
+        assert sizes == [512, 1024, 2048]
+
+    def test_tiny_cold_temperature_raises_before_any_integrand_call(self, monkeypatch):
+        sizes = self.integrand_calls(monkeypatch)
+        with pytest.raises(ConfigError, match="temperature 1e-300 of branch 'c' is too small"):
+            sigma_coefficient(TricycleConfig(T_c=1e-300).branches())
+        assert sizes == []
 
 
 def sigma_mp(mp, branch):
@@ -361,23 +422,33 @@ class TestTSTrajectoryArrayPath:
             assert ulps([getattr(p, key) for p in points],
                         [getattr(p, key) for p in reference]).max() <= 4
 
-    @pytest.mark.parametrize("tau, error", [(30.0, ValueError), (1e-4, ValueError),
-                                            (1e-4, PositivityError)])
-    def test_first_offending_sample_decides(self, monkeypatch, default_config, tau, error):
-        # Equal populations at the start of the cold branch (or, for the last
-        # case, at its end, after the too-short duration has already failed).
+    @pytest.mark.parametrize("taus, equal_at, error", [
+        pytest.param((30.0, 30.0, 30.0), ("c", 0.0), ValueError, id="30.0-ValueError"),
+        pytest.param((1e-4, 30.0, 30.0), ("c", 0.0), ValueError, id="0.0001-ValueError"),
+        pytest.param((1e-4, 30.0, 30.0), ("c", 1.0), PositivityError,
+                     id="0.0001-PositivityError"),
+        pytest.param((30.0, 1e-4, 1e-4), ("p", 0.0), PositivityError, id="h-before-p"),
+    ])
+    def test_first_offending_sample_decides(self, monkeypatch, default_config, taus, equal_at,
+                                            error):
+        # Equal populations at the start of the cold branch (or, for the third
+        # case, at its end, after the too-short duration has already failed);
+        # in the last, c is clean and the hot branch's too-short duration fails
+        # at s = 0.05, before the pump's equal populations at s = 0 and its own
+        # too-short duration: the first branch decides, then the first sample.
         gibbs = lindblad.gibbs_state
-        s_equal = 1.0 if error is PositivityError else 0.0
-        w_equal = frequency(default_config.branch("c"), s_equal)
+        reservoir, s_equal = equal_at
+        w_equal = frequency(default_config.branch(reservoir), s_equal)
 
         def gibbs_with_equal_populations(T, w):
             return np.where((np.asarray(w) == w_equal)[..., None], 0.5, gibbs(T, w))
 
         monkeypatch.setattr(lindblad, "gibbs_state", gibbs_with_equal_populations)
         monkeypatch.setattr(oracles, "gibbs_state", gibbs_with_equal_populations)
-        taus = (tau, 30.0, 30.0)
         with pytest.raises(error) as new:
             ts_trajectory(default_config, taus, samples_per_branch=21)
         with pytest.raises(error) as old:
             ts_trajectory_reference(default_config, taus, samples_per_branch=21)
         assert str(new.value) == str(old.value)
+        if reservoir == "p":
+            assert "on branch 'h' at s=0.05," in str(new.value)
