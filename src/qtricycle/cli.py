@@ -5,9 +5,9 @@ comments); every key has a default, so the empty config runs each
 subcommand at the standard operating point.  Each subcommand writes one
 plot-ready report file (CSV rows, or a JSON object whose ``meta`` block
 echoes the config and the summary) and prints that summary's headline
-numbers as ``name = value`` lines on stdout.  The rows are the library's
-records (:class:`~qtricycle.optimize.SweepRecord` and the like), whose field
-names are the report's columns.
+numbers as ``name = value`` lines on stdout.  A report is its columns:
+float64 arrays from array code, or the library's records (``SweepRecord``
+and the like) transposed, whose field names are the column names.
 ``psi_points`` COPs from ``psi_min`` to ``psi_max`` make the psi grid of
 ``time-allocation`` (a bound left unset is the peak COP of one of its two
 alphas, and a lone ``psi_min`` must lie below the larger peak, a lone
@@ -43,7 +43,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -220,29 +219,31 @@ def _json_safe(value):
 _KERNEL_MIN_FLOATS = 256
 
 
-def emit_report(columns, rows, meta, fmt):
-    """Render a report as CSV rows or as one JSON object with ``meta``,
+def emit_report(columns, cells, meta, fmt):
+    """Render a report, one sequence of cells per column (a float64 array or
+    Python values), as CSV rows or as one JSON object with ``meta``,
     ``columns`` and ``rows`` (byte-stable); CSV leaves ``meta`` out.
 
     A CSV cell that is a float prints as ``%.17e`` (``nan``, ``inf``, ``-inf``
     where not finite, NaN without its sign), a bool as ``true``/``false``,
     anything else as ``str``.  A report with fewer than ``_KERNEL_MIN_FLOATS``
-    cells in columns of floats only is formatted a ``_fmt_cell`` call per
-    cell, a larger one in one byte buffer by ``_csv_kernel.csv_bytes``.  Its
+    cells in columns of floats (arrays, or lists of floats only) takes a
+    ``_fmt_cell`` call per cell, a larger one ``_csv_kernel.csv_bytes``.  Its
     float cells take exact digits from an array kernel, or ``"%.17e"`` itself
     where the kernel cannot round with certainty (a possible tie, log10 off by
     one).
     """
-    if fmt == "csv":  # itemgetter, as zip(*rows)'s per-row iterators set off GC passes
-        cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
-        floats = [set(map(type, column)) == {float} for column in cells]
-        if len(rows) * sum(floats) >= _KERNEL_MIN_FLOATS:
+    if fmt == "csv":
+        floats = [isinstance(c, np.ndarray) or set(map(type, c)) == {float} for c in cells]
+        if len(cells[0]) * sum(floats) >= _KERNEL_MIN_FLOATS:
             from ._csv_kernel import csv_bytes  # so compiled only once a report needs it
             texts = {j: [_fmt_cell(v).encode("utf-8", "surrogatepass") for v in column]
                      for j, column in enumerate(cells) if not floats[j]}
             return str(csv_bytes(columns, cells, texts), "utf-8", "surrogatepass")
-        lines = [",".join(columns)]
-        lines.extend(",".join(map(_fmt_cell, row)) for row in rows)
+    # array cells as Python floats, as _fmt_cell and _json_safe test type(v) is float
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cells))
+    if fmt == "csv":
+        lines = [",".join(columns), *(",".join(map(_fmt_cell, row)) for row in rows)]
         return "\n".join(lines) + "\n"
     doc = {
         "meta": _json_safe(meta),
@@ -280,9 +281,10 @@ def _resolved_taus(rc, config):
     return coeffs, (rc.tau_c, tau_h, rc.tau_p)
 
 
-def _reject_infinite(taus, rows):
+def _reject_infinite(taus, cells):
     """ConfigError naming the durations if a cell is +-inf; NaN passes."""
-    if any(type(v) is float and math.isinf(v) for row in rows for v in row):
+    if any(np.isinf(column).any() if isinstance(column, np.ndarray)
+           else any(type(v) is float and math.isinf(v) for v in column) for column in cells):
         raise ConfigError("durations tau_c={!r}, tau_h={!r}, tau_p={!r} give an "
                           "infinite heat or cycle metric".format(*taus))
 
@@ -290,8 +292,9 @@ def _reject_infinite(taus, rows):
 def _run_branch(rc, config):
     coeffs, taus = _resolved_taus(rc, config)
     m = cycle.evaluate_cycle(coeffs, *taus)
-    _reject_infinite(taus, [m.cold, m.hot, m.pump])
-    return thermo.BranchThermo._fields, [m.cold, m.hot, m.pump], {"tau_h_used": taus[1]}
+    cells = list(zip(m.cold, m.hot, m.pump))
+    _reject_infinite(taus, cells)
+    return thermo.BranchThermo._fields, cells, {"tau_h_used": taus[1]}
 
 
 def _run_cycle(rc, config):
@@ -300,20 +303,20 @@ def _run_cycle(rc, config):
     psi_r = cycle.reversible_cop(config.T_c, config.T_h, config.T_p)
     columns = ["tau_c", "tau_h", "tau_p", "Q_c", "Q_h", "Q_p", "psi", "R",
                "chi", "work_residual", "entropy_production", "psi_r", "valid"]
-    rows = [(tau_c, tau_h, tau_p, m.cold.Q, m.hot.Q, m.pump.Q, m.psi, m.R,
-             m.chi, m.work_residual, m.entropy_production, psi_r, m.valid)]
-    _reject_infinite((tau_c, tau_h, tau_p), rows)
+    cells = [(v,) for v in (tau_c, tau_h, tau_p, m.cold.Q, m.hot.Q, m.pump.Q, m.psi, m.R,
+                            m.chi, m.work_residual, m.entropy_production, psi_r, m.valid)]
+    _reject_infinite((tau_c, tau_h, tau_p), cells)
     summary = {"psi": m.psi, "R": m.R, "chi": m.chi,
                "work_residual": m.work_residual}
-    return columns, rows, summary
+    return columns, cells, summary
 
 
 def _run_ts_diagram(rc, config):
     taus = (rc.tau_c, rc.tau_h, rc.tau_p)
     if rc.tau_h is None:  # the state needs no heats: coefficients only to balance tau_h
         _, taus = _resolved_taus(rc, config)
-    points = thermo.ts_trajectory(config, taus, rc.samples_per_branch)
-    return thermo.TrajectoryPoint._fields, points, {"tau_h_used": taus[1]}
+    trajectory = thermo.ts_trajectory(config, taus, rc.samples_per_branch)
+    return thermo.Trajectory._fields, trajectory, {"tau_h_used": taus[1]}
 
 
 def _run_sweep_times(rc, config):
@@ -321,14 +324,11 @@ def _run_sweep_times(rc, config):
     tp = np.linspace(rc.sweep_tau_p_min, rc.sweep_tau_p_max, rc.sweep_tau_p_points)
     sweep = optimize.free_time_sweep(cycle.cycle_coefficients(config), tc, tp)
     columns = ["tau_c", "tau_p", "tau_h", "R"]
-    tp_list = tp.tolist()
-    rows = [(tau_c, tau_p, tau_h, R)  # NaN cells render as nan/null
-            for tau_c, h_row, R_row in zip(tc.tolist(), sweep.tau_h.tolist(),
-                                           sweep.R.tolist())
-            for tau_p, tau_h, R in zip(tp_list, h_row, R_row)]
+    # a row per (tau_c, tau_p), tau_p fastest; NaN cells render as nan/null
+    cells = [np.repeat(tc, tp.size), np.tile(tp, tc.size), sweep.tau_h.ravel(), sweep.R.ravel()]
     present = sweep.R[~np.isnan(sweep.R)]
     summary = {"R_max_on_grid": float(present.max()) if present.size else float("nan")}
-    return columns, rows, summary
+    return columns, cells, summary
 
 
 def _run_optimal_curve(rc, config):
@@ -338,7 +338,7 @@ def _run_optimal_curve(rc, config):
     summary = {"psi_at_R_max": ext.psi_at_R_max, "R_max": ext.R_max,
                "psi_at_chi_max": ext.psi_at_chi_max, "chi_max": ext.chi_max,
                "skipped_points": len(curve.skipped)}
-    return optimize.SweepRecord._fields, curve.records, summary
+    return optimize.SweepRecord._fields, list(zip(*curve.records)), summary
 
 
 def _run_alpha_sweep(rc, config):
@@ -347,7 +347,7 @@ def _run_alpha_sweep(rc, config):
     summary = {"alpha_chi": result.alpha_chi, "alpha_r": result.alpha_R,
                "chi_max": result.chi_max, "R_max": result.R_max,
                "skipped_points": len(result.skipped)}
-    return optimize.AlphaRecord._fields, result.rows, summary
+    return optimize.AlphaRecord._fields, list(zip(*result.rows)), summary
 
 
 def _psi_grid(rc, lo, hi):
@@ -367,7 +367,7 @@ def _run_envelope(rc, config):
     rows = [(label, *r) for label in ("R", "chi") for r in result.records]
     summary = {"psi_R": result.psi_R, "psi_chi": result.psi_chi,
                "skipped_points": len(result.skipped)}
-    return columns, rows, summary
+    return columns, list(zip(*rows)), summary
 
 
 def _run_time_allocation(rc, config):
@@ -403,14 +403,13 @@ def _run_time_allocation(rc, config):
             for p in optimize.time_allocation_profile(coeffs, alpha, psi_grid)]
     summary = {"alpha_chi": alpha_chi, "alpha_r": alpha_r,
                "psi_R": psi_R, "psi_chi": psi_chi}
-    return columns, rows, summary
+    return columns, list(zip(*rows)), summary
 
 
 def _run_reversible_delta(rc, config):
     grid = np.linspace(rc.delta_min, rc.delta_max, rc.delta_points)
-    points = cycle.zeroth_heat_sum_curve(config, grid)
-    delta_c_r = cycle.reversible_amplitude(config, points)
-    return ["delta_c", "q0_sum"], points, {"delta_c_r": delta_c_r}
+    scan = cycle.zeroth_heat_sum_curve(config, grid)
+    return ["delta_c", "q0_sum"], scan, {"delta_c_r": cycle.reversible_amplitude(config, scan)}
 
 
 def _run_oracle_check(rc, config):
@@ -430,7 +429,7 @@ def _run_oracle_check(rc, config):
         worst = max(worst, rel_err)
         rows.append((rc.oracle_branch, tau, traj.steps,
                      q, bt.Q0, bt.Q1, bt.Q, abs_err, rel_err))
-    return columns, rows, {"max_rel_err": worst}
+    return columns, list(zip(*rows)), {"max_rel_err": worst}
 
 
 _RUNNERS = {
@@ -457,7 +456,7 @@ def run(subcommand, rc, stdout=None):
     out_path = rc.out or f"{subcommand.replace('-', '_')}.{rc.format}"
     config = rc.tricycle()
     try:
-        columns, rows, summary = _RUNNERS[subcommand](rc, config)
+        columns, cells, summary = _RUNNERS[subcommand](rc, config)
     except ConvergenceError as exc:
         diagnostic = out_path + ".diagnostic.txt"
         lines = [f"subcommand: {subcommand}", f"error: {exc}"]
@@ -475,8 +474,8 @@ def run(subcommand, rc, stdout=None):
         "config": dict(sorted(rc.values.items())),
         "summary": summary,
     }
-    _write_atomic(out_path, emit_report(columns, rows, meta, rc.format))
-    print(f"wrote {out_path} ({len(rows)} rows)", file=stdout)
+    _write_atomic(out_path, emit_report(columns, cells, meta, rc.format))
+    print(f"wrote {out_path} ({len(cells[0])} rows)", file=stdout)
     for key, value in summary.items():
         print(f"{key} = {_fmt_cell(value)}", file=stdout)
     return 0

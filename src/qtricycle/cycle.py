@@ -162,31 +162,31 @@ def zeroth_heat_sum(config):
 
 
 def zeroth_heat_sum_curve(config, delta_c_grid):
-    """(delta_c, sum_v Q_v^0) pairs over an ascending amplitude grid, from one
-    array evaluation."""
+    """The columns (delta_c, sum_v Q_v^0) of an ascending amplitude grid, two
+    float64 arrays, from one array evaluation."""
     grid = np.asarray(delta_c_grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("delta_c grid must be positive and strictly ascending")
-    return list(zip(grid.tolist(), _zeroth_heat_sums(config, grid).tolist()))
+    return grid, _zeroth_heat_sums(config, grid)
 
 
 def reversible_amplitude(config, scan=None):
     """Cold-branch amplitude at which the quasi-static heats balance; above it
-    the sum is positive.  The first sign change of a
-    :func:`zeroth_heat_sum_curve` scan (by default over ``DEFAULT_DELTA_SCAN``),
-    refined to 1e-12 (well below the 1e-8 the root needs): each pass evaluates
-    the sum on ``_ROOT_POINTS`` points of the current cell and keeps the first
-    sub-cell whose ends change sign or touch zero."""
+    the sum is positive.  The first sign change of a :func:`zeroth_heat_sum_curve`
+    scan, its pair of columns (by default over ``DEFAULT_DELTA_SCAN``), refined
+    to 1e-12 (well below the 1e-8 the root needs): each pass evaluates the sum
+    on ``_ROOT_POINTS`` points of the current cell and keeps the first sub-cell
+    whose ends change sign or touch zero."""
     if scan is None:
         scan = zeroth_heat_sum_curve(config, np.linspace(*DEFAULT_DELTA_SCAN))
-    grid, vals = np.array(scan).T
+    grid, vals = scan
     idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     if idx.size == 0:
         raise ConvergenceError(
             f"no sign change of sum_v Q_v^0 in delta_c on [{grid[0]}, {grid[-1]}] "
             f"(endpoint values {vals[0]:.3e}, {vals[-1]:.3e})",
             failed_points=[(dc, f"sum_v Q_v^0 = {q:.3e}, no sign change")
-                           for dc, q in scan[::40]],
+                           for dc, q in zip(grid[::40].tolist(), vals[::40].tolist())],
         )
     a, b = grid[idx[0]], grid[idx[0] + 1]
     for _ in range(_ROOT_MAXITER):

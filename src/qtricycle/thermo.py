@@ -49,7 +49,7 @@ __all__ = [
     "perturbed_state",
     "population_lag",
     "ts_trajectory",
-    "TrajectoryPoint",
+    "Trajectory",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -135,6 +135,8 @@ def _relaxation_kernel(branches, s, power, scale=1.0):
     alpha = np.asarray(branches[0].alpha)[..., None]
     if alpha.ndim > 1:  # a row per alpha within each branch's
         w, wp, T = w[:, None], wp[:, None], T[:, None]
+    else:  # as an exponent of w's shape: at 0.5, ** would take sqrt where an alpha row takes pow
+        alpha = np.full_like(w, alpha[0])
     n = lindblad.bose_occupation(T, w)
     g = lindblad.damping_rate(branches[0].gamma0, alpha, w)
     return scale * wp ** power * n * (n + 1.0) / (g * (2.0 * n + 1.0) ** 3)
@@ -232,18 +234,18 @@ def perturbed_state(branch, s, tau):
     return p
 
 
-class TrajectoryPoint(NamedTuple):
-    """One sample of the temperature-entropy diagram (the ts-diagram row)."""
+class Trajectory(NamedTuple):
+    """The ts-diagram report's columns: ``reservoir`` a list of str, the rest float64 arrays."""
 
-    reservoir: str
-    s: float
-    omega: float
-    T_eff: float
-    S: float
+    reservoir: list
+    s: np.ndarray
+    omega: np.ndarray
+    T_eff: np.ndarray
+    S: np.ndarray
 
 
 def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
-    """Temperature-entropy samples along the full cycle, branch by branch.
+    """Temperature-entropy samples along the full cycle, a :class:`Trajectory` of columns.
 
     ``taus`` is the (tau_c, tau_h, tau_p) triple.  Within each branch the
     first-order state supplies both coordinates; the quenches between
@@ -278,6 +280,5 @@ def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
         T_eff = w / np.log(q / p)  # p == 0 gives ln(inf), so T_eff = 0.0
         S = -(np.where(p > 0.0, p * np.log(p), 0.0)
               + np.where(q > 0.0, q * np.log(q), 0.0))
-    return list(map(TrajectoryPoint, sum(([b.reservoir] * s.size for b in branches), []),
-                    np.tile(s, len(branches)).tolist(),
-                    w.ravel().tolist(), T_eff.ravel().tolist(), S.ravel().tolist()))
+    return Trajectory(sum(([b.reservoir] * s.size for b in branches), []),
+                      np.tile(s, len(branches)), w.ravel(), T_eff.ravel(), S.ravel())

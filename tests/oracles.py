@@ -7,8 +7,9 @@ the Drazin inverse is rebuilt spectrally from an eigendecomposition, and the
 RK4 reference applies each stage generator to the state vector step by step.
 The zeroth-heat scan and the temperature-entropy trajectory are the per-point
 loops the package ran before it evaluated them as array expressions: one
-config and three branches per amplitude, one state per sample.  The
-allocation reference is the stationarity quartic that the package solved
+config and three branches per amplitude, one state per sample (a
+:class:`TrajectoryPoint`, a row of the package's :class:`Trajectory` columns).
+The allocation reference is the stationarity quartic that the package solved
 before it took its tau_p as one bracketed Newton root on the energy-balance
 line: denominators cleared, coefficients squared by Python's pow, one
 ``np.roots``, plain-float Newton step, residual check and ``evaluate_cycle``
@@ -23,10 +24,12 @@ heat before each RK4 step carried it, are kept as :func:`simpson_heat`.  The
 samples come from :func:`sample_path`, which applies the integrator's batch
 maps batch by batch, as :func:`qtricycle.propagate` did before it returned the
 branch map alone; :func:`rk4_reference` is too slow for the long branches.
-The per-cell CSV emitter, one ``_fmt_cell`` call per cell, is
-:func:`csv_report_reference`; the package takes that path only for a report
-below its crossover and builds a larger one from its digit kernel, which the
-tests hold to this reference byte for byte.
+The per-cell CSV emitter, one ``_fmt_cell`` call per cell of a report's rows,
+is :func:`csv_report_reference`; the package takes that path only for a
+report below its crossover and builds a larger one from its digit kernel,
+which the tests hold to this reference byte for byte.  The package takes a
+report as its columns; :func:`report_columns` and :func:`report_rows` turn
+rows into columns and back.
 
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
@@ -41,6 +44,7 @@ never feeding the populations stays tested.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -69,11 +73,13 @@ from qtricycle.optimize import (
 )
 from qtricycle.protocol import frequency, frequency_derivative
 from qtricycle.thermo import (
-    TrajectoryPoint,
+    Trajectory,
     branch_entropy_change,
     gauss_legendre_adaptive,
     population_lag,
 )
+
+TrajectoryPoint = namedtuple("TrajectoryPoint", Trajectory._fields)
 
 TRACELESS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex)
 
@@ -599,3 +605,13 @@ def csv_report_reference(columns, rows):
     lines = [",".join(columns)]
     lines.extend(",".join(map(_fmt_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def report_columns(columns, rows):
+    """A report's rows as its columns, a list each (empty when there are no rows)."""
+    return [[row[j] for row in rows] for j in range(len(columns))]
+
+
+def report_rows(cells):
+    """A report's columns as its rows of Python values, an array column by ``tolist``."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cells)))

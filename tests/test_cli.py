@@ -21,7 +21,7 @@ from qtricycle.cli import (
     run,
 )
 from qtricycle.errors import ConfigError
-from oracles import csv_report_reference
+from oracles import csv_report_reference, report_columns, report_rows
 
 
 class TestParseConfig:
@@ -105,8 +105,8 @@ class TestParseConfig:
 class TestEmitReport:
     @pytest.fixture
     def payload(self):
-        """(columns, rows, meta) of a two-row report."""
-        return (["name", "x"], [("a", 0.1), ("b", float("nan"))],
+        """(columns, cells, meta) of a two-row report."""
+        return (["name", "x"], [["a", "b"], [0.1, float("nan")]],
                 {"tool": "qtricycle", "version": "test", "config": {"T_c": 0.2},
                  "summary": {"best": 0.1}})
 
@@ -148,9 +148,10 @@ class TestEmitReport:
                 (0.1, 1.5, -0.0, -0.0, -inf, -inf, False, -1, "h", np.float64(-0.0), 2),
                 (0.2, 1.5, 0.0, 2.0, 5e-324, inf, True, 0, "p", np.float64(nan), "x"),
                 (0.1, nan, -0.0, 2.0, -1e-310, -inf, False, 10 ** 20, "c,h", 0.5, True)]
-        for table in (rows, rows[:1], []):
-            assert emit_report(columns, table, {}, "csv") == csv_report_reference(columns, table)
-        lines = emit_report(columns, rows, {}, "csv").splitlines()
+        for table in (rows, rows[:1], []):  # the last a header only
+            assert emit_report(columns, report_columns(columns, table), {}, "csv") == \
+                csv_report_reference(columns, table)
+        lines = emit_report(columns, report_columns(columns, rows), {}, "csv").splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == [
             f"{z:.17e}" for z in (0.0, -0.0, 0.0, -0.0)]
 
@@ -177,7 +178,7 @@ class TestEmitReport:
             chunk = values[start:start + 25_000]
             assert len(chunk) >= cli._KERNEL_MIN_FLOATS
             expected = "x\n" + "".join(["%.17e\n" % v for v in chunk])
-            assert emit_report(["x"], [(v,) for v in chunk], {}, "csv") == expected
+            assert emit_report(["x"], [chunk], {}, "csv") == expected
 
     @pytest.mark.parametrize("ulps", [-1, 1])
     def test_float_cells_stay_exact_where_log10_is_an_ulp_off(self, monkeypatch, ulps):
@@ -190,13 +191,14 @@ class TestEmitReport:
         values = [*tens.tolist(), *np.nextafter(tens, 0.0).tolist(),
                   *np.nextafter(tens, math.inf).tolist()]
         expected = "x\n" + "".join(["%.17e\n" % v for v in values])
-        assert emit_report(["x"], [(v,) for v in values], {}, "csv") == expected
+        assert emit_report(["x"], [values], {}, "csv") == expected
 
     @pytest.mark.parametrize("extra", [-1, 0])
     def test_both_paths_match_the_reference_at_the_crossover(self, monkeypatch, extra):
         # one column of floats beside str cells with NUL and non-ASCII text,
         # bools, ints, numpy scalars and mixed columns: one float cell short of
-        # the crossover takes the per-cell path, at the crossover the kernel
+        # the crossover takes the per-cell path, at the crossover the kernel;
+        # the float column as a float64 array gives the bytes of its list
         kernel, calls = _csv_kernel.csv_bytes, []
         monkeypatch.setattr(_csv_kernel, "csv_bytes",
                             lambda *args: calls.append(args) or kernel(*args))
@@ -206,28 +208,44 @@ class TestEmitReport:
         rows = [(pool[i % 8], others[i % 8], str(i), i % 3 == 0, i, np.float64(i / 7),
                  (pool + others)[i % 16]) for i in range(cli._KERNEL_MIN_FLOATS + extra)]
         columns = ["float", "other", "label", "flag", "count", "numpy", "mixed"]
-        assert emit_report(columns, rows, {}, "csv") == csv_report_reference(columns, rows)
-        assert len(calls) == (extra == 0)
+        cells = report_columns(columns, rows)
+        expected = csv_report_reference(columns, rows)
+        assert emit_report(columns, cells, {}, "csv") == expected
+        assert emit_report(columns, [np.array(cells[0]), *cells[1:]], {}, "csv") == expected
+        assert len(calls) == 2 * (extra == 0)
 
     def test_a_sweep_report_stays_within_its_memory_bound(self):
-        # a 60 x 60 sweep-times report with NaN and negative R cells: the
-        # buffer, its keep mask and the text set the peak, about 1.3 MB
+        # a 60 x 60 sweep-times report with NaN and negative R cells, in the
+        # float64 columns that sweep-times passes: the buffer, its keep mask
+        # and the text set the peak, about 1.3 MB
         rng = np.random.default_rng(7)
-        taus = np.linspace(1.0, 60.0, 60).tolist()
+        taus = np.linspace(1.0, 60.0, 60)
         R = rng.uniform(-1e-3, 2e-3, 3600)
         R[rng.random(3600) < 0.2] = math.nan
-        rows = [(tau_c, tau_p, float(rng.uniform(1.0, 80.0)), r)
-                for (tau_c, tau_p), r in zip(((a, b) for a in taus for b in taus), R.tolist())]
+        cells = [np.repeat(taus, 60), np.tile(taus, 60), rng.uniform(1.0, 80.0, 3600), R]
         columns = ["tau_c", "tau_p", "tau_h", "R"]
-        emit_report(columns, rows, {}, "csv")  # the digit table, built once
+        emit_report(columns, cells, {}, "csv")  # the digit table, built once
         tracemalloc.start()
         try:
-            text = emit_report(columns, rows, {}, "csv")
+            text = emit_report(columns, cells, {}, "csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text == csv_report_reference(columns, rows)
+        assert text == csv_report_reference(columns, report_rows(cells))
         assert peak < 2.0e6
+
+    def test_a_whole_sweep_run_stays_within_its_memory_bound(self, tmp_path):
+        # cli.run("sweep-times") at the default config: the sweep, its report
+        # and the write; 1.626 MB when its cells went through a tuple per row
+        rc = parse_config("", [f"out={tmp_path / 'sweep.csv'}"])
+        assert run("sweep-times", rc, stdout=io.StringIO()) == 0  # the digit table, built once
+        tracemalloc.start()
+        try:
+            assert run("sweep-times", rc, stdout=io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.45e6
 
 
 def run_cli(tmp_path, subcommand, *overrides, fmt="csv"):
@@ -917,6 +935,12 @@ CHEAP_SETTINGS = ["alpha_chi=0.6278", "alpha_r=0.9799", "envelope_alpha_points=5
                   "tau_c_points=100", "alpha_points=100"]
 
 
+# The float columns that reach emit_report as float64 arrays, by subcommand.
+ARRAY_COLUMNS = {"sweep-times": ["tau_c", "tau_p", "tau_h", "R"],
+                 "ts-diagram": ["s", "omega", "T_eff", "S"],
+                 "reversible-delta": ["delta_c", "q0_sum"]}
+
+
 def cells_agree(text, value):
     """A CSV cell and the JSON value of the same cell say the same thing (JSON
     spells an infinite cell as CSV does, as a string)."""
@@ -961,17 +985,28 @@ class TestReportsThroughBothEmitters:
             stdout = io.StringIO()
             rc = parse_config("", CHEAP_SETTINGS + [f"out={out}", "format=json"])
             assert run(subcommand, rc, stdout=stdout) == 0
-            [(columns, rows, summary)] = produced  # one computation per subcommand
-            # the emitters handle Python scalars only: no None or numpy cells
-            for row in rows:
-                assert {type(v) for v in row} <= {str, int, float, bool}, subcommand
+            [(columns, cells, summary)] = produced  # one computation per subcommand
+            # a column per name, all of one length; array code's float columns
+            # arrive as float64 arrays, every other column holds Python scalars
+            # only: no None or numpy cells
+            assert len(cells) == len(columns), subcommand
+            assert len({len(column) for column in cells}) == 1, subcommand
+            arrays = [name for name, column in zip(columns, cells)
+                      if isinstance(column, np.ndarray)]
+            assert arrays == ARRAY_COLUMNS.get(subcommand, []), subcommand
+            for column in cells:
+                if isinstance(column, np.ndarray):
+                    assert column.dtype == np.float64 and column.ndim == 1, subcommand
+                else:
+                    assert {type(v) for v in column} <= {str, int, float, bool}, subcommand
             assert {type(v) for v in summary.values()} <= {int, float}, subcommand
+            rows = report_rows(cells)
             for value in rc.values.values():
                 parts = value if type(value) is tuple else (value,)
                 assert {type(v) for v in parts} <= {str, int, float, type(None)}
 
             doc = json.loads(out.read_text())
-            text = emit_report(columns, rows, doc["meta"], "csv")
+            text = emit_report(columns, cells, doc["meta"], "csv")
             assert text == csv_report_reference(columns, rows), subcommand
             seen |= assert_csv_and_json_agree(columns, rows, text, doc)
 
@@ -988,8 +1023,10 @@ class TestReportsThroughBothEmitters:
         # JSON spells an infinite cell as CSV does, and a NaN cell as null
         columns = ["a", "b", "c", "d"]
         rows = [(1.5, math.inf, -math.inf, math.nan)]
-        doc = json.loads(emit_report(columns, rows, {"x": math.inf}, "json"))
-        text = emit_report(columns, rows, {}, "csv")
-        assert assert_csv_and_json_agree(columns, rows, text, doc) == {float, str, type(None)}
-        assert doc["rows"] == [[1.5, "inf", "-inf", None]]
-        assert doc["meta"] == {"x": "inf"}
+        for cells in (report_columns(columns, rows), [np.array(c) for c in zip(*rows)]):
+            doc = json.loads(emit_report(columns, cells, {"x": math.inf}, "json"))
+            text = emit_report(columns, cells, {}, "csv")
+            assert assert_csv_and_json_agree(columns, rows, text, doc) == \
+                {float, str, type(None)}
+            assert doc["rows"] == [[1.5, "inf", "-inf", None]]
+            assert doc["meta"] == {"x": "inf"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import light_draw, random_config
-from oracles import zeroth_heat_sum_curve_reference, zeroth_heat_sum_reference
+from oracles import report_rows, zeroth_heat_sum_curve_reference, zeroth_heat_sum_reference
 from qtricycle import (
     ConvergenceError,
     TricycleConfig,
@@ -148,8 +148,8 @@ class TestZerothHeatSumCurve:
     def test_straddles_root(self, default_config):
         root = reversible_amplitude(default_config)
         grid = np.linspace(0.1, 1.0, 181)
-        points = cycle_points = zeroth_heat_sum_curve(default_config, grid)
-        values = np.array([q for _, q in points])
+        delta_c, values = zeroth_heat_sum_curve(default_config, grid)
+        assert delta_c.tolist() == grid.tolist()
         signs = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
         assert signs.size == 1
         lo, hi = grid[signs[0]], grid[signs[0] + 1]
@@ -194,7 +194,7 @@ class TestZerothHeatSumArrayPath:
         for config, grid in self.draws(rng):
             points = zeroth_heat_sum_curve(config, grid)
             reference = zeroth_heat_sum_curve_reference(config, grid)
-            assert points == reference  # exact: every delta_c and every sum
+            assert report_rows(points) == reference  # exact: every delta_c and every sum
             if any(a * b < 0.0 for (_, a), (_, b) in zip(reference, reference[1:])):
                 assert reversible_amplitude(config, points) == \
                     amplitude_root_reference(config, reference)
@@ -282,7 +282,7 @@ class TestZerothHeatSumAgainstMpmath:
         # the sum cancels here, so the bound is absolute, on the size of its terms
         root = reversible_amplitude(default_config)
         grid = root * (1.0 + np.linspace(-1e-6, 1e-6, 41))
-        for dc, value in zeroth_heat_sum_curve(default_config, grid):
+        for dc, value in report_rows(zeroth_heat_sum_curve(default_config, grid)):
             total, scale = zeroth_heat_sum_mp(mp, default_config, dc)
             assert abs(value - total) <= 4 * EPS * scale
 

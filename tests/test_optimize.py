@@ -918,11 +918,20 @@ class TestAlphaSweep:
 class TestAlphaAxis:
     """Coefficients over an array of alphas, and the zoom passes over them."""
 
-    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
-    def test_batched_sigma_is_bit_identical(self, config, rng):
-        alphas = np.concatenate([np.linspace(*optimize.DEFAULT_ALPHA_WINDOW,
-                                             optimize.DEFAULT_ALPHA_POINTS),
-                                 [0.0, -0.5, 0.5, 1.0, 1.5], rng.uniform(-0.5, 1.5, 20)])
+    # random_config draws 0-39 on a 41-alpha grid: at its alpha = 0.5, a scalar
+    # exponent once took numpy's sqrt loop and an exponent row pow, and 6 of
+    # the 120 branch rows differed in the last bit
+    @pytest.mark.parametrize("config, alphas", [
+        *(pytest.param(config, None, id=f"config{i}")
+          for i, config in enumerate(STANDARD_CONFIGS)),
+        *(pytest.param(random_config(np.random.default_rng(seed)),
+                       np.linspace(*optimize.DEFAULT_ALPHA_WINDOW, 41), id=f"draw{seed}")
+          for seed in range(40))])
+    def test_batched_sigma_is_bit_identical(self, config, alphas, rng):
+        if alphas is None:
+            alphas = np.concatenate([np.linspace(*optimize.DEFAULT_ALPHA_WINDOW,
+                                                 optimize.DEFAULT_ALPHA_POINTS),
+                                     [0.0, -0.5, 0.5, 1.0, 1.5], rng.uniform(-0.5, 1.5, 20)])
         batch = cycle_coefficients(replace(config, alpha=alphas))
         assert batch.T == cycle_coefficients(config).T
         for alpha, sigma in zip(alphas.tolist(), np.array(batch.Sigma).T.tolist()):

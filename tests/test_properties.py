@@ -30,6 +30,7 @@ from oracles import (
     csv_report_reference,
     optimal_curve_reference,
     principal_reference,
+    report_rows,
     solve_time_allocation_reference,
 )
 from qtricycle import cli
@@ -174,34 +175,40 @@ report_text = st.text(st.one_of(st.sampled_from("\x00é☃,"), st.characters()),
 
 @st.composite
 def report_tables(draw, min_rows=0):
-    """(columns, rows) of min_rows to 6 rows, each column of one kind of cell."""
+    """(columns, cells) of min_rows to 6 rows, each column of one kind of
+    cell; a column of kind "array" is a float64 array, any other a list."""
     n_rows = draw(st.integers(min_rows, 6))
     cells = []
     for _ in range(draw(st.integers(1, 5))):
         pool = st.sampled_from(draw(st.lists(report_floats, min_size=1, max_size=4)))
-        kind = draw(st.sampled_from(["float", "float", "zeros", "bool", "int", "str",
-                                     "numpy", "mixed"]))
-        element = {"float": pool, "zeros": st.sampled_from([0.0, -0.0, 0.5]),
+        kind = draw(st.sampled_from(["float", "float", "array", "zeros", "bool", "int",
+                                     "str", "numpy", "mixed"]))
+        element = {"float": pool, "array": pool, "zeros": st.sampled_from([0.0, -0.0, 0.5]),
                    "bool": st.booleans(), "int": st.integers(),
                    "str": report_text, "numpy": pool.map(np.float64),
                    "mixed": st.one_of(pool, st.booleans(), st.integers(), report_text)
                    }[kind]
-        cells.append(draw(st.lists(element, min_size=n_rows, max_size=n_rows)))
-    return [f"c{i}" for i in range(len(cells))], list(zip(*cells))
+        column = draw(st.lists(element, min_size=n_rows, max_size=n_rows))
+        cells.append(np.array(column, dtype=float) if kind == "array" else column)
+    return [f"c{i}" for i in range(len(cells))], cells
 
 
 @hypothesis.settings(SETTINGS, max_examples=300)
 @hypothesis.given(report_tables())
 def test_csv_report_matches_the_per_cell_reference(table):
-    columns, rows = table
-    assert emit_report(columns, rows, {}, "csv") == csv_report_reference(columns, rows)
+    columns, cells = table
+    expected = csv_report_reference(columns, report_rows(cells))
+    assert emit_report(columns, cells, {}, "csv") == expected
 
 
 @hypothesis.settings(SETTINGS, max_examples=100)
 @hypothesis.given(report_tables(min_rows=1), st.integers(0, 5))
 def test_a_report_tiled_past_the_crossover_matches_the_reference(table, offset):
-    # rows repeated until every column holds the crossover's count of cells,
-    # so a report with a column of floats takes the kernel
-    columns, rows = table
-    rows = (rows * cli._KERNEL_MIN_FLOATS)[offset:offset + cli._KERNEL_MIN_FLOATS + len(rows)]
-    assert emit_report(columns, rows, {}, "csv") == csv_report_reference(columns, rows)
+    # each column repeated until it holds the crossover's count of cells, so a
+    # report with a column of floats takes the kernel
+    columns, cells = table
+    picked = slice(offset, offset + cli._KERNEL_MIN_FLOATS + len(cells[0]))
+    cells = [np.tile(column, cli._KERNEL_MIN_FLOATS)[picked] if isinstance(column, np.ndarray)
+             else (column * cli._KERNEL_MIN_FLOATS)[picked] for column in cells]
+    expected = csv_report_reference(columns, report_rows(cells))
+    assert emit_report(columns, cells, {}, "csv") == expected

@@ -9,6 +9,7 @@ from conftest import light_draw, random_branch, random_config
 from oracles import (
     density_column,
     effective_temperature,
+    report_rows,
     sigma_direct,
     ts_trajectory_reference,
     von_neumann_entropy,
@@ -332,34 +333,38 @@ class TestEffectiveTemperature:
 
 
 class TestTSTrajectory:
+    @staticmethod
+    def by_branch(trajectory, key):
+        """The column ``key`` of a trajectory, split into its c, h and p samples."""
+        reservoir = np.array(trajectory.reservoir)
+        return [getattr(trajectory, key)[reservoir == res] for res in "chp"]
+
     def test_entropy_continuous_across_quenches(self, default_config):
         taus = (9.0, 10.705783157435498, 11.0)
-        points = ts_trajectory(default_config, taus, samples_per_branch=51)
-        cold = [p for p in points if p.reservoir == "c"]
-        hot = [p for p in points if p.reservoir == "h"]
-        pump = [p for p in points if p.reservoir == "p"]
-        assert abs(cold[-1].S - hot[0].S) < 1e-10
-        assert abs(hot[-1].S - pump[0].S) < 1e-10
-        assert abs(pump[-1].S - cold[0].S) < 1e-10  # closed loop
+        trajectory = ts_trajectory(default_config, taus, samples_per_branch=51)
+        cold, hot, pump = self.by_branch(trajectory, "S")
+        assert len(cold) == len(hot) == len(pump) == 51
+        assert abs(cold[-1] - hot[0]) < 1e-10
+        assert abs(hot[-1] - pump[0]) < 1e-10
+        assert abs(pump[-1] - cold[0]) < 1e-10  # closed loop
 
     def test_effective_temperature_jump_ratio(self, default_config):
         taus = (9.0, 10.705783157435498, 11.0)
-        points = ts_trajectory(default_config, taus, samples_per_branch=21)
-        cold = [p for p in points if p.reservoir == "c"]
-        hot = [p for p in points if p.reservoir == "h"]
-        ratio = hot[0].T_eff / cold[-1].T_eff
+        trajectory = ts_trajectory(default_config, taus, samples_per_branch=21)
+        cold, hot, _ = self.by_branch(trajectory, "T_eff")
+        ratio = hot[0] / cold[-1]
         assert ratio == pytest.approx(default_config.T_h / default_config.T_c, rel=1e-10)
 
     def test_reversible_amplitude_closes_isotherms(self, default_config):
         from qtricycle import reversible_amplitude
         cfg = type(default_config)(delta_c=reversible_amplitude(default_config))
         taus = (1e8, 1e8, 1e8)
-        points = ts_trajectory(cfg, taus, samples_per_branch=11)
-        for res, T in (("c", cfg.T_c), ("h", cfg.T_h), ("p", cfg.T_p)):
-            branch_points = [p for p in points if p.reservoir == res]
-            for p in branch_points:
-                assert p.T_eff == pytest.approx(T, rel=1e-6)
-        assert abs(points[-1].S - points[0].S) < 1e-10
+        trajectory = ts_trajectory(cfg, taus, samples_per_branch=11)
+        for T_eff, T in zip(self.by_branch(trajectory, "T_eff"), (cfg.T_c, cfg.T_h, cfg.T_p)):
+            assert len(T_eff) == 11
+            for value in T_eff:
+                assert value == pytest.approx(T, rel=1e-6)
+        assert abs(trajectory.S[-1] - trajectory.S[0]) < 1e-10
 
     def test_sample_count_validation(self, default_config):
         with pytest.raises(ValueError):
@@ -385,12 +390,12 @@ class TestTSTrajectoryArrayPath:
 
     def test_cells_within_4_ulp_of_the_per_sample_loop(self, rng):
         for config, taus in self.draws(rng):
-            points = ts_trajectory(config, taus)
+            trajectory = ts_trajectory(config, taus)
             reference = ts_trajectory_reference(config, taus)
-            assert [(p.reservoir, p.s, p.omega) for p in points] == \
+            assert [(res, s, w) for res, s, w, *_ in report_rows(trajectory)] == \
                 [(p.reservoir, p.s, p.omega) for p in reference]
             for key in ("T_eff", "S"):
-                assert ulps([getattr(p, key) for p in points],
+                assert ulps(getattr(trajectory, key),
                             [getattr(p, key) for p in reference]).max() <= 4
 
     def test_population_lag_is_elementwise_scalar(self, rng):
@@ -414,12 +419,12 @@ class TestTSTrajectoryArrayPath:
     def test_zero_population_gives_zero_temperature(self):
         # beta*omega > 745 at the branch ends, where p_eq underflows to 0
         config, taus = TricycleConfig(delta_c=60.0), (1e8, 1e8, 1e8)
-        points = ts_trajectory(config, taus, samples_per_branch=11)
+        trajectory = ts_trajectory(config, taus, samples_per_branch=11)
         reference = ts_trajectory_reference(config, taus, samples_per_branch=11)
         zero = [i for i, p in enumerate(reference) if p.T_eff == 0.0]
-        assert zero and [i for i, p in enumerate(points) if p.T_eff == 0.0] == zero
+        assert zero and np.flatnonzero(trajectory.T_eff == 0.0).tolist() == zero
         for key in ("T_eff", "S"):
-            assert ulps([getattr(p, key) for p in points],
+            assert ulps(getattr(trajectory, key),
                         [getattr(p, key) for p in reference]).max() <= 4
 
     @pytest.mark.parametrize("taus, equal_at, error", [

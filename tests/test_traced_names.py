@@ -49,7 +49,7 @@ def test_every_result_reader_reads_a_real_result(tracing):
     # traced benchmark run; the solver's reader is checked above
     config = TricycleConfig()
     curve = optimal_curve(config)
-    report = emit_report(["a", "b"], [(1.0, "c")], {}, "csv")
+    report = emit_report(["a", "b"], [[1.0], ["c"]], {}, "csv")
     results = {
         "optimize.solve_time_allocation": solve_time_allocation(cycle_coefficients(config), 9.0),
         "optimize.optimal_curve": curve,
