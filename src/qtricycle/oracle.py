@@ -2,11 +2,12 @@
 
 The independent check on the slow-driving expansion: classic fixed-step RK4 on
 dp/dt = L(t) p.  L conserves the trace, so the excited population x = rho11 is
-the whole state, x' = f - r x with r = L01 - L00 and f = L01.  Each RK4 step is
-an affine map x -> a x + b, and the branch is their prefix scan, x -> A x + B.
-The heat Int omega dx is the RK4 quadrature of (x, Q), Q' = omega x': each step
-adds (c x + d) dt/6 at its starting x, so the heat is affine in the start too.
-Beyond the generator matrix, nothing is shared with the closed-form Q0/Q1."""
+the whole state, x' = lam x + f with the two rates of :func:`lindblad.rates`.
+Each RK4 step is an affine map x -> a x + b, and the branch is their prefix
+scan, x -> A x + B.  The heat Int omega dx is the RK4 quadrature of (x, Q),
+Q' = omega x': each step adds (c x + d) dt/6 at its starting x, so the heat is
+affine in the start too.  Beyond the rates, nothing is shared with the
+closed-form Q0/Q1."""
 
 from __future__ import annotations
 
@@ -25,12 +26,13 @@ __all__ = ["BranchMap", "default_steps", "propagate", "heat_via_trajectory"]
 _POSITIVITY_TOL = 1e-8
 
 # Steps whose affine maps are built and composed in one batch: a fixed count of
-# array passes, log2(_CHUNK) rounds of them in the scan, on a 49 kB generator
-# stack.  Larger batches run faster but raise the oracle's peak RSS.
-_CHUNK = 768
+# array passes, log2(_CHUNK) rounds of them in the scan, on arrays of at most
+# 2 _CHUNK + 1 floats (66 kB); a 2^19-step branch peaks at 0.76 MB traced.
+# Larger batches run faster but raise the peak (1.5 MB at 8192).
+_CHUNK = 4096
 
 # Largest step count propagate accepts: no sample is stored, so it bounds the run
-# time (2^22 steps take 1-3 s on a 2-core host).  It covers tau = 3000 on every
+# time (2^22 steps take about 0.5 s on a 2-core host).  It covers tau = 3000 on every
 # branch of the benchmark's model ranges (at most 3.31 M steps there).
 _MAX_STEPS = 2 ** 22
 
@@ -66,11 +68,9 @@ def default_steps(branch, tau):
     number, which keeps the recorded ``oracle-check`` step counts and heats.
     A count past the limit stays a float (inf for a huge tau) for propagate's check.
     """
-    s = np.linspace(0.0, 1.0, 201)
-    w = protocol.frequency(branch, s)
-    n = lindblad.bose_occupation(branch.temperature, w)
-    g = lindblad.damping_rate(branch.gamma0, branch.alpha, w)
-    rate_max = float(np.max(g * (2.0 * n + 1.0)))
+    w = protocol.frequency(branch, np.linspace(0.0, 1.0, 201))
+    lam, _ = lindblad.rates(branch.temperature, w, branch.gamma0, branch.alpha)
+    rate_max = float(np.max(-lam))
     steps = max(1000.0, 2.0 * float(np.ceil(25.0 * tau * rate_max)))
     return int(steps) if steps <= _MAX_STEPS else steps
 
@@ -81,8 +81,7 @@ def _batch_maps(branch, s, dt):
     entry i maps the batch's start to x after step i; a step's heat
     dt/6 (w1 K1 + 2 w2 (K2 + K3) + w4 K4) is (c x + d) dt/6 at its starting x."""
     w = protocol.frequency(branch, s)
-    L = lindblad.liouvillian(branch.temperature, w, branch.gamma0, branch.alpha)
-    lam, f = L[:, 0, 0] - L[:, 0, 1], L[:, 0, 1]  # x' = lam x + f, lam = -r
+    lam, f = lindblad.rates(branch.temperature, w, branch.gamma0, branch.alpha)
     l1, l2, l4, f1, f2, f4 = lam[:-1:2], lam[1::2], lam[2::2], f[:-1:2], f[1::2], f[2::2]
     w1, w2, w4 = w[:-1:2], w[1::2], w[2::2]
     a2, b2 = l2 * (1.0 + 0.5 * dt * l1), 0.5 * dt * l2 * f1 + f2
@@ -107,8 +106,8 @@ def propagate(branch, tau, steps=None, x0=None):
     NaN or leaves [0, 1] by more than 1e-8 (step size too large), and ValueError
     for a bad ``x0`` or step count (before any step), for a tau that is not
     finite, and if tau / steps is not positive (tau <= 0, or the step underflows
-    to 0).  One :func:`lindblad.liouvillian` call gives the stage generators of
-    each batch of _CHUNK steps at s = j / (2 steps); the batches' maps compose.
+    to 0).  One :func:`lindblad.rates` call gives the stage rates of each
+    batch of _CHUNK steps at s = j / (2 steps); the batches' maps compose.
     """
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be > 0 and finite, got {tau}")

@@ -10,6 +10,7 @@ from qtricycle import (
     gibbs_state,
     liouvillian,
 )
+from qtricycle.lindblad import rates
 
 
 def random_bath(rng):
@@ -136,6 +137,29 @@ class TestLiouvillian:
         omegas = rng.uniform(0.1, 5.0, size=(3, 7))
         corner = full_liouvillian(T, omegas, g0, a)[..., ::3, ::3]
         assert_bitwise_equal(liouvillian(T, omegas, g0, a), corner.real)
+
+
+class TestRates:
+    def test_against_the_generator(self, rng):
+        # f is L01 bit for bit; lam = -g(2n+1) rounds the rate in another
+        # order than L00 - L01 = -g(n+1) - g n, so the two agree to 2 ulp;
+        # at the last bath n underflows to 0 and lam is -g exactly
+        baths = [random_bath(rng) for _ in range(50)] + [(1e-3, 1.0, 0.7, 0.5)]
+        T, _, g0, a = random_bath(rng)
+        omegas = rng.uniform(0.1, 5.0, size=(3, 7))
+        for T, w, g0, a in baths + [(T, omegas, g0, a)]:
+            lam, f = rates(T, w, g0, a)
+            L = liouvillian(T, w, g0, a)
+            assert np.shape(lam) == np.shape(f) == np.shape(w)
+            assert_bitwise_equal(np.asarray(f), L[..., 0, 1])
+            assert np.all(np.abs(lam - (L[..., 0, 0] - L[..., 0, 1]))
+                          <= 2.0 * np.spacing(np.abs(lam)))
+        assert rates(*baths[-1])[0] == -damping_rate(0.7, 0.5, 1.0)
+
+    def test_domain(self):
+        for T, w, g0 in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
+            with pytest.raises(ValueError):
+                rates(T, w, g0, 0.5)
 
 
 class TestFullLiouvillian:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -9,8 +10,11 @@ from oracles import density_column, rk4_reference, sample_path, simpson_heat
 from qtricycle import (
     PositivityError,
     TricycleConfig,
+    bose_occupation,
     branch_heat,
+    cli,
     cycle_coefficients,
+    damping_rate,
     gibbs_state,
     heat_via_trajectory,
     oracle,
@@ -20,6 +24,7 @@ from qtricycle import (
 from qtricycle.optimize import max_cooling_rate
 from qtricycle.oracle import _MAX_STEPS, default_steps
 from qtricycle.protocol import frequency
+from report_matrix import CONFIGS
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +151,25 @@ class TestIntegratorContracts:
         assert steps >= 1000 and steps % 2 == 0
         assert steps >= 50 * 100.0  # fastest rate exceeds 1 here
 
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_default_steps_read_the_rate_of_the_generator_entries(self, name):
+        # the rate max(g (2n + 1)) taken from n and g directly, on all three
+        # branches of the report matrix's configs: at their oracle-check taus,
+        # and at taus where 25 tau rate sits within rounding of an integer,
+        # so that a rate one ulp off moves some count by 2
+        rc = cli.parse_config("", CONFIGS[name])
+        config = rc.tricycle()
+        for reservoir in "chp":
+            branch = config.branch(reservoir)
+            w = frequency(branch, np.linspace(0.0, 1.0, 201))
+            n = bose_occupation(branch.temperature, w)
+            g = damping_rate(branch.gamma0, branch.alpha, w)
+            rate_max = float(np.max(g * (2.0 * n + 1.0)))
+            edges = [k / (25.0 * rate_max) for k in range(600, 800)]
+            for tau in list(rc.oracle_taus) + edges:
+                steps = max(1000, 2 * math.ceil(25.0 * tau * rate_max))
+                assert default_steps(branch, tau) == steps, (reservoir, tau)
+
     def test_step_floor_enforced(self):
         branch = TricycleConfig().branch("c")
         with pytest.raises(ValueError):
@@ -173,17 +197,19 @@ class TestIntegratorContracts:
 
     @pytest.mark.parametrize("reservoir", "chp")
     def test_batch_size_leaves_the_branch_unchanged(self, reservoir, monkeypatch):
-        # batches of 256 steps carry the population across 22-46 boundaries
+        # batches of 256 or 768 steps carry the population across 22-46 or
+        # 7-15 boundaries, where the default size carries it across 1-2
         branch = TricycleConfig().branch(reservoir)
         traj = propagate(branch, 100.0)
         path = path_of(traj)
-        monkeypatch.setattr(oracle, "_CHUNK", 256)
-        small = propagate(branch, 100.0)
-        assert np.max(np.abs(path_of(small) - path)) <= 1e-14
-        for name in ("A", "B", "heat_slope", "heat_intercept", "x", "heat"):
-            assert getattr(small, name) == pytest.approx(getattr(traj, name),
-                                                         rel=1e-14, abs=1e-14), name
-        assert small.A == pytest.approx(traj.A, rel=1e-14)  # A is 1e-45 to 1e-69 here
+        for chunk in (256, 768):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            small = propagate(branch, 100.0)
+            assert np.max(np.abs(path_of(small) - path)) <= 1e-14, chunk
+            for name in ("A", "B", "heat_slope", "heat_intercept", "x", "heat"):
+                assert getattr(small, name) == pytest.approx(getattr(traj, name),
+                                                             rel=1e-14, abs=1e-14), (chunk, name)
+            assert small.A == pytest.approx(traj.A, rel=1e-14), chunk  # A is 1e-45 to 1e-69 here
 
     def test_sample_records(self, cold_trajectory_200):
         # the default start is the Gibbs population at s = 0, and the path starts there
@@ -256,38 +282,46 @@ class TestAgainstStageByStageReference:
             assert np.max(np.abs(1.0 - path - ref[:, 3].real)) <= 1e-13, reservoir
             assert traj.heat == pytest.approx(heat, rel=1e-13), reservoir
 
-    def test_unstable_step_fails_at_the_same_time(self):
-        branch = TricycleConfig(gamma0=80.0).branch("c")
+    @staticmethod
+    def failure_messages(gamma0, steps):
+        """The PositivityError texts of propagate and of the reference on the
+        cold branch at tau = 100, with every RuntimeWarning an error."""
+        branch = TricycleConfig(gamma0=gamma0).branch("c")
         initial = density_column(gibbs_state(branch.temperature, frequency(branch, 0.0)))
         messages = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for run in (lambda: propagate(branch, 100.0, steps=1000),
-                        lambda: rk4_reference(branch, 100.0, 1000, initial)):
+            for run in (lambda: propagate(branch, 100.0, steps=steps),
+                        lambda: rk4_reference(branch, 100.0, steps, initial)):
                 with pytest.raises(PositivityError) as info:
                     run()
                 messages.append(str(info.value))
+        return messages
+
+    def test_unstable_step_fails_at_the_same_time(self):
+        messages = self.failure_messages(80.0, 1000)
         # same text, t= included, apart from the offending population's digits
         assert "at t=0.5 " in messages[0]
         assert re.sub(r"population \S+ ", "", messages[0]) == \
             re.sub(r"population \S+ ", "", messages[1])
 
-    def test_unstable_step_past_the_first_batch_fails_at_the_same_time(self):
+    def test_unstable_step_past_the_first_batch_fails_at_the_same_time(self, monkeypatch):
         # the rate rises as omega falls, so at gamma0 = 104 the step crosses
         # RK4's stability bound late in the cold branch: step 3313 fails,
-        # past the first batch of steps
-        branch = TricycleConfig(gamma0=104.0).branch("c")
-        initial = density_column(gibbs_state(branch.temperature, frequency(branch, 0.0)))
+        # past the first batch of 768 steps
+        monkeypatch.setattr(oracle, "_CHUNK", 768)
         assert 3313 > oracle._CHUNK
-        messages = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for run in (lambda: propagate(branch, 100.0, steps=4000),
-                        lambda: rk4_reference(branch, 100.0, 4000, initial)):
-                with pytest.raises(PositivityError) as info:
-                    run()
-                messages.append(str(info.value))
+        messages = self.failure_messages(104.0, 4000)
         assert "at t=82.825 " in messages[0]  # 3313 * 100 / 4000
+        assert re.sub(r"population \S+ ", "", messages[0]) == \
+            re.sub(r"population \S+ ", "", messages[1])
+
+    def test_unstable_step_past_the_default_batch_fails_at_the_same_time(self):
+        # at gamma0 = 208 and 8000 steps the first failing step, 6489, lies in
+        # the second batch of the default size
+        assert 6489 > oracle._CHUNK
+        messages = self.failure_messages(208.0, 8000)
+        assert "at t=81.1125 " in messages[0]  # 6489 * 100 / 8000
         assert re.sub(r"population \S+ ", "", messages[0]) == \
             re.sub(r"population \S+ ", "", messages[1])
 
