@@ -6,8 +6,8 @@ subcommand at the standard operating point.  Each subcommand writes one
 plot-ready report file (CSV rows, or a JSON object whose ``meta`` block
 echoes the config and the summary) and prints that summary's headline
 numbers as ``name = value`` lines on stdout.  A report is its columns:
-float64 arrays from array code, or the library's records (``SweepRecord``
-and the like) transposed, whose field names are the column names.
+float64 arrays from array code and the curve records, or the alpha sweep's
+and the oracle's rows transposed; field names are the column names.
 ``psi_points`` COPs from ``psi_min`` to ``psi_max`` make the psi grid of
 ``time-allocation`` (a bound left unset is the peak COP of one of its two
 alphas, and a lone ``psi_min`` must lie below the larger peak, a lone
@@ -21,7 +21,7 @@ feed: ``tau_c_points`` and ``alpha_points`` are at least
 ``optimize.DEFAULT_ALPHA_WINDOW`` (``alpha_chi`` and ``alpha_r`` are not grids),
 ``T_c``, durations, their bounds, ``delta_min`` and the psi bounds are at
 least the smallest normal float, ``delta_min`` < ``delta_max``, ``psi_min`` <
-``psi_max`` when both are set, and the directory of ``out`` exists.
+``psi_max`` when both are set, and ``out`` names a file in a directory that exists.
 ``alpha-sweep``, ``envelope`` and ``time-allocation`` build no curve, so they
 ignore the ``tau_c_*`` grid keys.
 
@@ -187,6 +187,8 @@ def parse_config(text, overrides=()):
     out = values["out"]
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ConfigError(f"out: directory of {out!r} does not exist")
+    if out and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
+        raise ConfigError(f"out: {out!r} names a directory, not a report file")
     if values["oracle_branch"] not in ("c", "h", "p"):
         raise ConfigError("oracle_branch must be one of c, h, p")
     return rc
@@ -338,7 +340,7 @@ def _run_optimal_curve(rc, config):
     summary = {"psi_at_R_max": ext.psi_at_R_max, "R_max": ext.R_max,
                "psi_at_chi_max": ext.psi_at_chi_max, "chi_max": ext.chi_max,
                "skipped_points": len(curve.skipped)}
-    return optimize.SweepRecord._fields, list(zip(*curve.records)), summary
+    return optimize.SweepRecord._fields, curve.records, summary
 
 
 def _run_alpha_sweep(rc, config):
@@ -363,11 +365,11 @@ def _run_envelope(rc, config):
     psi_grid = None if None in bounds else _psi_grid(rc, *bounds)
     alphas = np.linspace(rc.alpha_min, rc.alpha_max, rc.envelope_alpha_points)
     result = optimize.envelope_curve(config, psi_grid, alphas)
-    columns = ("curve", *optimize.SweepRecord._fields)
-    rows = [(label, *r) for label in ("R", "chi") for r in result.records]
+    n = result.records.psi.size  # an R block, then a chi block of the same rows
+    cells = [["R"] * n + ["chi"] * n, *(np.tile(column, 2) for column in result.records)]
     summary = {"psi_R": result.psi_R, "psi_chi": result.psi_chi,
                "skipped_points": len(result.skipped)}
-    return columns, list(zip(*rows)), summary
+    return ("curve", *optimize.SweepRecord._fields), cells, summary
 
 
 def _run_time_allocation(rc, config):
@@ -396,14 +398,14 @@ def _run_time_allocation(rc, config):
         raise ConfigError(f"psi_max must be > {lo!r}, the smaller peak COP at the grid's "
                           "other end")
     psi_grid = _psi_grid(rc, lo, hi)
-    columns = ("alpha_label", "alpha", *optimize.ProfilePoint._fields)
-    rows = [(label, alpha, *p)
-            for label, alpha, coeffs in (("alpha_chi", alpha_chi, coeffs_chi),
-                                         ("alpha_R", alpha_r, coeffs_R))
-            for p in optimize.time_allocation_profile(coeffs, alpha, psi_grid)]
+    n = psi_grid.size  # the alpha_chi profile, then the alpha_R one
+    profiles = [optimize.time_allocation_profile(coeffs_chi, alpha_chi, psi_grid),
+                optimize.time_allocation_profile(coeffs_R, alpha_r, psi_grid)]
+    cells = [["alpha_chi"] * n + ["alpha_R"] * n, np.repeat([alpha_chi, alpha_r], n),
+             *map(np.concatenate, zip(*profiles))]
     summary = {"alpha_chi": alpha_chi, "alpha_r": alpha_r,
                "psi_R": psi_R, "psi_chi": psi_chi}
-    return columns, list(zip(*rows)), summary
+    return ("alpha_label", "alpha", *optimize.ProfilePoint._fields), cells, summary
 
 
 def _run_reversible_delta(rc, config):

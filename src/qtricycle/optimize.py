@@ -21,19 +21,19 @@ Sigma) is plain algebra, so sweeps are cheap once the three quadratures are
 done; the algebra takes those coefficients
 (:class:`~qtricycle.cycle.CycleCoefficients`), not a configuration.
 
-Each record is one :class:`SweepRecord`, built by :func:`_records` from its
-(tau_c, tau_p) with tau_h balanced and held to the stationarity constraint.
-Only the curve needs that root: :func:`_stationary_tau_p` takes it for a
-whole column of tau_c at once, by Newton steps kept in a bisection bracket
-(:func:`_newton_root`), and :func:`solve_time_allocation` is the one-point
-view.  The R and chi maxima come from the coefficients alone: the R peak is
-one bracketed Newton root in y_c (:func:`_rate_peak`), the chi peak Newton's
-method in (y_c, y_p) from it (:func:`_merit_peak`); the alpha sweeps take
-them from one coefficients call over many alphas, and refine alpha by zoom
-passes of such calls around the best one.  The envelope and the profiles
-build no curve either: their points are the fixed-COP maxima of
-:func:`_cop_points`, the same bracketed Newton in y_c.  The grid rules live
-here.
+A curve's, an envelope's or a profile's points are float64 columns: one
+:class:`SweepRecord` from one :func:`_records` call over their (tau_c, tau_p),
+tau_h balanced and each row held to the stationarity constraint; a maximum is
+one row.  Only the curve needs that root: :func:`_stationary_tau_p` takes it
+for a whole column of tau_c at once, by Newton steps kept in a bisection
+bracket (:func:`_newton_root`), and :func:`solve_time_allocation` is the
+one-point view.  The R and chi maxima come from the coefficients alone: the R
+peak is one bracketed Newton root in y_c (:func:`_rate_peak`), the chi peak
+Newton's method in (y_c, y_p) from it (:func:`_merit_peak`); the alpha sweeps
+take them from one coefficients call over many alphas, and refine alpha by zoom
+passes of such calls around the best one.  The envelope and the profiles build
+no curve either: their points are the fixed-COP maxima of :func:`_cop_points`,
+the same bracketed Newton in y_c.  The grid rules live here.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def _attempt(fn, *args, **kwargs):
 
 
 class SweepRecord(NamedTuple):
-    """One point of a performance curve."""
+    """Points of a performance curve, float64 columns (a maximum: floats)."""
 
     alpha: float
     psi: float
@@ -270,42 +270,46 @@ class SweepRecord(NamedTuple):
 
 
 def _records(coeffs, alpha, tau_c, tau_p, reasons=None):
-    """(records, reasons) at the 1-D duration arrays ``tau_c`` and ``tau_p``,
-    tau_h balanced: each SweepRecord, or None and its reason where
-    ``reasons`` (default: none) already holds one, the triple misses the
-    stationarity constraint (:func:`_residual`), or it does not refrigerate."""
+    """(record, reasons) at the 1-D durations ``tau_c`` and ``tau_p``, tau_h
+    balanced: a SweepRecord of columns over the rows that hold, and each row's
+    reason, None where it holds.  A row fails where ``reasons`` (default: none)
+    holds one, it misses the stationarity constraint (:func:`_residual`), or it
+    does not refrigerate.  ``alpha`` and ``coeffs.Sigma`` may be one per row."""
     reasons = [None] * tau_c.size if reasons is None else reasons
     with np.errstate(all="ignore"):  # the NaN rows
         tau_h = _energy_balance(coeffs, tau_c, tau_p)[0]
         cold, hot, _, R = cycle.cycle_heats(coeffs, tau_c, tau_h, tau_p)
         psi = cold.Q / hot.Q
+        chi = psi * R
         residual, limit, missed = _residual(coeffs, tau_c, tau_h, tau_p)
-    records = []
-    for i, (t, h, tp, q_c, q_h, p, r) in enumerate(zip(*(
-            a.tolist() for a in (tau_c, tau_h, tau_p, cold.Q, hot.Q, psi, R)))):
+    for i in (missed | ~(np.minimum(hot.Q, cold.Q) > 0.0)).nonzero()[0].tolist():  # NaN fails
         if reasons[i] is None and missed[i]:
-            reasons[i] = _too_large(residual[i], limit[i], t)
-        if reasons[i] is None and not (q_h > 0.0 and q_c > 0.0):
-            reasons[i] = (f"allocation at tau_c={t} does not refrigerate "
-                          f"(Q_c={q_c:.3e}, Q_h={q_h:.3e})")
-        records.append(None if reasons[i] else SweepRecord(float(alpha), p, r, p * r, t, h, tp))
-    return records, reasons
+            reasons[i] = _too_large(residual[i].item(), limit[i].item(), tau_c[i].item())
+        elif reasons[i] is None:
+            reasons[i] = (f"allocation at tau_c={tau_c[i].item()} does not refrigerate "
+                          f"(Q_c={cold.Q[i].item():.3e}, Q_h={hot.Q[i].item():.3e})")
+    record = SweepRecord(np.full(tau_c.shape, alpha, dtype=float), psi, R, chi,
+                         tau_c, tau_h, tau_p)
+    if any(reasons):  # a row failed; a one-row peak that holds pays for no mask
+        holds = np.array([why is None for why in reasons])
+        record = record._make(c[holds] for c in record)
+    return record, reasons
 
 
 def _peak_record(coeffs, alpha, peak):
-    """The SweepRecord of :func:`_records` at ``peak(coeffs)``, or ConvergenceError."""
-    (record,), (reason,) = _records(coeffs, alpha, *np.array([peak(coeffs)]).T)
+    """The row of :func:`_records` at ``peak(coeffs)`` in floats, or ConvergenceError."""
+    record, (reason,) = _records(coeffs, alpha, *np.array([peak(coeffs)]).T)
     if reason:
         raise ConvergenceError(reason)
-    return record
+    return SweepRecord._make(map(np.ndarray.item, record))
 
 
 @dataclass(frozen=True)
 class CurveResult:
-    """Optimal performance curve, one ``(tau_c, reason)`` pair per grid point
-    that failed to solve (``skipped``) and the branch coefficients."""
+    """Optimal performance curve (columns by COP), a ``(tau_c, reason)`` pair
+    per grid point that failed to solve (``skipped``) and the coefficients."""
 
-    records: list
+    records: SweepRecord
     skipped: list
     coeffs: cycle.CycleCoefficients
 
@@ -329,14 +333,14 @@ def optimal_curve(config, tau_c_grid=None):
     records, reasons = _records(coeffs, config.alpha, tau_c_grid,
                                *_stationary_tau_p(coeffs, tau_c_grid))
     skipped = [(t, why) for t, why in zip(tau_c_grid.tolist(), reasons) if why]
-    records = sorted((r for r in records if r is not None), key=lambda r: r.psi)
-    if len(records) < 10:
+    if records.psi.size < 10:
         raise ConvergenceError(
-            f"only {len(records)} of {tau_c_grid.size} grid points converged "
+            f"only {records.psi.size} of {tau_c_grid.size} grid points converged "
             f"(first failure: {skipped[0][1]})",
             failed_points=skipped,
         )
-    return CurveResult(records, skipped, coeffs)
+    order = np.argsort(records.psi, kind="stable")
+    return CurveResult(records._make(c[order] for c in records), skipped, coeffs)
 
 
 def _branch_terms(coeffs):
@@ -552,33 +556,28 @@ def alpha_sweep(config, alpha_grid=None):
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """Alpha-optimized curve, the envelope of R(psi) and so of chi(psi) = psi R,
-    its peak COPs and ``(psi, reason)`` pairs of the ``skipped`` COPs."""
+    """Alpha-optimized curve (columns), the envelope of R(psi) and so of chi(psi)
+    = psi R, its peak COPs and ``(psi, reason)`` pairs of the ``skipped`` COPs."""
 
-    records: list
+    records: SweepRecord
     psi_R: float
     psi_chi: float
     skipped: list
 
 
 def _cop_records(pairs, psi_grid):
-    """SweepRecords (:func:`_records`) at the COPs ``psi_grid``, each at the
-    fixed-COP durations (:func:`_cop_points`) of the first ``(coeffs, alpha)`` pair
-    with the largest R there, and ``(psi, reason)`` of the COPs that fail."""
+    """(record, skipped) of one :func:`_records` call at the COPs ``psi_grid``,
+    each row at the fixed-COP durations (:func:`_cop_points`), Sigma and alpha
+    of the first ``(coeffs, alpha)`` pair with the largest R there (the pairs
+    share T and dS), and ``(psi, reason)`` of the COPs that fail."""
     tau_c, tau_p, R = map(np.array, zip(*(_cop_points(coeffs, psi_grid) for coeffs, _ in pairs)))
-    span = "({:.4f}, {:.4f})".format(*_cop_range(pairs[0][0]))
-    best = np.nan_to_num(R, nan=-np.inf).argmax(axis=0)
-    n = psi_grid.size
-    found = ~np.isnan(R[best, np.arange(n)])
-    records, reasons = [None] * n, [f"outside the attainable range {span}"] * n
-    for k in np.unique(best[found]).tolist():
-        cols = np.flatnonzero(found & (best == k))
-        made = _records(*pairs[k], tau_c[k, cols], tau_p[k, cols])
-        for j, record, why in zip(cols.tolist(), *made):
-            records[j], reasons[j] = record, why
-    return ([record for record in records if record is not None],
-            [(psi, why) for psi, record, why in zip(psi_grid.tolist(), records, reasons)
-             if record is None])
+    outside = "outside the attainable range ({:.4f}, {:.4f})".format(*_cop_range(pairs[0][0]))
+    best = (np.nan_to_num(R, nan=-np.inf).argmax(axis=0), np.arange(psi_grid.size))
+    sigma, alpha = (np.array(x)[best[0]] for x in zip(*((c.Sigma, a) for c, a in pairs)))
+    preset = [outside if x else None for x in np.isnan(R[best]).tolist()]
+    records, reasons = _records(replace(pairs[0][0], Sigma=tuple(sigma.T)), alpha,
+                                tau_c[best], tau_p[best], preset)
+    return records, [(psi, why) for psi, why in zip(psi_grid.tolist(), reasons) if why]
 
 
 def envelope_curve(config, psi_grid=None, alpha_grid=None):
@@ -593,7 +592,7 @@ def envelope_curve(config, psi_grid=None, alpha_grid=None):
         psi_grid = lo + (hi - lo) * np.linspace(0.01, 0.99, 80)
     records, skipped = _cop_records([(coeffs, row.alpha) for coeffs, row in points],
                                     np.asarray(psi_grid, dtype=float))
-    if not records:
+    if not records.psi.size:
         raise ConvergenceError("no requested COP is attained by any alpha in the window",
                                failed_points=skipped)
     return EnvelopeResult(records=records, psi_R=at_R[1].psi_at_R_max,
@@ -601,7 +600,7 @@ def envelope_curve(config, psi_grid=None, alpha_grid=None):
 
 
 class ProfilePoint(NamedTuple):
-    """Durations along the optimal curve at one COP."""
+    """Durations along the optimal curve, float64 columns over its COPs."""
 
     psi: float
     tau_total: float
@@ -613,23 +612,22 @@ class ProfilePoint(NamedTuple):
 
 
 def time_allocation_profile(coeffs, alpha, psi_grid):
-    """Duration profile of :func:`_cop_records` at the frequency exponent
-    ``alpha`` (its coefficients ``coeffs``), no curve built; a target COP that
-    fails is a ConvergenceError.
+    """Duration profile, a ProfilePoint of columns, of :func:`_cop_records` at
+    the frequency exponent ``alpha`` (its coefficients ``coeffs``), no curve
+    built; a target COP that fails is a ConvergenceError.
 
     The expected shape (total time increasing with the COP, tau_h/tau_p
     falling and tau_c/tau_p rising) is checked between consecutive points;
     each kind of violation raises one RuntimeWarning with its count and first
     psi pair, and the caller decides whether the shape is a requirement.
     """
-    records, skipped = _cop_records([(coeffs, alpha)], np.asarray(psi_grid, dtype=float))
+    r, skipped = _cop_records([(coeffs, alpha)], np.asarray(psi_grid, dtype=float))
     if skipped:
         raise ConvergenceError(f"no allocation at psi={skipped[0][0]}: {skipped[0][1]}",
                                failed_points=skipped)
-    points = [ProfilePoint(r.psi, r.tau_c + r.tau_h + r.tau_p, r.tau_h / r.tau_p,
-                           r.tau_c / r.tau_p, r.tau_c, r.tau_h, r.tau_p) for r in records]
-    psi, total, hp, cp = (np.array([getattr(p, key) for p in points])
-                          for key in ("psi", "tau_total", "ratio_hp", "ratio_cp"))
+    points = ProfilePoint(r.psi, r.tau_c + r.tau_h + r.tau_p, r.tau_h / r.tau_p,
+                          r.tau_c / r.tau_p, r.tau_c, r.tau_h, r.tau_p)
+    psi, total, hp, cp = points[:4]
     rising = psi[1:] > psi[:-1]  # duplicate targets are not compared
     tol = 1e-12
     for what, bad in (("total time not increasing", total[1:] < total[:-1] * (1.0 - tol)),
@@ -639,7 +637,7 @@ def time_allocation_profile(coeffs, alpha, psi_grid):
         if pairs.size:
             a, b = psi[pairs[0]:pairs[0] + 2].tolist()
             warnings.warn(
-                f"{what} between {pairs.size} of {len(points) - 1} consecutive psi "
+                f"{what} between {pairs.size} of {psi.size - 1} consecutive psi "
                 f"pairs, first between psi={a} and psi={b}",
                 RuntimeWarning, stacklevel=2,  # at the caller
             )

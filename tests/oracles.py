@@ -29,7 +29,8 @@ is :func:`csv_report_reference`; the package takes that path only for a
 report below its crossover and builds a larger one from its digit kernel,
 which the tests hold to this reference byte for byte.  The package takes a
 report as its columns; :func:`report_columns` and :func:`report_rows` turn
-rows into columns and back.
+rows into columns and back, and :func:`record_rows` turns a curve's or a
+profile's record of columns into one record per row.
 
 The Drazin inverse, the effective temperature and the von Neumann entropy
 live here only: the package computes Sigma from its closed-form integrand
@@ -615,3 +616,9 @@ def report_columns(columns, rows):
 def report_rows(cells):
     """A report's columns as its rows of Python values, an array column by ``tolist``."""
     return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cells)))
+
+
+def record_rows(record):
+    """A NamedTuple of columns (a curve's SweepRecord, a ProfilePoint) as its
+    rows, each the same NamedTuple of Python floats."""
+    return [record._make(row) for row in report_rows(record)]

@@ -1,4 +1,4 @@
-"""Run every subcommand on the seven standard configs, in CSV and JSON.
+"""Run every subcommand on the eight standard configs, in CSV and JSON.
 
 Usage: python tests/report_matrix.py SRC OUTDIR
 
@@ -38,6 +38,9 @@ import warnings
 # gamma0 = 1e300 with every duration scaled by 1e-300, where the squares of raw
 # durations underflow: every solve works in the rates a_v/tau_v and the
 # stationarity residual in duration ratios, so c6's runs exit 0 wherever c5's do.
+# c7 is the default point at alpha = 0.5, where numpy's ``**`` with a scalar
+# exponent takes a square root instead of ``pow``, so the reports see the rule
+# by which every Sigma power is taken.
 CONFIGS = {
     "c0": [],
     "c1": ["delta_c=0.62", "gamma0=1.2", "alpha=0.7", "tau_c=20", "tau_p=35",
@@ -55,6 +58,7 @@ CONFIGS = {
            "tau_c_max=3e-297", "sweep_tau_c_min=1e-300", "sweep_tau_c_max=6e-299",
            "sweep_tau_p_min=1e-300", "sweep_tau_p_max=6e-299",
            "oracle_taus=1e-298,2e-298,4e-298"],
+    "c7": ["alpha=0.5"],
 }
 EXPECTED_EXIT = {
     ("c2", "ts-diagram"): 2,

@@ -621,6 +621,21 @@ class TestExitCodes:
         assert err.startswith("config error: out: directory ") and "Traceback" not in err
         assert calls == [] and not (tmp_path / "no").exists()
 
+    @pytest.mark.parametrize("spelling", ["reports", "reports/", "missing/", "x.csv/."])
+    def test_out_naming_a_directory_exits_2_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch, spelling):
+        # an existing directory, or any path whose last part is empty, "." or
+        # "..", cannot be replaced by a report file
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, "cycle", lambda *args: calls.append(args))
+        (tmp_path / "reports").mkdir()
+        code = main(["cycle", "--out", str(tmp_path) + os.sep + spelling])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and "names a directory" in err
+        assert "Traceback" not in err and calls == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["reports"]
+
     def test_out_and_format_flags_are_config_keys(self, tmp_path):
         # the flags reach the report's echoed config, and win over --set
         out = tmp_path / "cycle.json"
@@ -938,6 +953,10 @@ CHEAP_SETTINGS = ["alpha_chi=0.6278", "alpha_r=0.9799", "envelope_alpha_points=5
 # The float columns that reach emit_report as float64 arrays, by subcommand.
 ARRAY_COLUMNS = {"sweep-times": ["tau_c", "tau_p", "tau_h", "R"],
                  "ts-diagram": ["s", "omega", "T_eff", "S"],
+                 "optimal-curve": ["alpha", "psi", "R", "chi", "tau_c", "tau_h", "tau_p"],
+                 "envelope": ["alpha", "psi", "R", "chi", "tau_c", "tau_h", "tau_p"],
+                 "time-allocation": ["alpha", "psi", "tau_total", "ratio_hp", "ratio_cp",
+                                     "tau_c", "tau_h", "tau_p"],
                  "reversible-delta": ["delta_c", "q0_sum"]}
 
 

@@ -15,6 +15,7 @@ from oracles import (
     optimal_curve_reference,
     profile_shape_warnings_reference,
     rate_peak_reference,
+    record_rows,
     solve_time_allocation_reference,
     stationarity_brackets,
     stationarity_quartic,
@@ -230,8 +231,7 @@ class TestResidualContract:
         result = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5), psi_grid=psi_grid)
         [(psi, reason)] = result.skipped
         assert psi == psi_grid[0] and reason.startswith("stationarity residual")
-        assert [r.psi for r in result.records] == pytest.approx(psi_grid[1:].tolist(),
-                                                                  rel=1e-12)
+        assert result.records.psi.tolist() == pytest.approx(psi_grid[1:].tolist(), rel=1e-12)
         with pytest.raises(ConvergenceError) as err:
             time_allocation_profile(cycle_coefficients(config), config.alpha, psi_grid)
         [(psi, reason)] = err.value.failed_points
@@ -322,19 +322,20 @@ class TestStationarityQuartic:
 
 class TestOptimalCurve:
     def test_sorted_and_bounded_by_reversible_cop(self, config, curve):
-        psis = [r.psi for r in curve.records]
+        psis = curve.records.psi.tolist()
         assert psis == sorted(psis)
         psi_r = reversible_cop(config.T_c, config.T_h, config.T_p)
         assert all(0.0 < p < psi_r for p in psis)
-        assert all(r.chi == pytest.approx(r.psi * r.R, rel=1e-12) for r in curve.records)
+        assert all(r.chi == pytest.approx(r.psi * r.R, rel=1e-12)
+                   for r in record_rows(curve.records))
 
     def test_cop_monotone_in_cold_duration(self, curve):
-        by_tau = sorted(curve.records, key=lambda r: r.tau_c)
+        by_tau = sorted(record_rows(curve.records), key=lambda r: r.tau_c)
         psis = [r.psi for r in by_tau]
         assert all(b > a for a, b in zip(psis, psis[1:]))
 
     def test_single_humped_cooling_rate(self, curve):
-        rates = np.array([r.R for r in curve.records])
+        rates = curve.records.R
         peak = int(np.argmax(rates))
         assert 0 < peak < len(rates) - 1
         assert np.all(np.diff(rates[:peak + 1]) > 0)
@@ -345,7 +346,7 @@ class TestOptimalCurve:
         grid = np.geomspace(0.05, 3000.0, 120)
         result = optimal_curve(config, tau_c_grid=grid)
         assert result.skipped
-        assert len(result.records) + len(result.skipped) == 120
+        assert result.records.psi.size + len(result.skipped) == 120
 
     def test_grid_validation(self, config):
         with pytest.raises(ValueError):
@@ -355,14 +356,14 @@ class TestOptimalCurve:
 
     def test_deterministic(self, config, curve):
         again = optimal_curve(config)
-        assert again.records == curve.records
+        assert record_rows(again.records) == record_rows(curve.records)
 
 
 class TestObjectiveMaxima:
     def test_refinement_dominates_grid(self, config, coeffs, curve):
         rec = max_cooling_rate(coeffs, config.alpha)
         R_max = rec.R
-        assert R_max >= max(r.R for r in curve.records)
+        assert R_max >= curve.records.R.max()
         # the record is the closed-form peak; the quartic's root at its tau_c agrees
         sol = solve_time_allocation(coeffs, rec.tau_c)[0]
         assert [sol.metrics.psi, sol.metrics.chi, sol.tau_h, sol.tau_p] == \
@@ -437,8 +438,8 @@ def _matches_reference(config, grid):
         assert [t for t, _ in exc.failed_points] == [t for t, _ in skipped]
         return exc.failed_points
     assert [t for t, _ in curve.skipped] == [t for t, _ in skipped]
-    assert len(curve.records) == len(records)
-    for record, reference in zip(curve.records, records):
+    assert curve.records.psi.size == len(records)
+    for record, reference in zip(record_rows(curve.records), records):
         assert record.tau_c == reference.tau_c
         assert record == pytest.approx(reference, rel=1e-10)
     return curve.skipped
@@ -478,12 +479,12 @@ class TestWholeGridKernel:
         grid = np.geomspace(0.3, 1e200, 120)
         records, skipped = optimal_curve_reference(config, grid)
         curve = optimal_curve(config, tau_c_grid=grid)
-        assert len(records) == 49 and len(curve.records) == 119
+        assert len(records) == 49 and curve.records.psi.size == 119
         [(tau_c, why)] = curve.skipped
         assert tau_c == 0.3 and "(tau_c must exceed" in why
         assert {t for t, _ in curve.skipped} < {t for t, _ in skipped}
         assert any("coefficients overflow" in why for _, why in skipped)
-        solved = {record.tau_c: record for record in curve.records}
+        solved = {record.tau_c: record for record in record_rows(curve.records)}
         for reference in records:
             assert solved[reference.tau_c] == pytest.approx(reference, rel=1e-10)
 
@@ -549,7 +550,7 @@ class TestWholeGridKernel:
         for module, name in ((np, "roots"), (np.linalg, "eigvals"), (np.linalg, "solve")):
             monkeypatch.setattr(module, name, lambda *args: per_point.append(args))
         curve = optimal_curve(config)
-        assert kernel == [(120,)] and per_point == [] and len(curve.records) == 100
+        assert kernel == [(120,)] and per_point == [] and curve.records.psi.size == 100
 
     def test_only_the_curve_solves_the_quartic(self, config, coeffs, monkeypatch):
         # the maxima, the alpha sweep, the envelope and the profile are built
@@ -836,8 +837,9 @@ def test_curve_roots_and_fixed_cop_points_only_rescale_with_gamma0(config, k):
 
 
 class TestPythonScalars:
-    """Solver metrics and curve records hold Python floats and bools, not numpy
-    scalars, so reports take the plain-float path."""
+    """One-point solver results hold Python floats and bools, not numpy
+    scalars, so reports take the plain-float path; curves, envelopes and
+    profiles hold 1-D float64 columns of one length each."""
 
     @staticmethod
     def numeric_fields(obj):
@@ -851,21 +853,33 @@ class TestPythonScalars:
             elif not isinstance(value, str):
                 yield name, value
 
-    def test_every_numeric_field_is_a_python_scalar(self, config, coeffs, curve):
-        envelope = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
-                                  psi_grid=np.linspace(0.06, 0.16, 9))
-        profile = time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
-        objects = [*solve_time_allocation(coeffs, 9.0), *curve.records,
-                   curve_maxima(coeffs, config.alpha), max_cooling_rate(coeffs, config.alpha),
-                   max_figure_of_merit(coeffs, config.alpha), *envelope.records, *profile]
+    @pytest.fixture(scope="class")
+    def envelope(self, config):
+        return envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
+                              psi_grid=np.linspace(0.06, 0.16, 9))
+
+    def test_every_numeric_field_is_a_python_scalar(self, config, coeffs, envelope):
+        objects = [*solve_time_allocation(coeffs, 9.0), curve_maxima(coeffs, config.alpha),
+                   max_cooling_rate(coeffs, config.alpha),
+                   max_figure_of_merit(coeffs, config.alpha)]
         checked = 0
         for obj in objects:
             for name, value in self.numeric_fields(obj):
                 assert type(value) is (bool if name == "valid" else float), \
                     (type(obj).__name__, name, type(value))
                 checked += 1
-        assert checked > 500
+        assert checked == 47
         assert all(type(x) is float for x in (envelope.psi_R, envelope.psi_chi))
+
+    def test_every_curve_field_is_a_float64_column(self, config, coeffs, curve, envelope):
+        profile = time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
+        checked = 0
+        for obj, rows in ((curve.records, 100), (envelope.records, 9), (profile, 7)):
+            for name, value in obj._asdict().items():
+                assert type(value) is np.ndarray and value.dtype == np.float64 \
+                    and value.shape == (rows,), (type(obj).__name__, name, type(value))
+                checked += value.size
+        assert checked > 500
 
 
 class TestAlphaSweep:
@@ -1035,10 +1049,10 @@ class TestEnvelope:
 
     def test_envelope_dominates_flat_bath_member(self, config, small_envelope):
         member = optimal_curve(config).records
-        psis = np.array([r.psi for r in member])
-        for rec in small_envelope.records:
+        psis = member.psi
+        for rec in record_rows(small_envelope.records):
             if psis[0] <= rec.psi <= psis[-1]:
-                member_R = float(np.interp(rec.psi, psis, [r.R for r in member]))
+                member_R = float(np.interp(rec.psi, psis, member.R))
                 assert rec.R >= member_R * (1.0 - 1e-9)
 
     def test_builds_no_curve(self, config, monkeypatch):
@@ -1047,7 +1061,7 @@ class TestEnvelope:
         monkeypatch.setattr(optimize, "optimal_curve", lambda *args: built.append(args))
         result = envelope_curve(config, alpha_grid=np.linspace(-0.5, 1.5, 5),
                                 psi_grid=np.linspace(0.06, 0.16, 9))
-        assert built == [] and len(result.records) == 9
+        assert built == [] and result.records.psi.size == 9
 
     def test_rows_hit_their_target_cops(self, config):
         # each row is the best alpha's fixed-COP point, re-solved at its tau_c
@@ -1056,11 +1070,46 @@ class TestEnvelope:
         lo, hi = _cop_range(cycle_coefficients(config))
         targets = lo + (hi - lo) * np.linspace(0.01, 0.99, 80)
         assert lo == 0.0 and not result.skipped
-        assert [r.psi for r in result.records] == pytest.approx(targets.tolist(), rel=1e-9)
+        assert result.records.psi.tolist() == pytest.approx(targets.tolist(), rel=1e-9)
         R = np.array([_cop_points(cycle_coefficients(replace(config, alpha=a)), targets)[2]
                       for a in alphas.tolist()])
-        assert [r.alpha for r in result.records] == alphas[R.argmax(axis=0)].tolist()
-        assert [r.R for r in result.records] == pytest.approx(R.max(axis=0).tolist(), rel=1e-9)
+        assert result.records.alpha.tolist() == alphas[R.argmax(axis=0)].tolist()
+        assert result.records.R.tolist() == pytest.approx(R.max(axis=0).tolist(), rel=1e-9)
+
+    def test_one_records_call_gathers_each_cops_best_pair(self, config, monkeypatch):
+        # the columns of one _records call over an alpha batch are, bit for
+        # bit, the one-pair records of each COP's best pair, and the skipped
+        # COPs' reasons are theirs: a stationarity miss (the first target's
+        # tau_p off by 1e-6) and a COP outside the attainable range
+        pairs = [(coeffs, row.alpha) for (coeffs, row), _ in
+                 optimize._alpha_maxima(config, np.linspace(-0.5, 1.5, 7).tolist())]
+        lo, hi = _cop_range(pairs[0][0])
+        targets = np.append(lo + (hi - lo) * np.linspace(0.01, 0.99, 30), 0.32)
+        original, records_calls = optimize._cop_points, []
+
+        def perturbed(co, psi):
+            tau_c, tau_p, R = original(co, psi)
+            tau_p[psi == targets[0]] *= 1.0 + 1e-6
+            return tau_c, tau_p, R
+
+        def counting(*args):
+            records_calls.append(args)
+            return records(*args)
+
+        records = optimize._records
+        monkeypatch.setattr(optimize, "_cop_points", perturbed)
+        monkeypatch.setattr(optimize, "_records", counting)
+        gathered, skipped = optimize._cop_records(pairs, targets)
+        assert len(records_calls) == 1
+        R = np.array([original(coeffs, targets)[2] for coeffs, _ in pairs])
+        best = np.nan_to_num(R, nan=-np.inf).argmax(axis=0).tolist()
+        assert len(set(best)) >= 3
+        each = [optimize._cop_records([pairs[k]], targets[j:j + 1]) for j, k in enumerate(best)]
+        assert np.array(gathered).tobytes() == np.hstack([np.array(r) for r, _ in each]).tobytes()
+        assert skipped == [point for _, why in each for point in why]
+        assert [psi for psi, _ in skipped] == [targets[0], 0.32]
+        assert skipped[0][1].startswith("stationarity residual")
+        assert skipped[1][1] == "outside the attainable range (0.0000, 0.1879)"
 
     def test_alpha_grid_stays_in_the_window(self, config, monkeypatch):
         # the envelope and the alpha sweep share one check, made before any curve
@@ -1090,11 +1139,11 @@ class TestEnvelope:
 class TestTimeAllocationProfile:
     def test_profile_shape(self, config, coeffs):
         points = time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
-        totals = [p.tau_total for p in points]
+        totals = points.tau_total.tolist()
         assert all(b > a for a, b in zip(totals, totals[1:]))
-        hp = [p.ratio_hp for p in points]
+        hp = points.ratio_hp.tolist()
         assert all(b < a for a, b in zip(hp, hp[1:]))
-        for p in points:
+        for p in record_rows(points):
             assert np.isfinite(p.ratio_hp) and p.ratio_hp > 0
             assert np.isfinite(p.ratio_cp) and p.ratio_cp > 0
 
@@ -1103,7 +1152,7 @@ class TestTimeAllocationProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             points = time_allocation_profile(coeffs, config.alpha, np.linspace(0.10, 0.14, 7))
-        cp = [p.ratio_cp for p in points]
+        cp = points.ratio_cp.tolist()
         assert all(b > a for a, b in zip(cp, cp[1:]))
 
     def test_points_hit_their_target_cops(self, config, coeffs):
@@ -1111,7 +1160,7 @@ class TestTimeAllocationProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the shape check's
             points = time_allocation_profile(coeffs, config.alpha, targets)
-        assert [p.psi for p in points] == pytest.approx(targets.tolist(), rel=1e-9)
+        assert points.psi.tolist() == pytest.approx(targets.tolist(), rel=1e-9)
 
     def test_shape_warnings_match_pairwise_reference(self, curve, rng):
         # random, unsorted and repeated COP targets on the default and random curves
@@ -1122,17 +1171,17 @@ class TestTimeAllocationProfile:
             except ConvergenceError:
                 pass
         for member in curves:
-            psis = [r.psi for r in member.records]
+            psis = member.records.psi.tolist()
             for size in (0, 1, 5, 9):
                 targets = rng.uniform(psis[0], psis[-1], size)
                 if size > 2:
                     targets[1] = targets[0]
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    points = time_allocation_profile(member.coeffs, member.records[0].alpha,
+                    points = time_allocation_profile(member.coeffs, member.records.alpha[0],
                                                      targets)
                 messages = [str(w.message) for w in caught]
-                assert messages == profile_shape_warnings_reference(points)
+                assert messages == profile_shape_warnings_reference(record_rows(points))
                 kinds.update(m.split(" between")[0] for m in messages)
         assert kinds == {"total time not increasing",
                          "tau_h/tau_p not falling or tau_c/tau_p not rising"}
@@ -1150,10 +1199,10 @@ class TestFixedCopPoints:
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_curve_records_are_the_fixed_cop_points(self, config):
         curve = optimal_curve(config)
-        tau_c, tau_p, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
-        assert tau_c.tolist() == pytest.approx([r.tau_c for r in curve.records], rel=1e-10)
-        assert tau_p.tolist() == pytest.approx([r.tau_p for r in curve.records], rel=1e-10)
-        assert R.tolist() == pytest.approx([r.R for r in curve.records], rel=1e-10)
+        tau_c, tau_p, R = _cop_points(curve.coeffs, curve.records.psi)
+        assert tau_c.tolist() == pytest.approx(curve.records.tau_c.tolist(), rel=1e-10)
+        assert tau_p.tolist() == pytest.approx(curve.records.tau_p.tolist(), rel=1e-10)
+        assert R.tolist() == pytest.approx(curve.records.R.tolist(), rel=1e-10)
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_no_point_on_the_fixed_cop_line_beats_it(self, config):

@@ -30,6 +30,7 @@ from oracles import (
     csv_report_reference,
     optimal_curve_reference,
     principal_reference,
+    record_rows,
     report_rows,
     solve_time_allocation_reference,
 )
@@ -95,21 +96,20 @@ def test_closed_form_maxima_exist_with_the_curve_and_beat_it(config):
         return
     maxima = curve_maxima(curve.coeffs, config.alpha)
     assert maxima.psi_at_R_max < maxima.psi_at_chi_max
-    assert maxima.R_max >= max(r.R for r in curve.records) * (1.0 - 1e-12)
-    assert maxima.chi_max >= max(r.chi for r in curve.records) * (1.0 - 1e-12)
+    assert maxima.R_max >= curve.records.R.max() * (1.0 - 1e-12)
+    assert maxima.chi_max >= curve.records.chi.max() * (1.0 - 1e-12)
     # every curve point is the largest cooling rate at its own COP
-    tau_c, tau_p, R = _cop_points(curve.coeffs, [r.psi for r in curve.records])
-    assert tau_c.tolist() == pytest.approx([r.tau_c for r in curve.records], rel=1e-10)
-    assert tau_p.tolist() == pytest.approx([r.tau_p for r in curve.records], rel=1e-10)
-    assert R.tolist() == pytest.approx([r.R for r in curve.records], rel=1e-10)
+    tau_c, tau_p, R = _cop_points(curve.coeffs, curve.records.psi)
+    assert tau_c.tolist() == pytest.approx(curve.records.tau_c.tolist(), rel=1e-10)
+    assert tau_p.tolist() == pytest.approx(curve.records.tau_p.tolist(), rel=1e-10)
+    assert R.tolist() == pytest.approx(curve.records.R.tolist(), rel=1e-10)
     # the peak and fixed-COP records, built at their closed-form durations,
     # are the reference quartic's principal roots at their tau_c
     coeffs, alpha = curve.coeffs, config.alpha
-    cop_records, skipped = _cop_records([(coeffs, alpha)],
-                                        np.array([r.psi for r in curve.records[::9]]))
+    cop_records, skipped = _cop_records([(coeffs, alpha)], curve.records.psi[::9])
     assert not skipped
     for record in (max_cooling_rate(coeffs, alpha), max_figure_of_merit(coeffs, alpha),
-                   *cop_records):
+                   *record_rows(cop_records)):
         reference = principal_reference(coeffs, alpha, record.tau_c)
         assert reference.tau_c == record.tau_c
         assert reference == pytest.approx(record, rel=1e-10)
@@ -129,8 +129,8 @@ def test_whole_grid_kernel_matches_the_per_point_reference(config):
         assert [t for t, _ in exc.failed_points] == [t for t, _ in skipped]
     else:
         assert [t for t, _ in curve.skipped] == [t for t, _ in skipped]
-        assert len(curve.records) == len(records)
-        for record, reference in zip(curve.records, records):
+        assert curve.records.psi.size == len(records)
+        for record, reference in zip(record_rows(curve.records), records):
             assert record.tau_c == reference.tau_c
             assert record == pytest.approx(reference, rel=1e-10)
     coeffs = cycle_coefficients(config)
