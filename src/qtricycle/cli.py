@@ -7,7 +7,9 @@ plot-ready report file (CSV rows, or a JSON object whose ``meta`` block
 echoes the config and the summary) and prints that summary's headline
 numbers as ``name = value`` lines on stdout.  A report is its columns:
 float64 arrays from array code and the curve records, or the alpha sweep's
-and the oracle's rows transposed; field names are the column names.
+and the oracle's rows transposed, and a column that repeats its values (a
+grid axis, a label, ``envelope``'s records under both curves) is a take
+(``thermo.Take``); field names are the column names.
 ``psi_points`` COPs from ``psi_min`` to ``psi_max`` make the psi grid of
 ``time-allocation`` (a bound left unset is the peak COP of one of its two
 alphas, and a lone ``psi_min`` must lie below the larger peak, a lone
@@ -161,9 +163,10 @@ def parse_config(text, overrides=()):
     for key in ("T_c", "tau_c", "tau_p", "tau_h", "tau_c_min", "tau_c_max", "sweep_tau_c_min",
                 "sweep_tau_c_max", "sweep_tau_p_min", "sweep_tau_p_max", "oracle_taus",
                 "delta_min", "psi_min", "psi_max"):
-        if values[key] is None:  # tau_h, psi_min or psi_max unset
+        value = values[key]
+        if value is None:  # tau_h, psi_min or psi_max unset
             continue
-        least = np.min(values[key])
+        least = min(value) if _KEYS[key][0] == "floats" else value
         if least <= 0.0:
             raise ConfigError(f"{key} must be > 0")
         if least < sys.float_info.min:  # a subnormal's reciprocal overflows
@@ -221,29 +224,43 @@ def _json_safe(value):
 _KERNEL_MIN_FLOATS = 256
 
 
+def _rows(column):
+    """The row count of a report column."""
+    return len(column.index if isinstance(column, thermo.Take) else column)
+
+
+def _cells(values, index):
+    """A column's cells, a take's by its index; array cells as Python floats,
+    as ``_fmt_cell`` and ``_json_safe`` test ``type(v) is float``."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    return values if index is None else [values[i] for i in index.tolist()]
+
+
 def emit_report(columns, cells, meta, fmt):
-    """Render a report, one sequence of cells per column (a float64 array or
-    Python values), as CSV rows or as one JSON object with ``meta``,
+    """Render a report, one column of cells per name (a float64 array, Python
+    values, or a take of either, whose cell i is ``values[index[i]]``: see
+    :class:`thermo.Take`), as CSV rows or as one JSON object with ``meta``,
     ``columns`` and ``rows`` (byte-stable); CSV leaves ``meta`` out.
 
     A CSV cell that is a float prints as ``%.17e`` (``nan``, ``inf``, ``-inf``
     where not finite, NaN without its sign), a bool as ``true``/``false``,
     anything else as ``str``.  A report with fewer than ``_KERNEL_MIN_FLOATS``
-    cells in columns of floats (arrays, or lists of floats only) takes a
-    ``_fmt_cell`` call per cell, a larger one ``_csv_kernel.csv_bytes``.  Its
+    cells in columns of floats (arrays, or lists of floats only, or takes of
+    either) takes a ``_fmt_cell`` call per cell, a larger one
+    ``_csv_kernel.csv_bytes``, which formats each value of a take once.  Its
     float cells take exact digits from an array kernel, or ``"%.17e"`` itself
     where the kernel cannot round with certainty (a possible tie, log10 off by
     one).
     """
+    parts = [tuple(c) if isinstance(c, thermo.Take) else (c, None) for c in cells]
     if fmt == "csv":
-        floats = [isinstance(c, np.ndarray) or set(map(type, c)) == {float} for c in cells]
-        if len(cells[0]) * sum(floats) >= _KERNEL_MIN_FLOATS:
+        floats = [isinstance(v, np.ndarray) or set(map(type, v)) == {float} for v, _ in parts]
+        if _rows(cells[0]) * sum(floats) >= _KERNEL_MIN_FLOATS:
             from ._csv_kernel import csv_bytes  # so compiled only once a report needs it
-            texts = {j: [_fmt_cell(v).encode("utf-8", "surrogatepass") for v in column]
-                     for j, column in enumerate(cells) if not floats[j]}
-            return str(csv_bytes(columns, cells, texts), "utf-8", "surrogatepass")
-    # array cells as Python floats, as _fmt_cell and _json_safe test type(v) is float
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cells))
+            texts = {j: [_fmt_cell(v).encode("utf-8", "surrogatepass") for v in values]
+                     for j, (values, _) in enumerate(parts) if not floats[j]}
+            return str(csv_bytes(columns, parts, texts), "utf-8", "surrogatepass")
+    rows = zip(*(_cells(*part) for part in parts))
     if fmt == "csv":
         lines = [",".join(columns), *(",".join(map(_fmt_cell, row)) for row in rows)]
         return "\n".join(lines) + "\n"
@@ -327,7 +344,8 @@ def _run_sweep_times(rc, config):
     sweep = optimize.free_time_sweep(cycle.cycle_coefficients(config), tc, tp)
     columns = ["tau_c", "tau_p", "tau_h", "R"]
     # a row per (tau_c, tau_p), tau_p fastest; NaN cells render as nan/null
-    cells = [np.repeat(tc, tp.size), np.tile(tp, tc.size), sweep.tau_h.ravel(), sweep.R.ravel()]
+    i, j = np.indices(sweep.R.shape).reshape(2, -1)
+    cells = [thermo.Take(tc, i), thermo.Take(tp, j), sweep.tau_h.ravel(), sweep.R.ravel()]
     present = sweep.R[~np.isnan(sweep.R)]
     summary = {"R_max_on_grid": float(present.max()) if present.size else float("nan")}
     return columns, cells, summary
@@ -365,8 +383,10 @@ def _run_envelope(rc, config):
     psi_grid = None if None in bounds else _psi_grid(rc, *bounds)
     alphas = np.linspace(rc.alpha_min, rc.alpha_max, rc.envelope_alpha_points)
     result = optimize.envelope_curve(config, psi_grid, alphas)
-    n = result.records.psi.size  # an R block, then a chi block of the same rows
-    cells = [["R"] * n + ["chi"] * n, *(np.tile(column, 2) for column in result.records)]
+    # an R block, then a chi block of the same rows
+    block, row = np.indices((2, result.records.psi.size)).reshape(2, -1)
+    cells = [thermo.Take(["R", "chi"], block),
+             *(thermo.Take(column, row) for column in result.records)]
     summary = {"psi_R": result.psi_R, "psi_chi": result.psi_chi,
                "skipped_points": len(result.skipped)}
     return ("curve", *optimize.SweepRecord._fields), cells, summary
@@ -398,11 +418,12 @@ def _run_time_allocation(rc, config):
         raise ConfigError(f"psi_max must be > {lo!r}, the smaller peak COP at the grid's "
                           "other end")
     psi_grid = _psi_grid(rc, lo, hi)
-    n = psi_grid.size  # the alpha_chi profile, then the alpha_R one
     profiles = [optimize.time_allocation_profile(coeffs_chi, alpha_chi, psi_grid),
                 optimize.time_allocation_profile(coeffs_R, alpha_r, psi_grid)]
-    cells = [["alpha_chi"] * n + ["alpha_R"] * n, np.repeat([alpha_chi, alpha_r], n),
-             *map(np.concatenate, zip(*profiles))]
+    # the alpha_chi profile, then the alpha_R one
+    block = np.arange(2 * psi_grid.size) // psi_grid.size
+    cells = [thermo.Take(["alpha_chi", "alpha_R"], block),
+             thermo.Take([alpha_chi, alpha_r], block), *map(np.concatenate, zip(*profiles))]
     summary = {"alpha_chi": alpha_chi, "alpha_r": alpha_r,
                "psi_R": psi_R, "psi_chi": psi_chi}
     return ("alpha_label", "alpha", *optimize.ProfilePoint._fields), cells, summary
@@ -477,7 +498,7 @@ def run(subcommand, rc, stdout=None):
         "summary": summary,
     }
     _write_atomic(out_path, emit_report(columns, cells, meta, rc.format))
-    print(f"wrote {out_path} ({len(cells[0])} rows)", file=stdout)
+    print(f"wrote {out_path} ({_rows(cells[0])} rows)", file=stdout)
     for key, value in summary.items():
         print(f"{key} = {_fmt_cell(value)}", file=stdout)
     return 0

@@ -49,6 +49,7 @@ __all__ = [
     "perturbed_state",
     "population_lag",
     "ts_trajectory",
+    "Take",
     "Trajectory",
 ]
 
@@ -234,11 +235,22 @@ def perturbed_state(branch, s, tau):
     return p
 
 
-class Trajectory(NamedTuple):
-    """The ts-diagram report's columns: ``reservoir`` a list of str, the rest float64 arrays."""
+class Take(NamedTuple):
+    """A report column that repeats its values: cell i is ``values[index[i]]``.
 
-    reservoir: list
-    s: np.ndarray
+    ``values`` is a float64 array or a list of Python scalars, ``index`` an
+    int array with one entry per row."""
+
+    values: object
+    index: np.ndarray
+
+
+class Trajectory(NamedTuple):
+    """The ts-diagram report's columns: ``reservoir`` (the three labels) and
+    ``s`` (the sample grid) each a :class:`Take`, the rest float64 arrays."""
+
+    reservoir: Take
+    s: Take
     omega: np.ndarray
     T_eff: np.ndarray
     S: np.ndarray
@@ -280,5 +292,6 @@ def ts_trajectory(config, taus, samples_per_branch=DEFAULT_SAMPLES_PER_BRANCH):
         T_eff = w / np.log(q / p)  # p == 0 gives ln(inf), so T_eff = 0.0
         S = -(np.where(p > 0.0, p * np.log(p), 0.0)
               + np.where(q > 0.0, q * np.log(q), 0.0))
-    return Trajectory(sum(([b.reservoir] * s.size for b in branches), []),
-                      np.tile(s, len(branches)), w.ravel(), T_eff.ravel(), S.ravel())
+    branch, sample = np.indices(w.shape).reshape(2, -1)  # a row per (branch, s), s fastest
+    return Trajectory(Take([b.reservoir for b in branches], branch), Take(s, sample),
+                      w.ravel(), T_eff.ravel(), S.ravel())

@@ -74,6 +74,7 @@ from qtricycle.optimize import (
 )
 from qtricycle.protocol import frequency, frequency_derivative
 from qtricycle.thermo import (
+    Take,
     Trajectory,
     branch_entropy_change,
     gauss_legendre_adaptive,
@@ -613,9 +614,21 @@ def report_columns(columns, rows):
     return [[row[j] for row in rows] for j in range(len(columns))]
 
 
+def expand(column):
+    """A report column with a :class:`Take` replaced by its cells, gathered
+    by numpy indexing: a float64 array from an array of values, else a list."""
+    if not isinstance(column, Take):
+        return column
+    if isinstance(column.values, np.ndarray):
+        return column.values[column.index]
+    return np.array(column.values, dtype=object)[column.index].tolist()
+
+
 def report_rows(cells):
-    """A report's columns as its rows of Python values, an array column by ``tolist``."""
-    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cells)))
+    """A report's columns as its rows of Python values, a take expanded, an
+    array column by ``tolist``."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in map(expand, cells))))
 
 
 def record_rows(record):

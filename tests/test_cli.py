@@ -21,7 +21,7 @@ from qtricycle.cli import (
     run,
 )
 from qtricycle.errors import ConfigError
-from oracles import csv_report_reference, report_columns, report_rows
+from oracles import csv_report_reference, expand, report_columns, report_rows
 
 
 class TestParseConfig:
@@ -198,26 +198,65 @@ class TestEmitReport:
         # one column of floats beside str cells with NUL and non-ASCII text,
         # bools, ints, numpy scalars and mixed columns: one float cell short of
         # the crossover takes the per-cell path, at the crossover the kernel;
-        # the float column as a float64 array gives the bytes of its list
+        # the float column as a float64 array gives the bytes of its list, and
+        # so do the float column as a take of its pool (NaN, +-inf, -0.0, a
+        # subnormal and powers of ten; an array or a list) and the column of
+        # other cells as a take of its 8 values, in CSV and in JSON
         kernel, calls = _csv_kernel.csv_bytes, []
         monkeypatch.setattr(_csv_kernel, "csv_bytes",
                             lambda *args: calls.append(args) or kernel(*args))
-        pool = [0.1, -0.0, math.nan, -math.inf, 1e-300, 123.456, -1e300, 5e-324]
+        pool = [0.1, -0.0, math.nan, -math.inf, 1e-300, 123.456, -1e300, 5e-324, math.inf,
+                1e22]
         others = ["a\x00b", "é☃,", "", True, 10 ** 20, -3, np.float64(0.25),
                   np.float64(math.nan)]
-        rows = [(pool[i % 8], others[i % 8], str(i), i % 3 == 0, i, np.float64(i / 7),
-                 (pool + others)[i % 16]) for i in range(cli._KERNEL_MIN_FLOATS + extra)]
+        rows = [(pool[i % 10], others[i % 8], str(i), i % 3 == 0, i, np.float64(i / 7),
+                 (pool + others)[i % 18]) for i in range(cli._KERNEL_MIN_FLOATS + extra)]
         columns = ["float", "other", "label", "flag", "count", "numpy", "mixed"]
         cells = report_columns(columns, rows)
         expected = csv_report_reference(columns, rows)
         assert emit_report(columns, cells, {}, "csv") == expected
-        assert emit_report(columns, [np.array(cells[0]), *cells[1:]], {}, "csv") == expected
-        assert len(calls) == 2 * (extra == 0)
+        index = np.arange(len(rows))
+        as_takes = [thermo.Take(np.array(pool), index % 10), thermo.Take(others, index % 8)]
+        json_expected = emit_report(columns, cells, {}, "json")
+        for variant in ([np.array(cells[0]), *cells[1:]], [*as_takes, *cells[2:]],
+                        [thermo.Take(pool, index % 10), *cells[1:]]):
+            assert emit_report(columns, variant, {}, "csv") == expected
+            assert emit_report(columns, variant, {}, "json") == json_expected
+        assert len(calls) == 4 * (extra == 0)
+
+    @pytest.mark.parametrize("n_rows, n_values", [(cli._KERNEL_MIN_FLOATS // 5, 100),
+                                                  (cli._KERNEL_MIN_FLOATS // 5 + 1, 100),
+                                                  (5000, 3000)])
+    def test_takes_beside_plain_columns_match_their_expanded_columns(self, monkeypatch,
+                                                                      n_rows, n_values):
+        # five adjacent float columns: a list, two takes of one index (the same
+        # array), a take of its own index and an array, then a str take; one
+        # float cell short of the crossover the per-cell path, past it the
+        # kernel, which formats the 208 values of the three takes in one call
+        # and their 6008 values in two
+        kernel, calls = _csv_kernel.csv_bytes, []
+        monkeypatch.setattr(_csv_kernel, "csv_bytes",
+                            lambda *args: calls.append(args) or kernel(*args))
+        rng = np.random.default_rng(36)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e300]
+        values = np.concatenate([specials, rng.uniform(-1e3, 1e3, n_values - 8)])
+        shared, own = (rng.integers(0, n, n_rows) for n in (n_values, 8))
+        cells = [rng.uniform(-1.0, 1.0, n_rows).tolist(), thermo.Take(values, shared),
+                 thermo.Take(values[::-1].tolist(), shared), thermo.Take(values[:8], own),
+                 rng.standard_normal(n_rows), thermo.Take(["c", "h\x00", "p☃"], own % 3)]
+        columns = ["list", "take", "take_list", "own", "array", "label"]
+        expanded = [expand(column) for column in cells]
+        assert emit_report(columns, cells, {}, "csv") == \
+            csv_report_reference(columns, report_rows(expanded))
+        assert emit_report(columns, cells, {}, "json") == \
+            emit_report(columns, expanded, {}, "json")
+        assert len(calls) == (5 * n_rows >= cli._KERNEL_MIN_FLOATS)
 
     def test_a_sweep_report_stays_within_its_memory_bound(self):
-        # a 60 x 60 sweep-times report with NaN and negative R cells, in the
-        # float64 columns that sweep-times passes: the buffer, its keep mask
-        # and the text set the peak, about 1.3 MB
+        # a 60 x 60 sweep-times report with NaN and negative R cells, all four
+        # columns plain float64 arrays (sweep-times passes its grid axes as
+        # takes, which format fewer cells): the buffer, its keep mask and the
+        # text set the peak, about 1.3 MB
         rng = np.random.default_rng(7)
         taus = np.linspace(1.0, 60.0, 60)
         R = rng.uniform(-1e-3, 2e-3, 3600)
@@ -950,14 +989,20 @@ CHEAP_SETTINGS = ["alpha_chi=0.6278", "alpha_r=0.9799", "envelope_alpha_points=5
                   "tau_c_points=100", "alpha_points=100"]
 
 
-# The float columns that reach emit_report as float64 arrays, by subcommand.
+# The float columns that reach emit_report as float64 arrays, or as takes of
+# float64 values, by subcommand.
 ARRAY_COLUMNS = {"sweep-times": ["tau_c", "tau_p", "tau_h", "R"],
                  "ts-diagram": ["s", "omega", "T_eff", "S"],
                  "optimal-curve": ["alpha", "psi", "R", "chi", "tau_c", "tau_h", "tau_p"],
                  "envelope": ["alpha", "psi", "R", "chi", "tau_c", "tau_h", "tau_p"],
-                 "time-allocation": ["alpha", "psi", "tau_total", "ratio_hp", "ratio_cp",
+                 "time-allocation": ["psi", "tau_total", "ratio_hp", "ratio_cp",
                                      "tau_c", "tau_h", "tau_p"],
                  "reversible-delta": ["delta_c", "q0_sum"]}
+# The columns that reach emit_report as takes (values and a row index), by subcommand.
+TAKE_COLUMNS = {"sweep-times": ["tau_c", "tau_p"],
+                "ts-diagram": ["reservoir", "s"],
+                "envelope": ["curve", "alpha", "psi", "R", "chi", "tau_c", "tau_h", "tau_p"],
+                "time-allocation": ["alpha_label", "alpha"]}
 
 
 def cells_agree(text, value):
@@ -1005,11 +1050,28 @@ class TestReportsThroughBothEmitters:
             rc = parse_config("", CHEAP_SETTINGS + [f"out={out}", "format=json"])
             assert run(subcommand, rc, stdout=stdout) == 0
             [(columns, cells, summary)] = produced  # one computation per subcommand
-            # a column per name, all of one length; array code's float columns
-            # arrive as float64 arrays, every other column holds Python scalars
-            # only: no None or numpy cells
+            # a take holds fewer values than rows, as a float64 array or as
+            # Python scalars, and an int index of one entry per row
+            takes = [(name, column) for name, column in zip(columns, cells)
+                     if isinstance(column, thermo.Take)]
+            assert [name for name, _ in takes] == TAKE_COLUMNS.get(subcommand, []), subcommand
+            for name, (values, index) in takes:
+                if isinstance(values, np.ndarray):
+                    assert values.dtype == np.float64 and values.ndim == 1, (subcommand, name)
+                else:
+                    assert {type(v) for v in values} <= {str, int, float, bool}, (subcommand,
+                                                                                  name)
+                assert index.dtype.kind == "i" and index.ndim == 1, (subcommand, name)
+                assert 0 <= index.min() and index.max() < len(values) < len(index), (subcommand,
+                                                                                     name)
+            given, cells = cells, [expand(column) for column in cells]
+            # a column per name, all of one length, a take's index as long;
+            # array code's float columns arrive as float64 arrays (or takes of
+            # one), every other column holds Python scalars only: no None or
+            # numpy cells
             assert len(cells) == len(columns), subcommand
             assert len({len(column) for column in cells}) == 1, subcommand
+            assert all(len(index) == len(cells[0]) for _, (_, index) in takes), subcommand
             arrays = [name for name, column in zip(columns, cells)
                       if isinstance(column, np.ndarray)]
             assert arrays == ARRAY_COLUMNS.get(subcommand, []), subcommand
@@ -1025,8 +1087,9 @@ class TestReportsThroughBothEmitters:
                 assert {type(v) for v in parts} <= {str, int, float, type(None)}
 
             doc = json.loads(out.read_text())
-            text = emit_report(columns, cells, doc["meta"], "csv")
-            assert text == csv_report_reference(columns, rows), subcommand
+            text = emit_report(columns, given, doc["meta"], "csv")
+            assert text == emit_report(columns, cells, doc["meta"], "csv") == \
+                csv_report_reference(columns, rows), subcommand
             seen |= assert_csv_and_json_agree(columns, rows, text, doc)
 
             printed = stdout.getvalue().splitlines()

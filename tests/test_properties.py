@@ -3,7 +3,8 @@ solver, the closed-form curve maxima and the fixed-COP points over random
 configurations (``conftest.random_config``) and cold-branch durations, and
 the whole-grid solver against the per-point quartic reference of ``oracles``,
 and the CSV emitter against its per-cell reference, on small tables and on
-tables tiled past the crossover where the digit kernel takes over.
+tables tiled past the crossover where the digit kernel takes over, with
+columns given as takes among them.
 
 Skipped where ``hypothesis`` is not installed.  Draws are derandomized, so a
 run is reproducible.
@@ -28,6 +29,7 @@ from qtricycle import (
 from oracles import (
     checked_residual,
     csv_report_reference,
+    expand,
     optimal_curve_reference,
     principal_reference,
     record_rows,
@@ -37,6 +39,7 @@ from oracles import (
 from qtricycle import cli
 from qtricycle.cli import emit_report
 from qtricycle.optimize import _cop_points, _cop_records, curve_maxima
+from qtricycle.thermo import Take
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -176,39 +179,69 @@ report_text = st.text(st.one_of(st.sampled_from("\x00é☃,"), st.characters()),
 @st.composite
 def report_tables(draw, min_rows=0):
     """(columns, cells) of min_rows to 6 rows, each column of one kind of
-    cell; a column of kind "array" is a float64 array, any other a list."""
+    cell; a column of kind "array" is a float64 array, of kind "take" or
+    "take_list" a take of 4 floats (an array or a list), of kind "text_take"
+    a take of 4 str or mixed cells, any other a list.  A take's index is drawn,
+    or is the table's first take index, the same array."""
     n_rows = draw(st.integers(min_rows, 6))
-    cells = []
+    cells, indices = [], []
     for _ in range(draw(st.integers(1, 5))):
         pool = st.sampled_from(draw(st.lists(report_floats, min_size=1, max_size=4)))
         kind = draw(st.sampled_from(["float", "float", "array", "zeros", "bool", "int",
-                                     "str", "numpy", "mixed"]))
+                                     "str", "numpy", "mixed", "take", "take_list",
+                                     "text_take"]))
         element = {"float": pool, "array": pool, "zeros": st.sampled_from([0.0, -0.0, 0.5]),
                    "bool": st.booleans(), "int": st.integers(),
                    "str": report_text, "numpy": pool.map(np.float64),
-                   "mixed": st.one_of(pool, st.booleans(), st.integers(), report_text)
+                   "mixed": st.one_of(pool, st.booleans(), st.integers(), report_text),
+                   "take": report_floats, "take_list": report_floats,
+                   "text_take": st.one_of(report_text, st.booleans(), st.integers())
                    }[kind]
+        if kind in ("take", "take_list", "text_take"):
+            values = draw(st.lists(element, min_size=4, max_size=4))
+            if indices and draw(st.booleans()):
+                index = indices[0]
+            else:
+                index = np.array(draw(st.lists(st.integers(0, 3), min_size=n_rows,
+                                               max_size=n_rows)), dtype=np.int64)
+                indices.append(index)
+            cells.append(Take(np.array(values) if kind == "take" else values, index))
+            continue
         column = draw(st.lists(element, min_size=n_rows, max_size=n_rows))
         cells.append(np.array(column, dtype=float) if kind == "array" else column)
     return [f"c{i}" for i in range(len(cells))], cells
 
 
+def assert_matches_the_reference(columns, cells):
+    """CSV of the report, its per-cell reference, and CSV and JSON of the
+    report with its takes expanded, agree."""
+    expanded = [expand(column) for column in cells]
+    expected = csv_report_reference(columns, report_rows(cells))
+    assert emit_report(columns, cells, {}, "csv") == expected
+    assert emit_report(columns, expanded, {}, "csv") == expected
+    assert emit_report(columns, cells, {}, "json") == emit_report(columns, expanded, {}, "json")
+
+
 @hypothesis.settings(SETTINGS, max_examples=300)
 @hypothesis.given(report_tables())
 def test_csv_report_matches_the_per_cell_reference(table):
-    columns, cells = table
-    expected = csv_report_reference(columns, report_rows(cells))
-    assert emit_report(columns, cells, {}, "csv") == expected
+    assert_matches_the_reference(*table)
 
 
 @hypothesis.settings(SETTINGS, max_examples=100)
 @hypothesis.given(report_tables(min_rows=1), st.integers(0, 5))
 def test_a_report_tiled_past_the_crossover_matches_the_reference(table, offset):
     # each column repeated until it holds the crossover's count of cells, so a
-    # report with a column of floats takes the kernel
+    # report with a column of floats takes the kernel; a take's index is
+    # repeated, once for each distinct index, so shared indices stay shared
     columns, cells = table
-    picked = slice(offset, offset + cli._KERNEL_MIN_FLOATS + len(cells[0]))
-    cells = [np.tile(column, cli._KERNEL_MIN_FLOATS)[picked] if isinstance(column, np.ndarray)
+    picked = slice(offset, offset + cli._KERNEL_MIN_FLOATS + len(expand(cells[0])))
+    tiled = {}
+    for column in cells:
+        if isinstance(column, Take) and id(column.index) not in tiled:
+            tiled[id(column.index)] = np.tile(column.index, cli._KERNEL_MIN_FLOATS)[picked]
+    cells = [Take(column.values, tiled[id(column.index)]) if isinstance(column, Take)
+             else np.tile(column, cli._KERNEL_MIN_FLOATS)[picked]
+             if isinstance(column, np.ndarray)
              else (column * cli._KERNEL_MIN_FLOATS)[picked] for column in cells]
-    expected = csv_report_reference(columns, report_rows(cells))
-    assert emit_report(columns, cells, {}, "csv") == expected
+    assert_matches_the_reference(columns, cells)

@@ -9,6 +9,7 @@ from conftest import light_draw, random_branch, random_config
 from oracles import (
     density_column,
     effective_temperature,
+    expand,
     report_rows,
     sigma_direct,
     ts_trajectory_reference,
@@ -336,7 +337,7 @@ class TestTSTrajectory:
     @staticmethod
     def by_branch(trajectory, key):
         """The column ``key`` of a trajectory, split into its c, h and p samples."""
-        reservoir = np.array(trajectory.reservoir)
+        reservoir = np.array(expand(trajectory.reservoir))
         return [getattr(trajectory, key)[reservoir == res] for res in "chp"]
 
     def test_entropy_continuous_across_quenches(self, default_config):
