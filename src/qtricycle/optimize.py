@@ -27,13 +27,13 @@ tau_h balanced and each row held to the stationarity constraint; a maximum is
 one row.  Only the curve needs that root: :func:`_stationary_tau_p` takes it
 for a whole column of tau_c at once, by Newton steps kept in a bisection
 bracket (:func:`_newton_root`), and :func:`solve_time_allocation` is the
-one-point view.  The R and chi maxima come from the coefficients alone: the R
-peak is one bracketed Newton root in y_c (:func:`_rate_peak`), the chi peak
-Newton's method in (y_c, y_p) from it (:func:`_merit_peak`); the alpha sweeps
-take them from one coefficients call over many alphas, and refine alpha by zoom
-passes of such calls around the best one.  The envelope and the profiles build
-no curve either: their points are the fixed-COP maxima of :func:`_cop_points`,
-the same bracketed Newton in y_c.  The grid rules live here.
+one-point view.  The R and chi maxima come from the coefficients alone: both
+maximize psi^k R, k = 0 and 1, by one damped Newton's method in (y_c, y_p)
+(:func:`_peak`); the alpha sweeps take them from one coefficients call over
+many alphas, and refine alpha by zoom passes of such calls around the best
+one.  The envelope and the profiles build no curve either: their points are
+the fixed-COP maxima of :func:`_cop_points`, the same bracketed Newton in y_c
+as the curve's.  The grid rules live here.
 """
 
 from __future__ import annotations
@@ -296,9 +296,9 @@ def _records(coeffs, alpha, tau_c, tau_p, reasons=None):
     return record, reasons
 
 
-def _peak_record(coeffs, alpha, peak):
-    """The row of :func:`_records` at ``peak(coeffs)`` in floats, or ConvergenceError."""
-    record, (reason,) = _records(coeffs, alpha, *np.array([peak(coeffs)]).T)
+def _peak_record(coeffs, alpha, k):
+    """The row of :func:`_records` at ``_peak(coeffs, k)`` in floats, or ConvergenceError."""
+    record, (reason,) = _records(coeffs, alpha, *np.array([_peak(coeffs, k)]).T)
     if reason:
         raise ConvergenceError(reason)
     return SweepRecord._make(map(np.ndarray.item, record))
@@ -351,62 +351,46 @@ def _branch_terms(coeffs):
             (-T_c * S_c, -T_h * S_h, -T_p * S_p))
 
 
-def _rate_peak(coeffs):
-    """(tau_c, tau_p) of the largest R over the energy-balanced triples.  At
-    fixed tau_c, tau_h + tau_p is least at tau_h/tau_p = sqrt(a_h/a_p); then in
-    y = a_c/tau_c, a_c R = y (A - y)(Z - y)/(Z + e y), e = (sqrt a_h + sqrt
-    a_p)^2/a_c - 1 > -1, on 0 < y < min(A, Z) (Q_c > 0, tau_h > 0).  There the
-    slope g of its log falls from +inf to -inf, as g' = (e/(Z + e y))^2 - 1/y^2
-    - 1/(A - y)^2 - 1/(Z - y)^2 < 0 (e/(Z + e y) < 1/y if e >= 0, |e|/(Z + e y) <
-    1/(Z - y) if not): :func:`_newton_root`'s bracketed steps from min(A, Z)/2
-    take its root.  Z <= 0 or no root in ``_NEWTON_MAXITER`` steps: ConvergenceError."""
+def _peak(coeffs, k):
+    """(tau_c, tau_p) of the largest psi^k R over the energy-balanced triples:
+    k = 0 is the cooling-rate peak, k = 1 the figure-of-merit peak (chi = psi
+    R).  In (u, v) = (a_c/tau_c, a_p/tau_p), Q_c = A - u, Q_h = H - w and
+    a_h/tau_h = w = Z - u - v have slopes +-1, and tau/a_c = t = 1/u + rho_p/v
+    + rho_h/w, rho_v = a_v/a_c, so ln(psi^k R) = (1 + k) ln Q_c - k ln Q_h - ln
+    t + const.  Newton's method on its gradient starts at u = min(A, Z)/2 on the
+    R-optimal split tau_h/tau_p = sqrt(a_h/a_p) and halves a step until 0 < u <
+    A, v > 0 and Z - H < u + v < Z, which keeps the durations and heats
+    positive.  Done at a relative step of ``_NEWTON_RTOL`` and a
+    negative-definite Hessian; Z <= 0 or no end: ConvergenceError."""
     _require_sign_structure(coeffs)
-    A, Z, _, (a_c, a_h, a_p) = _branch_terms(coeffs)
+    A, Z, H, (a_c, a_h, a_p) = _branch_terms(coeffs)
     if not Z > 0.0:
         raise ConvergenceError(f"no admissible cooling-rate peak (A={A:.3e}, Z={Z:.3e})")
-    r_h, r_p, lo, hi = math.sqrt(a_h), math.sqrt(a_p), 0.0, min(A, Z)
-    e, y = (r_h + r_p) * (r_h + r_p) / a_c - 1.0, 0.5 * hi
+    r_h, r_p, rho_h, rho_p = math.sqrt(a_h), math.sqrt(a_p), a_h / a_c, a_p / a_c
+    u = 0.5 * min(A, Z)
+    v = r_p * (Z - u) / (r_h + r_p)
+    name = ("cooling-rate", "figure-of-merit")[k]
     for _ in range(_NEWTON_MAXITER):  # x * x, not x ** 2: a Python float pow can raise
-        q_a, q_z, q_e = 1.0 / (A - y), 1.0 / (Z - y), e / (Z + e * y)
-        g, slope = 1.0 / y - q_a - q_z - q_e, q_e * q_e - 1.0 / (y * y) - q_a * q_a - q_z * q_z
-        lo, hi = (y, hi) if g > 0.0 else (lo, y)
-        new = y - g / slope
-        new = new if lo <= new <= hi else 0.5 * (lo + hi)
-        if abs(new - y) <= _NEWTON_RTOL * new:
-            return a_c / new, r_p * (r_h + r_p) / (Z - new)
-        y = new
-    raise ConvergenceError(f"cooling-rate peak not found in {_NEWTON_MAXITER} steps")
-
-
-def _merit_peak(coeffs):
-    """(tau_c, tau_p) of the largest chi: Newton's method on the gradient of
-    ln chi = 2 ln Q_c - ln Q_h - ln tau in (u, v) = (a_c/tau_c, a_p/tau_p) from
-    :func:`_rate_peak`.  Q_c = A - u, Q_h = H - Z + u + v and a_h/tau_h = w = Z
-    - u - v have slopes +-1, tau/a_c = 1/u + rho_p/v + rho_h/w, rho_v = a_v/a_c.
-    Done at a relative step of ``_NEWTON_RTOL`` and a negative-definite Hessian;
-    an iterate without positive durations and heats, or no end: ConvergenceError."""
-    (tau_c, tau_p), (A, Z, H, (a_c, a_h, a_p)) = _rate_peak(coeffs), _branch_terms(coeffs)
-    u, v, rho_h, rho_p = a_c / tau_c, a_p / tau_p, a_h / a_c, a_p / a_c
-    for _ in range(_NEWTON_MAXITER):
         Q_c, Q_h, w = A - u, H - Z + u + v, Z - u - v
-        if not (u > 0.0 and v > 0.0 and w > 0.0 and Q_c > 0.0 and Q_h > 0.0):
-            raise ConvergenceError(f"chi Newton iterate inadmissible at "
-                                   f"1/tau_c={u / a_c}, 1/tau_p={v / a_p}")
         # t = tau/a_c: grad t = (t_u, t_v), hess t = diag(2/u^3, 2 rho_p/v^3) + s (1 1; 1 1)
-        t, s, k = 1.0 / u + rho_p / v + rho_h / w, 2.0 * rho_h / (w * w * w), rho_h / (w * w)
-        t_u, t_v = k - 1.0 / (u * u), k - rho_p / (v * v)
-        g_u, g_v = -2.0 / Q_c - 1.0 / Q_h - t_u / t, -1.0 / Q_h - t_v / t
-        q_h, q_t = 1.0 / (Q_h * Q_h) - s / t, 1.0 / (t * t)
-        h_uu = q_h - 2.0 / (Q_c * Q_c) - 2.0 / (u * u * u) / t + t_u * t_u * q_t
+        t, s, r = 1.0 / u + rho_p / v + rho_h / w, 2.0 * rho_h / (w * w * w), rho_h / (w * w)
+        t_u, t_v = r - 1.0 / (u * u), r - rho_p / (v * v)
+        g_u, g_v = -(1 + k) / Q_c - k / Q_h - t_u / t, -k / Q_h - t_v / t
+        q_h, q_t = k / (Q_h * Q_h) - s / t, 1.0 / (t * t)
+        h_uu = q_h - (1 + k) / (Q_c * Q_c) - 2.0 / (u * u * u) / t + t_u * t_u * q_t
         h_uv = q_h + t_u * t_v * q_t
         h_vv = q_h - 2.0 * rho_p / (v * v * v) / t + t_v * t_v * q_t
         det = h_uu * h_vv - h_uv * h_uv
         d_u, d_v = (h_vv * g_u - h_uv * g_v) / det, (h_uu * g_v - h_uv * g_u) / det
+        while not (0.0 < u - d_u < A and v - d_v > 0.0 and Z - H < u - d_u + v - d_v < Z):
+            if not (math.isfinite(d_u) and math.isfinite(d_v)):  # no halving ends
+                raise ConvergenceError(f"{name} peak: Newton step not finite at "
+                                       f"1/tau_c={u / a_c}, 1/tau_p={v / a_p}")
+            d_u, d_v = 0.5 * d_u, 0.5 * d_v
         u, v = u - d_u, v - d_v
-        if abs(d_u) <= _NEWTON_RTOL * abs(u) and abs(d_v) <= _NEWTON_RTOL * abs(v) \
-                and h_uu < 0.0 < det:
+        if abs(d_u) <= _NEWTON_RTOL * u and abs(d_v) <= _NEWTON_RTOL * v and h_uu < 0.0 < det:
             return a_c / u, a_p / v
-    raise ConvergenceError(f"chi Newton iteration found no maximum in {_NEWTON_MAXITER} steps")
+    raise ConvergenceError(f"{name} peak not found in {_NEWTON_MAXITER} steps")
 
 
 def _cop_range(coeffs):
@@ -452,13 +436,13 @@ def _cop_points(coeffs, psi):
 
 
 def max_cooling_rate(coeffs, alpha):
-    """SweepRecord of the cooling-rate maximum, at :func:`_rate_peak`'s durations."""
-    return _peak_record(coeffs, alpha, _rate_peak)
+    """SweepRecord of the cooling-rate maximum, at ``_peak(coeffs, 0)``'s durations."""
+    return _peak_record(coeffs, alpha, 0)
 
 
 def max_figure_of_merit(coeffs, alpha):
-    """SweepRecord of the figure-of-merit maximum, at :func:`_merit_peak`'s durations."""
-    return _peak_record(coeffs, alpha, _merit_peak)
+    """SweepRecord of the figure-of-merit maximum, at ``_peak(coeffs, 1)``'s durations."""
+    return _peak_record(coeffs, alpha, 1)
 
 
 class AlphaRecord(NamedTuple):

@@ -1,4 +1,4 @@
-"""Run every subcommand on the eight standard configs, in CSV and JSON.
+"""Run every subcommand on the nine standard configs, in CSV and JSON.
 
 Usage: python tests/report_matrix.py SRC OUTDIR
 
@@ -40,7 +40,10 @@ import warnings
 # stationarity residual in duration ratios, so c6's runs exit 0 wherever c5's do.
 # c7 is the default point at alpha = 0.5, where numpy's ``**`` with a scalar
 # exponent takes a square root instead of ``pow``, so the reports see the rule
-# by which every Sigma power is taken.
+# by which every Sigma power is taken.  c8 is a low-T_c point (T_c = 0.001 with
+# beta_c omega_c at the default's, alpha = 1), where the cold branch is far
+# longer than the pump at the chi peak; its duration and amplitude keys keep
+# the other subcommands in their domains.
 CONFIGS = {
     "c0": [],
     "c1": ["delta_c=0.62", "gamma0=1.2", "alpha=0.7", "tau_c=20", "tau_p=35",
@@ -59,6 +62,8 @@ CONFIGS = {
            "sweep_tau_p_min=1e-300", "sweep_tau_p_max=6e-299",
            "oracle_taus=1e-298,2e-298,4e-298"],
     "c7": ["alpha=0.5"],
+    "c8": ["T_c=0.001", "delta_c=0.0026665", "alpha=1", "tau_c=5000", "tau_p=50",
+           "delta_min=0.0005", "delta_max=0.01", "tau_c_max=1e6"],
 }
 EXPECTED_EXIT = {
     ("c2", "ts-diagram"): 2,

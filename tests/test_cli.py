@@ -611,6 +611,16 @@ class TestExitCodes:
         assert code == 0 and "skipped_points = 0" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 121
 
+    def test_low_T_c_maxima_are_found_at_every_alpha(self, tmp_path, capsys):
+        # the report matrix's c8 point, where the chi peak's cold branch is far
+        # longer than the pump: the curve's maxima exist, and so do those of
+        # every alpha in the sweep's window
+        low = ["T_c=0.001", "delta_c=0.0026665", "alpha=1"]
+        assert run_cli(tmp_path, "optimal-curve", *low)[0] == 0
+        capsys.readouterr()
+        assert run_cli(tmp_path, "alpha-sweep", *low)[0] == 0
+        assert "skipped_points = 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("setting", ["tau_c_min=-1", "tau_c_min=0", "tau_c_max=-3000"])
     def test_nonpositive_tau_c_bound_exits_2(self, tmp_path, capsys, setting):
         # rejected at parse time: no numpy warning, no report

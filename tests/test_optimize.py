@@ -43,9 +43,8 @@ from qtricycle.optimize import (
     _cop_points,
     _cop_range,
     _energy_balance,
-    _merit_peak,
-    _rate_peak,
     _line_constraint,
+    _peak,
     _residual,
     _stationarity_terms,
     _stationary_tau_p,
@@ -207,13 +206,12 @@ class TestResidualContract:
             misses += _dropped_root_misses(coeffs, t, [reference.tau_p])
         assert misses and min(misses) >= 1e-3  # spurious, not near-misses
 
-    @pytest.mark.parametrize("peak, record", [("_rate_peak", max_cooling_rate),
-                                              ("_merit_peak", max_figure_of_merit)])
-    def test_gate_rejects_a_perturbed_peak(self, config, coeffs, monkeypatch, peak, record):
-        # the maxima are built from the closed forms, not from a quartic root,
-        # yet a tau_p off by 1e-6 still fails the stationarity check
-        tau_c, tau_p = getattr(optimize, peak)(coeffs)
-        monkeypatch.setattr(optimize, peak, lambda co: (tau_c, tau_p * (1.0 + 1e-6)))
+    @pytest.mark.parametrize("k, record", [(0, max_cooling_rate), (1, max_figure_of_merit)])
+    def test_gate_rejects_a_perturbed_peak(self, config, coeffs, monkeypatch, k, record):
+        # the maxima are built from their own Newton run, not from a quartic
+        # root, yet a tau_p off by 1e-6 still fails the stationarity check
+        tau_c, tau_p = _peak(coeffs, k)
+        monkeypatch.setattr(optimize, "_peak", lambda co, k: (tau_c, tau_p * (1.0 + 1e-6)))
         with pytest.raises(ConvergenceError,
                            match=f"stationarity residual .* too large at tau_c={tau_c} "):
             record(coeffs, config.alpha)
@@ -666,81 +664,46 @@ def loop_values(fn, marker, names, *args):
 
 
 class TestClosedFormMaxima:
-    """The R peak (one bracketed root) and the chi peak (Newton) against references."""
-
-    def test_rate_slope_is_the_derivative_of_ln_R(self):
-        sp = pytest.importorskip("sympy")
-        mpmath = pytest.importorskip("mpmath")
-        A, Z, a_c, a_h, a_p, y = sp.symbols("A Z a_c a_h a_p y", positive=True)
-        r_h, r_p = sp.sqrt(a_h), sp.sqrt(a_p)
-        e = (r_h + r_p) ** 2 / a_c - 1
-        # the balanced triple with tau_h/tau_p = sqrt(a_h/a_p) at the rate y =
-        # a_c/tau_c: Q_v = T_v dS_v - a_v/tau_v sum to zero, and a_c R is the
-        # rational function of y that the peak maximizes
-        t = a_c / y
-        tau_h, tau_p = (r * (r_h + r_p) / (Z - y) for r in (r_h, r_p))
-        assert sp.simplify(Z - a_c / t - a_h / tau_h - a_p / tau_p) == 0
-        rate = y * (A - y) * (Z - y) / (Z + e * y)
-        assert sp.simplify(a_c * (A - a_c / t) / (t + tau_h + tau_p) - rate) == 0
-        # tau_h + tau_p is least at that ratio for the same a_h/tau_h + a_p/tau_p
-        s = sp.symbols("s", positive=True)  # tau_h = s tau_p
-        q = sp.symbols("q", positive=True)  # the balance's a_h/tau_h + a_p/tau_p
-        total = (a_h / s + a_p) / q * (1 + s)
-        assert sp.solve(sp.diff(total, s), s) == [sp.sqrt(a_h / a_p)]
-        # the loop's g and slope, at each of its iterates, are the first and
-        # second y-derivatives of ln(a_c R)
-        E = sp.symbols("E")
-        log_rate = sp.log(y * (A - y) * (Z - y) / (Z + E * y))
-        derivatives = sp.lambdify((A, Z, E, y), (sp.diff(log_rate, y), sp.diff(log_rate, y, 2)),
-                                  "mpmath")
-        for config in STANDARD_CONFIGS:
-            coeffs = cycle_coefficients(config)
-            A_, Z_, _, (ac, ah, ap) = _branch_terms(coeffs)
-            e_ = (math.sqrt(ah) + math.sqrt(ap)) ** 2 / ac - 1.0
-            peak, seen = loop_values(_rate_peak, "lo, hi =", ("y", "g", "slope"), coeffs)
-            assert len(seen) >= 3 and peak == _rate_peak(coeffs)
-            for y_, g, slope in seen:
-                with mpmath.workdps(40):
-                    exact_g, exact_slope = derivatives(*map(mpmath.mpf, (A_, Z_, e_, y_)))
-                scale = 1.0 / y_ + 1.0 / (A_ - y_) + 1.0 / (Z_ - y_) + abs(e_ / (Z_ + e_ * y_))
-                assert abs(g - float(exact_g)) <= 1e-14 * scale
-                assert abs(slope - float(exact_slope)) <= 1e-14 * scale * scale
+    """The R and chi peaks (one damped Newton, k = 0 and 1) against references."""
 
     def test_merit_step_is_the_gradient_and_hessian(self):
         sp = pytest.importorskip("sympy")
         mpmath = pytest.importorskip("mpmath")
-        A, Z, H, rho_h, rho_p, u, v = sp.symbols("A Z H rho_h rho_p u v", positive=True)
-        # ln chi in the rates (u, v) = (a_c/tau_c, a_p/tau_p), less ln a_c
-        log_chi = (2 * sp.log(A - u) - sp.log(H - Z + u + v)
-                   - sp.log(1 / u + rho_p / v + rho_h / (Z - u - v)))
-        grad = [sp.diff(log_chi, x) for x in (u, v)]
-        hess = [sp.diff(log_chi, u, u), sp.diff(log_chi, u, v), sp.diff(log_chi, v, v)]
-        exact = sp.lambdify((A, Z, H, rho_h, rho_p, u, v), (*grad, *hess), "mpmath")
+        A, Z, H, rho_h, rho_p, u, v, k = sp.symbols("A Z H rho_h rho_p u v k", positive=True)
+        # ln(psi^k R) in the rates (u, v) = (a_c/tau_c, a_p/tau_p), less ln a_c
+        log_objective = ((1 + k) * sp.log(A - u) - k * sp.log(H - Z + u + v)
+                         - sp.log(1 / u + rho_p / v + rho_h / (Z - u - v)))
+        grad = [sp.diff(log_objective, x) for x in (u, v)]
+        hess = [sp.diff(log_objective, u, u), sp.diff(log_objective, u, v),
+                sp.diff(log_objective, v, v)]
+        exact = sp.lambdify((A, Z, H, rho_h, rho_p, k, u, v), (*grad, *hess), "mpmath")
         names = ("u", "v", "g_u", "g_v", "h_uu", "h_uv", "h_vv")
         for config in STANDARD_CONFIGS:
             coeffs = cycle_coefficients(config)
             A_, Z_, H_, (ac, ah, ap) = _branch_terms(coeffs)
-            peak, seen = loop_values(_merit_peak, "det =", names, coeffs)
-            assert len(seen) >= 3 and peak == _merit_peak(coeffs)
-            for u_, v_, *values in seen:
-                with mpmath.workdps(40):
-                    reference = exact(*map(mpmath.mpf, (A_, Z_, H_, ah / ac, ap / ac, u_, v_)))
-                w_ = Z_ - u_ - v_
-                scale = 1.0 / u_ + 1.0 / v_ + 1.0 / w_ + 1.0 / (A_ - u_) + 1.0 / (H_ - w_)
-                powers = (scale,) * 2 + (scale * scale,) * 3
-                for value, ref, size in zip(values, reference, powers):
-                    assert abs(value - float(ref)) <= 1e-13 * size, (value, ref)
+            for k_ in (0, 1):
+                peak, seen = loop_values(_peak, "det =", names, coeffs, k_)
+                assert len(seen) >= 3 and peak == _peak(coeffs, k_)
+                for u_, v_, *values in seen:
+                    with mpmath.workdps(40):
+                        reference = exact(*map(mpmath.mpf,
+                                               (A_, Z_, H_, ah / ac, ap / ac, k_, u_, v_)))
+                    w_ = Z_ - u_ - v_
+                    scale = 1.0 / u_ + 1.0 / v_ + 1.0 / w_ + 1.0 / (A_ - u_) + 1.0 / (H_ - w_)
+                    powers = (scale,) * 2 + (scale * scale,) * 3
+                    for value, ref, size in zip(values, reference, powers):
+                        assert abs(value - float(ref)) <= 1e-13 * size, (value, ref)
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_rate_peak_matches_the_cubic_reference(self, config):
         coeffs = cycle_coefficients(config)
-        assert _rate_peak(coeffs) == pytest.approx(rate_peak_reference(coeffs), rel=4e-15)
+        assert _peak(coeffs, 0) == pytest.approx(rate_peak_reference(coeffs), rel=4e-15)
 
     def test_rate_peak_matches_the_cubic_reference_on_random_draws(self, rng):
         peaks = 0
         for _ in range(1000):
             coeffs = cycle_coefficients(random_config(rng))
-            new, why = optimize._attempt(_rate_peak, coeffs)
+            new, why = optimize._attempt(_peak, coeffs, 0)
             old, old_why = optimize._attempt(rate_peak_reference, coeffs)
             assert (new is None) == (old is None), (why, old_why)
             if new is not None:
@@ -754,8 +717,9 @@ class TestClosedFormMaxima:
         # Sigma and so every a_v scale as 1/gamma0; the rates y_v = a_v/tau_v do not
         base, scaled = (cycle_coefficients(replace(config, gamma0=config.gamma0 * f))
                         for f in (1.0, k))
-        for peak in (_rate_peak, _merit_peak):
-            assert [t * k for t in peak(scaled)] == pytest.approx(peak(base), rel=1e-13)
+        for objective in (0, 1):
+            assert [t * k for t in _peak(scaled, objective)] == pytest.approx(
+                _peak(base, objective), rel=1e-13)
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_maxima_match_brute_force_maximization(self, config):
@@ -780,39 +744,57 @@ class TestClosedFormMaxima:
             assert math.exp(res.x[0]) == pytest.approx(record.tau_c, rel=1e-6)
             assert getattr(record, key) == pytest.approx(math.exp(-res.fun), rel=1e-12)
 
+    def test_low_T_c_chi_peak_is_the_front_maximum(self):
+        # the report matrix's c8: at the chi peak the cold branch is about 20
+        # times the pump, and a full Newton step from the R peak leaves the
+        # admissible set (tau_p < 0); the damped run ends at the largest psi R*
+        # over 200,000 fixed-COP maxima
+        config = TricycleConfig(T_c=0.001, delta_c=0.0026665, alpha=1.0)
+        coeffs = cycle_coefficients(config)
+        record = max_figure_of_merit(coeffs, config.alpha)
+        lo, hi = _cop_range(coeffs)
+        psi = np.linspace(lo, hi, 200_002)[1:-1]
+        best = np.nanmax(psi * _cop_points(coeffs, psi)[2])
+        assert record.chi == pytest.approx(best, rel=1e-10)
+        assert record.tau_c == pytest.approx(1154.21, rel=1e-5)
+
     def test_default_chi_peak_is_the_resultant_root(self, coeffs):
         # the degree-11 factor of sympy's resultant of the two stationarity
         # numerators of chi has this root on the default config
-        assert _merit_peak(coeffs)[0] == pytest.approx(10.93062674, abs=1e-8)
+        assert _peak(coeffs, 1)[0] == pytest.approx(10.93062674, abs=1e-8)
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_records_are_the_peaks(self, config):
         # each maximum's record sits at the peak's own duration pair
         coeffs = cycle_coefficients(config)
-        for peak, record in ((_rate_peak, max_cooling_rate), (_merit_peak, max_figure_of_merit)):
+        for k, record in ((0, max_cooling_rate), (1, max_figure_of_merit)):
             rec = record(coeffs, config.alpha)
-            assert (rec.tau_c, rec.tau_p) == peak(coeffs)
+            assert (rec.tau_c, rec.tau_p) == _peak(coeffs, k)
 
     def test_no_admissible_rate_peak_raises(self):
         # below the reversible amplitude Z = sum_v T_v dS_v < 0: no cycle refrigerates
         coeffs = cycle_coefficients(TricycleConfig(delta_c=0.3))
-        for fn in (_rate_peak, _merit_peak):
+        for k in (0, 1):
             with pytest.raises(ConvergenceError, match="no admissible cooling-rate peak"):
-                fn(coeffs)
+                _peak(coeffs, k)
         with pytest.raises(ConvergenceError):
             curve_maxima(coeffs, 0.0)
 
     def test_newton_without_convergence_raises(self, coeffs, monkeypatch):
-        # no fallback: a Newton run that does not end is an error, the R
-        # peak's first; from the converged R peak the chi run fails on its own
-        converged = _rate_peak(coeffs)
+        # no fallback: a Newton run that does not end is an error, for each
+        # objective on its own (neither starts from the other's peak)
         monkeypatch.setattr(optimize, "_NEWTON_MAXITER", 2)
-        for fn in (_rate_peak, _merit_peak):
-            with pytest.raises(ConvergenceError, match="^cooling-rate peak not found in 2 steps$"):
-                fn(coeffs)
-        monkeypatch.setattr(optimize, "_rate_peak", lambda coeffs: converged)
-        with pytest.raises(ConvergenceError, match="found no maximum in 2 steps"):
-            _merit_peak(coeffs)
+        for k, name in ((0, "cooling-rate"), (1, "figure-of-merit")):
+            with pytest.raises(ConvergenceError, match=f"^{name} peak not found in 2 steps$"):
+                _peak(coeffs, k)
+
+    def test_a_step_that_is_not_finite_raises(self, coeffs):
+        # a_c in the subnormals makes rho_v = a_v/a_c infinite and the first
+        # step NaN, which no halving makes admissible
+        tiny = replace(coeffs, Sigma=(-1e-320 / coeffs.T[0], *coeffs.Sigma[1:]))
+        for k, name in ((0, "cooling-rate"), (1, "figure-of-merit")):
+            with pytest.raises(ConvergenceError, match=f"^{name} peak: Newton step not finite"):
+                _peak(tiny, k)
 
 
 @pytest.mark.parametrize("config", STANDARD_CONFIGS)
